@@ -21,8 +21,10 @@ from .trials import (
     CvResult,
     GridSearchConfig,
     SweepPoint,
+    TrialFit,
     TrialReport,
     cross_validate,
+    fit_trial,
     kfold_indices,
     run_trials,
     select_best,
@@ -38,12 +40,14 @@ __all__ = [
     "Histogram",
     "ProblemSpec",
     "SweepPoint",
+    "TrialFit",
     "TrialReport",
     "WilcoxonResult",
     "build_config",
     "cross_validate",
     "default_interval_grid",
     "describe_config",
+    "fit_trial",
     "kfold_indices",
     "load_config_file",
     "run_trials",

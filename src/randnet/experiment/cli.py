@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from ..methods import (
     method_name,
     method_to_dict,
 )
-from ..model import TrainedNetwork, save_network, train_readout
+from ..model import save_network
 from ..paramgen import AnchorPolicy, input_hypercube
 from .config import (
     ExperimentConfig,
@@ -226,14 +227,8 @@ def cmd_fit(args) -> int:
     write_table(os.path.join(out, "trials"), TRIAL_COLUMNS,
                 trial_rows(method_name(method), reports), cfg.out_format)
     if args.save_model:
-        stream = cfg.trial_stream(0).child(0)
-        cube = input_hypercube(problem.train.x)
-        layer = generate_hidden_layer(method, problem.train.x, cube,
-                                      cfg.nodes, stream)
-        beta = train_readout(layer, problem.train.x, problem.train.y)
-        net = TrainedNetwork(hidden=layer, readout=beta,
-                             normalization=problem.normalization)
-        save_network(net, args.save_model)
+        save_network(replace(reports[0].network, normalization=problem.normalization),
+                     args.save_model)
     print(f"fit: test rmse mean {summary['methods'][0]['rmse_test']['mean']:.6g} "
           f"over {trials} trial(s); outputs in {out}")
     return 0

@@ -2,32 +2,34 @@
 
 All routines take a seed or an RngStream and derive one child stream per
 independent work unit (trial, or grid cell x fold x trial), so results are
-identical for any worker count and any execution order.
+identical for any worker count and any execution order. Every fit goes
+through ``fit_trial``.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..benchfn import SampledProblem
 from ..dataio import Dataset
 from ..errors import ConfigError, InvalidInputError
-from ..linalg import SolverConfig
+from ..linalg import SolverConfig, single_thread_blas
 from ..methods import TUNABLE, GeneratorConfig, family_config, generate_hidden_layer
 from ..model import TrainedNetwork, predict, rmse, train_readout
-from ..paramgen import AnchorPolicy, input_hypercube
+from ..paramgen import AnchorPolicy, Hypercube, input_hypercube
 from ..rae import Raem1Config
 from ..rng import as_stream
 
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Outcome of one training trial."""
+    """Outcome of one training trial; ``network`` is the network it trained."""
 
     trial: int
     seed: int
@@ -35,18 +37,53 @@ class TrialReport:
     rmse_test: float
     wall_time_s: float
     weights: Optional[np.ndarray] = None
+    network: Optional[TrainedNetwork] = None
 
     def __post_init__(self):
         if self.rmse_train < 0 or self.rmse_test < 0:
             raise InvalidInputError("rmse values must be nonnegative")
 
 
+class TrialFit(NamedTuple):
+    """Trained network of one trial and its train and test RMSE."""
+
+    network: TrainedNetwork
+    rmse_train: float
+    rmse_test: float
+
+
+def fit_trial(
+    method: GeneratorConfig,
+    train: Dataset,
+    test: Dataset,
+    cube: Hypercube,
+    m: int,
+    stream,
+    solver: SolverConfig,
+) -> TrialFit:
+    """One trial: generate a hidden layer, fit its readout, score it.
+
+    The hidden output matrix of ``train`` is built once, for the solve and
+    the train RMSE, and released before ``test`` is predicted.
+    """
+    layer = generate_hidden_layer(method, train.x, cube, m, stream, solver)
+    readout, fitted = train_readout(layer, train.x, train.y, solver, return_fitted=True)
+    net = TrainedNetwork(hidden=layer, readout=readout)
+    return TrialFit(net, rmse(fitted, train.y), rmse(predict(net, test.x), test.y))
+
+
 def _map_units(worker, count: int, jobs: int) -> list:
-    """Run worker(0..count-1), optionally on a thread pool; order preserved."""
-    if jobs <= 1 or count <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, range(count)))
+    """Run worker(0..count-1) on up to ``jobs`` threads; order preserved.
+
+    The worker count is capped at the core count, and BLAS runs on one
+    thread throughout, so the results do not depend on ``jobs``.
+    """
+    workers = min(jobs, count, os.cpu_count() or 1)
+    with single_thread_blas():
+        if workers <= 1:
+            return [worker(i) for i in range(count)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(worker, range(count)))
 
 
 def run_trials(
@@ -75,18 +112,16 @@ def run_trials(
 
     def one(t: int) -> TrialReport:
         t0 = time.perf_counter()
-        layer = generate_hidden_layer(method, train.x, cube, m, stream.child(t), solver)
-        beta = train_readout(layer, train.x, train.y, solver)
-        net = TrainedNetwork(hidden=layer, readout=beta)
-        report = TrialReport(
+        fit = fit_trial(method, train, test, cube, m, stream.child(t), solver)
+        return TrialReport(
             trial=t,
             seed=stream.seed,
-            rmse_train=rmse(predict(net, train.x), train.y),
-            rmse_test=rmse(predict(net, test.x), test.y),
+            rmse_train=fit.rmse_train,
+            rmse_test=fit.rmse_test,
             wall_time_s=time.perf_counter() - t0,
-            weights=layer.weights.copy() if snapshot_weights else None,
+            weights=fit.network.hidden.weights if snapshot_weights else None,
+            network=fit.network,
         )
-        return report
 
     return _map_units(one, trials, jobs)
 
@@ -195,10 +230,8 @@ def cross_validate(
             cube = input_hypercube(fold_train.x)
             for t in range(grid.trials_per_cell):
                 child = stream.child(1, ci, f, t)
-                layer = generate_hidden_layer(cfg, fold_train.x, cube, m, child, solver)
-                beta = train_readout(layer, fold_train.x, fold_train.y, solver)
-                net = TrainedNetwork(hidden=layer, readout=beta)
-                errs.append(rmse(predict(net, fold_val.x), fold_val.y))
+                fit = fit_trial(cfg, fold_train, fold_val, cube, m, child, solver)
+                errs.append(fit.rmse_test)
         return CvCell(m=m, interval=interval, mean_rmse=float(np.mean(errs)))
 
     table = tuple(_map_units(eval_cell, len(cells), jobs))
@@ -242,12 +275,9 @@ def uae_sweep(
         cfg = Raem1Config(u_ae=float(uae_values[k]), anchor=anchor)
         medians, errs = [], []
         for t in range(trials):
-            child = stream.child(k, t)
-            layer = generate_hidden_layer(cfg, train.x, cube, m, child, solver)
-            beta = train_readout(layer, train.x, train.y, solver)
-            net = TrainedNetwork(hidden=layer, readout=beta)
-            medians.append(float(np.median(np.abs(layer.weights))))
-            errs.append(rmse(predict(net, test.x), test.y))
+            fit = fit_trial(cfg, train, test, cube, m, stream.child(k, t), solver)
+            medians.append(float(np.median(np.abs(fit.network.hidden.weights))))
+            errs.append(fit.rmse_test)
         return SweepPoint(
             u_ae=float(uae_values[k]),
             median_abs_weight=float(np.mean(medians)),

@@ -86,23 +86,29 @@ class TrainedNetwork:
             )
 
 
-def sigmoid(z):
+def sigmoid(z, *, out=None):
     """Logistic function, numerically stable and strictly inside (0, 1).
 
-    For negative arguments the ``exp(z) / (1 + exp(z))`` branch avoids
-    overflow; outputs are clipped to the open unit interval so saturated
-    nodes never return exactly 0 or 1.
+    Computes ``1 / (1 + e)`` for z >= 0 and ``e / (1 + e)`` for z < 0, with
+    ``e = exp(-|z|)``, so exp never overflows. Outputs are clipped to the
+    open unit interval so saturated nodes never return exactly 0 or 1.
+    ``z`` is left alone unless it is passed as ``out``, a float array of its
+    shape that receives the result; ``out=z`` needs one temporary array only.
     """
     z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    if z.ndim == 0:
+        return float(sigmoid(z.reshape(1))[0])
+    if out is None:
+        out = np.empty_like(z)
+    upper = z >= 0
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(1.0, e, out=out)
+    np.copyto(e, 1.0, where=upper)
+    np.divide(e, out, out=out)
     np.clip(out, _SIG_LO, _SIG_HI, out=out)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def affine_arguments(x, weights, biases) -> np.ndarray:
@@ -129,13 +135,19 @@ def hidden_outputs(layer: HiddenLayer, x) -> np.ndarray:
         raise InvalidInputError(
             f"input dimension {x.shape[1]} does not match layer dimension {layer.input_dim}"
         )
-    return sigmoid(affine_arguments(x, layer.weights, layer.biases))
+    z = affine_arguments(x, layer.weights, layer.biases)
+    return sigmoid(z, out=z)
 
 
 def train_readout(
-    layer: HiddenLayer, x, y, cfg: SolverConfig = SolverConfig()
-) -> ReadoutWeights:
-    """Fit the output weights on (x, y) by least squares."""
+    layer: HiddenLayer, x, y, cfg: SolverConfig = SolverConfig(), *, return_fitted=False
+) -> ReadoutWeights | tuple[ReadoutWeights, np.ndarray]:
+    """Fit the output weights on (x, y) by least squares.
+
+    With ``return_fitted`` it returns ``(weights, fitted)``, where ``fitted``
+    is the network's output on ``x``, taken from the hidden output matrix of
+    the fit rather than a second one built by ``predict``.
+    """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.ndim != 1 or y.shape[0] != x.shape[0]:
@@ -143,7 +155,8 @@ def train_readout(
             f"target shape {y.shape} does not match {x.shape[0]} input rows"
         )
     h = hidden_outputs(layer, x)
-    return ReadoutWeights(lstsq(h, y, cfg))
+    readout = ReadoutWeights(lstsq(h, y, cfg))
+    return (readout, h @ readout.beta) if return_fitted else readout
 
 
 def predict(net: TrainedNetwork, x) -> np.ndarray:

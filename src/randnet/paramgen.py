@@ -117,7 +117,6 @@ def _kmeans(x: np.ndarray, k: int, gen: np.random.Generator, max_iter: int, rel_
         centers[j] = x[idx]
         np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1), out=d2)
 
-    x_sq = np.sum(x * x, axis=1)
     for _ in range(max_iter):
         # argmin over squared distances, chunked to bound memory at large N*k
         assign = np.empty(n, dtype=np.intp)
@@ -136,7 +135,6 @@ def _kmeans(x: np.ndarray, k: int, gen: np.random.Generator, max_iter: int, rel_
         centers = new_centers
         if shift / scale <= rel_tol:
             break
-    del x_sq
     return centers
 
 

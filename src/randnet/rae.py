@@ -102,7 +102,8 @@ def rae_encode(hidden: RaeHidden, x) -> np.ndarray:
         raise InvalidInputError(
             f"input shape {x.shape} does not match encoder dimension {hidden.w.shape[0]}"
         )
-    return sigmoid(affine_arguments(x, hidden.w, hidden.c))
+    z = affine_arguments(x, hidden.w, hidden.c)
+    return sigmoid(z, out=z)
 
 
 def rae_decode_weights(g, x, cfg: SolverConfig = SolverConfig()) -> RaeDecoder:

@@ -1,5 +1,6 @@
 """Command-line entry points: outputs, overrides, determinism, exit codes."""
 
+import csv
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from randnet.dataio import load_csv
 from randnet.experiment.cli import main
 from randnet.experiment.config import build_config, describe_config, load_config_file
 from randnet.errors import ConfigError
-from randnet.model import load_network, predict
+from randnet.model import load_network, predict, rmse
 
 
 def run(*argv):
@@ -88,6 +89,23 @@ class TestFit:
         preds = predict(net, demo_small.train.x[:8])
         assert preds.shape == (8,) and np.all(np.isfinite(preds))
 
+    def test_saved_model_is_trial_zero(self, tmp_path):
+        out = tmp_path / "fit"
+        model_path = tmp_path / "net.json"
+        code = run("fit", *tiny_tf_args(out, trials=2), "--method", "ram",
+                   "--u", "5", "--save-model", model_path)
+        assert code == 0
+        cfg = build_config({
+            "problem": {"tf": "TF1", "n": 1, "train_size": 300, "test_size": 120},
+            "methods": [{"method": "ram", "u": 5.0}], "nodes": 10, "seed": 5,
+        }, {})
+        problem = cfg.problem.realize(cfg.problem_stream())
+        net = load_network(model_path)
+        with open(out / "trials.csv") as fh:
+            trial0 = next(csv.DictReader(fh))
+        got = rmse(predict(net, problem.train.x), problem.train.y)
+        assert got == pytest.approx(float(trial0["rmse_train"]), rel=1e-12)
+
     def test_defaults_to_one_trial(self, tmp_path):
         out = tmp_path / "fit"
         code = run("fit", "--tf", "TF1", "--n", "1", "--train-size", "200",
@@ -112,6 +130,20 @@ class TestBenchmark:
         trials = (outs[0] / "trials.csv").read_text().splitlines()
         assert trials[0] == "method,trial,rmse_train,rmse_test"
         assert len(trials) == 1 + 2 * 4  # two methods, four trials each
+
+    def test_byte_identical_across_jobs_where_blas_threads_matter(self, tmp_path):
+        # At 2000 x 200 the SVD's result depends on the BLAS thread count, so
+        # this fails if that count follows the worker count.
+        outs = [tmp_path / "j1", tmp_path / "j2"]
+        for out, jobs in zip(outs, ("1", "2")):
+            code = run("benchmark", "--tf", "TF1", "--n", "2", "--train-size", "2000",
+                       "--test-size", "500", "--nodes", "200", "--trials", "2",
+                       "--seed", "3", "--method", "ram", "--u", "20",
+                       "--method", "ralpham", "--alpha-max", "90",
+                       "--jobs", jobs, "--out", out)
+            assert code == 0
+        for name in ("summary.json", "trials.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_json_table_format(self, tmp_path):
         out = tmp_path / "b"

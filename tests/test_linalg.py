@@ -5,11 +5,15 @@ than against another library routine; square solves are cross-checked with a
 pure-Python Gaussian elimination written here.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from randnet import linalg
 from randnet.errors import InvalidInputError
-from randnet.linalg import SolverConfig, factorize, lstsq, pseudoinverse
+from randnet.linalg import SolverConfig, factorize, lstsq, pseudoinverse, single_thread_blas
 
 
 def mp_residuals(m, p):
@@ -171,3 +175,36 @@ def test_solver_config_validation():
         SolverConfig(rank_tolerance=0.0)
     with pytest.raises(InvalidInputError):
         SolverConfig(ridge_lambda=-1.0)
+
+
+def test_single_thread_blas_survives_concurrent_users():
+    # more users than cores, switching threads often: a lost update of the
+    # shared user count would leave BLAS pinned or unpin it inside a body
+    handles = linalg._openblas_handles()
+    if not handles:
+        pytest.skip("no bundled OpenBLAS")
+    saved = [get() for get, _ in handles]
+    interval = sys.getswitchinterval()
+    seen: list = []
+
+    def user():
+        for _ in range(200):
+            with single_thread_blas():
+                seen.append([get() for get, _ in handles])
+
+    try:
+        for _, set_ in handles:
+            set_(2)
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=user) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [[1] * len(handles)] * 1600
+        assert [get() for get, _ in handles] == [2] * len(handles)
+    finally:
+        sys.setswitchinterval(interval)
+        for (_, set_), count in zip(handles, saved):
+            set_(count)

@@ -52,6 +52,28 @@ class TestSigmoid:
         assert isinstance(sigmoid(1.2), float)
         assert sigmoid(np.ones((2, 3))).shape == (2, 3)
 
+    def test_bitwise_equal_to_two_branch_formula(self):
+        rng = np.random.default_rng(11)
+        z = np.concatenate([
+            rng.normal(scale=10.0, size=20000), rng.uniform(-800.0, 800.0, size=20000),
+            [0.0, -0.0, 800.0, -800.0, 709.0, -745.0, 5e-324, -5e-324, np.inf, -np.inf],
+        ])
+        want = np.empty_like(z)
+        pos = z >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        want[~pos] = ez / (1.0 + ez)
+        np.clip(want, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=want)
+        assert sigmoid(z).tobytes() == want.tobytes()
+
+    def test_argument_left_alone_unless_passed_as_out(self):
+        z = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+        before = z.copy()
+        fresh = sigmoid(z)
+        assert np.array_equal(z, before)
+        assert sigmoid(z, out=z) is z
+        assert z.tobytes() == fresh.tobytes()
+
 
 class TestHiddenOutputs:
     def test_single_node_at_origin(self):
@@ -157,6 +179,16 @@ class TestTrainReadout:
         layer = HiddenLayer(weights=[[1.0]], biases=[0.0])
         with pytest.raises(InvalidInputError):
             train_readout(layer, [[0.0], [1.0]], [1.0, 2.0, 3.0])
+
+    def test_fitted_values_equal_predict(self):
+        rng = np.random.default_rng(9)
+        layer = random_layer(rng, 2, 7)
+        x = rng.uniform(size=(50, 2))
+        y = rng.normal(size=50)
+        readout, fitted = train_readout(layer, x, y, return_fitted=True)
+        assert np.array_equal(readout.beta, train_readout(layer, x, y).beta)
+        net = TrainedNetwork(hidden=layer, readout=readout)
+        assert fitted.tobytes() == predict(net, x).tobytes()
 
     def test_ridge_config_is_honored(self):
         rng = np.random.default_rng(8)

@@ -6,6 +6,7 @@ import pytest
 from randnet.dataio import Dataset
 from randnet.errors import ConfigError, InvalidInputError
 from randnet.benchfn import SampledProblem
+from randnet.experiment import trials
 from randnet.experiment.stats import wilcoxon_signed_rank
 from randnet.experiment.trials import (
     CvCell,
@@ -16,6 +17,7 @@ from randnet.experiment.trials import (
     select_best,
     uae_sweep,
 )
+from randnet.linalg import _openblas_handles
 from randnet.model import hidden_outputs
 from randnet.paramgen import RaMConfig, RAlphaMConfig, generate_ram, input_hypercube
 from randnet.rae import Raem1Config, Raem3Config, Raem5Config
@@ -36,6 +38,50 @@ def reports_equal(a, b):
         if r.weights is not None and not np.array_equal(r.weights, s.weights):
             return False
     return True
+
+
+class TestWorkerPool:
+    def test_workers_capped_at_core_count(self, monkeypatch):
+        # a pool that records its size and runs in the calling thread
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(trials, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(trials.os, "cpu_count", lambda: 2)
+        assert trials._map_units(lambda i: i * i, 6, 10**6) == [0, 1, 4, 9, 16, 25]
+        assert trials._map_units(lambda i: i, 3, 2) == [0, 1, 2]
+        assert sizes == [2, 2]
+        monkeypatch.setattr(trials.os, "cpu_count", lambda: 1)
+        assert trials._map_units(lambda i: i, 3, 10**6) == [0, 1, 2]
+        assert sizes == [2, 2]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_blas_on_one_thread_inside_and_restored_after(self, jobs):
+        handles = _openblas_handles()
+        if not handles:
+            pytest.skip("no bundled OpenBLAS")
+        saved = [get() for get, _ in handles]
+        try:
+            for _, set_ in handles:
+                set_(2)
+            seen = trials._map_units(lambda i: [get() for get, _ in handles], 2, jobs)
+            assert seen == [[1] * len(handles)] * 2
+            assert [get() for get, _ in handles] == [2] * len(handles)
+        finally:
+            for (_, set_), count in zip(handles, saved):
+                set_(count)
 
 
 class TestRunTrials:
