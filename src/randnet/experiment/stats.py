@@ -6,7 +6,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ..errors import InvalidInputError
 
@@ -18,6 +17,19 @@ EXACT_MAX_N = 25
 class WilcoxonResult(NamedTuple):
     statistic: float
     p_value: float
+
+
+def average_ranks(x) -> np.ndarray:
+    """1-based ranks of a 1-D sample; tied values share the mean of the
+    ranks they span (scipy's ``rankdata(method="average")``)."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def _exact_p(doubled_ranks: np.ndarray, doubled_stat: int) -> float:
@@ -62,7 +74,7 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     if n == 0:
         return WilcoxonResult(0.0, 1.0)
 
-    ranks = rankdata(np.abs(d), method="average")
+    ranks = average_ranks(np.abs(d))
     w_pos = float(ranks[d > 0].sum())
     w_neg = float(ranks[d < 0].sum())
     stat = min(w_pos, w_neg)

@@ -1,10 +1,12 @@
 """SVD-backed Moore-Penrose pseudoinverse and least-squares solves.
 
 Both the network readout and the autoencoder decoder reduce to minimum-norm
-least squares. Everything here goes through one economy SVD (LAPACK via
-numpy) rather than normal equations, so tall and nearly rank-deficient
-matrices are handled without squaring the condition number. An optional
-ridge path solves the regularized normal equations instead.
+least squares. The solves go through an economy SVD (LAPACK via numpy)
+rather than normal equations, so nearly rank-deficient matrices are handled
+without squaring the condition number. A tall matrix is first reduced by one
+Householder QR of ``[a | rhs]`` to its square triangle R and ``Q' rhs``, and
+only R is decomposed (Chan's R-SVD), so no tall factor is ever formed. An
+optional ridge path solves the regularized normal equations instead.
 
 ``single_thread_blas`` pins the BLAS under those solves to one thread while
 a worker pool runs, so the pool is the only parallelism.
@@ -104,13 +106,29 @@ def pseudoinverse(m, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
     return (fac.vt.T * s_inv) @ fac.u.T
 
 
+def _reduce_tall(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(R, Q' rhs)`` of the thin QR ``a = Q R`` of a matrix with more rows
+    than columns, from the triangle of one QR of ``[a | rhs]``; Q is never
+    formed. ``a`` and ``R`` share their singular values and right singular
+    vectors, and ``||a x - rhs||^2`` differs from ``||R x - Q' rhs||^2`` by
+    a constant, so both give the same minimum-norm solution."""
+    cols = a.shape[1]
+    try:
+        r = np.linalg.qr(np.hstack([a, rhs]), mode="r")
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"QR factorization failed: {exc}") from exc
+    return r[:cols, :cols], r[:cols, cols:]
+
+
 def lstsq(m, t, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
     """Least-squares solve of ``m @ x = t``.
 
     Without ridge this returns the minimum-norm solution ``m^+ t`` via the
-    SVD. With ``ridge_lambda`` set it solves the regularized normal
-    equations ``(m' m + lambda I) x = m' t`` instead. A 1-D ``t`` yields a
-    1-D result.
+    SVD. A matrix with more rows than columns is first reduced to its
+    square QR triangle, whose SVD takes the place of the tall one; the rank
+    cutoff still uses the shape of ``m``. With ``ridge_lambda`` set it solves
+    the regularized normal equations ``(m' m + lambda I) x = m' t`` instead.
+    A 1-D ``t`` yields a 1-D result.
     """
     a = _as_matrix(m)
     t_arr = np.asarray(t, dtype=float)
@@ -133,10 +151,11 @@ def lstsq(m, t, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError(f"ridge system is singular: {exc}") from exc
     else:
-        fac = factorize(a)
+        r, c = _reduce_tall(a, rhs) if a.shape[0] > a.shape[1] else (a, rhs)
+        fac = factorize(r)
         s = fac.singular_values
         s_inv = _inverse_above(s, _rank_cutoff(a.shape, s, cfg))
-        x = fac.vt.T @ ((fac.u.T @ rhs) * s_inv[:, None])
+        x = fac.vt.T @ ((fac.u.T @ c) * s_inv[:, None])
     return x[:, 0] if flat else x
 
 
@@ -155,9 +174,13 @@ _blas_saved: list[int] = []
 
 
 def _openblas_handles() -> list:
-    """(get, set) thread-count functions of each bundled OpenBLAS copy found.
+    """(get, set) thread-count functions of each bundled OpenBLAS copy that
+    is already loaded.
 
-    Resolved once; empty where neither wheel bundles OpenBLAS.
+    A copy not yet loaded is skipped rather than loaded just to be pinned:
+    the package's own solves run on numpy's copy, and scipy's is loaded only
+    by code that imports scipy. Resolved once; empty where neither wheel
+    bundles OpenBLAS.
     """
     global _blas_handles
     if _blas_handles is None:
@@ -169,7 +192,7 @@ def _openblas_handles() -> list:
             site = os.path.dirname(os.path.dirname(spec.origin))
             for path in sorted(glob.glob(os.path.join(site, package + ".libs", pattern))):
                 try:
-                    lib = ctypes.CDLL(path)
+                    lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
                     get = lib["scipy_openblas_get" + suffix]
                     set_ = lib["scipy_openblas_set" + suffix]
                 except (OSError, AttributeError):

@@ -5,14 +5,18 @@ than against another library routine; square solves are cross-checked with a
 pure-Python Gaussian elimination written here.
 """
 
+import os
+import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import randnet
 from randnet import linalg
-from randnet.errors import InvalidInputError
+from randnet.errors import InvalidInputError, NumericFailureError
 from randnet.linalg import SolverConfig, factorize, lstsq, pseudoinverse, single_thread_blas
 
 
@@ -151,6 +155,70 @@ def test_lstsq_dimension_mismatch():
         lstsq(np.ones((3, 2)), np.ones(4))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    defect=st.sampled_from([None, "duplicate", "zero"]),
+    rhs_cols=st.sampled_from([None, 1, 3]),
+    tolerance=st.sampled_from([None, 1e-6, 0.5]),
+)
+def test_lstsq_matches_pseudoinverse(rows, cols, seed, defect, rhs_cols, tolerance):
+    # tall (QR-reduced), square and wide matrices, rank-deficient ones among them
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(rows, cols))
+    if defect == "duplicate" and cols > 1:
+        m[:, -1] = m[:, 0]
+    elif defect == "zero":
+        m[:, -1] = 0.0
+    t = rng.normal(size=rows if rhs_cols is None else (rows, rhs_cols))
+    cfg = SolverConfig(rank_tolerance=tolerance)
+    want = pseudoinverse(m, cfg) @ t
+    got = lstsq(m, t, cfg)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * max(1.0, np.abs(want).max()))
+
+
+def test_tall_lstsq_decomposes_only_square_matrices(monkeypatch):
+    seen = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    rng = np.random.default_rng(21)
+    m = rng.normal(size=(300, 7))
+    lstsq(m, rng.normal(size=300))
+    lstsq(m, rng.normal(size=(300, 4)))
+    assert seen == [(7, 7), (7, 7)]
+
+
+def test_tall_cutoff_uses_the_original_row_count():
+    # sigma_2 lies between 2 * eps and 1000 * eps relative to sigma_1, so the
+    # cutoff of the 1000x2 matrix drops it where one of its 2x2 R would not
+    rng = np.random.default_rng(23)
+    u, _ = np.linalg.qr(rng.normal(size=(1000, 2)))
+    v, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    m = (u * [1.0, 3e-14]) @ v.T
+    t = rng.normal(size=1000)
+    x = lstsq(m, t)
+    np.testing.assert_allclose(x, pseudoinverse(m) @ t, rtol=1e-9)
+    np.testing.assert_allclose(x, v[:, 0] * (u[:, 0] @ t), rtol=1e-9)
+
+
+@pytest.mark.parametrize("routine", ["qr", "svd"])
+def test_lapack_failure_is_a_numeric_failure(monkeypatch, routine):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("simulated non-convergence")
+
+    monkeypatch.setattr(np.linalg, routine, failing)
+    with pytest.raises(NumericFailureError):
+        lstsq(np.random.default_rng(22).normal(size=(9, 3)), np.ones(9))
+
+
 def test_ridge_small_lambda_matches_unregularized():
     rng = np.random.default_rng(19)
     m = rng.normal(size=(10, 4))
@@ -208,3 +276,29 @@ def test_single_thread_blas_survives_concurrent_users():
         sys.setswitchinterval(interval)
         for (_, set_), count in zip(handles, saved):
             set_(count)
+
+
+def test_cli_import_and_pinning_load_no_scipy():
+    # scipy's OpenBLAS copy is pinned only if something else loaded it
+    probe = """
+import ctypes, glob, importlib.util, os, sys
+import randnet.experiment.cli
+from randnet.linalg import single_thread_blas
+with single_thread_blas():
+    pass
+assert "scipy" not in sys.modules, "scipy was imported"
+spec = importlib.util.find_spec("scipy")
+site = os.path.dirname(os.path.dirname(spec.origin)) if spec and spec.origin else ""
+for path in glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas-*")):
+    try:
+        ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+    except OSError:
+        continue
+    sys.exit("loaded " + path)
+"""
+    src = os.path.dirname(os.path.dirname(randnet.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

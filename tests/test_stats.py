@@ -10,12 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.stats import rankdata, wilcoxon as scipy_wilcoxon
 
 from randnet.errors import InvalidInputError
 from randnet.experiment.stats import (
     EXACT_MAX_N,
     Histogram,
+    average_ranks,
     summarize,
     weight_histogram,
     wilcoxon_signed_rank,
@@ -46,6 +48,17 @@ def snap(weights):
         trial=0, seed=0, rmse_train=0.0, rmse_test=0.0, wall_time_s=0.0,
         weights=np.asarray(weights, dtype=float),
     )
+
+
+class TestAverageRanks:
+    def test_hand_case(self):
+        np.testing.assert_array_equal(
+            average_ranks([3.0, 1.0, 3.0, 2.0, 3.0]), [4.0, 1.0, 4.0, 2.0, 4.0]
+        )
+
+    @given(st.lists(st.integers(0, 6).map(float), min_size=1, max_size=40))
+    def test_identical_to_scipy_on_ties(self, values):
+        np.testing.assert_array_equal(average_ranks(values), rankdata(values))
 
 
 class TestWilcoxon:
