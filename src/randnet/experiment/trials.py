@@ -19,7 +19,7 @@ import numpy as np
 from ..benchfn import SampledProblem
 from ..dataio import Dataset
 from ..errors import ConfigError, InvalidInputError
-from ..linalg import SolverConfig, single_thread_blas
+from ..linalg import SolverConfig, block_budget, single_thread_blas
 from ..methods import TUNABLE, GeneratorConfig, family_config, generate_hidden_layer
 from ..model import TrainedNetwork, predict, rmse, train_readout
 from ..paramgen import AnchorPolicy, Hypercube, input_hypercube
@@ -76,14 +76,24 @@ def _map_units(worker, count: int, jobs: int) -> list:
     """Run worker(0..count-1) on up to ``jobs`` threads; order preserved.
 
     The worker count is capped at the core count, and BLAS runs on one
-    thread throughout, so the results do not depend on ``jobs``.
+    thread throughout. Each unit may run the row blocks of its hidden
+    matrices and solves on the cores the pool leaves idle, ``cores // workers`` of them, so a map
+    of one unit uses every core and a full pool starts no block threads.
+    Row blocks and their merge order are fixed by the matrix shapes, so the
+    results depend on neither ``jobs`` nor the core count.
     """
-    workers = min(jobs, count, os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    workers = min(jobs, count, cores)
+
+    def unit(i: int):
+        with block_budget(cores // max(workers, 1)):
+            return worker(i)
+
     with single_thread_blas():
         if workers <= 1:
-            return [worker(i) for i in range(count)]
+            return [unit(i) for i in range(count)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, range(count)))
+            return list(pool.map(unit, range(count)))
 
 
 def run_trials(

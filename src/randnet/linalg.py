@@ -3,13 +3,22 @@
 Both the network readout and the autoencoder decoder reduce to minimum-norm
 least squares. The solves go through an economy SVD (LAPACK via numpy)
 rather than normal equations, so nearly rank-deficient matrices are handled
-without squaring the condition number. A tall matrix is first reduced by one
+without squaring the condition number. A tall matrix is first reduced by
 Householder QR of ``[a | rhs]`` to its square triangle R and ``Q' rhs``, and
 only R is decomposed (Chan's R-SVD), so no tall factor is ever formed. An
 optional ridge path solves the regularized normal equations instead.
 
+The QR works on the contiguous row blocks of ``row_blocks``, which depend on
+the matrix shape only. Each block's ``[a | rhs]`` rows are reduced to
+their own triangle, and the triangles, stacked in block order, by one more
+QR (TSQR: Demmel et al., SIAM J. Sci. Comput. 2012). So no full-size copy of
+``[a | rhs]`` is made, and ``map_blocks`` can reduce the blocks on the cores
+a worker pool leaves idle.
+
 ``single_thread_blas`` pins the BLAS under those solves to one thread while
-a worker pool runs, so the pool is the only parallelism.
+a worker pool runs, and ``block_budget`` hands each of the pool's units the
+cores it leaves idle. Since the blocks and their merge order are fixed, the
+results do not depend on either.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import glob
 import importlib.util
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -108,13 +118,24 @@ def pseudoinverse(m, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
 
 def _reduce_tall(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(R, Q' rhs)`` of the thin QR ``a = Q R`` of a matrix with more rows
-    than columns, from the triangle of one QR of ``[a | rhs]``; Q is never
+    than columns, from the triangle of the QR of ``[a | rhs]``; Q is never
     formed. ``a`` and ``R`` share their singular values and right singular
     vectors, and ``||a x - rhs||^2`` differs from ``||R x - Q' rhs||^2`` by
-    a constant, so both give the same minimum-norm solution."""
+    a constant, so both give the same minimum-norm solution.
+
+    Each row block of ``row_blocks`` is reduced to its own triangle; more
+    than one triangle are stacked in block order and reduced again. The
+    triangles equal R up to the signs of rows, which do not change the
+    solution."""
     cols = a.shape[1]
+
+    def triangle(rows: slice) -> np.ndarray:
+        return np.linalg.qr(np.hstack([a[rows], rhs[rows]]), mode="r")
+
     try:
-        r = np.linalg.qr(np.hstack([a, rhs]), mode="r")
+        triangles = map_blocks(triangle, row_blocks(*a.shape))
+        r = triangles[0] if len(triangles) == 1 else np.linalg.qr(
+            np.vstack(triangles), mode="r")
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"QR factorization failed: {exc}") from exc
     return r[:cols, :cols], r[:cols, cols:]
@@ -230,3 +251,57 @@ def single_thread_blas():
             if _blas_users == 0:
                 for (_, set_), count in zip(_blas_handles, _blas_saved):
                     set_(count)
+
+
+# Row blocks: the block count doubles while every block keeps at least
+# _MIN_BLOCK_ROWS rows and _ROWS_PER_COL rows per column of [a | rhs]. The
+# second floor keeps the merge QR, one triangle per block, at most a quarter
+# of the rows; the first keeps small solves, which gain little, in one block.
+_MIN_BLOCK_ROWS = 4096
+_ROWS_PER_COL = 4
+_budget = threading.local()
+
+
+def row_blocks(rows: int, cols: int) -> list[slice]:
+    """Contiguous row blocks, in order, covering ``range(rows)`` once.
+
+    The split depends on the shape only, never on the cores, so blocked
+    results are the same on every machine. A matrix with fewer than
+    ``max(8192, 8 * (cols + 1))`` rows is one block.
+    """
+    floor = max(_ROWS_PER_COL * (cols + 1), _MIN_BLOCK_ROWS)
+    count = 1
+    while rows // (2 * count) >= floor:
+        count *= 2
+    bounds = [rows * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+@contextmanager
+def block_budget(cores: int):
+    """Let ``map_blocks`` calls made by this thread run ``cores`` blocks at a
+    time. Without it a thread runs its blocks one after another."""
+    saved = getattr(_budget, "cores", 1)
+    _budget.cores = cores
+    try:
+        yield
+    finally:
+        _budget.cores = saved
+
+
+def map_blocks(fn, blocks: list) -> list:
+    """``[fn(b) for b in blocks]``, with up to the calling thread's block
+    budget of blocks in flight; order preserved.
+
+    One block, or a budget of one, runs in the calling thread with no pool.
+    An exception raised by ``fn`` propagates once the blocks in flight have
+    finished; blocks not yet started are dropped.
+    """
+    workers = min(len(blocks), getattr(_budget, "cores", 1))
+    if workers <= 1:
+        return [fn(b) for b in blocks]
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="randnet-block")
+    try:
+        return list(pool.map(fn, blocks))
+    finally:
+        pool.shutdown(cancel_futures=True)

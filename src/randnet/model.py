@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataio import NormalizationSpec
 from .errors import InvalidInputError
-from .linalg import SolverConfig, lstsq
+from .linalg import SolverConfig, lstsq, map_blocks, row_blocks
 
 # Open-interval bounds for sigmoid outputs: saturation may round to 0.0/1.0
 # in float64, which would put entries on the boundary of (0, 1).
@@ -111,15 +111,16 @@ def sigmoid(z, *, out=None):
     return out
 
 
-def affine_arguments(x, weights, biases) -> np.ndarray:
+def affine_arguments(x, weights, biases, *, out=None) -> np.ndarray:
     """Node arguments x @ weights + biases with a fixed summation order.
 
     Accumulates one input dimension at a time, so every entry is a
     left-to-right sum that does not depend on how many rows are evaluated
     together. BLAS matmul reorders the reduction per block shape, which
-    breaks bit-identical row-partitioned evaluation.
+    breaks bit-identical row-partitioned evaluation. ``out``, a float array
+    of the result's shape, receives the result in place of a new array.
     """
-    z = np.empty((x.shape[0], weights.shape[1]), dtype=float)
+    z = np.empty((x.shape[0], weights.shape[1]), dtype=float) if out is None else out
     z[:] = biases
     for j in range(weights.shape[0]):
         z += x[:, j, np.newaxis] * weights[j]
@@ -127,7 +128,12 @@ def affine_arguments(x, weights, biases) -> np.ndarray:
 
 
 def hidden_outputs(layer: HiddenLayer, x) -> np.ndarray:
-    """Hidden output matrix: entry (l, i) is sigmoid(a_i . x_l + b_i)."""
+    """Hidden output matrix: entry (l, i) is sigmoid(a_i . x_l + b_i).
+
+    Built in the row blocks that ``lstsq`` reduces it in, each into its rows
+    of one output array. Every entry is computed as in a one-block build, so
+    the result is bitwise the same.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise InvalidInputError(f"inputs must be 2-D, got {x.ndim}-D")
@@ -135,8 +141,14 @@ def hidden_outputs(layer: HiddenLayer, x) -> np.ndarray:
         raise InvalidInputError(
             f"input dimension {x.shape[1]} does not match layer dimension {layer.input_dim}"
         )
-    z = affine_arguments(x, layer.weights, layer.biases)
-    return sigmoid(z, out=z)
+    h = np.empty((x.shape[0], layer.node_count), dtype=float)
+
+    def build(rows: slice) -> None:
+        z = affine_arguments(x[rows], layer.weights, layer.biases, out=h[rows])
+        sigmoid(z, out=z)
+
+    map_blocks(build, row_blocks(*h.shape))
+    return h
 
 
 def train_readout(

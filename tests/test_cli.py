@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from randnet import linalg
 from randnet.dataio import load_csv
 from randnet.experiment.cli import main
 from randnet.experiment.config import build_config, describe_config, load_config_file
@@ -115,6 +116,23 @@ class TestFit:
         s = read_summary(out)
         (entry,) = s["methods"]
         assert entry["rmse_test"]["count"] == 1
+
+    def test_outputs_identical_across_block_budgets_and_jobs(self, tmp_path, row_blocking):
+        # at min_rows 64 the 600x20 train and test H are built and reduced
+        # in 4 blocks; (cores, jobs) give block budgets 1, 2, 1, 1 and 2
+        outs = []
+        for cores, jobs in [(1, 1), (2, 1), (2, 2), (2, 4), (4, 2)]:
+            row_blocking(min_rows=64, cores=cores)
+            assert len(linalg.row_blocks(600, 20)) == 4
+            out = tmp_path / f"cores{cores}-jobs{jobs}"
+            code = run("fit", "--tf", "TF1", "--n", "2", "--train-size", "600",
+                       "--test-size", "600", "--trials", "2", "--nodes", "20",
+                       "--seed", "5", "--method", "ralpham", "--alpha-max", "90",
+                       "--jobs", jobs, "--out", out, "--save-model", out / "net.json")
+            assert code == 0
+            outs.append(out)
+        for name in ("summary.json", "trials.csv", "net.json"):
+            assert len({(out / name).read_bytes() for out in outs}) == 1
 
 
 class TestBenchmark:

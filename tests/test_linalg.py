@@ -12,7 +12,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import randnet
 from randnet import linalg
@@ -180,6 +180,62 @@ def test_lstsq_matches_pseudoinverse(rows, cols, seed, defect, rhs_cols, toleran
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * max(1.0, np.abs(want).max()))
 
 
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 2**20), cols=st.integers(1, 4000))
+def test_row_blocks_are_a_contiguous_split_fixed_by_the_shape(rows, cols):
+    blocks = linalg.row_blocks(rows, cols)
+    count = len(blocks)
+    assert count & (count - 1) == 0  # a power of two
+    assert blocks[0].start == 0 and blocks[-1].stop == rows
+    assert all(b.stop == c.start for b, c in zip(blocks, blocks[1:]))
+    assert all(b.step is None for b in blocks)
+    floor = max(4 * (cols + 1), 4096)
+    if count > 1:
+        assert min(b.stop - b.start for b in blocks) >= floor
+    assert rows // (2 * count) < floor  # one more doubling would go below it
+    with linalg.block_budget(4):
+        assert linalg.row_blocks(rows, cols) == blocks
+
+
+@pytest.mark.parametrize("shape, count", [
+    ((20000, 800), 4),  # fit-n5-save: train and test H
+    ((5000, 800), 1),   # tf1-m800 H, and the raem1 decoder solve
+    ((5000, 25), 1),    # uae-sweep-m25
+    ((1600, 100), 1),   # compare-cv-file, its largest H
+])
+def test_row_blocks_of_the_benchmark_shapes(shape, count):
+    assert len(linalg.row_blocks(*shape)) == count
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    cols=st.integers(1, 12),
+    extra_rows=st.integers(0, 150),
+    seed=st.integers(0, 2**32 - 1),
+    defect=st.sampled_from([None, "duplicate", "zero"]),
+    rhs_cols=st.sampled_from([None, 1, 3]),
+)
+def test_blocked_lstsq_matches_one_block(row_blocking, cols, extra_rows, seed, defect, rhs_cols):
+    rows = 2 * max(8, 4 * (cols + 1)) + extra_rows
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(rows, cols))
+    if defect == "duplicate" and cols > 1:
+        m[:, -1] = m[:, 0]
+    elif defect == "zero":
+        m[:, -1] = 0.0
+    t = rng.normal(size=rows if rhs_cols is None else (rows, rhs_cols))
+    row_blocking(min_rows=10**9)
+    want = lstsq(m, t)
+    row_blocking(min_rows=8)
+    assert len(linalg.row_blocks(rows, cols)) >= 2
+    got = lstsq(m, t)
+    with linalg.block_budget(2):
+        assert np.array_equal(lstsq(m, t), got)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * max(1.0, np.abs(want).max()))
+
+
 def test_tall_lstsq_decomposes_only_square_matrices(monkeypatch):
     seen = []
     svd = np.linalg.svd
@@ -196,7 +252,7 @@ def test_tall_lstsq_decomposes_only_square_matrices(monkeypatch):
     assert seen == [(7, 7), (7, 7)]
 
 
-def test_tall_cutoff_uses_the_original_row_count():
+def test_tall_cutoff_uses_the_original_row_count(row_blocking):
     # sigma_2 lies between 2 * eps and 1000 * eps relative to sigma_1, so the
     # cutoff of the 1000x2 matrix drops it where one of its 2x2 R would not
     rng = np.random.default_rng(23)
@@ -204,19 +260,46 @@ def test_tall_cutoff_uses_the_original_row_count():
     v, _ = np.linalg.qr(rng.normal(size=(2, 2)))
     m = (u * [1.0, 3e-14]) @ v.T
     t = rng.normal(size=1000)
-    x = lstsq(m, t)
-    np.testing.assert_allclose(x, pseudoinverse(m) @ t, rtol=1e-9)
-    np.testing.assert_allclose(x, v[:, 0] * (u[:, 0] @ t), rtol=1e-9)
+    for min_rows, blocks in [(linalg._MIN_BLOCK_ROWS, 1), (8, 64)]:
+        row_blocking(min_rows=min_rows)
+        assert len(linalg.row_blocks(1000, 2)) == blocks
+        x = lstsq(m, t)
+        np.testing.assert_allclose(x, pseudoinverse(m) @ t, rtol=1e-9)
+        np.testing.assert_allclose(x, v[:, 0] * (u[:, 0] @ t), rtol=1e-9)
 
 
-@pytest.mark.parametrize("routine", ["qr", "svd"])
-def test_lapack_failure_is_a_numeric_failure(monkeypatch, routine):
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("simulated non-convergence")
+@pytest.mark.parametrize("routine, fails", [
+    pytest.param("qr", "every call", id="qr"),
+    pytest.param("svd", "every call", id="svd"),
+    pytest.param("qr", "second block", id="qr-second-block"),
+    pytest.param("qr", "merge", id="qr-merge"),
+])
+def test_lapack_failure_is_a_numeric_failure(monkeypatch, row_blocking, routine, fails):
+    # at min_rows 8 the 80x3 matrix is reduced in 4 blocks of 20 rows on a
+    # pool of 2, and their 4 triangles of 4 rows by a merge QR of 16 rows
+    row_blocking(min_rows=8)
+    rng = np.random.default_rng(22)
+    rows = 9 if fails == "every call" else 80
+    a = rng.normal(size=(rows, 3))
+    blocks = linalg.row_blocks(rows, 3)
+    real = getattr(np.linalg, routine)
+    callers = []
+
+    def failing(m, *args, **kwargs):
+        callers.append(threading.current_thread().name)
+        if (fails == "every call"
+                or (fails == "second block" and np.array_equal(m[:, :3], a[blocks[1]]))
+                or (fails == "merge" and m.shape[0] == 4 * len(blocks))):
+            raise np.linalg.LinAlgError("simulated non-convergence")
+        return real(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, routine, failing)
-    with pytest.raises(NumericFailureError):
-        lstsq(np.random.default_rng(22).normal(size=(9, 3)), np.ones(9))
+    with linalg.block_budget(2), pytest.raises(NumericFailureError):
+        lstsq(a, np.ones(rows))
+    if fails != "every call":
+        assert len(blocks) == 4
+        assert any(name.startswith("randnet-block") for name in callers)
+    assert not [t for t in threading.enumerate() if t.name.startswith("randnet-block")]
 
 
 def test_ridge_small_lambda_matches_unregularized():

@@ -7,6 +7,7 @@ import pytest
 
 from randnet.dataio import NormalizationSpec
 from randnet.errors import InvalidInputError
+from randnet import linalg
 from randnet.linalg import SolverConfig
 from randnet.model import (
     HiddenLayer,
@@ -124,6 +125,21 @@ class TestHiddenOutputs:
                 [hidden_outputs(layer, x[:cut]), hidden_outputs(layer, x[cut:])]
             )
             assert np.array_equal(full, parts)
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_blocked_build_equals_one_block_build(self, row_blocking, budget):
+        # 1001 rows at min_rows 64 give 8 unequal blocks; the steep layer
+        # saturates some entries, so the clip is covered too
+        rng = np.random.default_rng(3)
+        layer = random_layer(rng, 5, 11, scale=40.0)
+        x = rng.normal(size=(1001, 5))
+        one_block = hidden_outputs(layer, x)
+        row_blocking(min_rows=64)
+        assert len(linalg.row_blocks(1001, 11)) == 8
+        with linalg.block_budget(budget):
+            blocked = hidden_outputs(layer, x)
+        assert np.array_equal(blocked, one_block)
+        assert np.any(one_block == np.nextafter(1.0, 0.0))
 
     def test_node_permutation_permutes_columns_exactly(self):
         rng = np.random.default_rng(3)

@@ -17,7 +17,8 @@ from randnet.experiment.trials import (
     select_best,
     uae_sweep,
 )
-from randnet.linalg import _openblas_handles
+from randnet import linalg
+from randnet.linalg import _openblas_handles, lstsq
 from randnet.model import hidden_outputs
 from randnet.paramgen import RaMConfig, RAlphaMConfig, generate_ram, input_hypercube
 from randnet.rae import Raem1Config, Raem3Config, Raem5Config
@@ -40,25 +41,33 @@ def reports_equal(a, b):
     return True
 
 
+def recording_pool(sizes: list):
+    """A pool class that records its size in ``sizes`` and runs its work in
+    the calling thread, so it starts no thread."""
+
+    class SerialPool:
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, **kwargs):
+            pass
+
+    return SerialPool
+
+
 class TestWorkerPool:
     def test_workers_capped_at_core_count(self, monkeypatch):
-        # a pool that records its size and runs in the calling thread
         sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(trials, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(trials, "ThreadPoolExecutor", recording_pool(sizes))
         monkeypatch.setattr(trials.os, "cpu_count", lambda: 2)
         assert trials._map_units(lambda i: i * i, 6, 10**6) == [0, 1, 4, 9, 16, 25]
         assert trials._map_units(lambda i: i, 3, 2) == [0, 1, 2]
@@ -66,6 +75,31 @@ class TestWorkerPool:
         monkeypatch.setattr(trials.os, "cpu_count", lambda: 1)
         assert trials._map_units(lambda i: i, 3, 10**6) == [0, 1, 2]
         assert sizes == [2, 2]
+
+    def test_row_blocks_run_only_on_cores_the_workers_leave_idle(
+        self, monkeypatch, row_blocking
+    ):
+        units, blocks = [], []
+        monkeypatch.setattr(trials, "ThreadPoolExecutor", recording_pool(units))
+        monkeypatch.setattr(linalg, "ThreadPoolExecutor", recording_pool(blocks))
+        row_blocking(min_rows=8, cores=2)
+        rng = np.random.default_rng(0)
+        a, t = rng.normal(size=(80, 3)), rng.normal(size=80)
+        assert len(linalg.row_blocks(80, 3)) == 4
+
+        def solve(i):
+            return lstsq(a, t)
+
+        solve(0)  # outside any map the budget is one block at a time
+        assert (units, blocks) == ([], [])
+        trials._map_units(solve, 1, 1)  # one unit: its blocks take both cores
+        assert (units, blocks) == ([], [2])
+        trials._map_units(solve, 2, 2)  # the workers fill the cores
+        trials._map_units(solve, 3, 4)
+        assert (units, blocks) == ([2, 2], [2])
+        row_blocking(min_rows=8, cores=4)
+        trials._map_units(solve, 2, 2)  # each worker leaves one core idle
+        assert (units, blocks) == ([2, 2, 2], [2, 2, 2])
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_blas_on_one_thread_inside_and_restored_after(self, jobs):
