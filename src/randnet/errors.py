@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and ``config_value``, which
+reports a malformed config value as a ConfigError.
 
 The CLI maps these onto exit codes: configuration problems exit 2, data
 problems exit 3, numeric failures exit 4.
@@ -23,3 +24,11 @@ class NumericFailureError(RuntimeError):
 
 class DegenerateNodeError(ValueError):
     """A hidden node has a zero weight vector and no inflection hyperplane."""
+
+
+def config_value(kind: type, value, what: str):
+    """``kind(value)``; a value that does not convert raises ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None

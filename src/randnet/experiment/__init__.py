@@ -4,7 +4,6 @@ from .config import (
     ExperimentConfig,
     ProblemSpec,
     build_config,
-    default_interval_grid,
     describe_config,
     load_config_file,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "WilcoxonResult",
     "build_config",
     "cross_validate",
-    "default_interval_grid",
     "describe_config",
     "fit_trial",
     "kfold_indices",

@@ -31,34 +31,35 @@ method i's trials, child (2, i) its cross-validation, child 3 the sweep.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from ..benchfn import SampledProblem, TargetFunction, sample_problem
 from ..dataio import load_csv, normalize, split_75_25
-from ..errors import ConfigError
-from ..methods import METHOD_NAMES, GeneratorConfig, method_from_dict
-from ..paramgen import AnchorPolicy
+from ..errors import ConfigError, config_value
+from ..methods import GeneratorConfig, method_from_dict, method_spec
 from ..rng import RngStream, as_stream
 from .trials import GridSearchConfig
 
 DEFAULT_SEED = 1
 DEFAULT_TRIALS = 10
 DEFAULT_SWEEP = {"points": 25, "lo": 1e-5, "hi": 10.0}
-DEFAULT_ALPHA_GRID = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0]
+TF_KEYS = ("tf", "n", "train_size", "test_size")
+DATA_KEYS = ("data", "target_column", "header", "delimiter")
 
 
-def default_interval_grid(family: str) -> list[float]:
-    """Log grids for u and u_ae; a 10-degree ladder for slope angles."""
-    if family == "ralpham":
-        return list(DEFAULT_ALPHA_GRID)
-    if family == "ram":
-        return [float(v) for v in np.geomspace(1e-2, 1e2, 13)]
-    if family == "raem1":
-        return [float(v) for v in np.geomspace(1e-5, 10.0, 25)]
-    return []
+def _section(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be an object, got {value!r}")
+    return dict(value)
+
+
+def _values(kind: type, values, key: str) -> list:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key!r} must be a list, got {values!r}")
+    return [config_value(kind, v, key) for v in values]
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,9 @@ class ProblemSpec:
             raise ConfigError("problem needs exactly one of 'tf' or 'data'")
         if self.tf is not None and self.n is None:
             raise ConfigError("a tf problem needs 'n'")
+        for key in ("n", "train_size", "test_size"):
+            if getattr(self, key) is not None:
+                config_value(int, getattr(self, key), key)
 
     def realize(self, rng: RngStream) -> SampledProblem:
         """Sample the TF or load+normalize+split the file, deterministically."""
@@ -101,19 +105,8 @@ class ProblemSpec:
         return SampledProblem(train=train, test=test, normalization=spec)
 
     def describe(self) -> dict:
-        if self.tf is not None:
-            return {
-                "tf": self.tf,
-                "n": self.n,
-                "train_size": self.train_size,
-                "test_size": self.test_size,
-            }
-        return {
-            "data": self.data,
-            "target_column": self.target_column,
-            "header": self.header,
-            "delimiter": self.delimiter,
-        }
+        keys = TF_KEYS if self.tf is not None else DATA_KEYS
+        return {key: getattr(self, key) for key in keys}
 
 
 @dataclass(frozen=True)
@@ -140,14 +133,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.out_format!r}")
-        if self.nodes < 1 or self.trials < 1 or self.jobs < 1:
-            raise ConfigError("nodes, trials and jobs must all be >= 1")
+        if min(self.nodes, self.trials, self.jobs, self.histogram_bins) < 1:
+            raise ConfigError("nodes, trials, jobs and histogram_bins must all be >= 1")
         for spec in self.method_specs:
-            if spec.get("method") not in METHOD_NAMES:
-                raise ConfigError(
-                    f"unknown method tag {spec.get('method')!r}; "
-                    f"choose from {list(METHOD_NAMES)}"
-                )
+            method_spec(spec.get("method"))
 
     @property
     def method_count(self) -> int:
@@ -155,17 +144,6 @@ class ExperimentConfig:
 
     def family(self, i: int) -> str:
         return self.method_specs[i]["method"]
-
-    def anchor(self, i: int) -> Optional[AnchorPolicy]:
-        spec = self.method_specs[i]
-        if "anchor" in spec:
-            d = spec["anchor"]
-            return AnchorPolicy(
-                kind=d.get("kind", "train-point"),
-                kmeans_max_iter=int(d.get("kmeans_max_iter", 100)),
-                kmeans_rel_tol=float(d.get("kmeans_rel_tol", 1e-6)),
-            )
-        return None
 
     def generator(self, i: int) -> GeneratorConfig:
         return method_from_dict(self.method_specs[i])
@@ -186,38 +164,37 @@ class ExperimentConfig:
         return self.root_stream().child(3)
 
 
-def _problem_from_dict(d: dict) -> ProblemSpec:
-    known = {"tf", "n", "train_size", "test_size", "data", "target_column",
-             "header", "delimiter"}
-    extra = set(d) - known
+def _check_keys(d: dict, cls: type, section: str) -> None:
+    extra = set(d) - {f.name for f in fields(cls)}
     if extra:
-        raise ConfigError(f"unknown problem keys: {sorted(extra)}")
+        raise ConfigError(f"unknown {section} keys: {sorted(extra)}")
+
+
+def _problem_from_dict(d: dict) -> ProblemSpec:
+    _check_keys(d, ProblemSpec, "problem")
     return ProblemSpec(**d)
 
 
 def _grid_from_dict(d: dict, seed: int) -> GridSearchConfig:
-    known = {"node_counts", "interval_grid", "folds", "trials_per_cell", "seed"}
-    extra = set(d) - known
-    if extra:
-        raise ConfigError(f"unknown grid keys: {sorted(extra)}")
+    _check_keys(d, GridSearchConfig, "grid")
     if "node_counts" not in d:
         raise ConfigError("grid needs 'node_counts'")
     return GridSearchConfig(
-        node_counts=[int(m) for m in d["node_counts"]],
-        interval_grid=[float(v) for v in d.get("interval_grid", [])],
-        folds=int(d.get("folds", 5)),
-        trials_per_cell=int(d.get("trials_per_cell", 3)),
-        seed=int(d.get("seed", seed)),
+        node_counts=_values(int, d["node_counts"], "node_counts"),
+        interval_grid=_values(float, d.get("interval_grid", []), "interval_grid"),
+        folds=config_value(int, d.get("folds", 5), "folds"),
+        trials_per_cell=config_value(int, d.get("trials_per_cell", 3), "trials_per_cell"),
+        seed=config_value(int, d.get("seed", seed), "grid seed"),
     )
 
 
 def _sweep_values(d: dict) -> tuple[float, ...]:
     if "values" in d:
-        vals = [float(v) for v in d["values"]]
+        vals = _values(float, d["values"], "sweep values")
     else:
-        lo = float(d.get("lo", DEFAULT_SWEEP["lo"]))
-        hi = float(d.get("hi", DEFAULT_SWEEP["hi"]))
-        points = int(d.get("points", DEFAULT_SWEEP["points"]))
+        lo = config_value(float, d.get("lo", DEFAULT_SWEEP["lo"]), "sweep lo")
+        hi = config_value(float, d.get("hi", DEFAULT_SWEEP["hi"]), "sweep hi")
+        points = config_value(int, d.get("points", DEFAULT_SWEEP["points"]), "sweep points")
         if not (0 < lo < hi) or points < 2:
             raise ConfigError("sweep needs 0 < lo < hi and points >= 2")
         vals = [float(v) for v in np.geomspace(lo, hi, points)]
@@ -252,10 +229,12 @@ def build_config(raw: dict, overrides: dict) -> ExperimentConfig:
 
     if "problem" not in merged:
         raise ConfigError("missing 'problem' section (or --tf/--data flag)")
-    problem = _problem_from_dict(dict(merged["problem"]))
+    problem = _problem_from_dict(_section(merged["problem"], "problem"))
 
     if "methods" in merged:
         raw_methods = merged["methods"]
+        if not isinstance(raw_methods, list):
+            raise ConfigError(f"'methods' must be a list, got {raw_methods!r}")
     elif "method" in merged:
         raw_methods = [merged["method"]]
     else:
@@ -270,22 +249,22 @@ def build_config(raw: dict, overrides: dict) -> ExperimentConfig:
             raise ConfigError("each method must be a tag string or an object")
     method_specs = tuple(specs)
 
-    seed = int(merged.get("seed", DEFAULT_SEED))
-    grid = _grid_from_dict(dict(merged["grid"]), seed) if "grid" in merged else None
-    sweep = _sweep_values(dict(merged.get("sweep", DEFAULT_SWEEP)))
+    seed = config_value(int, merged.get("seed", DEFAULT_SEED), "seed")
+    grid = _grid_from_dict(_section(merged["grid"], "grid"), seed) if "grid" in merged else None
+    sweep = _sweep_values(_section(merged.get("sweep", DEFAULT_SWEEP), "sweep"))
 
     return ExperimentConfig(
         problem=problem,
         method_specs=method_specs,
-        nodes=int(merged.get("nodes", 100)),
-        trials=int(merged.get("trials", DEFAULT_TRIALS)),
+        nodes=config_value(int, merged.get("nodes", 100), "nodes"),
+        trials=config_value(int, merged.get("trials", DEFAULT_TRIALS), "trials"),
         seed=seed,
         grid=grid,
         sweep_values=sweep,
         output_dir=str(merged.get("output_dir", "out")),
         out_format=str(merged.get("format", "csv")),
-        jobs=int(merged.get("jobs", 1)),
-        histogram_bins=int(merged.get("histogram_bins", 50)),
+        jobs=config_value(int, merged.get("jobs", 1), "jobs"),
+        histogram_bins=config_value(int, merged.get("histogram_bins", 50), "histogram_bins"),
     )
 
 
@@ -300,11 +279,5 @@ def describe_config(cfg: ExperimentConfig) -> dict:
         "format": cfg.out_format,
     }
     if cfg.grid is not None:
-        out["grid"] = {
-            "node_counts": list(cfg.grid.node_counts),
-            "interval_grid": list(cfg.grid.interval_grid),
-            "folds": cfg.grid.folds,
-            "trials_per_cell": cfg.grid.trials_per_cell,
-            "seed": cfg.grid.seed,
-        }
+        out["grid"] = asdict(cfg.grid)
     return out

@@ -118,7 +118,8 @@ class Histogram(NamedTuple):
 
 
 def weight_histogram(reports, bins: int = 50) -> Histogram:
-    """Pooled histogram of hidden-weight snapshots across trial reports."""
+    """Pooled histogram of the ``.weights`` of trial reports (their
+    snapshots) or of hidden layers."""
     pools = [r.weights.ravel() for r in reports if r.weights is not None]
     if not pools:
         raise InvalidInputError("no weight snapshots recorded; rerun with snapshots on")

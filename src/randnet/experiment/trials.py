@@ -19,7 +19,7 @@ import numpy as np
 from ..benchfn import SampledProblem
 from ..dataio import Dataset
 from ..errors import ConfigError, InvalidInputError
-from ..linalg import SolverConfig, block_budget, single_thread_blas
+from ..linalg import block_budget, single_thread_blas
 from ..methods import TUNABLE, GeneratorConfig, family_config, generate_hidden_layer
 from ..model import TrainedNetwork, predict, rmse, train_readout
 from ..paramgen import AnchorPolicy, Hypercube, input_hypercube
@@ -59,15 +59,14 @@ def fit_trial(
     cube: Hypercube,
     m: int,
     stream,
-    solver: SolverConfig,
 ) -> TrialFit:
     """One trial: generate a hidden layer, fit its readout, score it.
 
     The hidden output matrix of ``train`` is built once, for the solve and
     the train RMSE, and released before ``test`` is predicted.
     """
-    layer = generate_hidden_layer(method, train.x, cube, m, stream, solver)
-    readout, fitted = train_readout(layer, train.x, train.y, solver, return_fitted=True)
+    layer = generate_hidden_layer(method, train.x, cube, m, stream)
+    readout, fitted = train_readout(layer, train.x, train.y, return_fitted=True)
     net = TrainedNetwork(hidden=layer, readout=readout)
     return TrialFit(net, rmse(fitted, train.y), rmse(predict(net, test.x), test.y))
 
@@ -103,7 +102,6 @@ def run_trials(
     trials: int,
     seed,
     *,
-    solver: SolverConfig = SolverConfig(),
     snapshot_weights: bool = False,
     jobs: int = 1,
 ) -> list[TrialReport]:
@@ -122,7 +120,7 @@ def run_trials(
 
     def one(t: int) -> TrialReport:
         t0 = time.perf_counter()
-        fit = fit_trial(method, train, test, cube, m, stream.child(t), solver)
+        fit = fit_trial(method, train, test, cube, m, stream.child(t))
         return TrialReport(
             trial=t,
             seed=stream.seed,
@@ -203,7 +201,6 @@ def cross_validate(
     train: Dataset,
     *,
     anchor: AnchorPolicy | None = None,
-    solver: SolverConfig = SolverConfig(),
     jobs: int = 1,
     stream=None,
 ) -> CvResult:
@@ -240,7 +237,7 @@ def cross_validate(
             cube = input_hypercube(fold_train.x)
             for t in range(grid.trials_per_cell):
                 child = stream.child(1, ci, f, t)
-                fit = fit_trial(cfg, fold_train, fold_val, cube, m, child, solver)
+                fit = fit_trial(cfg, fold_train, fold_val, cube, m, child)
                 errs.append(fit.rmse_test)
         return CvCell(m=m, interval=interval, mean_rmse=float(np.mean(errs)))
 
@@ -264,7 +261,6 @@ def uae_sweep(
     seed,
     *,
     anchor: AnchorPolicy | None = None,
-    solver: SolverConfig = SolverConfig(),
     jobs: int = 1,
 ) -> list[SweepPoint]:
     """Encoder-interval sweep: how u_ae shapes the produced weights and RMSE.
@@ -285,7 +281,7 @@ def uae_sweep(
         cfg = Raem1Config(u_ae=float(uae_values[k]), anchor=anchor)
         medians, errs = [], []
         for t in range(trials):
-            fit = fit_trial(cfg, train, test, cube, m, stream.child(k, t), solver)
+            fit = fit_trial(cfg, train, test, cube, m, stream.child(k, t))
             medians.append(float(np.median(np.abs(fit.network.hidden.weights))))
             errs.append(fit.rmse_test)
         return SweepPoint(

@@ -1,4 +1,4 @@
-"""Uniform interface over the seven hidden-layer generation methods.
+"""The method registry: one entry declares each hidden-layer method.
 
 Each method is identified by a short tag and a config dataclass:
 
@@ -7,16 +7,22 @@ Each method is identified by a short tag and a config dataclass:
 * ``raem1`` .. ``raem5``  autoencoder-pretrained weights, five bias/encoder
   variants (1 tunes the encoder interval u_ae)
 
-``ram``, ``ralpham`` and ``raem1`` expose one tunable interval parameter;
-``raem2`` .. ``raem5`` are parameter-free apart from the node count.
+A ``MethodSpec`` in ``METHODS`` names the config class, the generator, the
+config field that holds the tunable interval (``ram``, ``ralpham`` and
+``raem1`` have one; ``raem2`` .. ``raem5`` are parameter-free apart from the
+node count) and the interval grid that cross-validation searches by
+default. Every function below reads the registry, so adding a method means
+adding one entry.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from typing import Callable, Optional, Union, get_type_hints
 
-from .errors import ConfigError
-from .linalg import SolverConfig
+import numpy as np
+
+from .errors import ConfigError, config_value
 from .model import HiddenLayer
 from .paramgen import (
     AnchorPolicy,
@@ -32,41 +38,65 @@ from .rae import (
     Raem3Config,
     Raem4Config,
     Raem5Config,
+    RaemConfig,
     raem_hidden_layer,
 )
 from .rng import RngStream
 
-GeneratorConfig = Union[
-    RaMConfig,
-    RAlphaMConfig,
-    Raem1Config,
-    Raem2Config,
-    Raem3Config,
-    Raem4Config,
-    Raem5Config,
-]
+GeneratorConfig = Union[RaMConfig, RAlphaMConfig, RaemConfig]
 
-_TAGS = {
-    RaMConfig: "ram",
-    RAlphaMConfig: "ralpham",
-    Raem1Config: "raem1",
-    Raem2Config: "raem2",
-    Raem3Config: "raem3",
-    Raem4Config: "raem4",
-    Raem5Config: "raem5",
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """One method: its config class, generator, interval field and default
+    cross-validation grid (empty for the parameter-free methods)."""
+
+    config: type
+    generate: Callable[..., HiddenLayer]
+    interval: Optional[str] = None
+    grid: tuple[float, ...] = ()
+
+    @property
+    def keys(self) -> frozenset[str]:
+        """Names of the config's fields, as in its method dict."""
+        return frozenset(f.name for f in fields(self.config))
+
+
+def _log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
+    return tuple(float(v) for v in np.geomspace(lo, hi, points))
+
+
+METHODS = {
+    "ram": MethodSpec(RaMConfig, generate_ram, "u", _log_grid(1e-2, 1e2, 13)),
+    "ralpham": MethodSpec(RAlphaMConfig, generate_ralpham, "alpha_max_deg",
+                          tuple(float(a) for a in range(10, 91, 10))),
+    "raem1": MethodSpec(Raem1Config, raem_hidden_layer, "u_ae", _log_grid(1e-5, 10.0, 25)),
+    "raem2": MethodSpec(Raem2Config, raem_hidden_layer),
+    "raem3": MethodSpec(Raem3Config, raem_hidden_layer),
+    "raem4": MethodSpec(Raem4Config, raem_hidden_layer),
+    "raem5": MethodSpec(Raem5Config, raem_hidden_layer),
 }
 
-METHOD_NAMES = tuple(_TAGS.values())
+METHOD_NAMES = tuple(METHODS)
 
 # Methods whose single tunable interval is searched during model selection.
-TUNABLE = ("ram", "ralpham", "raem1")
+TUNABLE = tuple(tag for tag, spec in METHODS.items() if spec.interval)
+
+
+def method_spec(tag: str) -> MethodSpec:
+    try:
+        return METHODS[tag]
+    except (KeyError, TypeError):
+        raise ConfigError(
+            f"unknown method tag {tag!r}; choose from {list(METHOD_NAMES)}"
+        ) from None
 
 
 def method_name(cfg: GeneratorConfig) -> str:
-    try:
-        return _TAGS[type(cfg)]
-    except KeyError:
-        raise ConfigError(f"unknown generator config type {type(cfg).__name__}") from None
+    for tag, spec in METHODS.items():
+        if type(cfg) is spec.config:
+            return tag
+    raise ConfigError(f"unknown generator config type {type(cfg).__name__}")
 
 
 def generate_hidden_layer(
@@ -75,75 +105,48 @@ def generate_hidden_layer(
     cube: Hypercube,
     m: int,
     rng: RngStream,
-    solver: SolverConfig = SolverConfig(),
 ) -> HiddenLayer:
     """Draw one hidden layer of m nodes using the configured method."""
-    if isinstance(cfg, RaMConfig):
-        return generate_ram(cfg, x_train, cube, m, rng)
-    if isinstance(cfg, RAlphaMConfig):
-        return generate_ralpham(cfg, x_train, cube, m, rng)
-    if isinstance(cfg, (Raem1Config, Raem2Config, Raem3Config, Raem4Config, Raem5Config)):
-        return raem_hidden_layer(cfg, x_train, cube, m, rng, solver)
-    raise ConfigError(f"unknown generator config type {type(cfg).__name__}")
-
-
-def _anchor_to_dict(anchor: AnchorPolicy) -> dict:
-    return {
-        "kind": anchor.kind,
-        "kmeans_max_iter": anchor.kmeans_max_iter,
-        "kmeans_rel_tol": anchor.kmeans_rel_tol,
-    }
-
-
-def _anchor_from_dict(d: dict) -> AnchorPolicy:
-    return AnchorPolicy(
-        kind=d.get("kind", "train-point"),
-        kmeans_max_iter=int(d.get("kmeans_max_iter", 100)),
-        kmeans_rel_tol=float(d.get("kmeans_rel_tol", 1e-6)),
-    )
+    return METHODS[method_name(cfg)].generate(cfg, x_train, cube, m, rng)
 
 
 def method_to_dict(cfg: GeneratorConfig) -> dict:
     """JSON-ready description of a method config."""
-    d: dict = {"method": method_name(cfg)}
-    if isinstance(cfg, RaMConfig):
-        d["u"] = cfg.u
-    elif isinstance(cfg, RAlphaMConfig):
-        d["alpha_min_deg"] = cfg.alpha_min_deg
-        d["alpha_max_deg"] = cfg.alpha_max_deg
-    elif isinstance(cfg, Raem1Config):
-        d["u_ae"] = cfg.u_ae
-    if hasattr(cfg, "anchor"):
-        d["anchor"] = _anchor_to_dict(cfg.anchor)
-    return d
+    return {"method": method_name(cfg), **asdict(cfg)}
+
+
+def _from_dict(cls: type, d, what: str):
+    """Build the dataclass ``cls`` from the keys of ``d`` that name its
+    fields: numbers are cast to the field's type and nested dataclasses
+    (the anchor policy) are built the same way. Other keys are ignored."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be an object, got {d!r}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        kind = hints[f.name]
+        if f.name not in d:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{what} needs key {f.name!r}")
+        elif is_dataclass(kind):
+            kwargs[f.name] = _from_dict(kind, d[f.name], f"{what} key {f.name!r}")
+        elif kind in (int, float):
+            kwargs[f.name] = config_value(kind, d[f.name], f"{what} key {f.name!r}")
+        else:
+            kwargs[f.name] = d[f.name]
+    return cls(**kwargs)
 
 
 def method_from_dict(d: dict) -> GeneratorConfig:
-    """Inverse of method_to_dict; unknown tags or missing keys raise ConfigError."""
+    """Inverse of method_to_dict; unknown tags, missing keys and malformed
+    values raise ConfigError."""
     tag = d.get("method")
-    anchor = _anchor_from_dict(d["anchor"]) if "anchor" in d else AnchorPolicy()
-    try:
-        if tag == "ram":
-            return RaMConfig(u=float(d["u"]), anchor=anchor)
-        if tag == "ralpham":
-            return RAlphaMConfig(
-                alpha_max_deg=float(d["alpha_max_deg"]),
-                alpha_min_deg=float(d.get("alpha_min_deg", 0.0)),
-                anchor=anchor,
-            )
-        if tag == "raem1":
-            return Raem1Config(u_ae=float(d["u_ae"]), anchor=anchor)
-    except KeyError as exc:
-        raise ConfigError(f"method {tag!r} needs key {exc.args[0]!r}") from None
-    if tag == "raem2":
-        return Raem2Config(anchor=anchor)
-    if tag == "raem3":
-        return Raem3Config(anchor=anchor)
-    if tag == "raem4":
-        return Raem4Config()
-    if tag == "raem5":
-        return Raem5Config()
-    raise ConfigError(f"unknown method tag {tag!r}")
+    return _from_dict(method_spec(tag).config, d, f"method {tag!r}")
+
+
+def method_anchor(d: dict) -> Optional[AnchorPolicy]:
+    """The anchor policy a method dict sets, or None if it sets none."""
+    return _from_dict(AnchorPolicy, d["anchor"], "anchor") if "anchor" in d else None
 
 
 def family_config(
@@ -153,25 +156,16 @@ def family_config(
 
     For ``ram`` the interval is u, for ``ralpham`` the top angle in degrees,
     for ``raem1`` the encoder half-width u_ae. The parameter-free methods
-    reject a non-None interval.
+    reject a non-None interval. The anchor applies where the config has one.
     """
-    anchor = anchor if anchor is not None else AnchorPolicy()
-    if name in TUNABLE:
+    spec = method_spec(name)
+    kwargs: dict = {}
+    if spec.interval is not None:
         if interval is None:
             raise ConfigError(f"method {name!r} needs an interval parameter")
-        if name == "ram":
-            return RaMConfig(u=float(interval), anchor=anchor)
-        if name == "ralpham":
-            return RAlphaMConfig(alpha_max_deg=float(interval), anchor=anchor)
-        return Raem1Config(u_ae=float(interval), anchor=anchor)
-    if interval is not None:
+        kwargs[spec.interval] = float(interval)
+    elif interval is not None:
         raise ConfigError(f"method {name!r} takes no interval parameter")
-    if name == "raem2":
-        return Raem2Config(anchor=anchor)
-    if name == "raem3":
-        return Raem3Config(anchor=anchor)
-    if name == "raem4":
-        return Raem4Config()
-    if name == "raem5":
-        return Raem5Config()
-    raise ConfigError(f"unknown method tag {name!r}")
+    if anchor is not None and "anchor" in spec.keys:
+        kwargs["anchor"] = anchor
+    return spec.config(**kwargs)

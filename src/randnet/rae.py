@@ -15,8 +15,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DegenerateNodeError, InvalidInputError
-from .linalg import SolverConfig, lstsq
+from .errors import ConfigError, DegenerateNodeError, InvalidInputError
+from .linalg import lstsq
 from .model import HiddenLayer, affine_arguments, sigmoid
 from .paramgen import AnchorPolicy, Hypercube, anchor_points, anchored_biases
 from .rng import RngStream
@@ -64,7 +64,7 @@ class Raem1Config:
 
     def __post_init__(self):
         if not self.u_ae > 0:
-            raise InvalidInputError(f"u_ae must be positive, got {self.u_ae}")
+            raise ConfigError(f"u_ae must be positive, got {self.u_ae}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def rae_encode(hidden: RaeHidden, x) -> np.ndarray:
     return sigmoid(z, out=z)
 
 
-def rae_decode_weights(g, x, cfg: SolverConfig = SolverConfig()) -> RaeDecoder:
+def rae_decode_weights(g, x) -> RaeDecoder:
     """Decoder V solving G V ~ X in the least-squares sense."""
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -114,7 +114,7 @@ def rae_decode_weights(g, x, cfg: SolverConfig = SolverConfig()) -> RaeDecoder:
         raise InvalidInputError(
             f"row counts must match: code {g.shape}, inputs {x.shape}"
         )
-    return RaeDecoder(lstsq(g, x, cfg))
+    return RaeDecoder(lstsq(g, x))
 
 
 def raem_hidden_layer(
@@ -123,7 +123,6 @@ def raem_hidden_layer(
     cube: Hypercube,
     m: int,
     rng: RngStream,
-    cfg: SolverConfig = SolverConfig(),
 ) -> HiddenLayer:
     """Build an autoencoder-pretrained hidden layer for one variant.
 
@@ -149,7 +148,7 @@ def raem_hidden_layer(
         c = rng.child(1).generator().uniform(-1.0, 1.0, size=m)
 
     code = rae_encode(RaeHidden(w=w, c=c), x_train)
-    weights = rae_decode_weights(code, x_train, cfg).v.T
+    weights = rae_decode_weights(code, x_train).v.T
 
     if isinstance(variant, (Raem1Config, Raem2Config, Raem3Config)):
         net_anchors = anchor_points(variant.anchor, x_train, cube, m, rng.child(2))

@@ -287,6 +287,29 @@ class TestExitCodes:
         assert run("benchmark", "--data", data, "--method", "ram", "--u", "1",
                    "--nodes", "5", "--trials", "2", "--out", tmp_path / "o") == 3
 
+    @pytest.mark.parametrize("command, flags, file_keys", [
+        ("fit", ["--method", "raem1", "--u-ae", "0"], {}),
+        ("histogram", ["--method", "ram", "--u", "1", "--histogram-bins", "0"], {}),
+        ("benchmark", ["--method", '{"method": "ram", "u": "abc"}'], {}),
+        ("benchmark", ["--method", '{"method": "ram", "u": null}'], {}),
+        ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": "cluster"}'], {}),
+        ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": '
+                                   '{"kind": "cluster", "kmeans_max_iter": "x"}}'], {}),
+        ("benchmark", ["--method", "raem5"], {"nodes": "x"}),
+        ("grid-search", ["--method", "raem5", "--grid-nodes", "5,x"], {}),
+    ], ids=["u_ae-zero", "histogram-bins-zero", "u-string", "u-null", "anchor-string",
+            "kmeans-max-iter-string", "nodes-string", "grid-nodes-string"])
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, command, flags, file_keys):
+        # out-of-range and malformed values exit 2 with a config error, not
+        # 3 (a data error) or 1 (a traceback)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "problem": {"tf": "TF1", "n": 1, "train_size": 40, "test_size": 20},
+            "trials": 2, **file_keys,
+        }))
+        assert run(command, "--config", config, *flags, "--out", tmp_path / "o") == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as e:
             main(["--help"])

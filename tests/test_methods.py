@@ -1,0 +1,161 @@
+"""The method registry: tags, dict round trips, family configs, default CV
+grids and dispatch to each family's own generator."""
+
+import csv
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from randnet.errors import ConfigError
+from randnet.experiment.cli import main
+from randnet.methods import (
+    METHOD_NAMES,
+    TUNABLE,
+    family_config,
+    generate_hidden_layer,
+    method_from_dict,
+    method_name,
+    method_to_dict,
+)
+from randnet.paramgen import (
+    AnchorPolicy,
+    RaMConfig,
+    RAlphaMConfig,
+    generate_ralpham,
+    generate_ram,
+    input_hypercube,
+)
+from randnet.rae import (
+    Raem1Config,
+    Raem2Config,
+    Raem3Config,
+    Raem4Config,
+    Raem5Config,
+    raem_hidden_layer,
+)
+from randnet.rng import RngStream
+
+DEFAULT_ANCHOR = {"kind": "train-point", "kmeans_max_iter": 100, "kmeans_rel_tol": 1e-6}
+CLUSTER = AnchorPolicy(kind="cluster", kmeans_max_iter=7, kmeans_rel_tol=1e-3)
+CLUSTER_DICT = {"kind": "cluster", "kmeans_max_iter": 7, "kmeans_rel_tol": 1e-3}
+
+# tag -> (config, its exact method_to_dict, the family's own generator)
+CASES = {
+    "ram": (RaMConfig(u=2.5), {"method": "ram", "u": 2.5, "anchor": DEFAULT_ANCHOR},
+            generate_ram),
+    "ralpham": (
+        RAlphaMConfig(alpha_max_deg=80.0, alpha_min_deg=5.0, anchor=CLUSTER),
+        {"method": "ralpham", "alpha_max_deg": 80.0, "alpha_min_deg": 5.0,
+         "anchor": CLUSTER_DICT},
+        generate_ralpham,
+    ),
+    "raem1": (Raem1Config(u_ae=0.1), {"method": "raem1", "u_ae": 0.1, "anchor": DEFAULT_ANCHOR},
+              raem_hidden_layer),
+    "raem2": (Raem2Config(anchor=CLUSTER), {"method": "raem2", "anchor": CLUSTER_DICT},
+              raem_hidden_layer),
+    "raem3": (Raem3Config(), {"method": "raem3", "anchor": DEFAULT_ANCHOR}, raem_hidden_layer),
+    "raem4": (Raem4Config(), {"method": "raem4"}, raem_hidden_layer),
+    "raem5": (Raem5Config(), {"method": "raem5"}, raem_hidden_layer),
+}
+
+# tag -> (interval value, the config family_config builds from it)
+INTERVALS = {
+    "ram": (3.0, RaMConfig(u=3.0, anchor=CLUSTER)),
+    "ralpham": (45.0, RAlphaMConfig(alpha_max_deg=45.0, anchor=CLUSTER)),
+    "raem1": (0.5, Raem1Config(u_ae=0.5, anchor=CLUSTER)),
+}
+UNTUNED = {
+    "raem2": Raem2Config(anchor=CLUSTER),
+    "raem3": Raem3Config(anchor=CLUSTER),
+    "raem4": Raem4Config(),
+    "raem5": Raem5Config(),
+}
+
+DEFAULT_GRIDS = {
+    "ram": [float(v) for v in np.geomspace(1e-2, 1e2, 13)],
+    "ralpham": [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0],
+    "raem1": [float(v) for v in np.geomspace(1e-5, 10.0, 25)],
+    "raem2": [None],
+    "raem3": [None],
+    "raem4": [None],
+    "raem5": [None],
+}
+
+
+def test_tags_and_tunable_families():
+    assert METHOD_NAMES == ("ram", "ralpham", "raem1", "raem2", "raem3", "raem4", "raem5")
+    assert TUNABLE == ("ram", "ralpham", "raem1")
+
+
+@pytest.mark.parametrize("tag", METHOD_NAMES)
+def test_method_to_dict_is_exact(tag):
+    cfg, expected, _ = CASES[tag]
+    assert method_name(cfg) == tag
+    assert method_to_dict(cfg) == expected
+
+
+@pytest.mark.parametrize("tag", METHOD_NAMES)
+def test_dict_round_trip(tag):
+    cfg = CASES[tag][0]
+    back = method_from_dict(method_to_dict(cfg))
+    assert back == cfg and type(back) is type(cfg)
+    assert method_from_dict(json.loads(json.dumps(method_to_dict(cfg)))) == cfg
+
+
+@pytest.mark.parametrize("tag", TUNABLE)
+def test_family_config_with_interval(tag):
+    interval, expected = INTERVALS[tag]
+    assert family_config(tag, interval, CLUSTER) == expected
+    assert family_config(tag, interval) == replace(expected, anchor=AnchorPolicy())
+    with pytest.raises(ConfigError):
+        family_config(tag)
+
+
+@pytest.mark.parametrize("tag", sorted(UNTUNED))
+def test_family_config_without_interval(tag):
+    assert family_config(tag, anchor=CLUSTER) == UNTUNED[tag]
+    assert family_config(tag) == type(UNTUNED[tag])()
+    with pytest.raises(ConfigError):
+        family_config(tag, 1.0)
+
+
+def test_unknown_tag_rejected():
+    with pytest.raises(ConfigError):
+        family_config("nosuch")
+    with pytest.raises(ConfigError):
+        family_config("nosuch", 1.0)
+    with pytest.raises(ConfigError):
+        method_from_dict({"method": "nosuch"})
+    with pytest.raises(ConfigError):
+        method_name(object())
+
+
+@pytest.mark.parametrize("tag", METHOD_NAMES)
+def test_generate_dispatches_bitwise_to_family_generator(tag):
+    cfg, _, own = CASES[tag]
+    x = np.random.default_rng(3).uniform(size=(40, 2))
+    cube = input_hypercube(x)
+    got = generate_hidden_layer(cfg, x, cube, 9, RngStream(11, (4,)))
+    want = own(cfg, x, cube, 9, RngStream(11, (4,)))
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.biases, want.biases)
+
+
+@pytest.mark.parametrize("tag", METHOD_NAMES)
+def test_default_cv_grid(tag, tmp_path):
+    # a grid without interval values searches the family's default grid
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "problem": {"tf": "TF1", "n": 1, "train_size": 30, "test_size": 10},
+        "grid": {"node_counts": [2], "folds": 2, "trials_per_cell": 1},
+    }))
+    out = tmp_path / "gs"
+    assert main(["grid-search", "--config", str(config), "--method", tag,
+                 "--out", str(out)]) == 0
+    with open(out / "cv_table.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["method"] for r in rows] == [tag] * len(rows)
+    got = [float(r["interval"]) if r["interval"] else None for r in rows]
+    assert got == DEFAULT_GRIDS[tag]

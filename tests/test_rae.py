@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from randnet.errors import DegenerateNodeError, InvalidInputError
+from randnet.errors import ConfigError, DegenerateNodeError, InvalidInputError
 from randnet.model import hidden_outputs
 from randnet.paramgen import AnchorPolicy, anchor_points, input_hypercube
 from randnet.rae import (
@@ -129,9 +129,9 @@ class TestVariantLayers:
             assert np.max(np.abs(np.diag(h) - 0.5)) <= 1e-12
 
     def test_invalid_interval_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigError):
             Raem1Config(u_ae=0.0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigError):
             Raem1Config(u_ae=-2.0)
 
 
