@@ -64,7 +64,7 @@ from .outputs import (
     write_summary,
     write_table,
 )
-from .stats import weight_histogram, wilcoxon_signed_rank
+from .stats import MIN_PAIRS, weight_histogram, wilcoxon_signed_rank
 from .trials import CvResult, cross_validate, run_trials, uae_sweep
 
 
@@ -160,11 +160,10 @@ def _overrides(args, raw: dict) -> dict:
 
 
 class Run(NamedTuple):
-    """What every command starts from: the resolved config, the config file
-    as read, the output directory, the problem and the summary so far."""
+    """What every command starts from: the resolved config, the output
+    directory, the problem and the summary so far."""
 
     cfg: ExperimentConfig
-    raw: dict
     out: str
     problem: SampledProblem
     summary: dict
@@ -176,12 +175,17 @@ class Run(NamedTuple):
         write_summary(os.path.join(self.out, name), self.summary)
 
 
-def _setup(args, least: int = 0, most: Optional[int] = None) -> Run:
+def _setup(args, least: int = 0, most: Optional[int] = None,
+           trials: Optional[int] = None) -> Run:
     """Resolve the config, check it names between ``least`` and ``most``
     methods, create the output directory, build the problem and start the
-    summary with the config echo and the dataset summaries."""
+    summary with the config echo and the dataset summaries. ``trials``, if
+    given, is the trial count when neither the flags nor the file set one."""
     raw = load_config_file(args.config) if args.config else {}
-    cfg = build_config(raw, _overrides(args, raw))
+    overrides = _overrides(args, raw)
+    if trials is not None and "trials" not in raw:
+        overrides.setdefault("trials", trials)
+    cfg = build_config(raw, overrides)
     count = cfg.method_count
     if count < least or (most is not None and count > most):
         want = f"exactly {least}" if least == most else f"at least {least}"
@@ -195,7 +199,7 @@ def _setup(args, least: int = 0, most: Optional[int] = None) -> Run:
             "test": dataset_summary(problem.test, "test"),
         },
     }
-    return Run(cfg, raw, out, problem, summary)
+    return Run(cfg, out, problem, summary)
 
 
 def _cross_validate(run: Run, i: int) -> tuple[CvResult, Optional[AnchorPolicy]]:
@@ -212,7 +216,7 @@ def _cross_validate(run: Run, i: int) -> tuple[CvResult, Optional[AnchorPolicy]]
     return result, anchor
 
 
-def _trial_methods(run: Run, trials: int, tune: bool = False) -> tuple[list, list]:
+def _trial_methods(run: Run, tune: bool = False) -> tuple[list, list]:
     """Trials of every configured method, each tuned by grid search first
     when ``tune``. Adds one summary entry per method and returns
     ``(tag, reports)`` per method plus the grid-search table rows."""
@@ -230,7 +234,7 @@ def _trial_methods(run: Run, trials: int, tune: bool = False) -> tuple[list, lis
             cv_table.extend(cv_rows(family, result.table))
         else:
             method = cfg.generator(i)
-        reports = run_trials(method, run.problem, nodes, trials, cfg.trial_stream(i),
+        reports = run_trials(method, run.problem, nodes, cfg.trials, cfg.trial_stream(i),
                              snapshot_weights=True, jobs=cfg.jobs)
         entry = {"method": method_to_dict(method), "nodes": nodes, **method_summary(reports)}
         if chosen:
@@ -248,22 +252,21 @@ def _write_results(run: Run, results: list) -> None:
 
 
 def cmd_fit(args) -> int:
-    run = _setup(args, 1, 1)
-    trials = run.cfg.trials if args.trials is not None or "trials" in run.raw else 1
-    results, _ = _trial_methods(run, trials)
+    run = _setup(args, 1, 1, trials=1)
+    results, _ = _trial_methods(run)
     _write_results(run, results)
     if args.save_model:
         [(_, reports)] = results
         save_network(replace(reports[0].network, normalization=run.problem.normalization),
                      args.save_model)
     print(f"fit: test rmse mean {run.summary['methods'][0]['rmse_test']['mean']:.6g} "
-          f"over {trials} trial(s); outputs in {run.out}")
+          f"over {run.cfg.trials} trial(s); outputs in {run.out}")
     return 0
 
 
 def cmd_benchmark(args) -> int:
     run = _setup(args, 1)
-    _write_results(run, _trial_methods(run, run.cfg.trials)[0])
+    _write_results(run, _trial_methods(run)[0])
     for entry in run.summary["methods"]:
         print(f"benchmark: {entry['method']['method']} mean test rmse "
               f"{entry['rmse_test']['mean']:.6g}")
@@ -312,7 +315,10 @@ def cmd_uae_sweep(args) -> int:
 def cmd_compare(args) -> int:
     run = _setup(args, 2)
     cfg = run.cfg
-    results, cv_table = _trial_methods(run, cfg.trials, tune=args.cv)
+    if cfg.trials < MIN_PAIRS:
+        raise ConfigError(f"compare needs at least {MIN_PAIRS} trials for its "
+                          f"signed-rank tests, got {cfg.trials}")
+    results, cv_table = _trial_methods(run, tune=args.cv)
     run.summary["wilcoxon"] = []
     for i, (name_a, reports_a) in enumerate(results):
         for name_b, reports_b in results[i + 1:]:

@@ -39,7 +39,7 @@ import numpy as np
 from ..benchfn import SampledProblem, TargetFunction, sample_problem
 from ..dataio import load_csv, normalize, split_75_25
 from ..errors import ConfigError, config_value
-from ..methods import GeneratorConfig, method_from_dict, method_spec
+from ..methods import GeneratorConfig, check_method_dict, method_from_dict
 from ..rng import RngStream, as_stream
 from .trials import GridSearchConfig
 
@@ -136,7 +136,7 @@ class ExperimentConfig:
         if min(self.nodes, self.trials, self.jobs, self.histogram_bins) < 1:
             raise ConfigError("nodes, trials, jobs and histogram_bins must all be >= 1")
         for spec in self.method_specs:
-            method_spec(spec.get("method"))
+            check_method_dict(spec)
 
     @property
     def method_count(self) -> int:

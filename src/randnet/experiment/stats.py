@@ -13,6 +13,9 @@ from ..errors import InvalidInputError
 # this the normal approximation with tie correction takes over.
 EXACT_MAX_N = 25
 
+# Fewest pairs the signed-rank test accepts.
+MIN_PAIRS = 6
+
 
 class WilcoxonResult(NamedTuple):
     statistic: float
@@ -63,8 +66,8 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     b = np.asarray(b, dtype=float).ravel()
     if a.shape != b.shape:
         raise InvalidInputError(f"paired samples differ in length: {a.size} vs {b.size}")
-    if a.size < 6:
-        raise InvalidInputError(f"need at least 6 pairs, got {a.size}")
+    if a.size < MIN_PAIRS:
+        raise InvalidInputError(f"need at least {MIN_PAIRS} pairs, got {a.size}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise InvalidInputError("paired samples contain non-finite values")
 

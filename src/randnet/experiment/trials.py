@@ -62,8 +62,9 @@ def fit_trial(
 ) -> TrialFit:
     """One trial: generate a hidden layer, fit its readout, score it.
 
-    The hidden output matrix of ``train`` is built once, for the solve and
-    the train RMSE, and released before ``test`` is predicted.
+    The train hidden outputs exist only inside the readout fit, which also
+    gives the train fit values. The test hidden outputs are built and used
+    one tile at a time by ``predict`` and never held whole.
     """
     layer = generate_hidden_layer(method, train.x, cube, m, stream)
     readout, fitted = train_readout(layer, train.x, train.y, return_fitted=True)

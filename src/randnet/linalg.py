@@ -13,7 +13,10 @@ the matrix shape only. Each block's ``[a | rhs]`` rows are reduced to
 their own triangle, and the triangles, stacked in block order, by one more
 QR (TSQR: Demmel et al., SIAM J. Sci. Comput. 2012). So no full-size copy of
 ``[a | rhs]`` is made, and ``map_blocks`` can reduce the blocks on the cores
-a worker pool leaves idle.
+a worker pool leaves idle. ``reduce_tall`` takes a function that returns one
+block's rows, so a caller such as the network readout can build each block
+when it is reduced and never hold ``a`` whole; ``solve_reduced`` then solves
+on the triangle as ``lstsq`` does.
 
 ``single_thread_blas`` pins the BLAS under those solves to one thread while
 a worker pool runs, and ``block_budget`` hands each of the pool's units the
@@ -116,24 +119,25 @@ def pseudoinverse(m, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
     return (fac.vt.T * s_inv) @ fac.u.T
 
 
-def _reduce_tall(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def reduce_tall(augmented, blocks: list[slice], cols: int) -> tuple[np.ndarray, np.ndarray]:
     """``(R, Q' rhs)`` of the thin QR ``a = Q R`` of a matrix with more rows
-    than columns, from the triangle of the QR of ``[a | rhs]``; Q is never
-    formed. ``a`` and ``R`` share their singular values and right singular
-    vectors, and ``||a x - rhs||^2`` differs from ``||R x - Q' rhs||^2`` by
-    a constant, so both give the same minimum-norm solution.
+    than ``cols`` columns, from the triangle of the QR of ``[a | rhs]``; Q is
+    never formed. ``a`` and ``R`` share their singular values and right
+    singular vectors, and ``||a x - rhs||^2`` differs from
+    ``||R x - Q' rhs||^2`` by a constant, so both give the same minimum-norm
+    solution.
 
-    Each row block of ``row_blocks`` is reduced to its own triangle; more
-    than one triangle are stacked in block order and reduced again. The
-    triangles equal R up to the signs of rows, which do not change the
-    solution."""
-    cols = a.shape[1]
+    ``augmented(block)`` returns the ``[a | rhs]`` rows of one of ``blocks``,
+    the ``row_blocks`` of ``a``. Each is reduced to its own triangle and may
+    be dropped; more than one triangle are stacked in block order and
+    reduced again. The triangles equal R up to the signs of rows, which do
+    not change the solution."""
 
     def triangle(rows: slice) -> np.ndarray:
-        return np.linalg.qr(np.hstack([a[rows], rhs[rows]]), mode="r")
+        return np.linalg.qr(augmented(rows), mode="r")
 
     try:
-        triangles = map_blocks(triangle, row_blocks(*a.shape))
+        triangles = map_blocks(triangle, blocks)
         r = triangles[0] if len(triangles) == 1 else np.linalg.qr(
             np.vstack(triangles), mode="r")
     except np.linalg.LinAlgError as exc:
@@ -141,15 +145,25 @@ def _reduce_tall(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return r[:cols, :cols], r[:cols, cols:]
 
 
+def solve_reduced(r: np.ndarray, c: np.ndarray, shape: tuple[int, int],
+                  cfg: SolverConfig) -> np.ndarray:
+    """Minimum-norm solution of ``r @ x = c`` through the SVD of ``r``, with
+    the rank cutoff of the original matrix's ``shape``; ``c`` is 2-D."""
+    fac = factorize(r)
+    s = fac.singular_values
+    s_inv = _inverse_above(s, _rank_cutoff(shape, s, cfg))
+    return fac.vt.T @ ((fac.u.T @ c) * s_inv[:, None])
+
+
 def lstsq(m, t, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
     """Least-squares solve of ``m @ x = t``.
 
     Without ridge this returns the minimum-norm solution ``m^+ t`` via the
     SVD. A matrix with more rows than columns is first reduced to its
-    square QR triangle, whose SVD takes the place of the tall one; the rank
-    cutoff still uses the shape of ``m``. With ``ridge_lambda`` set it solves
-    the regularized normal equations ``(m' m + lambda I) x = m' t`` instead.
-    A 1-D ``t`` yields a 1-D result.
+    square QR triangle by ``reduce_tall``, whose SVD takes the place of the
+    tall one; the rank cutoff still uses the shape of ``m``. With
+    ``ridge_lambda`` set it solves the regularized normal equations
+    ``(m' m + lambda I) x = m' t`` instead. A 1-D ``t`` yields a 1-D result.
     """
     a = _as_matrix(m)
     t_arr = np.asarray(t, dtype=float)
@@ -171,12 +185,12 @@ def lstsq(m, t, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
             x = np.linalg.solve(gram, a.T @ rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError(f"ridge system is singular: {exc}") from exc
+    elif a.shape[0] > a.shape[1]:
+        r, c = reduce_tall(lambda rows: np.hstack([a[rows], rhs[rows]]),
+                           row_blocks(*a.shape), a.shape[1])
+        x = solve_reduced(r, c, a.shape, cfg)
     else:
-        r, c = _reduce_tall(a, rhs) if a.shape[0] > a.shape[1] else (a, rhs)
-        fac = factorize(r)
-        s = fac.singular_values
-        s_inv = _inverse_above(s, _rank_cutoff(a.shape, s, cfg))
-        x = fac.vt.T @ ((fac.u.T @ c) * s_inv[:, None])
+        x = solve_reduced(a, rhs, a.shape, cfg)
     return x[:, 0] if flat else x
 
 

@@ -115,12 +115,24 @@ def method_to_dict(cfg: GeneratorConfig) -> dict:
     return {"method": method_name(cfg), **asdict(cfg)}
 
 
-def _from_dict(cls: type, d, what: str):
-    """Build the dataclass ``cls`` from the keys of ``d`` that name its
-    fields: numbers are cast to the field's type and nested dataclasses
-    (the anchor policy) are built the same way. Other keys are ignored."""
+def _check_keys(cls: type, d, what: str, skip: frozenset = frozenset()) -> None:
+    """Raise ConfigError unless ``d`` is an object whose keys, apart from
+    ``skip``, all name fields of the dataclass ``cls``."""
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be an object, got {d!r}")
+    names = {f.name for f in fields(cls)}
+    extra = set(d) - names - skip
+    if extra:
+        raise ConfigError(f"{what} has unknown keys {sorted(extra)}; "
+                          f"its keys are {sorted(names | skip)}")
+
+
+def _from_dict(cls: type, d, what: str, skip: frozenset = frozenset()):
+    """Build the dataclass ``cls`` from ``d``: numbers are cast to the
+    field's type and nested dataclasses (the anchor policy) are built the
+    same way. A key that names no field, other than those in ``skip``,
+    raises ConfigError."""
+    _check_keys(cls, d, what, skip)
     hints = get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
@@ -137,11 +149,23 @@ def _from_dict(cls: type, d, what: str):
     return cls(**kwargs)
 
 
+_TAG_KEY = frozenset({"method"})
+
+
 def method_from_dict(d: dict) -> GeneratorConfig:
-    """Inverse of method_to_dict; unknown tags, missing keys and malformed
-    values raise ConfigError."""
+    """Inverse of method_to_dict; unknown tags, unknown or missing keys and
+    malformed values raise ConfigError."""
     tag = d.get("method")
-    return _from_dict(method_spec(tag).config, d, f"method {tag!r}")
+    return _from_dict(method_spec(tag).config, d, f"method {tag!r}", _TAG_KEY)
+
+
+def check_method_dict(d: dict) -> None:
+    """Raise ConfigError unless ``d`` names a known method, sets only fields
+    of its config, and sets a well-formed anchor if it sets one. The
+    interval may be missing, since grid search supplies it."""
+    tag = d.get("method")
+    _check_keys(method_spec(tag).config, d, f"method {tag!r}", _TAG_KEY)
+    method_anchor(d)
 
 
 def method_anchor(d: dict) -> Optional[AnchorPolicy]:

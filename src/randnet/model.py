@@ -1,8 +1,16 @@
 """Single-hidden-layer sigmoid network with a least-squares linear readout.
 
 The hidden layer is frozen after generation; training only fits the output
-weights, by a minimum-norm least-squares solve on the hidden output matrix.
+weights, by a minimum-norm least-squares solve on the hidden output matrix H.
 There are no direct input-output links and no output bias.
+
+H is built by ``build_hidden`` in tiles of ``tile_rows`` rows, about 64K
+entries each, so every elementwise pass over a tile stays in cache. Every
+entry is computed by the same operations whatever the tiling, so H is
+bitwise the same. A tall fit streams H into the blocked QR of ``linalg``:
+each row block of ``[H | y]`` is built into its own buffer, reduced to its
+triangle and dropped, so the fit never holds all of H. ``predict`` likewise
+multiplies one tile at a time by the readout.
 """
 
 from __future__ import annotations
@@ -14,12 +22,19 @@ import numpy as np
 
 from .dataio import NormalizationSpec
 from .errors import InvalidInputError
-from .linalg import SolverConfig, lstsq, map_blocks, row_blocks
+from .linalg import SolverConfig, lstsq, map_blocks, reduce_tall, row_blocks, solve_reduced
 
 # Open-interval bounds for sigmoid outputs: saturation may round to 0.0/1.0
 # in float64, which would put entries on the boundary of (0, 1).
 _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
+
+# A tile holds about _TILE_ELEMS entries (512 KB) and a multiple of
+# _TILE_ALIGN rows. With OpenBLAS, a matrix-vector product taken over such
+# tiles, counted from row 0, gives the same bits as one over all rows; over
+# tiles of a ragged height, such as 81 rows, it does not.
+_TILE_ELEMS = 1 << 16
+_TILE_ALIGN = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +142,35 @@ def affine_arguments(x, weights, biases, *, out=None) -> np.ndarray:
     return z
 
 
-def hidden_outputs(layer: HiddenLayer, x) -> np.ndarray:
-    """Hidden output matrix: entry (l, i) is sigmoid(a_i . x_l + b_i).
+def tile_rows(nodes: int) -> int:
+    """Rows per tile of a hidden-layer build with ``nodes`` columns."""
+    return max(_TILE_ALIGN, _TILE_ELEMS // nodes // _TILE_ALIGN * _TILE_ALIGN)
 
-    Built in the row blocks that ``lstsq`` reduces it in, each into its rows
-    of one output array. Every entry is computed as in a one-block build, so
-    the result is bitwise the same.
+
+def _tiles(rows: int, nodes: int) -> list[slice]:
+    step = tile_rows(nodes)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def build_hidden(x, weights, biases, out) -> None:
+    """Write ``sigmoid(x @ weights + biases)`` into ``out``, tile by tile.
+
+    A target whose rows are not C-contiguous, such as the H columns of an
+    ``[H | y]`` buffer, has each tile built in one reused contiguous scratch
+    tile and copied in, which is faster than building into the strided view.
     """
+    nodes = weights.shape[1]
+    scratch = None if out.flags.c_contiguous else np.empty(
+        (min(tile_rows(nodes), x.shape[0]), nodes))
+    for rows in _tiles(x.shape[0], nodes):
+        h = out[rows] if scratch is None else scratch[: rows.stop - rows.start]
+        affine_arguments(x[rows], weights, biases, out=h)
+        sigmoid(h, out=h)
+        if scratch is not None:
+            out[rows] = h
+
+
+def _inputs(layer: HiddenLayer, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise InvalidInputError(f"inputs must be 2-D, got {x.ndim}-D")
@@ -141,13 +178,20 @@ def hidden_outputs(layer: HiddenLayer, x) -> np.ndarray:
         raise InvalidInputError(
             f"input dimension {x.shape[1]} does not match layer dimension {layer.input_dim}"
         )
+    return x
+
+
+def hidden_outputs(layer: HiddenLayer, x) -> np.ndarray:
+    """Hidden output matrix: entry (l, i) is sigmoid(a_i . x_l + b_i).
+
+    Built in the row blocks that ``lstsq`` reduces it in, each into its rows
+    of one output array. Every entry is computed as in a one-block build, so
+    the result is bitwise the same.
+    """
+    x = _inputs(layer, x)
     h = np.empty((x.shape[0], layer.node_count), dtype=float)
-
-    def build(rows: slice) -> None:
-        z = affine_arguments(x[rows], layer.weights, layer.biases, out=h[rows])
-        sigmoid(z, out=z)
-
-    map_blocks(build, row_blocks(*h.shape))
+    map_blocks(lambda rows: build_hidden(x[rows], layer.weights, layer.biases, h[rows]),
+               row_blocks(*h.shape))
     return h
 
 
@@ -156,24 +200,74 @@ def train_readout(
 ) -> ReadoutWeights | tuple[ReadoutWeights, np.ndarray]:
     """Fit the output weights on (x, y) by least squares.
 
+    With more rows than nodes and no ridge term, H is never held whole: each
+    row block of ``row_blocks`` is built, tile by tile, into one
+    ``[H_b | y_b]`` buffer, which ``reduce_tall`` reduces to its triangle
+    and drops; ``solve_reduced`` then solves as ``lstsq`` does, with the
+    same result. Other fits solve ``lstsq(hidden_outputs(layer, x), y)``.
+
     With ``return_fitted`` it returns ``(weights, fitted)``, where ``fitted``
-    is the network's output on ``x``, taken from the hidden output matrix of
-    the fit rather than a second one built by ``predict``.
+    is the network's output on ``x``, bitwise equal to ``predict``'s.
     """
     y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
+    x = _inputs(layer, x)
     if y.ndim != 1 or y.shape[0] != x.shape[0]:
         raise InvalidInputError(
             f"target shape {y.shape} does not match {x.shape[0]} input rows"
         )
-    h = hidden_outputs(layer, x)
-    readout = ReadoutWeights(lstsq(h, y, cfg))
-    return (readout, h @ readout.beta) if return_fitted else readout
+    m = layer.node_count
+    if cfg.ridge_lambda is not None or x.shape[0] <= m:
+        h = hidden_outputs(layer, x)
+        readout = ReadoutWeights(lstsq(h, y, cfg))
+        return (readout, h @ readout.beta) if return_fitted else readout
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InvalidInputError("training inputs or targets contain non-finite values")
+
+    def augmented(rows: slice) -> np.ndarray:
+        hy = np.empty((rows.stop - rows.start, m + 1))
+        build_hidden(x[rows], layer.weights, layer.biases, hy[:, :m])
+        hy[:, m] = y[rows]
+        return hy
+
+    # np.linalg.qr factorizes a copy, so one block's [H | y] outlives its QR
+    # and gives the fitted values; several blocks are each dropped after
+    # theirs, and the fitted values are predicted tile by tile instead.
+    blocks = row_blocks(x.shape[0], m)
+    whole = augmented(blocks[0]) if len(blocks) == 1 else None
+    r, c = reduce_tall(augmented if whole is None else lambda rows: whole, blocks, m)
+    readout = ReadoutWeights(solve_reduced(r, c, (x.shape[0], m), cfg)[:, 0])
+    if not return_fitted:
+        return readout
+    if whole is not None:
+        return readout, whole[:, :m] @ readout.beta
+    return readout, predict(TrainedNetwork(hidden=layer, readout=readout), x)
 
 
 def predict(net: TrainedNetwork, x) -> np.ndarray:
-    """Network outputs for each row of ``x``."""
-    return hidden_outputs(net.hidden, x) @ net.readout.beta
+    """Network outputs for each row of ``x``.
+
+    The hidden outputs are built one tile at a time into one reused buffer
+    per block, and each tile is multiplied by the readout, so the hidden
+    output matrix of ``x`` is never held. The blocks are as many as
+    ``row_blocks`` gives, but made of whole tiles, so every tile starts at a
+    multiple of its height and the result is bitwise ``H @ beta``.
+    """
+    layer, beta = net.hidden, net.readout.beta
+    x = _inputs(layer, x)
+    out = np.empty(x.shape[0])
+    m = layer.node_count
+    tiles = _tiles(x.shape[0], m)
+    count = len(row_blocks(x.shape[0], m))
+
+    def block(i: int) -> None:
+        h = np.empty((min(tile_rows(m), x.shape[0]), m))
+        for rows in tiles[len(tiles) * i // count: len(tiles) * (i + 1) // count]:
+            ht = h[: rows.stop - rows.start]
+            build_hidden(x[rows], layer.weights, layer.biases, ht)
+            np.matmul(ht, beta, out=out[rows])
+
+    map_blocks(block, list(range(count)))
+    return out
 
 
 def rmse(predicted, actual) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateNodeError, InvalidInputError
 from .linalg import lstsq
-from .model import HiddenLayer, affine_arguments, sigmoid
+from .model import HiddenLayer, build_hidden
 from .paramgen import AnchorPolicy, Hypercube, anchor_points, anchored_biases
 from .rng import RngStream
 
@@ -96,14 +96,16 @@ RaemConfig = Union[Raem1Config, Raem2Config, Raem3Config, Raem4Config, Raem5Conf
 
 
 def rae_encode(hidden: RaeHidden, x) -> np.ndarray:
-    """Encoder output matrix G: entry (l, i) is sigmoid(w_i . x_l + c_i)."""
+    """Encoder output matrix G: entry (l, i) is sigmoid(w_i . x_l + c_i),
+    built in tiles as the network's hidden outputs are."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != hidden.w.shape[0]:
         raise InvalidInputError(
             f"input shape {x.shape} does not match encoder dimension {hidden.w.shape[0]}"
         )
-    z = affine_arguments(x, hidden.w, hidden.c)
-    return sigmoid(z, out=z)
+    g = np.empty((x.shape[0], hidden.w.shape[1]))
+    build_hidden(x, hidden.w, hidden.c, g)
+    return g
 
 
 def rae_decode_weights(g, x) -> RaeDecoder:

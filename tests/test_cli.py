@@ -116,6 +116,7 @@ class TestFit:
         s = read_summary(out)
         (entry,) = s["methods"]
         assert entry["rmse_test"]["count"] == 1
+        assert s["config"]["trials"] == 1
 
     def test_outputs_identical_across_block_budgets_and_jobs(self, tmp_path, row_blocking):
         # at min_rows 64 the 600x20 train and test H are built and reduced
@@ -297,8 +298,14 @@ class TestExitCodes:
                                    '{"kind": "cluster", "kmeans_max_iter": "x"}}'], {}),
         ("benchmark", ["--method", "raem5"], {"nodes": "x"}),
         ("grid-search", ["--method", "raem5", "--grid-nodes", "5,x"], {}),
+        ("benchmark", ["--method", '{"method": "ralpham", "alpha_max_deg": 80, '
+                                   '"alpha_min": 40}'], {}),
+        ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": {"knd": "cluster"}}'],
+         {}),
+        ("grid-search", ["--method", '{"method": "ram", "uu": 1}', "--grid-nodes", "5"], {}),
     ], ids=["u_ae-zero", "histogram-bins-zero", "u-string", "u-null", "anchor-string",
-            "kmeans-max-iter-string", "nodes-string", "grid-nodes-string"])
+            "kmeans-max-iter-string", "nodes-string", "grid-nodes-string", "misspelt-key",
+            "misspelt-anchor-key", "misspelt-key-grid-search"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, command, flags, file_keys):
         # out-of-range and malformed values exit 2 with a config error, not
         # 3 (a data error) or 1 (a traceback)
@@ -309,6 +316,15 @@ class TestExitCodes:
         }))
         assert run(command, "--config", config, *flags, "--out", tmp_path / "o") == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_compare_trial_count_checked_before_any_fit(self, tmp_path, capsys):
+        # the signed-rank tests need 6 pairs; 5 trials exit 2 before the
+        # grid search or any trial runs, and no table is written
+        out = tmp_path / "o"
+        assert run("compare", *tiny_tf_args(out, trials=5), "--cv", "--method", "ram",
+                   "--method", "raem5", "--grid-nodes", "5,10") == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not list(out.glob("*"))
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as e:

@@ -1,24 +1,29 @@
 """Network evaluation, readout training, and serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randnet.dataio import NormalizationSpec
 from randnet.errors import InvalidInputError
 from randnet import linalg
-from randnet.linalg import SolverConfig
+from randnet.linalg import SolverConfig, lstsq
 from randnet.model import (
     HiddenLayer,
     ReadoutWeights,
     TrainedNetwork,
+    affine_arguments,
+    build_hidden,
     hidden_outputs,
     load_network,
     predict,
     rmse,
     save_network,
     sigmoid,
+    tile_rows,
     train_readout,
 )
 
@@ -154,6 +159,33 @@ class TestHiddenOutputs:
         )
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 700),
+        n=st.integers(1, 3),
+        nodes=st.one_of(st.integers(1, 40), st.integers(41, 1100)),
+        extra=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tiled_build_equals_one_shot_build(self, rows, n, nodes, extra, seed):
+        # ragged last tiles, one-row inputs, tiles from 64 rows (nodes above
+        # 64K / 64) up to one tile for all rows, and strided targets: the
+        # H columns of a wider buffer, whose other columns stay untouched
+        step = tile_rows(nodes)
+        assert step % 64 == 0 and step >= 64
+        assert step == 64 or step * nodes <= 1 << 16
+        rng = np.random.default_rng(seed)
+        w = rng.normal(scale=20.0, size=(n, nodes))
+        b = rng.normal(scale=5.0, size=nodes)
+        x = rng.normal(size=(rows, n))
+        z = affine_arguments(x, w, b)
+        want = sigmoid(z, out=z)
+        buf = np.full((rows, nodes + extra), np.nan)
+        build_hidden(x, w, b, buf[:, :nodes])
+        assert buf[:, :nodes].tobytes() == want.tobytes()
+        assert np.isnan(buf[:, nodes:]).all()
+
+
 class TestTrainReadout:
     def test_square_invertible_interpolates(self):
         rng = np.random.default_rng(4)
@@ -205,6 +237,65 @@ class TestTrainReadout:
         assert np.array_equal(readout.beta, train_readout(layer, x, y).beta)
         net = TrainedNetwork(hidden=layer, readout=readout)
         assert fitted.tobytes() == predict(net, x).tobytes()
+
+    def test_fitted_values_equal_predict_in_several_blocks(self, row_blocking):
+        # at min_rows 64 the 2003x120 fit streams 4 blocks, which start at
+        # rows 500, 1001 and 1502, and predicts its fitted values in 4 tiles
+        # of 512 rows; both equal H @ beta bit for bit
+        rng = np.random.default_rng(10)
+        layer = random_layer(rng, 2, 120)
+        x = rng.uniform(size=(2003, 2))
+        y = rng.normal(size=2003)
+        row_blocking(min_rows=64)
+        assert len(linalg.row_blocks(2003, 120)) == 4 and tile_rows(120) == 512
+        readout, fitted = train_readout(layer, x, y, return_fitted=True)
+        net = TrainedNetwork(hidden=layer, readout=readout)
+        assert fitted.tobytes() == predict(net, x).tobytes()
+        assert fitted.tobytes() == (hidden_outputs(layer, x) @ readout.beta).tobytes()
+
+    @pytest.mark.parametrize("min_rows", [None, 64])
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_streamed_readout_equals_lstsq_on_hidden_outputs(self, row_blocking, min_rows,
+                                                              budget):
+        # one block, and 8 blocks of 125 rows at min_rows 64
+        rng = np.random.default_rng(11)
+        layer = random_layer(rng, 3, 20)
+        x = rng.uniform(size=(1000, 3))
+        y = np.sin(4.0 * x[:, 0]) + x[:, 2]
+        if min_rows is not None:
+            row_blocking(min_rows=min_rows)
+        assert len(linalg.row_blocks(1000, 20)) == (1 if min_rows is None else 8)
+        with linalg.block_budget(budget):
+            beta = train_readout(layer, x, y).beta
+        assert beta.tobytes() == lstsq(hidden_outputs(layer, x), y).tobytes()
+
+    def test_streamed_readout_never_holds_all_of_h(self, row_blocking):
+        # 4000x100 in 8 blocks: H alone is 3.2 MB, one block's [H | y] 0.4 MB
+        rng = np.random.default_rng(12)
+        layer = random_layer(rng, 3, 100)
+        x = rng.uniform(size=(4000, 3))
+        y = rng.normal(size=4000)
+        row_blocking(min_rows=256)
+        assert len(linalg.row_blocks(4000, 100)) == 8
+        tracemalloc.start()
+        try:
+            train_readout(layer, x, y, return_fitted=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4000 * 100 * 8
+
+    def test_non_finite_training_data_rejected(self):
+        rng = np.random.default_rng(13)
+        layer = random_layer(rng, 2, 5)
+        x = rng.uniform(size=(30, 2))
+        y = rng.normal(size=30)
+        bad_x, bad_y = x.copy(), y.copy()
+        bad_x[3, 1] = np.nan
+        bad_y[7] = np.inf
+        for args in ((bad_x, y), (x, bad_y)):
+            with pytest.raises(InvalidInputError):
+                train_readout(layer, *args)
 
     def test_ridge_config_is_honored(self):
         rng = np.random.default_rng(8)
