@@ -63,11 +63,7 @@ from .rae import (
     Raem3Config,
     Raem4Config,
     Raem5Config,
-    RaeDecoder,
-    RaeHidden,
     inflection_hyperplane_offset,
-    rae_decode_weights,
-    rae_encode,
     raem_hidden_layer,
 )
 from .rng import RngStream, as_stream
@@ -94,8 +90,6 @@ __all__ = [
     "Raem3Config",
     "Raem4Config",
     "Raem5Config",
-    "RaeDecoder",
-    "RaeHidden",
     "ReadoutWeights",
     "RngStream",
     "SampledProblem",
@@ -126,8 +120,6 @@ __all__ = [
     "normalize",
     "predict",
     "pseudoinverse",
-    "rae_decode_weights",
-    "rae_encode",
     "raem_hidden_layer",
     "rmse",
     "sample_problem",

@@ -90,11 +90,6 @@ class NormalizationSpec:
             raise InvalidInputError("constant input column cannot be denormalized")
         return (x - self.input_offset) / self.input_scale
 
-    def invert_output(self, y: np.ndarray) -> np.ndarray:
-        if self.output_scale == 0.0:
-            raise InvalidInputError("constant output cannot be denormalized")
-        return (y - self.output_offset) / self.output_scale
-
     def to_dict(self) -> dict:
         return {
             "input_scale": self.input_scale.tolist(),

@@ -27,8 +27,12 @@ class DegenerateNodeError(ValueError):
 
 
 def config_value(kind: type, value, what: str):
-    """``kind(value)``; a value that does not convert raises ConfigError."""
+    """``kind(value)``; a value that does not convert raises ConfigError, and
+    so do a bool and, for an int, a float that is not integral."""
     try:
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None

@@ -71,9 +71,6 @@ class SvdFactorization:
     singular_values: np.ndarray
     vt: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.vt
-
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=float)

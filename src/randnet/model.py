@@ -8,9 +8,10 @@ H is built by ``build_hidden`` in tiles of ``tile_rows`` rows, about 64K
 entries each, so every elementwise pass over a tile stays in cache. Every
 entry is computed by the same operations whatever the tiling, so H is
 bitwise the same. A tall fit streams H into the blocked QR of ``linalg``:
-each row block of ``[H | y]`` is built into its own buffer, reduced to its
-triangle and dropped, so the fit never holds all of H. ``predict`` likewise
-multiplies one tile at a time by the readout.
+each row block of ``[H | t]`` is built into its own buffer, reduced to its
+triangle and dropped, so the fit never holds all of H. ``solve_readout`` is
+that fit for any target t, the readout's y or the autoencoder decoder's
+inputs X. ``predict`` likewise multiplies one tile at a time by the readout.
 """
 
 from __future__ import annotations
@@ -182,64 +183,75 @@ def _inputs(layer: HiddenLayer, x) -> np.ndarray:
 
 
 def hidden_outputs(layer: HiddenLayer, x) -> np.ndarray:
-    """Hidden output matrix: entry (l, i) is sigmoid(a_i . x_l + b_i).
-
-    Built in the row blocks that ``lstsq`` reduces it in, each into its rows
-    of one output array. Every entry is computed as in a one-block build, so
-    the result is bitwise the same.
-    """
+    """Hidden output matrix: entry (l, i) is sigmoid(a_i . x_l + b_i)."""
     x = _inputs(layer, x)
     h = np.empty((x.shape[0], layer.node_count), dtype=float)
-    map_blocks(lambda rows: build_hidden(x[rows], layer.weights, layer.biases, h[rows]),
-               row_blocks(*h.shape))
+    build_hidden(x, layer.weights, layer.biases, h)
     return h
+
+
+def solve_readout(
+    layer: HiddenLayer, x, t, cfg: SolverConfig = SolverConfig()
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Least-squares solution ``B`` of ``H B ~ t``, with ``H`` the hidden
+    outputs of ``layer`` on ``x`` and ``t`` 1-D or 2-D, bitwise equal to
+    ``lstsq(hidden_outputs(layer, x), t, cfg)``; and ``H``, if the solve
+    held it whole, else None.
+
+    With more rows than nodes and no ridge term, H is never held whole: each
+    row block of ``row_blocks`` is built, tile by tile, into one
+    ``[H_b | t_b]`` buffer, which ``reduce_tall`` reduces to its triangle
+    and drops; ``solve_reduced`` then solves as ``lstsq`` does. Other fits
+    solve ``lstsq`` on H.
+    """
+    t = np.asarray(t, dtype=float)
+    x = _inputs(layer, x)
+    if t.ndim not in (1, 2) or t.shape[0] != x.shape[0]:
+        raise InvalidInputError(
+            f"target shape {t.shape} does not match {x.shape[0]} input rows"
+        )
+    m = layer.node_count
+    if cfg.ridge_lambda is not None or x.shape[0] <= m:
+        h = hidden_outputs(layer, x)
+        return lstsq(h, t, cfg), h
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
+        raise InvalidInputError("training inputs or targets contain non-finite values")
+    rhs = t.reshape(x.shape[0], -1)
+
+    def augmented(rows: slice) -> np.ndarray:
+        ht = np.empty((rows.stop - rows.start, m + rhs.shape[1]))
+        build_hidden(x[rows], layer.weights, layer.biases, ht[:, :m])
+        ht[:, m:] = rhs[rows]
+        return ht
+
+    # np.linalg.qr factorizes a copy, so one block's [H | t] outlives its QR
+    # and is returned as H; several blocks are each dropped after theirs.
+    blocks = row_blocks(x.shape[0], m)
+    whole = augmented(blocks[0]) if len(blocks) == 1 else None
+    r, c = reduce_tall(augmented if whole is None else lambda rows: whole, blocks, m)
+    solution = solve_reduced(r, c, (x.shape[0], m), cfg)
+    if t.ndim == 1:
+        solution = solution[:, 0]
+    return solution, None if whole is None else whole[:, :m]
 
 
 def train_readout(
     layer: HiddenLayer, x, y, cfg: SolverConfig = SolverConfig(), *, return_fitted=False
 ) -> ReadoutWeights | tuple[ReadoutWeights, np.ndarray]:
-    """Fit the output weights on (x, y) by least squares.
-
-    With more rows than nodes and no ridge term, H is never held whole: each
-    row block of ``row_blocks`` is built, tile by tile, into one
-    ``[H_b | y_b]`` buffer, which ``reduce_tall`` reduces to its triangle
-    and drops; ``solve_reduced`` then solves as ``lstsq`` does, with the
-    same result. Other fits solve ``lstsq(hidden_outputs(layer, x), y)``.
+    """Fit the output weights on (x, y) by least squares, by ``solve_readout``.
 
     With ``return_fitted`` it returns ``(weights, fitted)``, where ``fitted``
     is the network's output on ``x``, bitwise equal to ``predict``'s.
     """
     y = np.asarray(y, dtype=float)
-    x = _inputs(layer, x)
-    if y.ndim != 1 or y.shape[0] != x.shape[0]:
-        raise InvalidInputError(
-            f"target shape {y.shape} does not match {x.shape[0]} input rows"
-        )
-    m = layer.node_count
-    if cfg.ridge_lambda is not None or x.shape[0] <= m:
-        h = hidden_outputs(layer, x)
-        readout = ReadoutWeights(lstsq(h, y, cfg))
-        return (readout, h @ readout.beta) if return_fitted else readout
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InvalidInputError("training inputs or targets contain non-finite values")
-
-    def augmented(rows: slice) -> np.ndarray:
-        hy = np.empty((rows.stop - rows.start, m + 1))
-        build_hidden(x[rows], layer.weights, layer.biases, hy[:, :m])
-        hy[:, m] = y[rows]
-        return hy
-
-    # np.linalg.qr factorizes a copy, so one block's [H | y] outlives its QR
-    # and gives the fitted values; several blocks are each dropped after
-    # theirs, and the fitted values are predicted tile by tile instead.
-    blocks = row_blocks(x.shape[0], m)
-    whole = augmented(blocks[0]) if len(blocks) == 1 else None
-    r, c = reduce_tall(augmented if whole is None else lambda rows: whole, blocks, m)
-    readout = ReadoutWeights(solve_reduced(r, c, (x.shape[0], m), cfg)[:, 0])
+    if y.ndim != 1:
+        raise InvalidInputError(f"target must be 1-D, got shape {y.shape}")
+    beta, h = solve_readout(layer, x, y, cfg)
+    readout = ReadoutWeights(beta)
     if not return_fitted:
         return readout
-    if whole is not None:
-        return readout, whole[:, :m] @ readout.beta
+    if h is not None:
+        return readout, h @ readout.beta
     return readout, predict(TrainedNetwork(hidden=layer, readout=readout), x)
 
 

@@ -71,6 +71,11 @@ class AnchorPolicy:
     def __post_init__(self):
         if self.kind not in ("uniform", "train-point", "cluster"):
             raise ConfigError(f"unknown anchor policy {self.kind!r}")
+        if not self.kmeans_max_iter >= 1:
+            raise ConfigError(f"kmeans_max_iter must be >= 1, got {self.kmeans_max_iter}")
+        if not 0 <= self.kmeans_rel_tol < math.inf:
+            raise ConfigError(
+                f"kmeans_rel_tol must be finite and >= 0, got {self.kmeans_rel_tol}")
 
 
 @dataclass(frozen=True)

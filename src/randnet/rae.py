@@ -2,10 +2,13 @@
 
 A random sigmoid encoder maps inputs to an m-dimensional code; the linear
 decoder V that reconstructs the inputs is fitted in one least-squares solve.
-The decoder rows then become the network's hidden weights (A = V'). Five
-variants differ in how the encoder parameters and the network biases are
-chosen; variant 1 additionally tunes the encoder weight interval, which
-controls how steep the produced sigmoids are.
+The encoder is a ``HiddenLayer`` and V its readout with the inputs as
+targets, so ``model.solve_readout`` fits V as it fits the network's readout
+and never holds the whole code matrix. The decoder rows then become the
+network's hidden weights (A = V'). Five variants differ in how the encoder
+parameters and the network biases are chosen; variant 1 additionally tunes
+the encoder weight interval, which controls how steep the produced sigmoids
+are.
 """
 
 from __future__ import annotations
@@ -16,43 +19,9 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, DegenerateNodeError, InvalidInputError
-from .linalg import lstsq
-from .model import HiddenLayer, build_hidden
+from .model import HiddenLayer, solve_readout
 from .paramgen import AnchorPolicy, Hypercube, anchor_points, anchored_biases
 from .rng import RngStream
-
-
-@dataclass(frozen=True, eq=False)
-class RaeHidden:
-    """Random encoder parameters: weights (n x m) and biases (m,)."""
-
-    w: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        if w.ndim != 2 or c.shape != (w.shape[1],):
-            raise InvalidInputError(
-                f"encoder shapes inconsistent: weights {w.shape}, biases {c.shape}"
-            )
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(c))):
-            raise InvalidInputError("encoder parameters contain non-finite values")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "c", c)
-
-
-@dataclass(frozen=True, eq=False)
-class RaeDecoder:
-    """Least-squares decoder weights V (m x n)."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        if v.ndim != 2:
-            raise InvalidInputError(f"decoder weights must be 2-D, got {v.ndim}-D")
-        object.__setattr__(self, "v", v)
 
 
 @dataclass(frozen=True)
@@ -95,30 +64,6 @@ class Raem5Config:
 RaemConfig = Union[Raem1Config, Raem2Config, Raem3Config, Raem4Config, Raem5Config]
 
 
-def rae_encode(hidden: RaeHidden, x) -> np.ndarray:
-    """Encoder output matrix G: entry (l, i) is sigmoid(w_i . x_l + c_i),
-    built in tiles as the network's hidden outputs are."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != hidden.w.shape[0]:
-        raise InvalidInputError(
-            f"input shape {x.shape} does not match encoder dimension {hidden.w.shape[0]}"
-        )
-    g = np.empty((x.shape[0], hidden.w.shape[1]))
-    build_hidden(x, hidden.w, hidden.c, g)
-    return g
-
-
-def rae_decode_weights(g, x) -> RaeDecoder:
-    """Decoder V solving G V ~ X in the least-squares sense."""
-    g = np.asarray(g, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if g.ndim != 2 or x.ndim != 2 or g.shape[0] != x.shape[0]:
-        raise InvalidInputError(
-            f"row counts must match: code {g.shape}, inputs {x.shape}"
-        )
-    return RaeDecoder(lstsq(g, x))
-
-
 def raem_hidden_layer(
     variant: RaemConfig,
     x_train: np.ndarray,
@@ -149,8 +94,7 @@ def raem_hidden_layer(
     else:
         c = rng.child(1).generator().uniform(-1.0, 1.0, size=m)
 
-    code = rae_encode(RaeHidden(w=w, c=c), x_train)
-    weights = rae_decode_weights(code, x_train).v.T
+    weights = solve_readout(HiddenLayer(weights=w, biases=c), x_train, x_train)[0].T
 
     if isinstance(variant, (Raem1Config, Raem2Config, Raem3Config)):
         net_anchors = anchor_points(variant.anchor, x_train, cube, m, rng.child(2))

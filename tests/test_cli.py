@@ -303,9 +303,22 @@ class TestExitCodes:
         ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": {"knd": "cluster"}}'],
          {}),
         ("grid-search", ["--method", '{"method": "ram", "uu": 1}', "--grid-nodes", "5"], {}),
+        ("benchmark", ["--method", "raem5"], {"nodes": 10.7}),
+        ("benchmark", ["--method", "raem5"], {"trials": 2.9}),
+        ("benchmark", ["--method", "raem5"], {"nodes": True}),
+        # 5 nodes, so that 40 training points are enough cluster anchors
+        ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": '
+                                   '{"kind": "cluster", "kmeans_max_iter": -3}}'], {"nodes": 5}),
+        ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": '
+                                   '{"kind": "cluster", "kmeans_rel_tol": -1e-6}}'], {"nodes": 5}),
+        ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": '
+                                   '{"kind": "cluster", "kmeans_rel_tol": Infinity}}'],
+         {"nodes": 5}),
     ], ids=["u_ae-zero", "histogram-bins-zero", "u-string", "u-null", "anchor-string",
             "kmeans-max-iter-string", "nodes-string", "grid-nodes-string", "misspelt-key",
-            "misspelt-anchor-key", "misspelt-key-grid-search"])
+            "misspelt-anchor-key", "misspelt-key-grid-search", "nodes-fraction",
+            "trials-fraction", "nodes-bool", "kmeans-max-iter-negative",
+            "kmeans-rel-tol-negative", "kmeans-rel-tol-infinite"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, command, flags, file_keys):
         # out-of-range and malformed values exit 2 with a config error, not
         # 3 (a data error) or 1 (a traceback)

@@ -23,6 +23,7 @@ from randnet.model import (
     rmse,
     save_network,
     sigmoid,
+    solve_readout,
     tile_rows,
     train_readout,
 )
@@ -257,17 +258,23 @@ class TestTrainReadout:
     @pytest.mark.parametrize("budget", [1, 2])
     def test_streamed_readout_equals_lstsq_on_hidden_outputs(self, row_blocking, min_rows,
                                                               budget):
-        # one block, and 8 blocks of 125 rows at min_rows 64
+        # one block, and 8 blocks of 125 rows at min_rows 64; the shared
+        # solve takes a 2-column target, as the autoencoder's decoder fit does
         rng = np.random.default_rng(11)
         layer = random_layer(rng, 3, 20)
         x = rng.uniform(size=(1000, 3))
         y = np.sin(4.0 * x[:, 0]) + x[:, 2]
+        targets = np.column_stack([y, x[:, 1]])
         if min_rows is not None:
             row_blocking(min_rows=min_rows)
         assert len(linalg.row_blocks(1000, 20)) == (1 if min_rows is None else 8)
         with linalg.block_budget(budget):
             beta = train_readout(layer, x, y).beta
-        assert beta.tobytes() == lstsq(hidden_outputs(layer, x), y).tobytes()
+            solution = solve_readout(layer, x, targets)[0]
+        h = hidden_outputs(layer, x)
+        assert beta.tobytes() == lstsq(h, y).tobytes()
+        assert solution.shape == (20, 2)
+        assert solution.tobytes() == lstsq(h, targets).tobytes()
 
     def test_streamed_readout_never_holds_all_of_h(self, row_blocking):
         # 4000x100 in 8 blocks: H alone is 3.2 MB, one block's [H | y] 0.4 MB

@@ -1,12 +1,14 @@
 """Autoencoder pretraining and the five bias-wiring variants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from randnet import linalg
 from randnet.errors import ConfigError, DegenerateNodeError, InvalidInputError
-from randnet.model import hidden_outputs
+from randnet.model import HiddenLayer, hidden_outputs, solve_readout
 from randnet.paramgen import AnchorPolicy, anchor_points, input_hypercube
 from randnet.rae import (
     Raem1Config,
@@ -14,10 +16,7 @@ from randnet.rae import (
     Raem3Config,
     Raem4Config,
     Raem5Config,
-    RaeHidden,
     inflection_hyperplane_offset,
-    rae_decode_weights,
-    rae_encode,
     raem_hidden_layer,
 )
 from randnet.rng import RngStream
@@ -32,9 +31,10 @@ ALL_VARIANTS = (
 
 
 class TestEncode:
+    # the encoder is a HiddenLayer, and its code matrix G its hidden outputs
     def test_zero_parameters_give_half(self):
-        hidden = RaeHidden(w=np.zeros((3, 4)), c=np.zeros(4))
-        g = rae_encode(hidden, np.random.default_rng(0).normal(size=(6, 3)))
+        encoder = HiddenLayer(weights=np.zeros((3, 4)), biases=np.zeros(4))
+        g = hidden_outputs(encoder, np.random.default_rng(0).normal(size=(6, 3)))
         assert np.all(g == 0.5)
 
     def test_anchored_encoder_outputs_half_at_anchor(self):
@@ -42,50 +42,58 @@ class TestEncode:
         w = rng.normal(scale=2.0, size=(3, 8))
         anchors = rng.uniform(size=(8, 3))
         c = np.array([-w[:, i] @ anchors[i] for i in range(8)])
-        g = rae_encode(RaeHidden(w=w, c=c), anchors)
+        g = hidden_outputs(HiddenLayer(weights=w, biases=c), anchors)
         assert np.max(np.abs(np.diag(g) - 0.5)) <= 1e-12
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(2)
-        hidden = RaeHidden(w=rng.normal(size=(2, 3)), c=rng.normal(size=3))
+        encoder = HiddenLayer(weights=rng.normal(size=(2, 3)), biases=rng.normal(size=3))
         x = rng.normal(size=(4, 2))
-        g = rae_encode(hidden, x)
+        g = hidden_outputs(encoder, x)
         for l in range(4):
             for i in range(3):
-                z = hidden.c[i] + sum(hidden.w[j, i] * x[l, j] for j in range(2))
+                z = encoder.biases[i] + sum(encoder.weights[j, i] * x[l, j] for j in range(2))
                 assert abs(g[l, i] - 1.0 / (1.0 + math.exp(-z))) <= 1e-14
 
     def test_dimension_mismatch(self):
-        hidden = RaeHidden(w=np.ones((2, 3)), c=np.zeros(3))
+        encoder = HiddenLayer(weights=np.ones((2, 3)), biases=np.zeros(3))
         with pytest.raises(InvalidInputError):
-            rae_encode(hidden, np.ones((4, 5)))
+            hidden_outputs(encoder, np.ones((4, 5)))
+
+
+def random_encoder(rng, n, m):
+    return HiddenLayer(weights=rng.normal(scale=2.0, size=(n, m)),
+                       biases=rng.normal(size=m))
 
 
 class TestDecode:
+    # the decoder V is the encoder's least-squares readout: G V ~ target
     def test_square_invertible_reconstructs(self):
         rng = np.random.default_rng(3)
-        g = rng.uniform(0.05, 0.95, size=(6, 6))
         x = rng.normal(size=(6, 2))
-        v = rae_decode_weights(g, x).v
-        assert np.max(np.abs(g @ v - x)) <= 1e-9
+        encoder = random_encoder(rng, 2, 6)
+        v = solve_readout(encoder, x, x)[0]
+        assert np.max(np.abs(hidden_outputs(encoder, x) @ v - x)) <= 1e-9
 
     def test_planted_decoder_recovered(self):
         rng = np.random.default_rng(4)
-        g = rng.uniform(0.05, 0.95, size=(20, 5))
+        x = rng.normal(size=(20, 3))
+        encoder = random_encoder(rng, 3, 5)
         planted = rng.normal(size=(5, 3))
-        v = rae_decode_weights(g, g @ planted).v
+        v = solve_readout(encoder, x, hidden_outputs(encoder, x) @ planted)[0]
         assert np.max(np.abs(v - planted)) <= 1e-8
 
     def test_wide_consistent_system(self):
         rng = np.random.default_rng(5)
-        g = rng.uniform(0.05, 0.95, size=(4, 9))
         x = rng.normal(size=(4, 2))
-        v = rae_decode_weights(g, x).v
-        assert np.max(np.abs(g @ v - x)) <= 1e-8
+        encoder = random_encoder(rng, 2, 9)
+        v = solve_readout(encoder, x, x)[0]
+        assert np.max(np.abs(hidden_outputs(encoder, x) @ v - x)) <= 1e-8
 
     def test_row_count_mismatch(self):
+        encoder = HiddenLayer(weights=np.ones((2, 2)), biases=np.zeros(2))
         with pytest.raises(InvalidInputError):
-            rae_decode_weights(np.ones((3, 2)), np.ones((4, 1)))
+            solve_readout(encoder, np.ones((3, 2)), np.ones((4, 1)))
 
 
 class TestVariantLayers:
@@ -127,6 +135,21 @@ class TestVariantLayers:
             anchors = anchor_points(AnchorPolicy(), x, cube, 25, rng.child(2))
             h = hidden_outputs(layer, anchors)
             assert np.max(np.abs(np.diag(h) - 0.5)) <= 1e-12
+
+    def test_decoder_fit_never_holds_the_whole_code_matrix(self, row_blocking):
+        # 4000x100 in 8 blocks: the code matrix G alone is 3.2 MB, one
+        # block's [G | X] 0.4 MB
+        x = np.random.default_rng(12).uniform(size=(4000, 3))
+        cube = input_hypercube(x)
+        row_blocking(min_rows=256)
+        assert len(linalg.row_blocks(4000, 100)) == 8
+        tracemalloc.start()
+        try:
+            raem_hidden_layer(Raem5Config(), x, cube, 100, RngStream(13))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4000 * 100 * 8
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ConfigError):
