@@ -93,7 +93,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="anchor point policy")
     p.add_argument("--out", help="output directory")
     p.add_argument("--format", choices=("csv", "json"), help="tabular output format")
-    p.add_argument("--jobs", type=int, help="parallel worker count")
+    p.add_argument("--jobs", type=int,
+                   help="accepted and ignored: fits run on every core the process "
+                        "may use (limit them with taskset)")
     p.add_argument("--tf", help="target function name (TF1, TF2, TF3)")
     p.add_argument("--n", type=int, help="target function input dimension")
     p.add_argument("--train-size", type=int, help="training sample count")
@@ -212,7 +214,7 @@ def _cross_validate(run: Run, i: int) -> tuple[CvResult, Optional[AnchorPolicy]]
     grid = replace(cfg.grid, interval_grid=cfg.grid.interval_grid or method_spec(family).grid)
     anchor = method_anchor(cfg.method_specs[i])
     result = cross_validate(grid, family, run.problem.train, anchor=anchor,
-                            jobs=cfg.jobs, stream=cfg.cv_stream(i))
+                            stream=cfg.cv_stream(i))
     return result, anchor
 
 
@@ -235,7 +237,7 @@ def _trial_methods(run: Run, tune: bool = False) -> tuple[list, list]:
         else:
             method = cfg.generator(i)
         reports = run_trials(method, run.problem, nodes, cfg.trials, cfg.trial_stream(i),
-                             snapshot_weights=True, jobs=cfg.jobs)
+                             snapshot_weights=True)
         entry = {"method": method_to_dict(method), "nodes": nodes, **method_summary(reports)}
         if chosen:
             entry["chosen"] = chosen
@@ -297,7 +299,7 @@ def cmd_uae_sweep(args) -> int:
     if anchor is None and cfg.method_count:
         anchor = method_anchor(cfg.method_specs[0])
     points = uae_sweep(run.problem, cfg.nodes, cfg.sweep_values, cfg.trials,
-                       cfg.sweep_stream(), anchor=anchor, jobs=cfg.jobs)
+                       cfg.sweep_stream(), anchor=anchor)
     best = min(points, key=lambda p: (p.mean_rmse, p.u_ae))
     run.summary["sweep"] = {
         "nodes": cfg.nodes,

@@ -127,7 +127,7 @@ class ExperimentConfig:
     sweep_values: tuple[float, ...] = ()
     output_dir: str = "out"
     out_format: str = "csv"
-    jobs: int = 1
+    jobs: int = 1  # validated but unused: fits run on every core
     histogram_bins: int = 50
 
     def __post_init__(self):

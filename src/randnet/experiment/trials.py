@@ -1,30 +1,40 @@
 """Repeated training trials, k-fold cross-validation and the encoder sweep.
 
 All routines take a seed or an RngStream and derive one child stream per
-independent work unit (trial, or grid cell x fold x trial), so results are
-identical for any worker count and any execution order. Every fit goes
+fit (trial, grid cell x fold x trial, or sweep point x trial), so results
+are identical for any worker count and any execution order. Every fit goes
 through ``fit_trial``.
+
+One map runs the fits: ``_fork_map`` runs them on every core in forked
+processes, with the calling process as one of them. The grid search and
+the sweep make thousands of small fits, whose short numpy calls would queue
+on the interpreter lock in threads, and keep only a few floats of each;
+repeated trials send back their whole, small networks.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, NoReturn, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from ..benchfn import SampledProblem
 from ..dataio import Dataset
 from ..errors import ConfigError, InvalidInputError
-from ..linalg import block_budget, single_thread_blas
+from .. import linalg
 from ..methods import TUNABLE, GeneratorConfig, family_config, generate_hidden_layer
 from ..model import TrainedNetwork, predict, rmse, train_readout
 from ..paramgen import AnchorPolicy, Hypercube, input_hypercube
 from ..rae import Raem1Config
 from ..rng import as_stream
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -72,28 +82,111 @@ def fit_trial(
     return TrialFit(net, rmse(fitted, train.y), rmse(predict(net, test.x), test.y))
 
 
-def _map_units(worker, count: int, jobs: int) -> list:
-    """Run worker(0..count-1) on up to ``jobs`` threads; order preserved.
+def _fork_map(fit: Callable[[int], T], count: int) -> list[T]:
+    """``[fit(i) for i in range(count)]`` on P = min(count, cores) processes;
+    each ``fit(i)`` returns a picklable value.
 
-    The worker count is capped at the core count, and BLAS runs on one
-    thread throughout. Each unit may run the row blocks of its hidden
-    matrices and solves on the cores the pool leaves idle, ``cores // workers`` of them, so a map
-    of one unit uses every core and a full pool starts no block threads.
-    Row blocks and their merge order are fixed by the matrix shapes, so the
-    results depend on neither ``jobs`` nor the core count.
+    The calling process is worker 0 and forks P - 1 helpers once; fit i runs
+    on process i mod P. So the split is fixed by ``count``, and the results
+    by the fits' own streams. A helper inherits the inputs through the fork
+    and sends back only its fits' results, or the failure that stopped its
+    share, through a pipe; it leaves with ``os._exit``, so buffered output
+    and exit handlers run once, in the caller. Every process runs BLAS on
+    one thread with a block budget of ``cores // P``, so a map of one fit
+    runs its row blocks on every core. Where fork is missing the caller runs
+    every fit.
+
+    A failed fit stops the share of its process. Once every helper has
+    finished, the failure of the lowest fit index re-raises in the caller,
+    as a serial run would raise it; a helper's failure carries the helper's
+    traceback as its cause. Anything else that stops the caller's own share,
+    such as an interrupt, kills and reaps every helper first; no helper
+    outlives the call.
     """
-    cores = os.cpu_count() or 1
-    workers = min(jobs, count, cores)
+    cores = linalg.core_count()
+    procs = max(1, min(count, cores)) if hasattr(os, "fork") else 1
+    shares = []
+    helpers: dict[int, int] = {}  # pid -> read end of the helper's pipe
+    with linalg.single_thread_blas(), linalg.block_budget(cores // procs):
+        try:
+            for p in range(1, procs):
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(read)
+                    os.close(write)
+                    raise
+                if pid == 0:
+                    os.close(read)
+                    _helper(fit, range(p, count, procs), write)
+                os.close(write)
+                helpers[pid] = read
+            shares.append(_share(fit, range(0, count, procs)))
+            for pid, read in helpers.items():
+                shares.append(_receive(pid, read))
+        except BaseException:
+            for pid in helpers:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid, read in helpers.items():
+                os.close(read)
+                os.waitpid(pid, 0)
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results: list = [None] * count
+    for p, (rows, _) in enumerate(shares):
+        results[p::procs] = rows
+    return results
 
-    def unit(i: int):
-        with block_budget(cores // max(workers, 1)):
-            return worker(i)
 
-    with single_thread_blas():
-        if workers <= 1:
-            return [unit(i) for i in range(count)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(unit, range(count)))
+class _RemoteTraceback(Exception):
+    """The formatted traceback of a failure in a helper process, chained as
+    the cause of the exception the caller re-raises."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _share(fit, indices: range) -> tuple[list, Optional[tuple[int, Exception, str]]]:
+    """``fit(i)`` for each index in turn, up to the first that raises: the
+    results of the fits that ran, and that index, its exception and its
+    formatted traceback."""
+    rows = []
+    for i in indices:
+        try:
+            rows.append(fit(i))
+        except Exception as exc:
+            return rows, (i, exc, traceback.format_exc())
+    return rows, None
+
+
+def _helper(fit, indices: range, write: int) -> NoReturn:
+    """Body of a forked helper: run its share, send it, and exit. An
+    interrupt or any other exit exception leaves without sending."""
+    code = 1
+    try:
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(_share(fit, indices)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(pid: int, read: int) -> tuple:
+    """The share a helper sent, read to the end of its pipe; a failure's
+    exception gets the helper's traceback as its cause."""
+    chunks = []
+    while chunk := os.read(read, 1 << 16):
+        chunks.append(chunk)
+    if not chunks:
+        raise RuntimeError(f"fit worker process {pid} ended without sending its results")
+    rows, failure = pickle.loads(b"".join(chunks))
+    if failure is not None:
+        failure[1].__cause__ = _RemoteTraceback(f'\n"""\n{failure[2]}"""')
+    return rows, failure
 
 
 def run_trials(
@@ -104,12 +197,13 @@ def run_trials(
     seed,
     *,
     snapshot_weights: bool = False,
-    jobs: int = 1,
 ) -> list[TrialReport]:
     """Train `trials` independent networks and report train/test RMSE.
 
     Trial t draws all randomness from child stream t of the given seed, so
-    any subset of trials can be reproduced in isolation.
+    any subset of trials can be reproduced in isolation. The trials run on
+    every core through ``_fork_map``; a helper sends back its reports,
+    networks included.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -132,7 +226,7 @@ def run_trials(
             network=fit.network,
         )
 
-    return _map_units(one, trials, jobs)
+    return _fork_map(one, trials)
 
 
 @dataclass(frozen=True)
@@ -202,7 +296,6 @@ def cross_validate(
     train: Dataset,
     *,
     anchor: AnchorPolicy | None = None,
-    jobs: int = 1,
     stream=None,
 ) -> CvResult:
     """Mean validation RMSE for every grid cell; returns the argmin cell.
@@ -211,7 +304,8 @@ def cross_validate(
     interval grid; the parameter-free families search node count only. Cell
     (ci), fold (f), trial (t) together index the child stream, making every
     fold evaluation independently reproducible. Randomness comes from
-    `stream` when given, else from the grid's seed.
+    `stream` when given, else from the grid's seed. The fits run on every
+    core through ``_fork_map``.
     """
     intervals: Sequence[Optional[float]]
     if family in TUNABLE:
@@ -227,22 +321,26 @@ def cross_validate(
 
     stream = as_stream(grid.seed) if stream is None else as_stream(stream)
     cells = [(m, iv) for m in grid.node_counts for iv in intervals]
+    methods = [family_config(family, iv, anchor) for _, iv in cells]
     folds = kfold_indices(train.n_samples, grid.folds, stream.child(0, 0))
     splits = [(train.subset(tr), train.subset(va)) for tr, va in folds]
+    cubes = [input_hypercube(fold_train.x) for fold_train, _ in splits]
+    per_cell = grid.folds * grid.trials_per_cell
 
-    def eval_cell(ci: int) -> CvCell:
-        m, interval = cells[ci]
-        cfg = family_config(family, interval, anchor)
-        errs = []
-        for f, (fold_train, fold_val) in enumerate(splits):
-            cube = input_hypercube(fold_train.x)
-            for t in range(grid.trials_per_cell):
-                child = stream.child(1, ci, f, t)
-                fit = fit_trial(cfg, fold_train, fold_val, cube, m, child)
-                errs.append(fit.rmse_test)
-        return CvCell(m=m, interval=interval, mean_rmse=float(np.mean(errs)))
+    def fit(i: int) -> tuple[float]:
+        ci, rest = divmod(i, per_cell)
+        f, t = divmod(rest, grid.trials_per_cell)
+        fold_train, fold_val = splits[f]
+        trial = fit_trial(methods[ci], fold_train, fold_val, cubes[f], cells[ci][0],
+                          stream.child(1, ci, f, t))
+        return (trial.rmse_test,)
 
-    table = tuple(_map_units(eval_cell, len(cells), jobs))
+    errs = [err for (err,) in _fork_map(fit, len(cells) * per_cell)]
+    table = tuple(
+        CvCell(m=m, interval=interval,
+               mean_rmse=float(np.mean(errs[ci * per_cell:(ci + 1) * per_cell])))
+        for ci, (m, interval) in enumerate(cells)
+    )
     best = select_best(table)
     return CvResult(best_m=best.m, best_interval=best.interval, table=table)
 
@@ -262,33 +360,38 @@ def uae_sweep(
     seed,
     *,
     anchor: AnchorPolicy | None = None,
-    jobs: int = 1,
 ) -> list[SweepPoint]:
     """Encoder-interval sweep: how u_ae shapes the produced weights and RMSE.
 
     For each u_ae the reported weight statistic is the per-trial median of
     |hidden weights|, averaged over trials; RMSE is the mean test RMSE.
+    Trial t of point k draws from child stream (k, t), and the fits run on
+    every core through ``_fork_map``.
     """
     if len(uae_values) == 0:
         raise ConfigError("uae_values must be nonempty")
     if any(u <= 0 for u in uae_values):
         raise ConfigError("uae_values must be positive")
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     stream = as_stream(seed)
     anchor = anchor if anchor is not None else AnchorPolicy()
     train, test = problem.train, problem.test
     cube = input_hypercube(train.x)
+    methods = [Raem1Config(u_ae=float(u), anchor=anchor) for u in uae_values]
 
-    def eval_point(k: int) -> SweepPoint:
-        cfg = Raem1Config(u_ae=float(uae_values[k]), anchor=anchor)
-        medians, errs = [], []
-        for t in range(trials):
-            fit = fit_trial(cfg, train, test, cube, m, stream.child(k, t))
-            medians.append(float(np.median(np.abs(fit.network.hidden.weights))))
-            errs.append(fit.rmse_test)
-        return SweepPoint(
-            u_ae=float(uae_values[k]),
+    def fit(i: int) -> tuple[float, float]:
+        k, t = divmod(i, trials)
+        trial = fit_trial(methods[k], train, test, cube, m, stream.child(k, t))
+        return float(np.median(np.abs(trial.network.hidden.weights))), trial.rmse_test
+
+    rows = _fork_map(fit, len(uae_values) * trials)
+    points = []
+    for k, method in enumerate(methods):
+        medians, errs = zip(*rows[k * trials:(k + 1) * trials])
+        points.append(SweepPoint(
+            u_ae=method.u_ae,
             median_abs_weight=float(np.mean(medians)),
             mean_rmse=float(np.mean(errs)),
-        )
-
-    return _map_units(eval_point, len(uae_values), jobs)
+        ))
+    return points

@@ -20,8 +20,9 @@ on the triangle as ``lstsq`` does.
 
 ``single_thread_blas`` pins the BLAS under those solves to one thread while
 a worker pool runs, and ``block_budget`` hands each of the pool's units the
-cores it leaves idle. Since the blocks and their merge order are fixed, the
-results do not depend on either.
+cores it leaves idle, out of the ``core_count`` this process may use. Since
+the blocks and their merge order are fixed, the results depend on none of
+these.
 """
 
 from __future__ import annotations
@@ -271,6 +272,14 @@ def single_thread_blas():
 _MIN_BLOCK_ROWS = 4096
 _ROWS_PER_COL = 4
 _budget = threading.local()
+
+
+def core_count() -> int:
+    """Cores this process may run on: the size of its CPU affinity set where
+    the platform reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def row_blocks(rows: int, cols: int) -> list[slice]:

@@ -2,15 +2,14 @@
 full-size 1-D demo (5000 train + 5000 test points) is the slowest setup step.
 
 The ``row_blocking`` fixture pins the row-block threshold and the core count
-that block budgets come from, so tests of the blocked readout run the same
-blocks and pools on a 1-core machine as on a many-core one.
+that worker maps and block budgets come from, so tests of the blocked readout
+and the worker maps run the same blocks, pools and processes on a 1-core
+machine as on a many-core one.
 
 Acceptance tests append one verdict line per criterion to ACCEPTANCE_LINES;
 the terminal-summary hook reprints them after the run so they stay visible
 even though pytest captures stdout of passing tests.
 """
-
-import os
 
 import pytest
 
@@ -43,13 +42,13 @@ def demo_full():
 def row_blocking(monkeypatch):
     """``row_blocking(min_rows=..., cores=...)`` sets the row-block threshold
     ``linalg._MIN_BLOCK_ROWS``, so that small shapes split into several
-    blocks, and, when ``cores`` is given, the core count that
-    ``_map_units`` divides among its workers: each unit's block budget is
+    blocks, and, when ``cores`` is given, the ``linalg.core_count`` that the
+    worker maps divide among their workers: each unit's block budget is
     ``cores // workers``. Both are restored after the test."""
 
     def configure(*, min_rows: int, cores: int | None = None) -> None:
         monkeypatch.setattr(linalg, "_MIN_BLOCK_ROWS", min_rows)
         if cores is not None:
-            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            monkeypatch.setattr(linalg, "core_count", lambda: cores)
 
     return configure

@@ -108,9 +108,9 @@ def test_03_mean_bias_degeneracy_1d(demo_full):
     locations = -layer.biases / layer.weights[0]
     all_minus_one = bool(np.all(locations == -1.0))
 
-    raem5 = run_trials(Raem5Config(), demo_full, 200, 20, as_stream(311), jobs=4)
+    raem5 = run_trials(Raem5Config(), demo_full, 200, 20, as_stream(311))
     tuned = run_trials(
-        RAlphaMConfig(alpha_max_deg=83.0), demo_full, 200, 20, as_stream(312), jobs=4
+        RAlphaMConfig(alpha_max_deg=83.0), demo_full, 200, 20, as_stream(312)
     )
     mean_raem5 = float(np.mean([r.rmse_test for r in raem5]))
     mean_tuned = float(np.mean([r.rmse_test for r in tuned]))
@@ -168,7 +168,7 @@ def test_05_tf1_benchmark_row():
     means = []
     gates_ok = True
     for i, (label, cfg, gate) in enumerate(methods):
-        reports = run_trials(cfg, problem, 800, 10, stream.child(1, i), jobs=4)
+        reports = run_trials(cfg, problem, 800, 10, stream.child(1, i))
         errs = [r.rmse_test for r in reports]
         errors.append(errs)
         means.append(float(np.mean(errs)))
@@ -184,7 +184,7 @@ def test_05_tf1_benchmark_row():
     for j, tf in enumerate([TargetFunction("TF2", 5), TargetFunction("TF3", 10)]):
         big = sample_problem(tf, stream.child(2, j))
         for k, (_, cfg, _) in enumerate(methods):
-            reports = run_trials(cfg, big, 100, 1, stream.child(3, j, k), jobs=1)
+            reports = run_trials(cfg, big, 100, 1, stream.child(3, j, k))
             smoke_ok = smoke_ok and np.isfinite(reports[0].rmse_test)
     elapsed = time.perf_counter() - t0
     record(

@@ -2,15 +2,20 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import randnet
 from randnet import linalg
 from randnet.dataio import load_csv
 from randnet.experiment.cli import main
 from randnet.experiment.config import build_config, describe_config, load_config_file
-from randnet.errors import ConfigError
+from randnet.errors import ConfigError, NumericFailureError
+from randnet.experiment import trials
 from randnet.model import load_network, predict, rmse
 
 
@@ -120,7 +125,8 @@ class TestFit:
 
     def test_outputs_identical_across_block_budgets_and_jobs(self, tmp_path, row_blocking):
         # at min_rows 64 the 600x20 train and test H are built and reduced
-        # in 4 blocks; (cores, jobs) give block budgets 1, 2, 1, 1 and 2
+        # in 4 blocks; the two trials run on min(2, cores) processes, so the
+        # cores give block budgets 1, 1, 1, 1 and 2 whatever --jobs says
         outs = []
         for cores, jobs in [(1, 1), (2, 1), (2, 2), (2, 4), (4, 2)]:
             row_blocking(min_rows=64, cores=cores)
@@ -232,6 +238,73 @@ class TestCompare:
         for entry in s["methods"]:
             assert entry["chosen"]["m"] in (5, 10)
             assert entry["nodes"] == entry["chosen"]["m"]
+
+
+def fork_map_commands(out, trials=6):
+    """A ``compare --cv``, a ``grid-search`` and a ``uae-sweep``, small
+    enough to run many times, each writing to its own directory in out."""
+    grid = ["--grid-nodes", "5,10", "--grid-intervals", "0.5,2", "--folds", "3"]
+    return [
+        ["compare", *tiny_tf_args(out / "cmp", trials=trials), "--cv", "--method", "ram",
+         "--method", "raem5", "--method", "raem1", *grid],
+        ["grid-search", *tiny_tf_args(out / "gs"), "--method", "ralpham",
+         "--grid-nodes", "5,10", "--grid-intervals", "45,90", "--folds", "3"],
+        ["uae-sweep", *tiny_tf_args(out / "sw", trials=2), "--method", "raem1",
+         "--sweep-values", "0.05,0.5,5.0"],
+    ]
+
+
+class TestWorkerProcesses:
+    def test_outputs_identical_across_core_counts_and_jobs(self, tmp_path, monkeypatch):
+        # the grid search, the sweep and the trials fork min(fits, cores)
+        # processes at any --jobs; cores 1 runs every fit in the calling process
+        outs = []
+        for cores, jobs in [(1, 1), (2, 1), (2, 2), (4, 2), (4, 4)]:
+            monkeypatch.setattr(linalg, "core_count", lambda: cores)
+            out = tmp_path / f"cores{cores}-jobs{jobs}"
+            for argv in fork_map_commands(out):
+                assert run(*argv, "--jobs", jobs) == 0
+            outs.append(out)
+        names = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+        assert len(names) == 8
+        for name in names:
+            assert len({(out / name).read_bytes() for out in outs}) == 1, name
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_numeric_failure_in_a_helper_exits_with_its_code(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(linalg, "core_count", lambda: 2)
+        caller, fit_trial = os.getpid(), trials.fit_trial
+
+        def fails_in_helpers(*args):
+            if os.getpid() != caller:
+                raise NumericFailureError("SVD did not converge in a helper")
+            return fit_trial(*args)
+
+        monkeypatch.setattr(trials, "fit_trial", fails_in_helpers)
+        argv = fork_map_commands(tmp_path)[1]
+        assert run(*argv) == 4
+        assert "numeric failure: SVD did not converge in a helper" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_commands_do_not_warn(self, tmp_path, jobs):
+        # each command in a fresh interpreter that turns any warning into an
+        # error, as forking the helper processes could raise one
+        src = os.path.dirname(os.path.dirname(randnet.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv in fork_map_commands(tmp_path):
+            if argv[0] == "grid-search":
+                continue
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "randnet.experiment.cli",
+                 *map(str, argv), "--jobs", str(jobs)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestEmitAndHistogram:

@@ -1,10 +1,14 @@
 """Repeated trials, cross-validation, and the encoder-interval sweep."""
 
+import errno
+import os
+import time
+
 import numpy as np
 import pytest
 
 from randnet.dataio import Dataset
-from randnet.errors import ConfigError, InvalidInputError
+from randnet.errors import ConfigError, InvalidInputError, NumericFailureError
 from randnet.benchfn import SampledProblem
 from randnet.experiment import trials
 from randnet.experiment.stats import wilcoxon_signed_rank
@@ -66,21 +70,28 @@ def recording_pool(sizes: list):
 
 class TestWorkerPool:
     def test_workers_capped_at_core_count(self, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(trials, "ThreadPoolExecutor", recording_pool(sizes))
-        monkeypatch.setattr(trials.os, "cpu_count", lambda: 2)
-        assert trials._map_units(lambda i: i * i, 6, 10**6) == [0, 1, 4, 9, 16, 25]
-        assert trials._map_units(lambda i: i, 3, 2) == [0, 1, 2]
-        assert sizes == [2, 2]
-        monkeypatch.setattr(trials.os, "cpu_count", lambda: 1)
-        assert trials._map_units(lambda i: i, 3, 10**6) == [0, 1, 2]
-        assert sizes == [2, 2]
+        monkeypatch.setattr(linalg, "core_count", lambda: 2)
+        assert trials._fork_map(lambda i: i * i, 6) == [0, 1, 4, 9, 16, 25]
+        assert len(set(trials._fork_map(lambda i: os.getpid(), 6))) == 2
+        monkeypatch.setattr(linalg, "core_count", lambda: 1)
+        assert trials._fork_map(lambda i: os.getpid(), 3) == [os.getpid()] * 3
+        assert_no_child_left()
+
+    def test_core_count_follows_cpu_affinity(self, monkeypatch):
+        # pinned to one of two cores, a map of one fit gets one core's budget
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert linalg.core_count() == 1
+        assert trials._fork_map(lambda i: linalg._budget.cores, 1) == [1]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert linalg.core_count() == 2
 
     def test_row_blocks_run_only_on_cores_the_workers_leave_idle(
         self, monkeypatch, row_blocking
     ):
-        units, blocks = [], []
-        monkeypatch.setattr(trials, "ThreadPoolExecutor", recording_pool(units))
+        # each fit returns the sizes of the block pools it started, which
+        # a forked helper records in its own copy of ``blocks``
+        blocks = []
         monkeypatch.setattr(linalg, "ThreadPoolExecutor", recording_pool(blocks))
         row_blocking(min_rows=8, cores=2)
         rng = np.random.default_rng(0)
@@ -88,34 +99,116 @@ class TestWorkerPool:
         assert len(linalg.row_blocks(80, 3)) == 4
 
         def solve(i):
-            return lstsq(a, t)
+            start = len(blocks)
+            lstsq(a, t)
+            return blocks[start:]
 
-        solve(0)  # outside any map the budget is one block at a time
-        assert (units, blocks) == ([], [])
-        trials._map_units(solve, 1, 1)  # one unit: its blocks take both cores
-        assert (units, blocks) == ([], [2])
-        trials._map_units(solve, 2, 2)  # the workers fill the cores
-        trials._map_units(solve, 3, 4)
-        assert (units, blocks) == ([2, 2], [2])
+        assert solve(0) == []  # outside any map the budget is one block at a time
+        assert trials._fork_map(solve, 1) == [[2]]  # one fit: its blocks take both cores
+        assert trials._fork_map(solve, 2) == [[], []]  # the workers fill the cores
+        assert trials._fork_map(solve, 3) == [[], [], []]
         row_blocking(min_rows=8, cores=4)
-        trials._map_units(solve, 2, 2)  # each worker leaves one core idle
-        assert (units, blocks) == ([2, 2, 2], [2, 2, 2])
+        assert trials._fork_map(solve, 2) == [[2], [2]]  # each leaves one core idle
+        assert_no_child_left()
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_blas_on_one_thread_inside_and_restored_after(self, jobs):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_blas_on_one_thread_inside_and_restored_after(self, monkeypatch, cores):
         handles = _openblas_handles()
         if not handles:
             pytest.skip("no bundled OpenBLAS")
+        monkeypatch.setattr(linalg, "core_count", lambda: cores)
         saved = [get() for get, _ in handles]
         try:
             for _, set_ in handles:
                 set_(2)
-            seen = trials._map_units(lambda i: [get() for get, _ in handles], 2, jobs)
-            assert seen == [[1] * len(handles)] * 2
+            seen = trials._fork_map(lambda i: [get() for get, _ in handles], 4)
+            assert seen == [[1] * len(handles)] * 4
             assert [get() for get, _ in handles] == [2] * len(handles)
         finally:
             for (_, set_), count in zip(handles, saved):
                 set_(count)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Interrupt(BaseException):
+    """Stands in for an interrupt: not an Exception, so no fit handler catches it."""
+
+
+class TestForkMap:
+    def test_split_is_fixed_by_the_fit_count_and_the_caller_runs_fit_zero(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(linalg, "core_count", lambda: 3)
+        pids = [int(pid) for (pid,) in trials._fork_map(lambda i: (os.getpid(),), 8)]
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == 3
+        assert pids == [pids[i % 3] for i in range(8)]
+        # at most one process per fit, whatever the core count
+        monkeypatch.setattr(linalg, "core_count", lambda: 4)
+        assert len(set(trials._fork_map(lambda i: (os.getpid(),), 2))) == 2
+        assert trials._fork_map(lambda i: (float(i), 0.5 * i), 5) == [
+            (float(i), 0.5 * i) for i in range(5)
+        ]
+        assert_no_child_left()
+
+    def test_serial_in_the_caller_where_fork_is_missing(self, monkeypatch):
+        monkeypatch.setattr(linalg, "core_count", lambda: 4)
+        monkeypatch.delattr(os, "fork")
+        assert trials._fork_map(lambda i: (os.getpid(),), 6) == [(os.getpid(),)] * 6
+
+    def test_helper_failure_surfaces_with_its_type(self, monkeypatch):
+        monkeypatch.setattr(linalg, "core_count", lambda: 2)
+
+        def fit(i):
+            if i in (3, 4):  # fit 3 runs in the helper, fit 4 in the caller
+                raise NumericFailureError(f"fit {i} failed")
+            return (float(i),)
+
+        # the lowest failing fit wins, as in a serial run, and its cause
+        # carries the helper's traceback down to the failing line
+        with pytest.raises(NumericFailureError, match="fit 3 failed") as info:
+            trials._fork_map(fit, 6)
+        assert isinstance(info.value.__cause__, trials._RemoteTraceback)
+        assert 'raise NumericFailureError(f"fit {i} failed")' in str(info.value.__cause__)
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_failed_fork_leaks_no_pipe_and_no_helper(self, monkeypatch):
+        monkeypatch.setattr(linalg, "core_count", lambda: 3)
+        real_fork, forks = os.fork, []
+
+        def fork():  # the second fork fails, as near the process limit
+            if forks:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            trials._fork_map(lambda i: i, 6)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert_no_child_left()
+
+    def test_interrupt_in_the_callers_share_reaps_every_helper(self, monkeypatch):
+        monkeypatch.setattr(linalg, "core_count", lambda: 3)
+        caller = os.getpid()
+
+        def fit(i):
+            if os.getpid() == caller:
+                raise Interrupt
+            time.sleep(60)  # a helper is killed, never waited out
+            return (0.0,)
+
+        start = time.monotonic()
+        with pytest.raises(Interrupt):
+            trials._fork_map(fit, 6)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
 
 
 class TestRunTrials:
@@ -131,11 +224,15 @@ class TestRunTrials:
         assert all(np.isfinite(r.rmse_test) and r.rmse_test >= 0 for r in reports)
         assert [r.trial for r in reports] == list(range(100))
 
-    def test_parallel_execution_matches_serial(self, demo_small):
+    def test_parallel_execution_matches_serial(self, demo_small, monkeypatch):
         cfg = Raem1Config(u_ae=0.5)
+        monkeypatch.setattr(linalg, "core_count", lambda: 1)
         serial = run_trials(cfg, demo_small, 12, 8, 5, snapshot_weights=True)
-        threaded = run_trials(cfg, demo_small, 12, 8, 5, snapshot_weights=True, jobs=4)
-        assert reports_equal(serial, threaded)
+        monkeypatch.setattr(linalg, "core_count", lambda: 4)
+        forked = run_trials(cfg, demo_small, 12, 8, 5, snapshot_weights=True)
+        assert reports_equal(serial, forked)
+        assert all(np.array_equal(r.network.readout.beta, s.network.readout.beta)
+                   for r, s in zip(serial, forked))
 
     def test_trial_subsets_are_stable(self, demo_small):
         # the first k reports do not depend on how many trials run in total
@@ -290,10 +387,12 @@ class TestCrossValidate:
         b = cross_validate(grid, "ralpham", demo_small.train)
         assert a.table[0].mean_rmse == b.table[0].mean_rmse
 
-    def test_parallel_matches_serial(self, demo_small):
+    def test_parallel_matches_serial(self, demo_small, monkeypatch):
         grid = GridSearchConfig(node_counts=[5, 9], interval_grid=[1.0, 4.0], seed=5)
+        monkeypatch.setattr(linalg, "core_count", lambda: 1)
         a = cross_validate(grid, "ram", demo_small.train)
-        b = cross_validate(grid, "ram", demo_small.train, jobs=4)
+        monkeypatch.setattr(linalg, "core_count", lambda: 4)
+        b = cross_validate(grid, "ram", demo_small.train)
         assert [(c.m, c.interval, c.mean_rmse) for c in a.table] == [
             (c.m, c.interval, c.mean_rmse) for c in b.table
         ]
