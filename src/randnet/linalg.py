@@ -14,9 +14,15 @@ their own triangle, and the triangles, stacked in block order, by one more
 QR (TSQR: Demmel et al., SIAM J. Sci. Comput. 2012). So no full-size copy of
 ``[a | rhs]`` is made, and ``map_blocks`` can reduce the blocks on the cores
 a worker pool leaves idle. ``reduce_tall`` takes a function that returns one
-block's rows, so a caller such as the network readout can build each block
-when it is reduced and never hold ``a`` whole; ``solve_reduced`` then solves
-on the triangle as ``lstsq`` does.
+block's rows in a fresh F-ordered buffer, so a caller such as the network
+readout can build each block when it is reduced and never hold ``a`` whole;
+``solve_reduced`` then solves on the triangle as ``lstsq`` does.
+
+``qr_triangle`` factorizes each such buffer where it lies, with LAPACK
+``dgeqrf`` from the OpenBLAS bundled in the numpy wheel, bound through
+ctypes, so a block in flight is held once. Its triangle is bitwise
+``np.linalg.qr``'s, which calls the same routine on a copy; where numpy
+bundles no OpenBLAS, ``np.linalg.qr`` is called instead.
 
 ``single_thread_blas`` pins the BLAS under those solves to one thread while
 a worker pool runs, and ``block_budget`` hands each of the pool's units the
@@ -28,6 +34,7 @@ these.
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import importlib.util
 import os
@@ -117,6 +124,39 @@ def pseudoinverse(m, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
     return (fac.vt.T * s_inv) @ fac.u.T
 
 
+def qr_triangle(buf: np.ndarray) -> np.ndarray:
+    """The triangle R of the Householder QR of ``buf``, bitwise equal to
+    ``np.linalg.qr(buf, mode="r")``, computed in ``buf``, which it overwrites.
+
+    ``buf`` must be a writeable, F-contiguous float64 matrix. LAPACK
+    ``dgeqrf`` of numpy's bundled OpenBLAS factorizes it where it lies: first
+    a workspace query, then the call with the workspace it asked for, as
+    numpy makes them, since a smaller workspace takes another path and moves
+    bits. Without that library numpy factorizes a copy.
+    """
+    if not (isinstance(buf, np.ndarray) and buf.ndim == 2 and buf.dtype == np.float64
+            and buf.flags.f_contiguous and buf.flags.writeable):
+        raise InvalidInputError("QR buffer must be a writeable, F-contiguous float64 matrix")
+    geqrf = _dgeqrf()
+    if geqrf is None:
+        return np.linalg.qr(buf, mode="r")
+    rows, cols = buf.shape
+    tau = np.empty(min(rows, cols))
+    info = ctypes.c_int64(0)
+
+    def call(work: np.ndarray, lwork: int) -> None:
+        geqrf(_int64(rows), _int64(cols), buf, _int64(max(1, rows)), tau, work,
+              _int64(lwork), ctypes.byref(info))
+        if info.value != 0:
+            raise NumericFailureError(f"QR factorization failed: dgeqrf info {info.value}")
+
+    query = np.empty(1)
+    call(query, -1)
+    lwork = max(1, int(query[0]))
+    call(np.empty(lwork), lwork)
+    return np.triu(buf[: tau.size])
+
+
 def reduce_tall(augmented, blocks: list[slice], cols: int) -> tuple[np.ndarray, np.ndarray]:
     """``(R, Q' rhs)`` of the thin QR ``a = Q R`` of a matrix with more rows
     than ``cols`` columns, from the triangle of the QR of ``[a | rhs]``; Q is
@@ -126,18 +166,19 @@ def reduce_tall(augmented, blocks: list[slice], cols: int) -> tuple[np.ndarray, 
     solution.
 
     ``augmented(block)`` returns the ``[a | rhs]`` rows of one of ``blocks``,
-    the ``row_blocks`` of ``a``. Each is reduced to its own triangle and may
-    be dropped; more than one triangle are stacked in block order and
-    reduced again. The triangles equal R up to the signs of rows, which do
-    not change the solution."""
-
-    def triangle(rows: slice) -> np.ndarray:
-        return np.linalg.qr(augmented(rows), mode="r")
-
+    the ``row_blocks`` of ``a``, in a fresh F-ordered buffer that this
+    function consumes: ``qr_triangle`` overwrites it with its factorization.
+    More than one triangle are stacked in block order into one more buffer
+    and reduced again. The triangles equal R up to the signs of rows, which
+    do not change the solution."""
     try:
-        triangles = map_blocks(triangle, blocks)
-        r = triangles[0] if len(triangles) == 1 else np.linalg.qr(
-            np.vstack(triangles), mode="r")
+        triangles = map_blocks(lambda rows: qr_triangle(augmented(rows)), blocks)
+        if len(triangles) == 1:
+            r = triangles[0]
+        else:
+            stacked = np.empty((sum(len(t) for t in triangles), triangles[0].shape[1]),
+                               order="F")
+            r = qr_triangle(np.concatenate(triangles, out=stacked))
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"QR factorization failed: {exc}") from exc
     return r[:cols, :cols], r[:cols, cols:]
@@ -184,8 +225,11 @@ def lstsq(m, t, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError(f"ridge system is singular: {exc}") from exc
     elif a.shape[0] > a.shape[1]:
-        r, c = reduce_tall(lambda rows: np.hstack([a[rows], rhs[rows]]),
-                           row_blocks(*a.shape), a.shape[1])
+        def augmented(rows: slice) -> np.ndarray:
+            buf = np.empty((rows.stop - rows.start, a.shape[1] + rhs.shape[1]), order="F")
+            return np.concatenate([a[rows], rhs[rows]], axis=1, out=buf)
+
+        r, c = reduce_tall(augmented, row_blocks(*a.shape), a.shape[1])
         x = solve_reduced(r, c, a.shape, cfg)
     else:
         x = solve_reduced(a, rhs, a.shape, cfg)
@@ -206,6 +250,23 @@ _blas_users = 0
 _blas_saved: list[int] = []
 
 
+def _loaded_libraries(package: str, pattern: str) -> list:
+    """The libraries matching ``pattern`` in ``package``'s bundled
+    ``<package>.libs`` directory that this process has already loaded. A
+    library not yet loaded is skipped, never loaded here."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or spec.origin is None:
+        return []
+    site = os.path.dirname(os.path.dirname(spec.origin))
+    libs = []
+    for path in sorted(glob.glob(os.path.join(site, package + ".libs", pattern))):
+        try:
+            libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD))
+        except OSError:
+            continue
+    return libs
+
+
 def _openblas_handles() -> list:
     """(get, set) thread-count functions of each bundled OpenBLAS copy that
     is already loaded.
@@ -219,22 +280,43 @@ def _openblas_handles() -> list:
     if _blas_handles is None:
         handles = []
         for package, pattern, suffix in _OPENBLAS_COPIES:
-            spec = importlib.util.find_spec(package)
-            if spec is None or spec.origin is None:
-                continue
-            site = os.path.dirname(os.path.dirname(spec.origin))
-            for path in sorted(glob.glob(os.path.join(site, package + ".libs", pattern))):
+            for lib in _loaded_libraries(package, pattern):
                 try:
-                    lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
                     get = lib["scipy_openblas_get" + suffix]
                     set_ = lib["scipy_openblas_set" + suffix]
-                except (OSError, AttributeError):
+                except AttributeError:
                     continue
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 handles.append((get, set_))
         _blas_handles = handles
     return _blas_handles
+
+
+_F64 = np.ctypeslib.ndpointer(np.float64)
+
+
+@functools.cache
+def _dgeqrf():
+    """LAPACK ``dgeqrf`` of numpy's bundled OpenBLAS, or None where numpy
+    bundles none. That copy is ILP64, so every integer argument is a pointer
+    to an int64. A ctypes call releases the GIL, so blocks factorized on
+    ``map_blocks`` threads run in parallel."""
+    package, pattern, _ = _OPENBLAS_COPIES[0]
+    for lib in _loaded_libraries(package, pattern):
+        try:
+            geqrf = lib["scipy_dgeqrf_64_"]
+        except AttributeError:
+            continue
+        int64 = ctypes.POINTER(ctypes.c_int64)
+        geqrf.argtypes = [int64, int64, _F64, int64, _F64, _F64, int64, int64]
+        geqrf.restype = None
+        return geqrf
+    return None
+
+
+def _int64(value: int):
+    return ctypes.byref(ctypes.c_int64(value))
 
 
 @contextmanager

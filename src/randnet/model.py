@@ -8,8 +8,9 @@ H is built by ``build_hidden`` in tiles of ``tile_rows`` rows, about 64K
 entries each, so every elementwise pass over a tile stays in cache. Every
 entry is computed by the same operations whatever the tiling, so H is
 bitwise the same. A tall fit streams H into the blocked QR of ``linalg``:
-each row block of ``[H | t]`` is built into its own buffer, reduced to its
-triangle and dropped, so the fit never holds all of H. ``solve_readout`` is
+each row block of ``[H | t]`` is built into its own F-ordered buffer,
+factorized there to its triangle and dropped, so the fit never holds all of
+H, and holds each block in flight once. ``solve_readout`` is
 that fit for any target t, the readout's y or the autoencoder decoder's
 inputs X. ``predict`` likewise multiplies one tile at a time by the readout.
 """
@@ -198,11 +199,12 @@ def solve_readout(
     ``lstsq(hidden_outputs(layer, x), t, cfg)``; and ``H``, if the solve
     held it whole, else None.
 
-    With more rows than nodes and no ridge term, H is never held whole: each
-    row block of ``row_blocks`` is built, tile by tile, into one
-    ``[H_b | t_b]`` buffer, which ``reduce_tall`` reduces to its triangle
-    and drops; ``solve_reduced`` then solves as ``lstsq`` does. Other fits
-    solve ``lstsq`` on H.
+    A fit of several ``row_blocks`` (more rows than nodes, no ridge term)
+    never holds H whole: each block is built, tile by tile, into one
+    F-ordered ``[H_b | t_b]`` buffer, which ``reduce_tall`` factorizes in
+    place and drops; ``solve_reduced`` then solves as ``lstsq`` does. Other
+    fits build H, C-ordered so that ``H @ B`` is bitwise ``predict``'s, and
+    solve ``lstsq`` on it, which copies each block into such a buffer.
     """
     t = np.asarray(t, dtype=float)
     x = _inputs(layer, x)
@@ -210,29 +212,23 @@ def solve_readout(
         raise InvalidInputError(
             f"target shape {t.shape} does not match {x.shape[0]} input rows"
         )
-    m = layer.node_count
-    if cfg.ridge_lambda is not None or x.shape[0] <= m:
-        h = hidden_outputs(layer, x)
-        return lstsq(h, t, cfg), h
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
         raise InvalidInputError("training inputs or targets contain non-finite values")
+    m = layer.node_count
+    blocks = row_blocks(x.shape[0], m)
+    if cfg.ridge_lambda is not None or x.shape[0] <= m or len(blocks) == 1:
+        h = hidden_outputs(layer, x)
+        return lstsq(h, t, cfg), h
     rhs = t.reshape(x.shape[0], -1)
 
     def augmented(rows: slice) -> np.ndarray:
-        ht = np.empty((rows.stop - rows.start, m + rhs.shape[1]))
+        ht = np.empty((rows.stop - rows.start, m + rhs.shape[1]), order="F")
         build_hidden(x[rows], layer.weights, layer.biases, ht[:, :m])
         ht[:, m:] = rhs[rows]
         return ht
 
-    # np.linalg.qr factorizes a copy, so one block's [H | t] outlives its QR
-    # and is returned as H; several blocks are each dropped after theirs.
-    blocks = row_blocks(x.shape[0], m)
-    whole = augmented(blocks[0]) if len(blocks) == 1 else None
-    r, c = reduce_tall(augmented if whole is None else lambda rows: whole, blocks, m)
-    solution = solve_reduced(r, c, (x.shape[0], m), cfg)
-    if t.ndim == 1:
-        solution = solution[:, 0]
-    return solution, None if whole is None else whole[:, :m]
+    solution = solve_reduced(*reduce_tall(augmented, blocks, m), (x.shape[0], m), cfg)
+    return (solution[:, 0] if t.ndim == 1 else solution), None
 
 
 def train_readout(

@@ -3,12 +3,12 @@
 A random sigmoid encoder maps inputs to an m-dimensional code; the linear
 decoder V that reconstructs the inputs is fitted in one least-squares solve.
 The encoder is a ``HiddenLayer`` and V its readout with the inputs as
-targets, so ``model.solve_readout`` fits V as it fits the network's readout
-and never holds the whole code matrix. The decoder rows then become the
-network's hidden weights (A = V'). Five variants differ in how the encoder
-parameters and the network biases are chosen; variant 1 additionally tunes
-the encoder weight interval, which controls how steep the produced sigmoids
-are.
+targets, so ``model.solve_readout`` fits V as it fits the network's readout;
+a fit of several row blocks never holds the whole code matrix. The decoder
+rows then become the network's hidden weights (A = V'). Five variants differ
+in how the encoder parameters and the network biases are chosen; variant 1
+additionally tunes the encoder weight interval, which controls how steep the
+produced sigmoids are.
 """
 
 from __future__ import annotations

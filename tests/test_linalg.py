@@ -5,6 +5,7 @@ than against another library routine; square solves are cross-checked with a
 pure-Python Gaussian elimination written here.
 """
 
+import glob
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import randnet
 from randnet import linalg
@@ -276,13 +277,16 @@ def test_tall_cutoff_uses_the_original_row_count(row_blocking):
 ])
 def test_lapack_failure_is_a_numeric_failure(monkeypatch, row_blocking, routine, fails):
     # at min_rows 8 the 80x3 matrix is reduced in 4 blocks of 20 rows on a
-    # pool of 2, and their 4 triangles of 4 rows by a merge QR of 16 rows
+    # pool of 2, and their 4 triangles of 4 rows by a merge QR of 16 rows;
+    # the QR is linalg.qr_triangle, whose failure is a NumericFailureError
     row_blocking(min_rows=8)
     rng = np.random.default_rng(22)
     rows = 9 if fails == "every call" else 80
     a = rng.normal(size=(rows, 3))
     blocks = linalg.row_blocks(rows, 3)
-    real = getattr(np.linalg, routine)
+    owner, attr = (linalg, "qr_triangle") if routine == "qr" else (np.linalg, "svd")
+    real = getattr(owner, attr)
+    failure = NumericFailureError if routine == "qr" else np.linalg.LinAlgError
     callers = []
 
     def failing(m, *args, **kwargs):
@@ -290,16 +294,72 @@ def test_lapack_failure_is_a_numeric_failure(monkeypatch, row_blocking, routine,
         if (fails == "every call"
                 or (fails == "second block" and np.array_equal(m[:, :3], a[blocks[1]]))
                 or (fails == "merge" and m.shape[0] == 4 * len(blocks))):
-            raise np.linalg.LinAlgError("simulated non-convergence")
+            raise failure("simulated non-convergence")
         return real(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, routine, failing)
+    monkeypatch.setattr(owner, attr, failing)
     with linalg.block_budget(2), pytest.raises(NumericFailureError):
         lstsq(a, np.ones(rows))
     if fails != "every call":
         assert len(blocks) == 4
         assert any(name.startswith("randnet-block") for name in callers)
     assert not [t for t in threading.enumerate() if t.name.startswith("randnet-block")]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    cols=st.integers(1, 300),
+    extra_rows=st.integers(0, 2000),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+    seed=st.integers(0, 2**32 - 1),
+    fallback=st.booleans(),
+)
+@example(cols=300, extra_rows=2000, scale=1e8, seed=0, fallback=False)
+@example(cols=1, extra_rows=0, scale=1e-8, seed=1, fallback=False)
+def test_qr_triangle_is_numpys_r_bit_for_bit(monkeypatch, cols, extra_rows, scale, seed,
+                                             fallback):
+    a = np.random.default_rng(seed).normal(size=(cols + extra_rows, cols)) * scale
+    buf = np.asfortranarray(a.copy())
+    with monkeypatch.context() as patch:
+        if fallback:
+            patch.setattr(linalg, "_dgeqrf", lambda: None)
+        r = linalg.qr_triangle(buf)
+    assert r.tobytes() == np.linalg.qr(a, mode="r").tobytes()
+    assert r.flags.c_contiguous
+
+
+def test_qr_triangle_binds_the_bundled_openblas():
+    # a silent fallback to np.linalg.qr would hide a lost in-place path
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    if not glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas64_*")):
+        pytest.skip("numpy bundles no OpenBLAS")
+    assert linalg._dgeqrf() is not None
+
+
+def test_qr_triangle_overwrites_only_what_it_may():
+    rng = np.random.default_rng(24)
+    a = rng.normal(size=(30, 4))
+    frozen = np.asfortranarray(a)
+    frozen.flags.writeable = False
+    for bad in (a.copy(), frozen, np.asfortranarray(a, dtype=np.float32),
+                a[:, 0].copy(), np.asfortranarray(a)[::2]):
+        before = bad.copy()
+        with pytest.raises(InvalidInputError):
+            linalg.qr_triangle(bad)
+        assert np.array_equal(bad, before)
+    buf = np.asfortranarray(a)
+    linalg.qr_triangle(buf)
+    assert not np.array_equal(buf, a)
+
+
+def test_qr_triangle_info_is_a_numeric_failure(monkeypatch):
+    def geqrf(*args):
+        args[-1]._obj.value = -4
+
+    monkeypatch.setattr(linalg, "_dgeqrf", lambda: geqrf)
+    with pytest.raises(NumericFailureError, match="info -4"):
+        linalg.qr_triangle(np.ones((5, 2), order="F"))
 
 
 def test_ridge_small_lambda_matches_unregularized():
@@ -362,22 +422,37 @@ def test_single_thread_blas_survives_concurrent_users():
 
 
 def test_cli_import_and_pinning_load_no_scipy():
-    # scipy's OpenBLAS copy is pinned only if something else loaded it
+    # scipy's OpenBLAS copy is pinned only if something else loaded it, and
+    # resolving numpy's dgeqrf for the in-place QR loads no library either
     probe = """
 import ctypes, glob, importlib.util, os, sys
+import numpy as np
 import randnet.experiment.cli
-from randnet.linalg import single_thread_blas
-with single_thread_blas():
+from randnet import linalg
+
+def loaded():
+    found = set()
+    for package in ("numpy", "scipy"):
+        spec = importlib.util.find_spec(package)
+        site = os.path.dirname(os.path.dirname(spec.origin)) if spec and spec.origin else ""
+        for path in glob.glob(os.path.join(site, package + ".libs", "*")):
+            try:
+                ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            except OSError:
+                continue
+            found.add(path)
+    return found
+
+before = loaded()
+with linalg.single_thread_blas():
     pass
+linalg._dgeqrf()
+linalg.qr_triangle(np.ones((3, 2), order="F"))
 assert "scipy" not in sys.modules, "scipy was imported"
-spec = importlib.util.find_spec("scipy")
-site = os.path.dirname(os.path.dirname(spec.origin)) if spec and spec.origin else ""
-for path in glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas-*")):
-    try:
-        ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-    except OSError:
-        continue
-    sys.exit("loaded " + path)
+after = loaded()
+if after != before or any("scipy.libs" in path for path in after):
+    sys.exit(f"loaded {sorted(after - before)}, of which scipy's "
+             f"{sorted(path for path in after if 'scipy.libs' in path)}")
 """
     src = os.path.dirname(os.path.dirname(randnet.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -292,6 +292,22 @@ class TestTrainReadout:
             tracemalloc.stop()
         assert peak < 4000 * 100 * 8
 
+    def test_streamed_readout_holds_under_two_block_buffers(self):
+        # 40000x50 in 8 blocks at block budget 1: one block's [H | y] is
+        # 5000x51 floats, 2.04 MB, and the QR factorizes it where it lies
+        rng = np.random.default_rng(14)
+        layer = random_layer(rng, 2, 50)
+        x = rng.uniform(size=(40000, 2))
+        y = rng.normal(size=40000)
+        assert len(linalg.row_blocks(40000, 50)) == 8
+        tracemalloc.start()
+        try:
+            solve_readout(layer, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 5000 * 51 * 8
+
     def test_non_finite_training_data_rejected(self):
         rng = np.random.default_rng(13)
         layer = random_layer(rng, 2, 5)
