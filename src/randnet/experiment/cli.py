@@ -236,8 +236,7 @@ def _trial_methods(run: Run, tune: bool = False) -> tuple[list, list]:
             cv_table.extend(cv_rows(family, result.table))
         else:
             method = cfg.generator(i)
-        reports = run_trials(method, run.problem, nodes, cfg.trials, cfg.trial_stream(i),
-                             snapshot_weights=True)
+        reports = run_trials(method, run.problem, nodes, cfg.trials, cfg.trial_stream(i))
         entry = {"method": method_to_dict(method), "nodes": nodes, **method_summary(reports)}
         if chosen:
             entry["chosen"] = chosen
@@ -332,8 +331,10 @@ def cmd_compare(args) -> int:
                 "statistic": res.statistic,
                 "p_value": res.p_value,
             })
-    hist_table = [row for family, reports in results for row in
-                  histogram_rows(family, weight_histogram(reports, cfg.histogram_bins))]
+    hist_table = []
+    for family, reports in results:
+        layers = [r.network.hidden for r in reports]
+        hist_table.extend(histogram_rows(family, weight_histogram(layers, cfg.histogram_bins)))
     _write_results(run, results)
     run.write_table("histogram", HISTOGRAM_COLUMNS, hist_table)
     if cv_table:

@@ -120,14 +120,12 @@ class Histogram(NamedTuple):
     counts: np.ndarray
 
 
-def weight_histogram(reports, bins: int = 50) -> Histogram:
-    """Pooled histogram of the ``.weights`` of trial reports (their
-    snapshots) or of hidden layers."""
-    pools = [r.weights.ravel() for r in reports if r.weights is not None]
-    if not pools:
-        raise InvalidInputError("no weight snapshots recorded; rerun with snapshots on")
+def weight_histogram(layers, bins: int = 50) -> Histogram:
+    """Pooled histogram of the weights of hidden layers."""
+    if not layers:
+        raise InvalidInputError("need at least one hidden layer")
     if bins < 1:
         raise InvalidInputError(f"bins must be >= 1, got {bins}")
-    pooled = np.concatenate(pools)
+    pooled = np.concatenate([layer.weights.ravel() for layer in layers])
     counts, edges = np.histogram(pooled, bins=bins)
     return Histogram(edges=edges, counts=counts)

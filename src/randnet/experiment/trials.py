@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-import time
 import traceback
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, NoReturn, Optional, Sequence, TypeVar
@@ -45,9 +44,7 @@ class TrialReport:
     seed: int
     rmse_train: float
     rmse_test: float
-    wall_time_s: float
-    weights: Optional[np.ndarray] = None
-    network: Optional[TrainedNetwork] = None
+    network: TrainedNetwork
 
     def __post_init__(self):
         if self.rmse_train < 0 or self.rmse_test < 0:
@@ -55,10 +52,9 @@ class TrialReport:
 
 
 class TrialFit(NamedTuple):
-    """Trained network of one trial and its train and test RMSE."""
+    """Trained network of one trial and its test RMSE."""
 
     network: TrainedNetwork
-    rmse_train: float
     rmse_test: float
 
 
@@ -70,16 +66,18 @@ def fit_trial(
     m: int,
     stream,
 ) -> TrialFit:
-    """One trial: generate a hidden layer, fit its readout, score it.
+    """One trial: generate a hidden layer, fit its readout, score it on the
+    test rows.
 
-    The train hidden outputs exist only inside the readout fit, which also
-    gives the train fit values. The test hidden outputs are built and used
-    one tile at a time by ``predict`` and never held whole.
+    The train hidden outputs exist only inside the readout fit, which
+    streams them. The test hidden outputs are built and used one tile at a
+    time by ``predict`` and never held whole. The train RMSE is left to the
+    caller that reports it, since most fits, those of the grid search and
+    the sweep, have no use for it.
     """
     layer = generate_hidden_layer(method, train.x, cube, m, stream)
-    readout, fitted = train_readout(layer, train.x, train.y, return_fitted=True)
-    net = TrainedNetwork(hidden=layer, readout=readout)
-    return TrialFit(net, rmse(fitted, train.y), rmse(predict(net, test.x), test.y))
+    net = TrainedNetwork(hidden=layer, readout=train_readout(layer, train.x, train.y))
+    return TrialFit(net, rmse(predict(net, test.x), test.y))
 
 
 def _fork_map(fit: Callable[[int], T], count: int) -> list[T]:
@@ -195,15 +193,14 @@ def run_trials(
     m: int,
     trials: int,
     seed,
-    *,
-    snapshot_weights: bool = False,
 ) -> list[TrialReport]:
     """Train `trials` independent networks and report train/test RMSE.
 
     Trial t draws all randomness from child stream t of the given seed, so
-    any subset of trials can be reproduced in isolation. The trials run on
-    every core through ``_fork_map``; a helper sends back its reports,
-    networks included.
+    any subset of trials can be reproduced in isolation. The train RMSE
+    scores ``predict`` on the train inputs, which is bitwise ``H @ beta``.
+    The trials run on every core through ``_fork_map``; a helper sends back
+    its reports, networks included.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -214,15 +211,12 @@ def run_trials(
     cube = input_hypercube(train.x)
 
     def one(t: int) -> TrialReport:
-        t0 = time.perf_counter()
         fit = fit_trial(method, train, test, cube, m, stream.child(t))
         return TrialReport(
             trial=t,
             seed=stream.seed,
-            rmse_train=fit.rmse_train,
+            rmse_train=rmse(predict(fit.network, train.x), train.y),
             rmse_test=fit.rmse_test,
-            wall_time_s=time.perf_counter() - t0,
-            weights=fit.network.hidden.weights if snapshot_weights else None,
             network=fit.network,
         )
 

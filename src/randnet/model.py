@@ -5,14 +5,16 @@ weights, by a minimum-norm least-squares solve on the hidden output matrix H.
 There are no direct input-output links and no output bias.
 
 H is built by ``build_hidden`` in tiles of ``tile_rows`` rows, about 64K
-entries each, so every elementwise pass over a tile stays in cache. Every
+entries each, so every elementwise pass over a tile stays in cache, and
+each tile's temporaries live in one work tile reused for all of them. Every
 entry is computed by the same operations whatever the tiling, so H is
-bitwise the same. A tall fit streams H into the blocked QR of ``linalg``:
-each row block of ``[H | t]`` is built into its own F-ordered buffer,
-factorized there to its triangle and dropped, so the fit never holds all of
-H, and holds each block in flight once. ``solve_readout`` is
-that fit for any target t, the readout's y or the autoencoder decoder's
-inputs X. ``predict`` likewise multiplies one tile at a time by the readout.
+bitwise the same. A tall fit (more rows than nodes, no ridge term) streams H
+into the blocked QR of ``linalg``: each row block of ``[H | t]``, one block
+included, is built into its own F-ordered buffer, factorized there to its
+triangle and dropped, so the fit never holds all of H, and holds each block
+in flight once. ``solve_readout`` is that fit for any target t, the
+readout's y or the autoencoder decoder's inputs X, and returns the solution
+alone. ``predict`` likewise multiplies one tile at a time by the readout.
 """
 
 from __future__ import annotations
@@ -117,15 +119,27 @@ def sigmoid(z, *, out=None):
         return float(sigmoid(z.reshape(1))[0])
     if out is None:
         out = np.empty_like(z)
-    upper = z >= 0
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.add(1.0, e, out=out)
-    np.copyto(e, 1.0, where=upper)
-    np.divide(e, out, out=out)
-    np.clip(out, _SIG_LO, _SIG_HI, out=out)
+    _sigmoid_tile(z, out, np.empty_like(z))
     return out
+
+
+def _sigmoid_tile(z, out, work) -> None:
+    """``sigmoid(z, out=out)`` with ``work``, an array of z's shape that is
+    neither z nor out, as its one temporary.
+
+    The numerator ``exp(min(z, 0))`` is ``exp(-|z|)`` bit for bit where
+    z < 0, and exactly 1 where z >= 0 (-0 and +inf included), so no masked
+    pass picks between the two branches.
+    """
+    np.abs(z, out=work)
+    np.negative(work, out=work)
+    np.exp(work, out=work)
+    np.minimum(z, 0.0, out=out)
+    np.exp(out, out=out)
+    work += 1.0
+    np.divide(out, work, out=out)
+    np.maximum(out, _SIG_LO, out=out)
+    np.minimum(out, _SIG_HI, out=out)
 
 
 def affine_arguments(x, weights, biases, *, out=None) -> np.ndarray:
@@ -138,10 +152,31 @@ def affine_arguments(x, weights, biases, *, out=None) -> np.ndarray:
     of the result's shape, receives the result in place of a new array.
     """
     z = np.empty((x.shape[0], weights.shape[1]), dtype=float) if out is None else out
-    z[:] = biases
-    for j in range(weights.shape[0]):
-        z += x[:, j, np.newaxis] * weights[j]
+    _affine_tile(x, weights, biases, z, np.empty_like(z))
     return z
+
+
+def _affine_tile(x, weights, biases, out, work) -> None:
+    """``affine_arguments(x, weights, biases, out=out)`` with ``work``, an
+    array of out's shape, for the products of the second input dimension
+    on. Each product is a copy of ``w_j`` scaled by ``x_j`` in place, which
+    broadcasts one operand where ``np.multiply(x_j, w_j)`` broadcasts two,
+    and the biases are added to the first: IEEE multiplication and addition
+    commute, so ``w0 x0 + b`` has the bits of ``b + x0 w0``."""
+    np.copyto(out, weights[0])
+    out *= x[:, 0, np.newaxis]
+    out += biases
+    for j in range(1, weights.shape[0]):
+        np.copyto(work, weights[j])
+        work *= x[:, j, np.newaxis]
+        out += work
+
+
+def _hidden_tile(x, weights, biases, out, work) -> None:
+    """``sigmoid(x @ weights + biases)`` into ``out``, with ``work`` as the
+    one temporary of both steps."""
+    _affine_tile(x, weights, biases, out, work)
+    _sigmoid_tile(out, out, work)
 
 
 def tile_rows(nodes: int) -> int:
@@ -157,17 +192,24 @@ def _tiles(rows: int, nodes: int) -> list[slice]:
 def build_hidden(x, weights, biases, out) -> None:
     """Write ``sigmoid(x @ weights + biases)`` into ``out``, tile by tile.
 
-    A target whose rows are not C-contiguous, such as the H columns of an
-    ``[H | y]`` buffer, has each tile built in one reused contiguous scratch
-    tile and copied in, which is faster than building into the strided view.
+    One work tile, reused for every tile, holds the temporaries of both
+    steps. A target whose rows are not C-contiguous, such as the H columns
+    of an ``[H | y]`` buffer, has each tile built in one more reused
+    contiguous tile and copied in, which is faster than building into the
+    strided view.
     """
     nodes = weights.shape[1]
-    scratch = None if out.flags.c_contiguous else np.empty(
-        (min(tile_rows(nodes), x.shape[0]), nodes))
+    height = min(tile_rows(nodes), x.shape[0])
+    if out.flags.c_contiguous:
+        work, scratch = np.empty((height, nodes)), None
+    else:
+        # one allocation for both tiles: two, at N=20000 and m=800, raised
+        # the peak resident memory of a fit by about 1 MB
+        work, scratch = np.empty((2, height, nodes))
     for rows in _tiles(x.shape[0], nodes):
-        h = out[rows] if scratch is None else scratch[: rows.stop - rows.start]
-        affine_arguments(x[rows], weights, biases, out=h)
-        sigmoid(h, out=h)
+        count = rows.stop - rows.start
+        h = out[rows] if scratch is None else scratch[:count]
+        _hidden_tile(x[rows], weights, biases, h, work[:count])
         if scratch is not None:
             out[rows] = h
 
@@ -191,20 +233,18 @@ def hidden_outputs(layer: HiddenLayer, x) -> np.ndarray:
     return h
 
 
-def solve_readout(
-    layer: HiddenLayer, x, t, cfg: SolverConfig = SolverConfig()
-) -> tuple[np.ndarray, np.ndarray | None]:
+def solve_readout(layer: HiddenLayer, x, t, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
     """Least-squares solution ``B`` of ``H B ~ t``, with ``H`` the hidden
     outputs of ``layer`` on ``x`` and ``t`` 1-D or 2-D, bitwise equal to
-    ``lstsq(hidden_outputs(layer, x), t, cfg)``; and ``H``, if the solve
-    held it whole, else None.
+    ``lstsq(hidden_outputs(layer, x), t, cfg)``.
 
-    A fit of several ``row_blocks`` (more rows than nodes, no ridge term)
-    never holds H whole: each block is built, tile by tile, into one
-    F-ordered ``[H_b | t_b]`` buffer, which ``reduce_tall`` factorizes in
-    place and drops; ``solve_reduced`` then solves as ``lstsq`` does. Other
-    fits build H, C-ordered so that ``H @ B`` is bitwise ``predict``'s, and
-    solve ``lstsq`` on it, which copies each block into such a buffer.
+    A tall fit (more rows than nodes, no ridge term) never holds H whole:
+    each of its ``row_blocks``, one block included, is built, tile by tile,
+    into one F-ordered ``[H_b | t_b]`` buffer, which ``reduce_tall``
+    factorizes in place and drops; ``solve_reduced`` then solves as
+    ``lstsq`` does. That buffer holds the values, in the layout, of the one
+    ``lstsq`` fills, so the solution is the same. Other fits build H and
+    solve ``lstsq`` on it.
     """
     t = np.asarray(t, dtype=float)
     x = _inputs(layer, x)
@@ -215,10 +255,8 @@ def solve_readout(
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
         raise InvalidInputError("training inputs or targets contain non-finite values")
     m = layer.node_count
-    blocks = row_blocks(x.shape[0], m)
-    if cfg.ridge_lambda is not None or x.shape[0] <= m or len(blocks) == 1:
-        h = hidden_outputs(layer, x)
-        return lstsq(h, t, cfg), h
+    if cfg.ridge_lambda is not None or x.shape[0] <= m:
+        return lstsq(hidden_outputs(layer, x), t, cfg)
     rhs = t.reshape(x.shape[0], -1)
 
     def augmented(rows: slice) -> np.ndarray:
@@ -227,38 +265,28 @@ def solve_readout(
         ht[:, m:] = rhs[rows]
         return ht
 
+    blocks = row_blocks(x.shape[0], m)
     solution = solve_reduced(*reduce_tall(augmented, blocks, m), (x.shape[0], m), cfg)
-    return (solution[:, 0] if t.ndim == 1 else solution), None
+    return solution[:, 0] if t.ndim == 1 else solution
 
 
-def train_readout(
-    layer: HiddenLayer, x, y, cfg: SolverConfig = SolverConfig(), *, return_fitted=False
-) -> ReadoutWeights | tuple[ReadoutWeights, np.ndarray]:
-    """Fit the output weights on (x, y) by least squares, by ``solve_readout``.
-
-    With ``return_fitted`` it returns ``(weights, fitted)``, where ``fitted``
-    is the network's output on ``x``, bitwise equal to ``predict``'s.
-    """
+def train_readout(layer: HiddenLayer, x, y, cfg: SolverConfig = SolverConfig()) -> ReadoutWeights:
+    """Fit the output weights on (x, y) by least squares, by ``solve_readout``."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise InvalidInputError(f"target must be 1-D, got shape {y.shape}")
-    beta, h = solve_readout(layer, x, y, cfg)
-    readout = ReadoutWeights(beta)
-    if not return_fitted:
-        return readout
-    if h is not None:
-        return readout, h @ readout.beta
-    return readout, predict(TrainedNetwork(hidden=layer, readout=readout), x)
+    return ReadoutWeights(solve_readout(layer, x, y, cfg))
 
 
 def predict(net: TrainedNetwork, x) -> np.ndarray:
     """Network outputs for each row of ``x``.
 
     The hidden outputs are built one tile at a time into one reused buffer
-    per block, and each tile is multiplied by the readout, so the hidden
-    output matrix of ``x`` is never held. The blocks are as many as
-    ``row_blocks`` gives, but made of whole tiles, so every tile starts at a
-    multiple of its height and the result is bitwise ``H @ beta``.
+    per block, with one reused work tile, and each tile is multiplied by the
+    readout, so the hidden output matrix of ``x`` is never held. The blocks
+    are as many as ``row_blocks`` gives, but made of whole tiles, so every
+    tile starts at a multiple of its height and the result is bitwise
+    ``H @ beta``.
     """
     layer, beta = net.hidden, net.readout.beta
     x = _inputs(layer, x)
@@ -268,11 +296,12 @@ def predict(net: TrainedNetwork, x) -> np.ndarray:
     count = len(row_blocks(x.shape[0], m))
 
     def block(i: int) -> None:
-        h = np.empty((min(tile_rows(m), x.shape[0]), m))
+        height = min(tile_rows(m), x.shape[0])
+        h, work = np.empty((height, m)), np.empty((height, m))
         for rows in tiles[len(tiles) * i // count: len(tiles) * (i + 1) // count]:
-            ht = h[: rows.stop - rows.start]
-            build_hidden(x[rows], layer.weights, layer.biases, ht)
-            np.matmul(ht, beta, out=out[rows])
+            k = rows.stop - rows.start
+            _hidden_tile(x[rows], layer.weights, layer.biases, h[:k], work[:k])
+            np.matmul(h[:k], beta, out=out[rows])
 
     map_blocks(block, list(range(count)))
     return out

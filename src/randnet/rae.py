@@ -4,11 +4,12 @@ A random sigmoid encoder maps inputs to an m-dimensional code; the linear
 decoder V that reconstructs the inputs is fitted in one least-squares solve.
 The encoder is a ``HiddenLayer`` and V its readout with the inputs as
 targets, so ``model.solve_readout`` fits V as it fits the network's readout;
-a fit of several row blocks never holds the whole code matrix. The decoder
-rows then become the network's hidden weights (A = V'). Five variants differ
-in how the encoder parameters and the network biases are chosen; variant 1
-additionally tunes the encoder weight interval, which controls how steep the
-produced sigmoids are.
+a tall fit streams the row blocks of ``[G | X]``, one block included, and
+never holds the whole code matrix G. The decoder rows then become the
+network's hidden weights (A = V'). Five variants differ in how the encoder
+parameters and the network biases are chosen; variant 1 additionally tunes
+the encoder weight interval, which controls how steep the produced sigmoids
+are.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def raem_hidden_layer(
     else:
         c = rng.child(1).generator().uniform(-1.0, 1.0, size=m)
 
-    weights = solve_readout(HiddenLayer(weights=w, biases=c), x_train, x_train)[0].T
+    weights = solve_readout(HiddenLayer(weights=w, biases=c), x_train, x_train).T
 
     if isinstance(variant, (Raem1Config, Raem2Config, Raem3Config)):
         net_anchors = anchor_points(variant.anchor, x_train, cube, m, rng.child(2))

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randnet.dataio import NormalizationSpec
+from randnet.benchfn import SampledProblem
+from randnet.dataio import Dataset, NormalizationSpec
 from randnet.errors import InvalidInputError
 from randnet import linalg
+from randnet.experiment.trials import run_trials
 from randnet.linalg import SolverConfig, lstsq
 from randnet.model import (
     HiddenLayer,
@@ -27,6 +29,7 @@ from randnet.model import (
     tile_rows,
     train_readout,
 )
+from randnet.paramgen import RaMConfig
 
 
 def random_layer(rng, n, m, scale=3.0):
@@ -159,6 +162,27 @@ class TestHiddenOutputs:
             hidden_outputs(shuffled, x), hidden_outputs(layer, x)[:, perm]
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_build_into_c_and_f_targets_equals_one_shot_build(self, n):
+        # 1000x120 builds in tiles of 512 and 488 rows; the arguments are
+        # the bias-first, left-to-right sum, and a work tile shared by
+        # mistake between the products and the sigmoid would move bits
+        rng = np.random.default_rng(20 + n)
+        w = rng.normal(scale=20.0, size=(n, 120))
+        b = rng.normal(scale=5.0, size=120)
+        x = rng.normal(size=(1000, n))
+        z = affine_arguments(x, w, b)
+        want = np.tile(b, (1000, 1))
+        for j in range(n):
+            want += x[:, j, np.newaxis] * w[j]
+        assert z.tobytes() == want.tobytes()
+        want = sigmoid(z)
+        for order in "CF":
+            out = np.empty((1000, 120), order=order)
+            build_hidden(x, w, b, out)
+            assert out.tobytes(order="C") == want.tobytes()
+        assert sigmoid(z, out=z) is z
+        assert z.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -229,30 +253,34 @@ class TestTrainReadout:
         with pytest.raises(InvalidInputError):
             train_readout(layer, [[0.0], [1.0]], [1.0, 2.0, 3.0])
 
+    @staticmethod
+    def assert_train_rmse_is_h_times_beta(rng, rows):
+        # run_trials scores its train rows by predict, whose fitted values
+        # are H @ beta bit for bit, and so is its train RMSE
+        x = rng.uniform(size=(rows, 2))
+        y = rng.normal(size=rows)
+        problem = SampledProblem(train=Dataset(x, y), test=Dataset(x[:10], y[:10]),
+                                 normalization=None)
+        (report,) = run_trials(RaMConfig(u=3.0), problem, 120, 1, 9)
+        layer, beta = report.network.hidden, report.network.readout.beta
+        assert np.array_equal(beta, train_readout(layer, x, y).beta)
+        fitted = hidden_outputs(layer, x) @ beta
+        assert predict(report.network, x).tobytes() == fitted.tobytes()
+        assert report.rmse_train == rmse(fitted, y)
+
     def test_fitted_values_equal_predict(self):
-        rng = np.random.default_rng(9)
-        layer = random_layer(rng, 2, 7)
-        x = rng.uniform(size=(50, 2))
-        y = rng.normal(size=50)
-        readout, fitted = train_readout(layer, x, y, return_fitted=True)
-        assert np.array_equal(readout.beta, train_readout(layer, x, y).beta)
-        net = TrainedNetwork(hidden=layer, readout=readout)
-        assert fitted.tobytes() == predict(net, x).tobytes()
+        # the 1000x120 fit is one block, predicted in tiles of 512 and 488
+        # rows: the last tile is ragged
+        assert len(linalg.row_blocks(1000, 120)) == 1 and tile_rows(120) == 512
+        self.assert_train_rmse_is_h_times_beta(np.random.default_rng(9), 1000)
 
     def test_fitted_values_equal_predict_in_several_blocks(self, row_blocking):
         # at min_rows 64 the 2003x120 fit streams 4 blocks, which start at
         # rows 500, 1001 and 1502, and predicts its fitted values in 4 tiles
-        # of 512 rows; both equal H @ beta bit for bit
-        rng = np.random.default_rng(10)
-        layer = random_layer(rng, 2, 120)
-        x = rng.uniform(size=(2003, 2))
-        y = rng.normal(size=2003)
+        # of 512 rows, the last of them ragged at 467
         row_blocking(min_rows=64)
         assert len(linalg.row_blocks(2003, 120)) == 4 and tile_rows(120) == 512
-        readout, fitted = train_readout(layer, x, y, return_fitted=True)
-        net = TrainedNetwork(hidden=layer, readout=readout)
-        assert fitted.tobytes() == predict(net, x).tobytes()
-        assert fitted.tobytes() == (hidden_outputs(layer, x) @ readout.beta).tobytes()
+        self.assert_train_rmse_is_h_times_beta(np.random.default_rng(10), 2003)
 
     @pytest.mark.parametrize("min_rows", [None, 64])
     @pytest.mark.parametrize("budget", [1, 2])
@@ -270,7 +298,7 @@ class TestTrainReadout:
         assert len(linalg.row_blocks(1000, 20)) == (1 if min_rows is None else 8)
         with linalg.block_budget(budget):
             beta = train_readout(layer, x, y).beta
-            solution = solve_readout(layer, x, targets)[0]
+            solution = solve_readout(layer, x, targets)
         h = hidden_outputs(layer, x)
         assert beta.tobytes() == lstsq(h, y).tobytes()
         assert solution.shape == (20, 2)
@@ -286,7 +314,7 @@ class TestTrainReadout:
         assert len(linalg.row_blocks(4000, 100)) == 8
         tracemalloc.start()
         try:
-            train_readout(layer, x, y, return_fitted=True)
+            train_readout(layer, x, y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -307,6 +335,23 @@ class TestTrainReadout:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 5000 * 51 * 8
+
+    def test_one_block_readout_holds_one_buffer(self):
+        # 3000x400 is one block: its [H | t] buffer, 3000x402 floats, is the
+        # only H-sized array the fit holds, where building H whole beside it
+        # would hold about two
+        rng = np.random.default_rng(15)
+        layer = random_layer(rng, 3, 400)
+        x = rng.uniform(size=(3000, 3))
+        targets = rng.normal(size=(3000, 2))
+        assert len(linalg.row_blocks(3000, 400)) == 1
+        tracemalloc.start()
+        try:
+            solve_readout(layer, x, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 3000 * 402 * 8
 
     def test_non_finite_training_data_rejected(self):
         rng = np.random.default_rng(13)

@@ -72,7 +72,7 @@ class TestDecode:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(6, 2))
         encoder = random_encoder(rng, 2, 6)
-        v = solve_readout(encoder, x, x)[0]
+        v = solve_readout(encoder, x, x)
         assert np.max(np.abs(hidden_outputs(encoder, x) @ v - x)) <= 1e-9
 
     def test_planted_decoder_recovered(self):
@@ -80,14 +80,14 @@ class TestDecode:
         x = rng.normal(size=(20, 3))
         encoder = random_encoder(rng, 3, 5)
         planted = rng.normal(size=(5, 3))
-        v = solve_readout(encoder, x, hidden_outputs(encoder, x) @ planted)[0]
+        v = solve_readout(encoder, x, hidden_outputs(encoder, x) @ planted)
         assert np.max(np.abs(v - planted)) <= 1e-8
 
     def test_wide_consistent_system(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 2))
         encoder = random_encoder(rng, 2, 9)
-        v = solve_readout(encoder, x, x)[0]
+        v = solve_readout(encoder, x, x)
         assert np.max(np.abs(hidden_outputs(encoder, x) @ v - x)) <= 1e-8
 
     def test_row_count_mismatch(self):

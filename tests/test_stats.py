@@ -22,7 +22,7 @@ from randnet.experiment.stats import (
     weight_histogram,
     wilcoxon_signed_rank,
 )
-from randnet.experiment.trials import TrialReport
+from randnet.model import HiddenLayer
 
 
 def enumerated_wilcoxon(a, b):
@@ -43,11 +43,9 @@ def enumerated_wilcoxon(a, b):
     return stat / 2.0, min(1.0, (n_le + n_ge) / 2.0**n)
 
 
-def snap(weights):
-    return TrialReport(
-        trial=0, seed=0, rmse_train=0.0, rmse_test=0.0, wall_time_s=0.0,
-        weights=np.asarray(weights, dtype=float),
-    )
+def layer_of(weights):
+    weights = np.asarray(weights, dtype=float)
+    return HiddenLayer(weights=weights, biases=np.zeros(weights.shape[1]))
 
 
 class TestAverageRanks:
@@ -174,19 +172,19 @@ class TestSummarize:
 
 class TestWeightHistogram:
     def test_single_value_occupies_one_bin(self):
-        h = weight_histogram([snap(np.full((1, 4), 2.5))], bins=10)
+        h = weight_histogram([layer_of(np.full((1, 4), 2.5))], bins=10)
         assert isinstance(h, Histogram)
         assert int(np.sum(h.counts > 0)) == 1
         assert int(h.counts.sum()) == 4
 
     def test_pooled_over_reports(self):
-        h = weight_histogram([snap(np.ones((2, 3))), snap(np.zeros((2, 5)))], bins=4)
+        h = weight_histogram([layer_of(np.ones((2, 3))), layer_of(np.zeros((2, 5)))], bins=4)
         assert int(h.counts.sum()) == 16
         assert h.edges.size == 5
 
     def test_symmetric_generator_has_tiny_skewness(self):
         rng = np.random.default_rng(5)
-        reports = [snap(rng.uniform(-1.0, 1.0, size=(4, 62_500))) for _ in range(4)]
+        reports = [layer_of(rng.uniform(-1.0, 1.0, size=(4, 62_500))) for _ in range(4)]
         pooled = np.concatenate([r.weights.ravel() for r in reports])
         centered = pooled - pooled.mean()
         skew = np.mean(centered**3) / np.mean(centered**2) ** 1.5
@@ -194,13 +192,10 @@ class TestWeightHistogram:
         h = weight_histogram(reports, bins=50)
         assert int(h.counts.sum()) == pooled.size
 
-    def test_snapshots_required(self):
-        bare = TrialReport(
-            trial=0, seed=0, rmse_train=0.0, rmse_test=0.0, wall_time_s=0.0
-        )
+    def test_at_least_one_layer_required(self):
         with pytest.raises(InvalidInputError):
-            weight_histogram([bare], bins=10)
+            weight_histogram([], bins=10)
 
     def test_bin_count_validated(self):
         with pytest.raises(InvalidInputError):
-            weight_histogram([snap(np.ones((1, 2)))], bins=0)
+            weight_histogram([layer_of(np.ones((1, 2)))], bins=0)

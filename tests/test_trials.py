@@ -23,6 +23,7 @@ from randnet.experiment.trials import (
 )
 from randnet import linalg
 from randnet.linalg import _openblas_handles, lstsq
+from randnet.methods import generate_hidden_layer
 from randnet.model import hidden_outputs
 from randnet.paramgen import RaMConfig, RAlphaMConfig, generate_ram, input_hypercube
 from randnet.rae import Raem1Config, Raem3Config, Raem5Config
@@ -30,7 +31,7 @@ from randnet.rng import RngStream
 
 
 def reports_equal(a, b):
-    """Equality on everything except wall time, which is never reproducible."""
+    """Equal scores and equal hidden weights, report by report."""
     if len(a) != len(b):
         return False
     for r, s in zip(a, b):
@@ -38,9 +39,7 @@ def reports_equal(a, b):
             s.trial, s.seed, s.rmse_train, s.rmse_test
         ):
             return False
-        if (r.weights is None) != (s.weights is None):
-            return False
-        if r.weights is not None and not np.array_equal(r.weights, s.weights):
+        if not np.array_equal(r.network.hidden.weights, s.network.hidden.weights):
             return False
     return True
 
@@ -227,9 +226,9 @@ class TestRunTrials:
     def test_parallel_execution_matches_serial(self, demo_small, monkeypatch):
         cfg = Raem1Config(u_ae=0.5)
         monkeypatch.setattr(linalg, "core_count", lambda: 1)
-        serial = run_trials(cfg, demo_small, 12, 8, 5, snapshot_weights=True)
+        serial = run_trials(cfg, demo_small, 12, 8, 5)
         monkeypatch.setattr(linalg, "core_count", lambda: 4)
-        forked = run_trials(cfg, demo_small, 12, 8, 5, snapshot_weights=True)
+        forked = run_trials(cfg, demo_small, 12, 8, 5)
         assert reports_equal(serial, forked)
         assert all(np.array_equal(r.network.readout.beta, s.network.readout.beta)
                    for r, s in zip(serial, forked))
@@ -242,10 +241,15 @@ class TestRunTrials:
         assert reports_equal(few, many[:3])
 
     def test_snapshots_capture_hidden_weights(self, demo_small):
-        reports = run_trials(RaMConfig(u=2.0), demo_small, 7, 2, 7, snapshot_weights=True)
-        assert all(r.weights is not None and r.weights.shape == (1, 7) for r in reports)
-        bare = run_trials(RaMConfig(u=2.0), demo_small, 7, 2, 7)
-        assert all(r.weights is None for r in bare)
+        # each report carries the network it trained, whose hidden layer is
+        # the one the trial's stream generates
+        reports = run_trials(RaMConfig(u=2.0), demo_small, 7, 2, 7)
+        cube = input_hypercube(demo_small.train.x)
+        for t, r in enumerate(reports):
+            assert r.network.hidden.weights.shape == (1, 7)
+            want = generate_hidden_layer(RaMConfig(u=2.0), demo_small.train.x, cube, 7,
+                                         RngStream(7).child(t))
+            assert np.array_equal(r.network.hidden.weights, want.weights)
 
     def test_autoencoder_layers_ignore_targets(self, demo_small):
         # decoder weights come from the inputs alone, so changing the target
@@ -256,10 +260,10 @@ class TestRunTrials:
             normalization=demo_small.normalization,
         )
         for cfg in (Raem3Config(), Raem5Config()):
-            ours = run_trials(cfg, demo_small, 10, 3, 8, snapshot_weights=True)
-            theirs = run_trials(cfg, flipped, 10, 3, 8, snapshot_weights=True)
+            ours = run_trials(cfg, demo_small, 10, 3, 8)
+            theirs = run_trials(cfg, flipped, 10, 3, 8)
             for r, s in zip(ours, theirs):
-                assert np.array_equal(r.weights, s.weights)
+                assert np.array_equal(r.network.hidden.weights, s.network.hidden.weights)
 
     def test_tuned_autoencoder_beats_mean_bias_variant(self, demo_full):
         # paired over 20 seeds at m=25 the tuned-interval variant wins
