@@ -23,7 +23,7 @@ from .errors import (
     InvalidInputError,
     NumericFailureError,
 )
-from .linalg import SolverConfig, factorize, lstsq, pseudoinverse
+from .linalg import factorize, lstsq, pseudoinverse
 from .methods import (
     METHOD_NAMES,
     TUNABLE,
@@ -93,7 +93,6 @@ __all__ = [
     "ReadoutWeights",
     "RngStream",
     "SampledProblem",
-    "SolverConfig",
     "TUNABLE",
     "TargetFunction",
     "TrainedNetwork",

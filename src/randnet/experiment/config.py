@@ -31,6 +31,7 @@ method i's trials, child (2, i) its cross-validation, child 3 the sweep.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -195,8 +196,8 @@ def _sweep_values(d: dict) -> tuple[float, ...]:
         lo = config_value(float, d.get("lo", DEFAULT_SWEEP["lo"]), "sweep lo")
         hi = config_value(float, d.get("hi", DEFAULT_SWEEP["hi"]), "sweep hi")
         points = config_value(int, d.get("points", DEFAULT_SWEEP["points"]), "sweep points")
-        if not (0 < lo < hi) or points < 2:
-            raise ConfigError("sweep needs 0 < lo < hi and points >= 2")
+        if not (0 < lo < hi < math.inf) or points < 2:
+            raise ConfigError("sweep needs 0 < lo < hi, hi finite, and points >= 2")
         vals = [float(v) for v in np.geomspace(lo, hi, points)]
     if any(v <= 0 for v in vals):
         raise ConfigError("sweep values must be positive")

@@ -5,8 +5,7 @@ least squares. The solves go through an economy SVD (LAPACK via numpy)
 rather than normal equations, so nearly rank-deficient matrices are handled
 without squaring the condition number. A tall matrix is first reduced by
 Householder QR of ``[a | rhs]`` to its square triangle R and ``Q' rhs``, and
-only R is decomposed (Chan's R-SVD), so no tall factor is ever formed. An
-optional ridge path solves the regularized normal equations instead.
+only R is decomposed (Chan's R-SVD), so no tall factor is ever formed.
 
 The QR works on the contiguous row blocks of ``row_blocks``, which depend on
 the matrix shape only. Each block's ``[a | rhs]`` rows are reduced to
@@ -49,29 +48,6 @@ from .errors import InvalidInputError, NumericFailureError
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Rank-tolerance policy and optional ridge term for the linear solves.
-
-    ``rank_tolerance=None`` selects the automatic cutoff
-    ``max(rows, cols) * sigma_max * eps``; an explicit value is used as-is.
-    ``ridge_lambda=None`` (the default) keeps the solves unregularized.
-    """
-
-    rank_tolerance: float | None = None
-    ridge_lambda: float | None = None
-
-    def __post_init__(self):
-        if self.rank_tolerance is not None and not self.rank_tolerance > 0:
-            raise InvalidInputError(
-                f"explicit rank tolerance must be positive, got {self.rank_tolerance}"
-            )
-        if self.ridge_lambda is not None and not self.ridge_lambda >= 0:
-            raise InvalidInputError(
-                f"ridge lambda must be nonnegative, got {self.ridge_lambda}"
-            )
-
-
-@dataclass(frozen=True)
 class SvdFactorization:
     """Economy SVD ``M = U diag(s) Vt`` with nonincreasing singular values."""
 
@@ -99,11 +75,9 @@ def factorize(m) -> SvdFactorization:
     return SvdFactorization(u=u, singular_values=s, vt=vt)
 
 
-def _rank_cutoff(shape: tuple[int, int], s: np.ndarray, cfg: SolverConfig) -> float:
-    if cfg.rank_tolerance is not None:
-        return cfg.rank_tolerance
-    if s.size == 0:
-        return 0.0
+def _rank_cutoff(shape: tuple[int, int], s: np.ndarray) -> float:
+    """The rank cutoff ``max(rows, cols) * sigma_max * eps`` of a matrix of
+    ``shape`` with nonincreasing singular values ``s``."""
     return max(shape) * float(s[0]) * np.finfo(float).eps
 
 
@@ -114,13 +88,13 @@ def _inverse_above(s: np.ndarray, cutoff: float) -> np.ndarray:
     return s_inv
 
 
-def pseudoinverse(m, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
+def pseudoinverse(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse with singular values below the rank
     cutoff treated as exactly zero."""
     a = _as_matrix(m)
     fac = factorize(a)
     s = fac.singular_values
-    s_inv = _inverse_above(s, _rank_cutoff(a.shape, s, cfg))
+    s_inv = _inverse_above(s, _rank_cutoff(a.shape, s))
     return (fac.vt.T * s_inv) @ fac.u.T
 
 
@@ -184,25 +158,23 @@ def reduce_tall(augmented, blocks: list[slice], cols: int) -> tuple[np.ndarray, 
     return r[:cols, :cols], r[:cols, cols:]
 
 
-def solve_reduced(r: np.ndarray, c: np.ndarray, shape: tuple[int, int],
-                  cfg: SolverConfig) -> np.ndarray:
+def solve_reduced(r: np.ndarray, c: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Minimum-norm solution of ``r @ x = c`` through the SVD of ``r``, with
     the rank cutoff of the original matrix's ``shape``; ``c`` is 2-D."""
     fac = factorize(r)
     s = fac.singular_values
-    s_inv = _inverse_above(s, _rank_cutoff(shape, s, cfg))
+    s_inv = _inverse_above(s, _rank_cutoff(shape, s))
     return fac.vt.T @ ((fac.u.T @ c) * s_inv[:, None])
 
 
-def lstsq(m, t, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
-    """Least-squares solve of ``m @ x = t``.
+def lstsq(m, t) -> np.ndarray:
+    """Minimum-norm least-squares solution ``m^+ t`` of ``m @ x = t``.
 
-    Without ridge this returns the minimum-norm solution ``m^+ t`` via the
-    SVD. A matrix with more rows than columns is first reduced to its
-    square QR triangle by ``reduce_tall``, whose SVD takes the place of the
-    tall one; the rank cutoff still uses the shape of ``m``. With
-    ``ridge_lambda`` set it solves the regularized normal equations
-    ``(m' m + lambda I) x = m' t`` instead. A 1-D ``t`` yields a 1-D result.
+    The solve goes through the SVD, with the rank cutoff of
+    ``pseudoinverse``. A matrix with more rows than columns is first reduced
+    to its square QR triangle by ``reduce_tall``, whose SVD takes the place
+    of the tall one; the rank cutoff still uses the shape of ``m``. A 1-D
+    ``t`` yields a 1-D result.
     """
     a = _as_matrix(m)
     t_arr = np.asarray(t, dtype=float)
@@ -218,21 +190,15 @@ def lstsq(m, t, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
             f"right-hand side has {rhs.shape[0]}"
         )
 
-    if cfg.ridge_lambda is not None:
-        gram = a.T @ a + cfg.ridge_lambda * np.eye(a.shape[1])
-        try:
-            x = np.linalg.solve(gram, a.T @ rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailureError(f"ridge system is singular: {exc}") from exc
-    elif a.shape[0] > a.shape[1]:
+    if a.shape[0] > a.shape[1]:
         def augmented(rows: slice) -> np.ndarray:
             buf = np.empty((rows.stop - rows.start, a.shape[1] + rhs.shape[1]), order="F")
             return np.concatenate([a[rows], rhs[rows]], axis=1, out=buf)
 
         r, c = reduce_tall(augmented, row_blocks(*a.shape), a.shape[1])
-        x = solve_reduced(r, c, a.shape, cfg)
+        x = solve_reduced(r, c, a.shape)
     else:
-        x = solve_reduced(a, rhs, a.shape, cfg)
+        x = solve_reduced(a, rhs, a.shape)
     return x[:, 0] if flat else x
 
 

@@ -8,8 +8,8 @@ H is built by ``build_hidden`` in tiles of ``tile_rows`` rows, about 64K
 entries each, so every elementwise pass over a tile stays in cache, and
 each tile's temporaries live in one work tile reused for all of them. Every
 entry is computed by the same operations whatever the tiling, so H is
-bitwise the same. A tall fit (more rows than nodes, no ridge term) streams H
-into the blocked QR of ``linalg``: each row block of ``[H | t]``, one block
+bitwise the same. A tall fit (more rows than nodes) streams H into the
+blocked QR of ``linalg``: each row block of ``[H | t]``, one block
 included, is built into its own F-ordered buffer, factorized there to its
 triangle and dropped, so the fit never holds all of H, and holds each block
 in flight once. ``solve_readout`` is that fit for any target t, the
@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataio import NormalizationSpec
 from .errors import InvalidInputError
-from .linalg import SolverConfig, lstsq, map_blocks, reduce_tall, row_blocks, solve_reduced
+from .linalg import lstsq, map_blocks, reduce_tall, row_blocks, solve_reduced
 
 # Open-interval bounds for sigmoid outputs: saturation may round to 0.0/1.0
 # in float64, which would put entries on the boundary of (0, 1).
@@ -233,18 +233,18 @@ def hidden_outputs(layer: HiddenLayer, x) -> np.ndarray:
     return h
 
 
-def solve_readout(layer: HiddenLayer, x, t, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
+def solve_readout(layer: HiddenLayer, x, t) -> np.ndarray:
     """Least-squares solution ``B`` of ``H B ~ t``, with ``H`` the hidden
     outputs of ``layer`` on ``x`` and ``t`` 1-D or 2-D, bitwise equal to
-    ``lstsq(hidden_outputs(layer, x), t, cfg)``.
+    ``lstsq(hidden_outputs(layer, x), t)``.
 
-    A tall fit (more rows than nodes, no ridge term) never holds H whole:
-    each of its ``row_blocks``, one block included, is built, tile by tile,
-    into one F-ordered ``[H_b | t_b]`` buffer, which ``reduce_tall``
-    factorizes in place and drops; ``solve_reduced`` then solves as
-    ``lstsq`` does. That buffer holds the values, in the layout, of the one
-    ``lstsq`` fills, so the solution is the same. Other fits build H and
-    solve ``lstsq`` on it.
+    A tall fit (more rows than nodes) never holds H whole: each of its
+    ``row_blocks``, one block included, is built, tile by tile, into one
+    F-ordered ``[H_b | t_b]`` buffer, which ``reduce_tall`` factorizes in
+    place and drops; ``solve_reduced`` then solves as ``lstsq`` does. That
+    buffer holds the values, in the layout, of the one ``lstsq`` fills, so
+    the solution is the same. A fit with no more rows than nodes builds H
+    and solves ``lstsq`` on it.
     """
     t = np.asarray(t, dtype=float)
     x = _inputs(layer, x)
@@ -255,8 +255,8 @@ def solve_readout(layer: HiddenLayer, x, t, cfg: SolverConfig = SolverConfig()) 
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
         raise InvalidInputError("training inputs or targets contain non-finite values")
     m = layer.node_count
-    if cfg.ridge_lambda is not None or x.shape[0] <= m:
-        return lstsq(hidden_outputs(layer, x), t, cfg)
+    if x.shape[0] <= m:
+        return lstsq(hidden_outputs(layer, x), t)
     rhs = t.reshape(x.shape[0], -1)
 
     def augmented(rows: slice) -> np.ndarray:
@@ -266,16 +266,16 @@ def solve_readout(layer: HiddenLayer, x, t, cfg: SolverConfig = SolverConfig()) 
         return ht
 
     blocks = row_blocks(x.shape[0], m)
-    solution = solve_reduced(*reduce_tall(augmented, blocks, m), (x.shape[0], m), cfg)
+    solution = solve_reduced(*reduce_tall(augmented, blocks, m), (x.shape[0], m))
     return solution[:, 0] if t.ndim == 1 else solution
 
 
-def train_readout(layer: HiddenLayer, x, y, cfg: SolverConfig = SolverConfig()) -> ReadoutWeights:
+def train_readout(layer: HiddenLayer, x, y) -> ReadoutWeights:
     """Fit the output weights on (x, y) by least squares, by ``solve_readout``."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise InvalidInputError(f"target must be 1-D, got shape {y.shape}")
-    return ReadoutWeights(solve_readout(layer, x, y, cfg))
+    return ReadoutWeights(solve_readout(layer, x, y))
 
 
 def predict(net: TrainedNetwork, x) -> np.ndarray:

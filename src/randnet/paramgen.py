@@ -78,6 +78,15 @@ class AnchorPolicy:
                 f"kmeans_rel_tol must be finite and >= 0, got {self.kmeans_rel_tol}")
 
 
+def check_half_width(value: float, name: str) -> None:
+    """Raise ConfigError unless ``[-value, value]`` is an interval a uniform
+    draw can take: ``value`` positive and the width ``2 * value`` finite."""
+    if not (value > 0 and math.isfinite(2 * value)):
+        raise ConfigError(
+            f"interval half-width {name} must be positive with 2*{name} finite, got {value}"
+        )
+
+
 @dataclass(frozen=True)
 class RaMConfig:
     """Uniform weights on [-u, u] with anchored biases."""
@@ -86,8 +95,7 @@ class RaMConfig:
     anchor: AnchorPolicy = field(default_factory=AnchorPolicy)
 
     def __post_init__(self):
-        if not self.u > 0:
-            raise ConfigError(f"interval half-width u must be positive, got {self.u}")
+        check_half_width(self.u, "u")
 
 
 @dataclass(frozen=True)

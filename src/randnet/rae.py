@@ -19,9 +19,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateNodeError, InvalidInputError
+from .errors import DegenerateNodeError, InvalidInputError
 from .model import HiddenLayer, solve_readout
-from .paramgen import AnchorPolicy, Hypercube, anchor_points, anchored_biases
+from .paramgen import AnchorPolicy, Hypercube, anchor_points, anchored_biases, check_half_width
 from .rng import RngStream
 
 
@@ -33,8 +33,7 @@ class Raem1Config:
     anchor: AnchorPolicy = field(default_factory=AnchorPolicy)
 
     def __post_init__(self):
-        if not self.u_ae > 0:
-            raise ConfigError(f"u_ae must be positive, got {self.u_ae}")
+        check_half_width(self.u_ae, "u_ae")
 
 
 @dataclass(frozen=True)

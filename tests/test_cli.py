@@ -387,11 +387,21 @@ class TestExitCodes:
         ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": '
                                    '{"kind": "cluster", "kmeans_rel_tol": Infinity}}'],
          {"nodes": 5}),
+        # an interval [-u, u] whose width 2u overflows cannot be drawn from
+        ("benchmark", ["--method", "ram", "--u", "1e308"], {}),
+        ("fit", ["--method", '{"method": "ram", "u": Infinity}'], {}),
+        ("fit", ["--method", '{"method": "raem1", "u_ae": Infinity}'], {}),
+        ("uae-sweep", ["--sweep-values", "0.1,inf"], {}),
+        ("uae-sweep", ["--sweep-hi", "inf"], {}),
+        ("grid-search", ["--method", "ram", "--grid-nodes", "5", "--grid-intervals", "1,inf"],
+         {}),
     ], ids=["u_ae-zero", "histogram-bins-zero", "u-string", "u-null", "anchor-string",
             "kmeans-max-iter-string", "nodes-string", "grid-nodes-string", "misspelt-key",
             "misspelt-anchor-key", "misspelt-key-grid-search", "nodes-fraction",
             "trials-fraction", "nodes-bool", "kmeans-max-iter-negative",
-            "kmeans-rel-tol-negative", "kmeans-rel-tol-infinite"])
+            "kmeans-rel-tol-negative", "kmeans-rel-tol-infinite", "u-width-overflows",
+            "u-infinite", "u_ae-infinite", "sweep-values-infinite", "sweep-hi-infinite",
+            "grid-intervals-infinite"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, command, flags, file_keys):
         # out-of-range and malformed values exit 2 with a config error, not
         # 3 (a data error) or 1 (a traceback)

@@ -12,7 +12,7 @@ from randnet.dataio import Dataset, NormalizationSpec
 from randnet.errors import InvalidInputError
 from randnet import linalg
 from randnet.experiment.trials import run_trials
-from randnet.linalg import SolverConfig, lstsq
+from randnet.linalg import lstsq
 from randnet.model import (
     HiddenLayer,
     ReadoutWeights,
@@ -287,7 +287,9 @@ class TestTrainReadout:
     def test_streamed_readout_equals_lstsq_on_hidden_outputs(self, row_blocking, min_rows,
                                                               budget):
         # one block, and 8 blocks of 125 rows at min_rows 64; the shared
-        # solve takes a 2-column target, as the autoencoder's decoder fit does
+        # solve takes a 2-column target, as the autoencoder's decoder fit does.
+        # A wide fit (30 rows, 50 nodes) is not streamed but is held to the
+        # same equality.
         rng = np.random.default_rng(11)
         layer = random_layer(rng, 3, 20)
         x = rng.uniform(size=(1000, 3))
@@ -303,6 +305,16 @@ class TestTrainReadout:
         assert beta.tobytes() == lstsq(h, y).tobytes()
         assert solution.shape == (20, 2)
         assert solution.tobytes() == lstsq(h, targets).tobytes()
+
+        wide = random_layer(rng, 3, 50)
+        with linalg.block_budget(budget):
+            beta = train_readout(wide, x[:30], y[:30]).beta
+            solution = solve_readout(wide, x[:30], targets[:30])
+        h = hidden_outputs(wide, x[:30])
+        assert beta.shape == (50,)
+        assert beta.tobytes() == lstsq(h, y[:30]).tobytes()
+        assert solution.shape == (50, 2)
+        assert solution.tobytes() == lstsq(h, targets[:30]).tobytes()
 
     def test_streamed_readout_never_holds_all_of_h(self, row_blocking):
         # 4000x100 in 8 blocks: H alone is 3.2 MB, one block's [H | y] 0.4 MB
@@ -364,15 +376,6 @@ class TestTrainReadout:
         for args in ((bad_x, y), (x, bad_y)):
             with pytest.raises(InvalidInputError):
                 train_readout(layer, *args)
-
-    def test_ridge_config_is_honored(self):
-        rng = np.random.default_rng(8)
-        layer = random_layer(rng, 2, 6)
-        x = rng.uniform(size=(30, 2))
-        y = rng.normal(size=30)
-        plain = train_readout(layer, x, y).beta
-        ridged = train_readout(layer, x, y, SolverConfig(ridge_lambda=10.0)).beta
-        assert np.linalg.norm(ridged) < np.linalg.norm(plain)
 
 
 class TestPredict:

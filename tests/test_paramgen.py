@@ -153,8 +153,11 @@ class TestGenerateRam:
         assert np.array_equal(a.biases, b.biases)
 
     def test_invalid_interval(self):
-        with pytest.raises(ConfigError):
-            RaMConfig(u=0.0)
+        # the draw needs the width 2u finite: 2e308 overflows, 1.6e308 does not
+        for u in (0.0, 1e308, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                RaMConfig(u=u)
+        RaMConfig(u=8e307)
 
 
 class TestGenerateRalpham:

@@ -152,10 +152,10 @@ class TestVariantLayers:
         assert peak < 4000 * 100 * 8
 
     def test_invalid_interval_rejected(self):
-        with pytest.raises(ConfigError):
-            Raem1Config(u_ae=0.0)
-        with pytest.raises(ConfigError):
-            Raem1Config(u_ae=-2.0)
+        for u_ae in (0.0, -2.0, 1e308, math.inf):
+            with pytest.raises(ConfigError):
+                Raem1Config(u_ae=u_ae)
+        Raem1Config(u_ae=8e307)
 
 
 class TestVariant5Geometry:
