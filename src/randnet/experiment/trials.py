@@ -364,8 +364,6 @@ def uae_sweep(
     """
     if len(uae_values) == 0:
         raise ConfigError("uae_values must be nonempty")
-    if any(u <= 0 for u in uae_values):
-        raise ConfigError("uae_values must be positive")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     stream = as_stream(seed)

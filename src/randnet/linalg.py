@@ -259,6 +259,23 @@ def _openblas_handles() -> list:
     return _blas_handles
 
 
+@functools.cache
+def _thread_shutdowns() -> list:
+    """``blas_thread_shutdown_`` of each bundled OpenBLAS copy that is
+    already loaded and exports it: it joins the library's worker threads,
+    which a later call that asks for more than one thread starts again."""
+    shutdowns = []
+    for package, pattern, _ in _OPENBLAS_COPIES:
+        for lib in _loaded_libraries(package, pattern):
+            try:
+                shutdown = lib["blas_thread_shutdown_"]
+            except AttributeError:
+                continue
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+            shutdowns.append(shutdown)
+    return shutdowns
+
+
 _F64 = np.ctypeslib.ndpointer(np.float64)
 
 
@@ -291,9 +308,12 @@ def single_thread_blas():
 
     A worker pool already gives each core a unit of work, so BLAS threads
     on top would oversubscribe the cores. One BLAS thread also makes every
-    solve's result independent of the worker count. Nested and concurrent
-    uses share one pinning, and the last to leave restores the thread counts
-    found on entry. Without the bundled libraries this does nothing.
+    solve's result independent of the worker count. The first to enter also
+    joins each library's idle worker threads, so a process that forks inside
+    runs one thread when it forks. Nested and concurrent uses share one
+    pinning, and the last to leave restores the thread counts found on
+    entry, which starts the worker threads again. Without the bundled
+    libraries this does nothing.
     """
     global _blas_users, _blas_saved
     with _blas_lock:
@@ -302,6 +322,8 @@ def single_thread_blas():
             _blas_saved = [get() for get, _ in handles]
             for _, set_ in handles:
                 set_(1)
+            for shutdown in _thread_shutdowns():
+                shutdown()
         _blas_users += 1
     try:
         yield

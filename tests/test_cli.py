@@ -392,6 +392,7 @@ class TestExitCodes:
         ("fit", ["--method", '{"method": "ram", "u": Infinity}'], {}),
         ("fit", ["--method", '{"method": "raem1", "u_ae": Infinity}'], {}),
         ("uae-sweep", ["--sweep-values", "0.1,inf"], {}),
+        ("uae-sweep", ["--sweep-values", "0"], {}),
         ("uae-sweep", ["--sweep-hi", "inf"], {}),
         ("grid-search", ["--method", "ram", "--grid-nodes", "5", "--grid-intervals", "1,inf"],
          {}),
@@ -400,7 +401,8 @@ class TestExitCodes:
             "misspelt-anchor-key", "misspelt-key-grid-search", "nodes-fraction",
             "trials-fraction", "nodes-bool", "kmeans-max-iter-negative",
             "kmeans-rel-tol-negative", "kmeans-rel-tol-infinite", "u-width-overflows",
-            "u-infinite", "u_ae-infinite", "sweep-values-infinite", "sweep-hi-infinite",
+            "u-infinite", "u_ae-infinite", "sweep-values-infinite", "sweep-values-zero",
+            "sweep-hi-infinite",
             "grid-intervals-infinite"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, command, flags, file_keys):
         # out-of-range and malformed values exit 2 with a config error, not

@@ -39,6 +39,19 @@ def random_layer(rng, n, m, scale=3.0):
     )
 
 
+def two_branch_sigmoid(z):
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) otherwise,
+    clipped to the open unit interval."""
+    z = np.asarray(z, dtype=float)
+    want = np.empty_like(z)
+    pos = z >= 0
+    with np.errstate(under="ignore"):
+        want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+    want[~pos] = ez / (1.0 + ez)
+    return np.clip(want, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
 class TestSigmoid:
     def test_zero_maps_to_half(self):
         assert sigmoid(0.0) == 0.5
@@ -83,6 +96,46 @@ class TestSigmoid:
         assert np.array_equal(z, before)
         assert sigmoid(z, out=z) is z
         assert z.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [(-745.14, -700.0), (700.0, 746.0), (-746.0, -700.0)])
+    def test_saturated_bands_bitwise_equal_to_two_branch_formula(self, lo, hi):
+        # the subnormal band of exp(z) and the band where exp(-z) underflows
+        z = np.concatenate([np.linspace(lo, hi, 20001), np.nextafter([lo, hi], 0.0)])
+        assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+
+    def test_special_values_bitwise_equal_to_two_branch_formula(self):
+        z = np.array([37.0, -37.0, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                      36.7, -36.7, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e300])
+        assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+
+    def test_in_place_and_strided_bitwise_equal_to_two_branch_formula(self):
+        rng = np.random.default_rng(12)
+        z = rng.uniform(-900.0, 900.0, size=(64, 50))
+        want = two_branch_sigmoid(z)
+        inplace = z.copy()
+        assert sigmoid(inplace, out=inplace) is inplace  # as _hidden_tile calls it
+        assert inplace.tobytes() == want.tobytes()
+        big = np.zeros((128, 150))
+        big[::2, ::3] = z
+        out = np.full((64, 100), -1.0)
+        sigmoid(big[::2, ::3], out=out[:, ::2])
+        assert np.ascontiguousarray(out[:, ::2]).tobytes() == want.tobytes()
+        assert np.all(out[:, 1::2] == -1.0)
+        sigmoid(z.T, out=big[::2, ::3].T)
+        assert np.ascontiguousarray(big[::2, ::3]).tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=64))
+    def test_every_finite_or_infinite_value_bitwise_equal(self, values):
+        z = np.array(values)
+        assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+
+    def test_saturated_positive_and_moderate_negative_never_underflow(self):
+        # exp never sees an argument below -700 here; exp(-800) would underflow
+        z = np.array([800.0, 1e300, np.inf, -700.0, -300.0, -1.0, 0.0])
+        with np.errstate(under="raise"):
+            out = sigmoid(z)
+        assert out.tobytes() == two_branch_sigmoid(z).tobytes()
 
 
 class TestHiddenOutputs:

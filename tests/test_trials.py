@@ -154,6 +154,28 @@ class TestForkMap:
         ]
         assert_no_child_left()
 
+    def test_every_process_forks_and_fits_on_one_thread(self, monkeypatch):
+        if not os.path.exists("/proc/self/status") or not linalg._thread_shutdowns():
+            pytest.skip("no /proc, or no bundled OpenBLAS exports blas_thread_shutdown_")
+
+        def threads():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+
+        a = np.random.default_rng(0).normal(size=(400, 400))
+        a @ a  # starts the worker threads of a multi-threaded BLAS
+        at_fork, fork = [], os.fork
+
+        def counting_fork():
+            at_fork.append(threads())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(linalg, "core_count", lambda: 3)
+        assert trials._fork_map(lambda i: threads(), 3) == [1, 1, 1]
+        assert at_fork == [1, 1]
+        assert_no_child_left()
+
     def test_serial_in_the_caller_where_fork_is_missing(self, monkeypatch):
         monkeypatch.setattr(linalg, "core_count", lambda: 4)
         monkeypatch.delattr(os, "fork")
@@ -433,3 +455,12 @@ class TestUaeSweep:
     def test_empty_grid_rejected(self, demo_small):
         with pytest.raises(ConfigError):
             uae_sweep(demo_small, 10, [], 3, 14)
+
+    @pytest.mark.parametrize("values", [[0.5, 0.0], [-1.0]])
+    def test_nonpositive_value_rejected_before_any_fit(self, monkeypatch, demo_small, values):
+        def no_fit(fit, count):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(trials, "_fork_map", no_fit)
+        with pytest.raises(ConfigError, match="u_ae"):
+            uae_sweep(demo_small, 10, values, 3, 14)
