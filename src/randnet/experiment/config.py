@@ -63,6 +63,13 @@ def _values(kind: type, values, key: str) -> list:
     return [config_value(kind, v, key) for v in values]
 
 
+def _seed(value, key: str) -> int:
+    seed = config_value(int, value, key)
+    if seed < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Where the train/test data comes from: a TF sample or a file."""
@@ -185,7 +192,7 @@ def _grid_from_dict(d: dict, seed: int) -> GridSearchConfig:
         interval_grid=_values(float, d.get("interval_grid", []), "interval_grid"),
         folds=config_value(int, d.get("folds", 5), "folds"),
         trials_per_cell=config_value(int, d.get("trials_per_cell", 3), "trials_per_cell"),
-        seed=config_value(int, d.get("seed", seed), "grid seed"),
+        seed=_seed(d.get("seed", seed), "grid seed"),
     )
 
 
@@ -250,7 +257,7 @@ def build_config(raw: dict, overrides: dict) -> ExperimentConfig:
             raise ConfigError("each method must be a tag string or an object")
     method_specs = tuple(specs)
 
-    seed = config_value(int, merged.get("seed", DEFAULT_SEED), "seed")
+    seed = _seed(merged.get("seed", DEFAULT_SEED), "seed")
     grid = _grid_from_dict(_section(merged["grid"], "grid"), seed) if "grid" in merged else None
     sweep = _sweep_values(_section(merged.get("sweep", DEFAULT_SWEEP), "sweep"))
 

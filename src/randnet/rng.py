@@ -24,6 +24,10 @@ class RngStream:
     seed: int
     path: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
+
     def child(self, *indices: int) -> "RngStream":
         """Derive the sub-stream at ``indices`` below this stream."""
         return RngStream(self.seed, self.path + tuple(int(i) for i in indices))

@@ -1,8 +1,10 @@
 """Command-line entry points: outputs, overrides, determinism, exit codes."""
 
 import csv
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -307,6 +309,69 @@ class TestWorkerProcesses:
             assert (proc.returncode, proc.stderr) == (0, "")
 
 
+# Allocates, touches and frees a 2 MiB array and then a 30 MiB one twice,
+# printing the resident memory (MiB) above the start that each free leaves.
+_RSS_PROBE = """
+import sys
+import numpy as np
+from randnet.experiment import cli
+
+def rss_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+
+if sys.argv[1] == "pinned":
+    cli._pin_malloc_thresholds()
+base = rss_kib()
+for mib in (2, 30, 30):
+    a = np.ones(mib << 17)
+    del a
+    print((rss_kib() - base) / 1024)
+"""
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="glibc's malloc thresholds")
+    def test_freed_arrays_leave_the_process(self):
+        # each policy in a fresh interpreter, whose allocator nothing has tuned
+        src = os.path.dirname(os.path.dirname(randnet.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        kept = {}
+        for mode in ("pinned", "default"):
+            proc = subprocess.run([sys.executable, "-c", _RSS_PROBE, mode], env=env,
+                                  capture_output=True, text=True, timeout=60, check=True)
+            kept[mode] = [float(mib) for mib in proc.stdout.split()]
+        small, *large = kept["pinned"]
+        # a 2 MiB array sits below the 4 MiB mmap threshold, and the 64 MiB
+        # trim threshold keeps its heap pages; each 30 MiB array is unmapped
+        assert small > 1.5, kept
+        assert all(mib - small < 4 for mib in large), kept
+        # the control: glibc's dynamic threshold rose to 30 MiB at the first
+        # large free, so the second 30 MiB array came from the heap and stayed
+        assert kept["default"][2] > 20, kept
+
+    def test_outputs_do_not_depend_on_mallopt(self, tmp_path, monkeypatch):
+        argv = ["--method", "ram", "--u", "1"]
+        assert run("benchmark", *tiny_tf_args(tmp_path / "pinned"), *argv) == 0
+        real_cdll, lookups = ctypes.CDLL, []
+
+        def cdll(name, *args, **kwargs):
+            if name is None:  # the C library without mallopt
+                lookups.append(name)
+                return object()
+            return real_cdll(name, *args, **kwargs)
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert run("benchmark", *tiny_tf_args(tmp_path / "default"), *argv) == 0
+        assert lookups
+        names = sorted(p.name for p in (tmp_path / "pinned").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "default").iterdir())
+        for name in names:
+            assert (tmp_path / "pinned" / name).read_bytes() == \
+                (tmp_path / "default" / name).read_bytes(), name
+
+
 class TestEmitAndHistogram:
     def test_emit_round_trips(self, tmp_path):
         out = tmp_path / "em"
@@ -396,6 +461,9 @@ class TestExitCodes:
         ("uae-sweep", ["--sweep-hi", "inf"], {}),
         ("grid-search", ["--method", "ram", "--grid-nodes", "5", "--grid-intervals", "1,inf"],
          {}),
+        ("fit", ["--method", "ram", "--u", "1", "--seed", "-1"], {}),
+        ("benchmark", ["--method", "raem5"], {"seed": -1}),
+        ("grid-search", ["--method", "raem5"], {"grid": {"node_counts": [5], "seed": -1}}),
     ], ids=["u_ae-zero", "histogram-bins-zero", "u-string", "u-null", "anchor-string",
             "kmeans-max-iter-string", "nodes-string", "grid-nodes-string", "misspelt-key",
             "misspelt-anchor-key", "misspelt-key-grid-search", "nodes-fraction",
@@ -403,7 +471,8 @@ class TestExitCodes:
             "kmeans-rel-tol-negative", "kmeans-rel-tol-infinite", "u-width-overflows",
             "u-infinite", "u_ae-infinite", "sweep-values-infinite", "sweep-values-zero",
             "sweep-hi-infinite",
-            "grid-intervals-infinite"])
+            "grid-intervals-infinite", "seed-flag-negative", "seed-negative",
+            "grid-seed-negative"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, command, flags, file_keys):
         # out-of-range and malformed values exit 2 with a config error, not
         # 3 (a data error) or 1 (a traceback)
@@ -414,6 +483,19 @@ class TestExitCodes:
         }))
         assert run(command, "--config", config, *flags, "--out", tmp_path / "o") == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, trials", [("fit", 1), ("benchmark", 3)])
+    def test_allocation_failure_exits_5(self, tmp_path, monkeypatch, capsys, command, trials):
+        # 1e17 nodes ask for 1.39 EiB of weights, more than any address space
+        # holds, so the allocation fails before a page is touched; with 3
+        # trials on 2 processes the forked helper fails too and sends it back
+        monkeypatch.setattr(linalg, "core_count", lambda: 2)
+        assert run(command, *tiny_tf_args(tmp_path / "o", trials=trials), "--method", "ram",
+                   "--u", "1", "--nodes", "100000000000000000") == 5
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_compare_trial_count_checked_before_any_fit(self, tmp_path, capsys):
         # the signed-rank tests need 6 pairs; 5 trials exit 2 before the

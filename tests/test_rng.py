@@ -64,3 +64,10 @@ def test_as_stream_accepts_seed_and_stream():
 def test_as_stream_rejects_junk():
     with pytest.raises(InvalidInputError):
         as_stream("not a seed")
+
+
+def test_negative_seeds_are_rejected():
+    with pytest.raises(InvalidInputError):
+        RngStream(-1)
+    with pytest.raises(InvalidInputError):
+        as_stream(-1)
