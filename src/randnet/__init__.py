@@ -28,7 +28,6 @@ from .methods import (
     METHOD_NAMES,
     TUNABLE,
     GeneratorConfig,
-    family_config,
     generate_hidden_layer,
     method_from_dict,
     method_name,
@@ -102,7 +101,6 @@ __all__ = [
     "demo_problem_1d",
     "evaluate_tf",
     "factorize",
-    "family_config",
     "fit_normalization",
     "generate_hidden_layer",
     "generate_ralpham",

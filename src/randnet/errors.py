@@ -1,9 +1,14 @@
-"""Exception types shared across the package, and ``config_value``, which
-reports a malformed config value as a ConfigError.
+"""Exception types shared across the package, and the config reader:
+``config_from_dict`` turns every config section into its typed dataclass,
+and ``config_value`` reports a malformed value as a ConfigError.
 
 The CLI maps these onto exit codes: configuration problems exit 2, data
 problems exit 3, numeric failures exit 4.
 """
+
+from collections.abc import Sequence
+from dataclasses import MISSING, fields, is_dataclass
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 
 class InvalidInputError(ValueError):
@@ -36,3 +41,57 @@ def config_value(kind: type, value, what: str):
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None
+
+
+def check_config_keys(cls: type, d, what: str, skip: frozenset = frozenset()) -> None:
+    """Raise ConfigError unless ``d`` is an object whose keys, apart from
+    ``skip``, all name fields of the dataclass ``cls``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be an object, got {d!r}")
+    names = {f.name for f in fields(cls)}
+    extra = set(d) - names - skip
+    if extra:
+        raise ConfigError(f"{what} has unknown keys {sorted(extra)}; "
+                          f"its keys are {sorted(names | skip)}")
+
+
+def _read(kind, value, what: str):
+    """``value`` as the annotated type ``kind``, or ConfigError."""
+    origin = get_origin(kind)
+    if origin is Union:  # Optional[...], and Union[int, str] for a column
+        if value is None and type(None) in get_args(kind):
+            return None
+        kinds = [k for k in get_args(kind) if k is not type(None)]
+        # a string is read as the str member, if any; anything else as the first
+        return _read(str if isinstance(value, str) and str in kinds else kinds[0], value, what)
+    if origin in (tuple, Sequence):  # a sequence of numbers, read as a tuple
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{what} must be a list, got {value!r}")
+        return tuple(config_value(get_args(kind)[0], v, what) for v in value)
+    if is_dataclass(kind):
+        return config_from_dict(kind, value, what)
+    if kind in (int, float):
+        return config_value(kind, value, what)
+    if origin is Literal:  # a choice of strings; the dataclass checks which
+        kind = str
+    if not isinstance(value, kind):  # bool (a JSON bool only) and str
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def config_from_dict(cls: type, d, what: str, skip: frozenset = frozenset()):
+    """Build the dataclass ``cls`` from the config object ``d``, reading each
+    key as its field's annotated type: numbers through ``config_value``,
+    bools and strings as themselves, sequences of numbers as tuples and
+    nested dataclasses (the anchor policy) the same way. A key that names no
+    field, other than those in ``skip``, a missing key that has no default
+    and a value of the wrong type raise ConfigError."""
+    check_config_keys(cls, d, what, skip)
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d:
+            kwargs[f.name] = _read(hints[f.name], d[f.name], f"{what} key {f.name!r}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{what} needs key {f.name!r}")
+    return cls(**kwargs)

@@ -32,6 +32,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .. import linalg
 from ..benchfn import SampledProblem, write_dataset_csv
 from ..dataio import dataset_summary
 from ..errors import (
@@ -42,12 +43,12 @@ from ..errors import (
     NumericFailureError,
 )
 from ..methods import (
-    family_config,
     generate_hidden_layer,
     method_anchor,
     method_name,
     method_spec,
     method_to_dict,
+    method_with_interval,
 )
 from ..model import save_network
 from ..paramgen import AnchorPolicy, input_hypercube
@@ -206,18 +207,13 @@ def _setup(args, least: int = 0, most: Optional[int] = None,
     return Run(cfg, out, problem, summary)
 
 
-def _cross_validate(run: Run, i: int) -> tuple[CvResult, Optional[AnchorPolicy]]:
-    """Grid search for method i; an empty interval grid searches the
-    method's default grid."""
+def _cross_validate(run: Run, i: int) -> CvResult:
+    """Grid search for method i."""
     cfg = run.cfg
     if cfg.grid is None:
         raise ConfigError("grid search needs a 'grid' config section or --grid-nodes")
-    family = cfg.family(i)
-    grid = replace(cfg.grid, interval_grid=cfg.grid.interval_grid or method_spec(family).grid)
-    anchor = method_anchor(cfg.method_specs[i])
-    result = cross_validate(grid, family, run.problem.train, anchor=anchor,
-                            stream=cfg.cv_stream(i))
-    return result, anchor
+    return cross_validate(cfg.grid, cfg.method_specs[i], run.problem.train,
+                          stream=cfg.cv_stream(i))
 
 
 def _trial_methods(run: Run, tune: bool = False) -> tuple[list, list]:
@@ -231,9 +227,9 @@ def _trial_methods(run: Run, tune: bool = False) -> tuple[list, list]:
     for i in range(cfg.method_count):
         family, nodes, chosen = cfg.family(i), cfg.nodes, {}
         if tune:
-            result, anchor = _cross_validate(run, i)
+            result = _cross_validate(run, i)
             nodes = result.best_m
-            method = family_config(family, result.best_interval, anchor)
+            method = method_with_interval(cfg.method_specs[i], result.best_interval)
             chosen = {"m": result.best_m, "interval": result.best_interval}
             cv_table.extend(cv_rows(family, result.table))
         else:
@@ -279,7 +275,7 @@ def cmd_benchmark(args) -> int:
 def cmd_grid_search(args) -> int:
     run = _setup(args, 1, 1)
     family = run.cfg.family(0)
-    result, _ = _cross_validate(run, 0)
+    result = _cross_validate(run, 0)
     run.summary["grid_search"] = {
         "method": family,
         "best_m": result.best_m,
@@ -366,8 +362,10 @@ def cmd_histogram(args) -> int:
     x = run.problem.train.x
     cube = input_hypercube(x)
     stream = cfg.trial_stream(0)
-    layers = [generate_hidden_layer(method, x, cube, cfg.nodes, stream.child(t))
-              for t in range(cfg.trials)]
+    # one BLAS thread, as in the fit maps, so no raem decoder solve depends on the count
+    with linalg.single_thread_blas():
+        layers = [generate_hidden_layer(method, x, cube, cfg.nodes, stream.child(t))
+                  for t in range(cfg.trials)]
     hist = weight_histogram(layers, cfg.histogram_bins)
     family = method_name(method)
     pooled = np.concatenate([layer.weights.ravel() for layer in layers])

@@ -15,14 +15,15 @@ overridden) by a command-line flag. Example:
       "grid": {"node_counts": [100, 300, 800], "interval_grid": [1, 10, 100]},
       "sweep": {"points": 25, "lo": 1e-5, "hi": 10.0},
       "output_dir": "out",
-      "format": "csv",
-      "jobs": 1
+      "format": "csv"
     }
 
 A problem is either a sampled target function ({"tf": name, "n": dim,
 optional "train_size"/"test_size"}) or a data file ({"data": path, optional
 "target_column", "header", "delimiter"}), which is normalized to [0, 1] and
-split 75/25.
+split 75/25. The problem, grid and sweep sections, like the methods, are
+read by ``config_from_dict``: each key is typed and checked, and an
+unknown key is a ConfigError.
 
 Seed namespace: child 0 samples or splits the problem, child (1, i) runs
 method i's trials, child (2, i) its cross-validation, child 3 the sweep.
@@ -32,42 +33,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Optional
+from dataclasses import asdict, dataclass, replace
+from typing import Optional, Union
 
 import numpy as np
 
 from ..benchfn import SampledProblem, TargetFunction, sample_problem
 from ..dataio import load_csv, normalize, split_75_25
-from ..errors import ConfigError, config_value
+from ..errors import ConfigError, config_from_dict, config_value
 from ..methods import GeneratorConfig, check_method_dict, method_from_dict
 from ..rng import RngStream, as_stream
 from .trials import GridSearchConfig
 
 DEFAULT_SEED = 1
 DEFAULT_TRIALS = 10
-DEFAULT_SWEEP = {"points": 25, "lo": 1e-5, "hi": 10.0}
 TF_KEYS = ("tf", "n", "train_size", "test_size")
 DATA_KEYS = ("data", "target_column", "header", "delimiter")
-
-
-def _section(value, key: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key!r} must be an object, got {value!r}")
-    return dict(value)
-
-
-def _values(kind: type, values, key: str) -> list:
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{key!r} must be a list, got {values!r}")
-    return [config_value(kind, v, key) for v in values]
-
-
-def _seed(value, key: str) -> int:
-    seed = config_value(int, value, key)
-    if seed < 0:
-        raise ConfigError(f"{key} must be a non-negative integer, got {seed}")
-    return seed
 
 
 @dataclass(frozen=True)
@@ -79,7 +60,7 @@ class ProblemSpec:
     train_size: Optional[int] = None
     test_size: Optional[int] = None
     data: Optional[str] = None
-    target_column: Optional[object] = None
+    target_column: Optional[Union[int, str]] = None
     header: bool = False
     delimiter: str = ","
 
@@ -88,15 +69,12 @@ class ProblemSpec:
             raise ConfigError("problem needs exactly one of 'tf' or 'data'")
         if self.tf is not None and self.n is None:
             raise ConfigError("a tf problem needs 'n'")
-        for key in ("n", "train_size", "test_size"):
-            if getattr(self, key) is not None:
-                config_value(int, getattr(self, key), key)
 
     def realize(self, rng: RngStream) -> SampledProblem:
         """Sample the TF or load+normalize+split the file, deterministically."""
         if self.tf is not None:
             return sample_problem(
-                TargetFunction(self.tf, int(self.n)),
+                TargetFunction(self.tf, self.n),
                 rng,
                 train_size=self.train_size,
                 test_size=self.test_size,
@@ -115,6 +93,28 @@ class ProblemSpec:
     def describe(self) -> dict:
         keys = TF_KEYS if self.tf is not None else DATA_KEYS
         return {key: getattr(self, key) for key in keys}
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """The u_ae values a sweep runs: the explicit ``values`` if given, else
+    ``points`` log-spaced values from ``lo`` to ``hi``."""
+
+    values: Optional[tuple[float, ...]] = None
+    lo: float = 1e-5
+    hi: float = 10.0
+    points: int = 25
+
+    def u_ae_values(self) -> tuple[float, ...]:
+        if self.values is not None:
+            vals = self.values
+        elif 0 < self.lo < self.hi < math.inf and self.points >= 2:
+            vals = tuple(float(v) for v in np.geomspace(self.lo, self.hi, self.points))
+        else:
+            raise ConfigError("sweep needs 0 < lo < hi, hi finite, and points >= 2")
+        if any(v <= 0 for v in vals):
+            raise ConfigError("sweep values must be positive")
+        return vals
 
 
 @dataclass(frozen=True)
@@ -172,45 +172,6 @@ class ExperimentConfig:
         return self.root_stream().child(3)
 
 
-def _check_keys(d: dict, cls: type, section: str) -> None:
-    extra = set(d) - {f.name for f in fields(cls)}
-    if extra:
-        raise ConfigError(f"unknown {section} keys: {sorted(extra)}")
-
-
-def _problem_from_dict(d: dict) -> ProblemSpec:
-    _check_keys(d, ProblemSpec, "problem")
-    return ProblemSpec(**d)
-
-
-def _grid_from_dict(d: dict, seed: int) -> GridSearchConfig:
-    _check_keys(d, GridSearchConfig, "grid")
-    if "node_counts" not in d:
-        raise ConfigError("grid needs 'node_counts'")
-    return GridSearchConfig(
-        node_counts=_values(int, d["node_counts"], "node_counts"),
-        interval_grid=_values(float, d.get("interval_grid", []), "interval_grid"),
-        folds=config_value(int, d.get("folds", 5), "folds"),
-        trials_per_cell=config_value(int, d.get("trials_per_cell", 3), "trials_per_cell"),
-        seed=_seed(d.get("seed", seed), "grid seed"),
-    )
-
-
-def _sweep_values(d: dict) -> tuple[float, ...]:
-    if "values" in d:
-        vals = _values(float, d["values"], "sweep values")
-    else:
-        lo = config_value(float, d.get("lo", DEFAULT_SWEEP["lo"]), "sweep lo")
-        hi = config_value(float, d.get("hi", DEFAULT_SWEEP["hi"]), "sweep hi")
-        points = config_value(int, d.get("points", DEFAULT_SWEEP["points"]), "sweep points")
-        if not (0 < lo < hi < math.inf) or points < 2:
-            raise ConfigError("sweep needs 0 < lo < hi, hi finite, and points >= 2")
-        vals = [float(v) for v in np.geomspace(lo, hi, points)]
-    if any(v <= 0 for v in vals):
-        raise ConfigError("sweep values must be positive")
-    return tuple(vals)
-
-
 def load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -237,7 +198,7 @@ def build_config(raw: dict, overrides: dict) -> ExperimentConfig:
 
     if "problem" not in merged:
         raise ConfigError("missing 'problem' section (or --tf/--data flag)")
-    problem = _problem_from_dict(_section(merged["problem"], "problem"))
+    problem = config_from_dict(ProblemSpec, merged["problem"], "problem")
 
     if "methods" in merged:
         raw_methods = merged["methods"]
@@ -257,9 +218,15 @@ def build_config(raw: dict, overrides: dict) -> ExperimentConfig:
             raise ConfigError("each method must be a tag string or an object")
     method_specs = tuple(specs)
 
-    seed = _seed(merged.get("seed", DEFAULT_SEED), "seed")
-    grid = _grid_from_dict(_section(merged["grid"], "grid"), seed) if "grid" in merged else None
-    sweep = _sweep_values(_section(merged.get("sweep", DEFAULT_SWEEP), "sweep"))
+    seed = config_value(int, merged.get("seed", DEFAULT_SEED), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    grid = None
+    if "grid" in merged:
+        grid = config_from_dict(GridSearchConfig, merged["grid"], "grid")
+        if "seed" not in merged["grid"]:  # the grid seed defaults to the experiment's
+            grid = replace(grid, seed=seed)
+    sweep = config_from_dict(SweepSpec, merged.get("sweep", {}), "sweep")
 
     return ExperimentConfig(
         problem=problem,
@@ -268,7 +235,7 @@ def build_config(raw: dict, overrides: dict) -> ExperimentConfig:
         trials=config_value(int, merged.get("trials", DEFAULT_TRIALS), "trials"),
         seed=seed,
         grid=grid,
-        sweep_values=sweep,
+        sweep_values=sweep.u_ae_values(),
         output_dir=str(merged.get("output_dir", "out")),
         out_format=str(merged.get("format", "csv")),
         jobs=config_value(int, merged.get("jobs", 1), "jobs"),

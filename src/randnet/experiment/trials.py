@@ -27,7 +27,7 @@ from ..benchfn import SampledProblem
 from ..dataio import Dataset
 from ..errors import ConfigError, InvalidInputError
 from .. import linalg
-from ..methods import TUNABLE, GeneratorConfig, family_config, generate_hidden_layer
+from ..methods import GeneratorConfig, generate_hidden_layer, method_spec, method_with_interval
 from ..model import TrainedNetwork, predict, rmse, train_readout
 from ..paramgen import AnchorPolicy, Hypercube, input_hypercube
 from ..rae import Raem1Config
@@ -225,7 +225,8 @@ def run_trials(
 
 @dataclass(frozen=True)
 class GridSearchConfig:
-    """Grid of node counts and interval values searched by cross-validation."""
+    """Grid of node counts and interval values searched by cross-validation;
+    an empty interval grid searches the method's default grid."""
 
     node_counts: Sequence[int]
     interval_grid: Sequence[float] = ()
@@ -242,6 +243,8 @@ class GridSearchConfig:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if self.trials_per_cell < 1:
             raise ConfigError("trials_per_cell must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"grid seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -286,28 +289,25 @@ def select_best(table: Sequence[CvCell]) -> CvCell:
 
 def cross_validate(
     grid: GridSearchConfig,
-    family: str,
+    method: dict,
     train: Dataset,
     *,
-    anchor: AnchorPolicy | None = None,
     stream=None,
 ) -> CvResult:
     """Mean validation RMSE for every grid cell; returns the argmin cell.
 
-    Tunable families (ram, ralpham, raem1) cross the node grid with the
-    interval grid; the parameter-free families search node count only. Cell
-    (ci), fold (f), trial (t) together index the child stream, making every
-    fold evaluation independently reproducible. Randomness comes from
-    `stream` when given, else from the grid's seed. The fits run on every
-    core through ``_fork_map``.
+    ``method`` is a method dict, as in a config file. Tunable methods (ram,
+    ralpham, raem1) cross the node grid with the interval grid, or with the
+    method's default grid when the interval grid is empty; each cell is the
+    method dict with its interval field set to the cell's value, so every
+    other key keeps its value. The parameter-free methods search node count
+    only. Cell (ci), fold (f), trial (t) together index the child stream,
+    making every fold evaluation independently reproducible. Randomness
+    comes from `stream` when given, else from the grid's seed. The fits run
+    on every core through ``_fork_map``.
     """
-    intervals: Sequence[Optional[float]]
-    if family in TUNABLE:
-        if len(grid.interval_grid) == 0:
-            raise ConfigError(f"method {family!r} needs a nonempty interval_grid")
-        intervals = list(grid.interval_grid)
-    else:
-        intervals = [None]
+    spec = method_spec(method.get("method"))
+    intervals = (grid.interval_grid or spec.grid) if spec.interval else (None,)
     if train.n_samples < grid.folds:
         raise InvalidInputError(
             f"need at least folds={grid.folds} samples, got {train.n_samples}"
@@ -315,7 +315,7 @@ def cross_validate(
 
     stream = as_stream(grid.seed) if stream is None else as_stream(stream)
     cells = [(m, iv) for m in grid.node_counts for iv in intervals]
-    methods = [family_config(family, iv, anchor) for _, iv in cells]
+    methods = [method_with_interval(method, iv) for _, iv in cells]
     folds = kfold_indices(train.n_samples, grid.folds, stream.child(0, 0))
     splits = [(train.subset(tr), train.subset(va)) for tr, va in folds]
     cubes = [input_hypercube(fold_train.x) for fold_train, _ in splits]

@@ -17,12 +17,12 @@ adding one entry.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from typing import Callable, Optional, Union, get_type_hints
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, config_value
+from .errors import ConfigError, check_config_keys, config_from_dict
 from .model import HiddenLayer
 from .paramgen import (
     AnchorPolicy,
@@ -115,40 +115,6 @@ def method_to_dict(cfg: GeneratorConfig) -> dict:
     return {"method": method_name(cfg), **asdict(cfg)}
 
 
-def _check_keys(cls: type, d, what: str, skip: frozenset = frozenset()) -> None:
-    """Raise ConfigError unless ``d`` is an object whose keys, apart from
-    ``skip``, all name fields of the dataclass ``cls``."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{what} must be an object, got {d!r}")
-    names = {f.name for f in fields(cls)}
-    extra = set(d) - names - skip
-    if extra:
-        raise ConfigError(f"{what} has unknown keys {sorted(extra)}; "
-                          f"its keys are {sorted(names | skip)}")
-
-
-def _from_dict(cls: type, d, what: str, skip: frozenset = frozenset()):
-    """Build the dataclass ``cls`` from ``d``: numbers are cast to the
-    field's type and nested dataclasses (the anchor policy) are built the
-    same way. A key that names no field, other than those in ``skip``,
-    raises ConfigError."""
-    _check_keys(cls, d, what, skip)
-    hints = get_type_hints(cls)
-    kwargs = {}
-    for f in fields(cls):
-        kind = hints[f.name]
-        if f.name not in d:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"{what} needs key {f.name!r}")
-        elif is_dataclass(kind):
-            kwargs[f.name] = _from_dict(kind, d[f.name], f"{what} key {f.name!r}")
-        elif kind in (int, float):
-            kwargs[f.name] = config_value(kind, d[f.name], f"{what} key {f.name!r}")
-        else:
-            kwargs[f.name] = d[f.name]
-    return cls(**kwargs)
-
-
 _TAG_KEY = frozenset({"method"})
 
 
@@ -156,7 +122,7 @@ def method_from_dict(d: dict) -> GeneratorConfig:
     """Inverse of method_to_dict; unknown tags, unknown or missing keys and
     malformed values raise ConfigError."""
     tag = d.get("method")
-    return _from_dict(method_spec(tag).config, d, f"method {tag!r}", _TAG_KEY)
+    return config_from_dict(method_spec(tag).config, d, f"method {tag!r}", _TAG_KEY)
 
 
 def check_method_dict(d: dict) -> None:
@@ -164,32 +130,18 @@ def check_method_dict(d: dict) -> None:
     of its config, and sets a well-formed anchor if it sets one. The
     interval may be missing, since grid search supplies it."""
     tag = d.get("method")
-    _check_keys(method_spec(tag).config, d, f"method {tag!r}", _TAG_KEY)
+    check_config_keys(method_spec(tag).config, d, f"method {tag!r}", _TAG_KEY)
     method_anchor(d)
 
 
 def method_anchor(d: dict) -> Optional[AnchorPolicy]:
     """The anchor policy a method dict sets, or None if it sets none."""
-    return _from_dict(AnchorPolicy, d["anchor"], "anchor") if "anchor" in d else None
+    return config_from_dict(AnchorPolicy, d["anchor"], "anchor") if "anchor" in d else None
 
 
-def family_config(
-    name: str, interval: float | None = None, anchor: AnchorPolicy | None = None
-) -> GeneratorConfig:
-    """Build a config from a method tag plus its interval parameter, if any.
-
-    For ``ram`` the interval is u, for ``ralpham`` the top angle in degrees,
-    for ``raem1`` the encoder half-width u_ae. The parameter-free methods
-    reject a non-None interval. The anchor applies where the config has one.
-    """
-    spec = method_spec(name)
-    kwargs: dict = {}
-    if spec.interval is not None:
-        if interval is None:
-            raise ConfigError(f"method {name!r} needs an interval parameter")
-        kwargs[spec.interval] = float(interval)
-    elif interval is not None:
-        raise ConfigError(f"method {name!r} takes no interval parameter")
-    if anchor is not None and "anchor" in spec.keys:
-        kwargs["anchor"] = anchor
-    return spec.config(**kwargs)
+def method_with_interval(d: dict, interval: Optional[float]) -> GeneratorConfig:
+    """The method of dict ``d`` with its interval field set to ``interval``:
+    one cell of a grid search. Every other key keeps its value from ``d``;
+    a parameter-free method takes ``interval`` None."""
+    name = method_spec(d.get("method")).interval
+    return method_from_dict(d if name is None else {**d, name: interval})

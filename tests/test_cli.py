@@ -17,7 +17,7 @@ from randnet.dataio import load_csv
 from randnet.experiment.cli import main
 from randnet.experiment.config import build_config, describe_config, load_config_file
 from randnet.errors import ConfigError, NumericFailureError
-from randnet.experiment import trials
+from randnet.experiment import cli, trials
 from randnet.model import load_network, predict, rmse
 
 
@@ -63,6 +63,27 @@ class TestConfigBuilding:
         b = describe_config(build_config(raw, {"jobs": 8, "output_dir": "y"}))
         assert a == b
         assert "jobs" not in json.dumps(a)
+
+    @pytest.mark.parametrize("sizes", [
+        {"n": 1.0, "train_size": 200.0, "test_size": 80.0},
+        {"n": "1", "train_size": "200", "test_size": "80"},
+    ], ids=["floats", "strings"])
+    def test_integral_problem_sizes_run_and_echo_as_ints(self, tmp_path, sizes):
+        # an integral float or a numeric string is read as the int it names:
+        # the run writes the same files as the config written with ints
+        outs = []
+        for name, problem in [("ints", {"n": 1, "train_size": 200, "test_size": 80}),
+                              ("given", sizes)]:
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"problem": {"tf": "TF1", **problem}}))
+            outs.append(tmp_path / name)
+            assert run("fit", "--config", config, "--method", "ram", "--u", "1",
+                       "--nodes", "8", "--out", outs[-1]) == 0
+        echo = read_summary(outs[1])["config"]["problem"]
+        assert echo == {"tf": "TF1", "n": 1, "train_size": 200, "test_size": 80}
+        assert all(type(echo[key]) is int for key in ("n", "train_size", "test_size"))
+        for name in ("summary.json", "trials.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_method_spec_keys_validated(self):
         with pytest.raises(ConfigError):
@@ -200,6 +221,24 @@ class TestGridSearch:
         assert len(table) == 1 + 4
 
 
+    def test_cells_keep_the_other_method_keys(self, tmp_path, monkeypatch):
+        # every cell is the method dict with its interval set, so the fits
+        # run with alpha_min_deg 30, not the default 0
+        monkeypatch.setattr(linalg, "core_count", lambda: 1)  # every fit in this process
+        seen, fit_trial = set(), trials.fit_trial
+
+        def spy(method, *args):
+            seen.add(method.alpha_min_deg)
+            return fit_trial(method, *args)
+
+        monkeypatch.setattr(trials, "fit_trial", spy)
+        code = run("grid-search", *tiny_tf_args(tmp_path / "gs"), "--method",
+                   '{"method": "ralpham", "alpha_min_deg": 30}',
+                   "--grid-nodes", "5", "--grid-intervals", "45,90", "--folds", "3")
+        assert code == 0
+        assert seen == {30.0}
+
+
 class TestUaeSweep:
     def test_sweep_table(self, tmp_path):
         out = tmp_path / "sw"
@@ -240,6 +279,18 @@ class TestCompare:
         for entry in s["methods"]:
             assert entry["chosen"]["m"] in (5, 10)
             assert entry["nodes"] == entry["chosen"]["m"]
+
+
+    def test_cv_mode_keeps_the_other_method_keys(self, tmp_path):
+        out = tmp_path / "cmpcv"
+        code = run("compare", *tiny_tf_args(out, trials=6), "--cv",
+                   "--method", '{"method": "ralpham", "alpha_min_deg": 30}',
+                   "--method", "raem4", "--grid-nodes", "5", "--grid-intervals", "45,90",
+                   "--folds", "3")
+        assert code == 0
+        chosen = read_summary(out)["methods"][0]
+        assert chosen["method"]["alpha_min_deg"] == 30.0
+        assert chosen["method"]["alpha_max_deg"] == chosen["chosen"]["interval"]
 
 
 def fork_map_commands(out, trials=6):
@@ -400,6 +451,48 @@ class TestEmitAndHistogram:
         assert h["median_abs_weight"] > 0
 
 
+    def test_histogram_draws_on_one_blas_thread(self, tmp_path, monkeypatch):
+        # a raem decoder solve's result depends on the BLAS thread count, so
+        # the draw runs on one thread, as the fit maps do
+        handles = linalg._openblas_handles()
+        if not handles:
+            pytest.skip("no bundled OpenBLAS")
+        seen, draw = [], cli.generate_hidden_layer
+
+        def spy(*args):
+            seen.append([get() for get, _ in handles])
+            return draw(*args)
+
+        monkeypatch.setattr(cli, "generate_hidden_layer", spy)
+        saved = [get() for get, _ in handles]
+        try:
+            for _, set_ in handles:
+                set_(2)
+            assert run("histogram", *tiny_tf_args(tmp_path / "h", trials=3),
+                       "--method", "raem1", "--u-ae", "0.5") == 0
+            assert seen == [[1] * len(handles)] * 3
+            assert [get() for get, _ in handles] == [2] * len(handles)
+        finally:
+            for (_, set_), count in zip(handles, saved):
+                set_(count)
+
+    def test_histogram_draws_the_layers_of_the_trials(self, tmp_path):
+        # the same streams give the same layers, bitwise, as run_trials draws
+        out = tmp_path / "h"
+        assert run("histogram", *tiny_tf_args(out, trials=3), "--method", "raem1",
+                   "--u-ae", "0.5") == 0
+        cfg = build_config({
+            "problem": {"tf": "TF1", "n": 1, "train_size": 300, "test_size": 120},
+            "methods": [{"method": "raem1", "u_ae": 0.5}], "nodes": 10, "seed": 5,
+            "trials": 3,
+        }, {})
+        reports = trials.run_trials(cfg.generator(0), cfg.problem.realize(cfg.problem_stream()),
+                                    cfg.nodes, cfg.trials, cfg.trial_stream(0))
+        pooled = np.concatenate([r.network.hidden.weights.ravel() for r in reports])
+        got = read_summary(out)["histogram"]["median_abs_weight"]
+        assert got == float(np.median(np.abs(pooled)))
+
+
 class TestExitCodes:
     def test_missing_data_file(self, tmp_path):
         assert run("benchmark", "--data", tmp_path / "nope.dat", "--method",
@@ -464,6 +557,11 @@ class TestExitCodes:
         ("fit", ["--method", "ram", "--u", "1", "--seed", "-1"], {}),
         ("benchmark", ["--method", "raem5"], {"seed": -1}),
         ("grid-search", ["--method", "raem5"], {"grid": {"node_counts": [5], "seed": -1}}),
+        ("benchmark", ["--method", "raem5"], {"problem": {"data": "d.csv", "delimiter": 5}}),
+        ("benchmark", ["--method", "raem5"], {"problem": {"data": "d.csv", "header": "no"}}),
+        ("benchmark", ["--method", "raem5"],
+         {"problem": {"data": "d.csv", "target_column": 1.5}}),
+        ("uae-sweep", [], {"sweep": {"point": 3, "lo": 0.01, "hi": 1}}),
     ], ids=["u_ae-zero", "histogram-bins-zero", "u-string", "u-null", "anchor-string",
             "kmeans-max-iter-string", "nodes-string", "grid-nodes-string", "misspelt-key",
             "misspelt-anchor-key", "misspelt-key-grid-search", "nodes-fraction",
@@ -472,10 +570,15 @@ class TestExitCodes:
             "u-infinite", "u_ae-infinite", "sweep-values-infinite", "sweep-values-zero",
             "sweep-hi-infinite",
             "grid-intervals-infinite", "seed-flag-negative", "seed-negative",
-            "grid-seed-negative"])
-    def test_bad_values_are_config_errors(self, tmp_path, capsys, command, flags, file_keys):
+            "grid-seed-negative", "delimiter-int", "header-string", "target-column-fraction",
+            "misspelt-sweep-key"])
+    def test_bad_values_are_config_errors(self, tmp_path, monkeypatch, capsys, command, flags,
+                                          file_keys):
         # out-of-range and malformed values exit 2 with a config error, not
-        # 3 (a data error) or 1 (a traceback)
+        # 3 (a data error) or 1 (a traceback); a data problem reads d.csv, a
+        # well-formed file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.csv").write_text("".join(f"{i},{i % 7},{i % 5}\n" for i in range(40)))
         config = tmp_path / "c.json"
         config.write_text(json.dumps({
             "problem": {"tf": "TF1", "n": 1, "train_size": 40, "test_size": 20},

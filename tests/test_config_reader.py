@@ -1,0 +1,135 @@
+"""The config reader: every config dataclass comes back from its dict, and a
+value of the wrong type is a ConfigError."""
+
+import json
+from dataclasses import asdict
+
+import pytest
+from hypothesis import given, strategies as st
+
+from randnet.errors import ConfigError, config_from_dict
+from randnet.experiment.config import ProblemSpec, SweepSpec
+from randnet.experiment.trials import GridSearchConfig
+from randnet.methods import METHODS, method_from_dict, method_to_dict
+from randnet.paramgen import AnchorPolicy, RaMConfig, RAlphaMConfig
+from randnet.rae import Raem1Config, Raem2Config, Raem3Config, Raem4Config, Raem5Config
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+half_width = st.floats(min_value=1e-300, max_value=1e300)
+sizes = st.integers(min_value=1, max_value=10**9)
+
+anchors = st.builds(
+    AnchorPolicy,
+    kind=st.sampled_from(["uniform", "train-point", "cluster"]),
+    kmeans_max_iter=sizes,
+    kmeans_rel_tol=st.floats(min_value=0, max_value=1e300),
+)
+
+
+@st.composite
+def ralpham_configs(draw):
+    lo, hi = sorted(draw(st.lists(st.floats(min_value=0, max_value=90), min_size=2,
+                                  max_size=2, unique=True)))
+    return RAlphaMConfig(alpha_max_deg=hi, alpha_min_deg=lo, anchor=draw(anchors))
+
+
+method_configs = st.one_of(
+    st.builds(RaMConfig, u=half_width, anchor=anchors),
+    ralpham_configs(),
+    st.builds(Raem1Config, u_ae=half_width, anchor=anchors),
+    st.builds(Raem2Config, anchor=anchors),
+    st.builds(Raem3Config, anchor=anchors),
+    st.builds(Raem4Config),
+    st.builds(Raem5Config),
+)
+
+optional_sizes = st.none() | sizes
+problems = st.one_of(
+    st.builds(ProblemSpec, tf=st.text(), n=sizes, train_size=optional_sizes,
+              test_size=optional_sizes),
+    st.builds(ProblemSpec, data=st.text(), target_column=st.none() | st.integers() | st.text(),
+              header=st.booleans(), delimiter=st.text()),
+)
+
+grids = st.builds(
+    GridSearchConfig,
+    node_counts=st.lists(sizes, min_size=1).map(tuple),
+    interval_grid=st.lists(finite).map(tuple),
+    folds=st.integers(min_value=2, max_value=100),
+    trials_per_cell=sizes,
+    seed=st.integers(min_value=0, max_value=2**63),
+)
+
+sweeps = st.builds(SweepSpec, values=st.none() | st.lists(finite).map(tuple), lo=finite,
+                   hi=finite, points=st.integers())
+
+
+def round_trip(cfg):
+    """``cfg`` read back from its dict, as given and as a JSON file holds it."""
+    d = asdict(cfg)
+    back = config_from_dict(type(cfg), d, "config")
+    assert back == config_from_dict(type(cfg), json.loads(json.dumps(d)), "config")
+    return back
+
+
+@given(method_configs)
+def test_method_configs_round_trip(cfg):
+    assert round_trip(cfg) == cfg
+    assert method_from_dict(json.loads(json.dumps(method_to_dict(cfg)))) == cfg
+
+
+@given(anchors)
+def test_anchor_policy_round_trips(policy):
+    assert round_trip(policy) == policy
+
+
+@given(problems)
+def test_problem_spec_round_trips(problem):
+    assert round_trip(problem) == problem
+
+
+@given(grids)
+def test_grid_config_round_trips(grid):
+    assert round_trip(grid) == grid
+
+
+@given(sweeps)
+def test_sweep_spec_round_trips(sweep):
+    assert round_trip(sweep) == sweep
+
+
+def test_every_registered_config_is_covered():
+    covered = {RaMConfig, RAlphaMConfig, Raem1Config, Raem2Config, Raem3Config, Raem4Config,
+               Raem5Config}
+    assert {spec.config for spec in METHODS.values()} == covered
+
+
+def test_values_are_read_as_their_field_types():
+    problem = config_from_dict(ProblemSpec, {"tf": "TF1", "n": 2.0, "train_size": "40"},
+                               "problem")
+    assert (problem.n, problem.train_size) == (2, 40)
+    assert type(problem.n) is int and type(problem.train_size) is int
+    by_name = config_from_dict(ProblemSpec, {"data": "d.csv", "target_column": "y"}, "p")
+    by_index = config_from_dict(ProblemSpec, {"data": "d.csv", "target_column": -1.0}, "p")
+    assert (by_name.target_column, by_index.target_column) == ("y", -1)
+    grid = config_from_dict(GridSearchConfig, {"node_counts": [5, "10"]}, "grid")
+    assert grid.node_counts == (5, 10) and grid.interval_grid == ()
+
+
+@pytest.mark.parametrize("cls, d", [
+    (ProblemSpec, {"data": "d.csv", "header": 1}),
+    (ProblemSpec, {"data": "d.csv", "target_column": True}),
+    (ProblemSpec, {"data": 3}),
+    (ProblemSpec, {"tf": "TF1", "n": 2, "size": 40}),
+    (ProblemSpec, ["tf", "TF1"]),
+    (GridSearchConfig, {}),
+    (GridSearchConfig, {"node_counts": 5}),
+    (GridSearchConfig, {"node_counts": [5], "interval_grid": [1, None]}),
+    (SweepSpec, {"values": "0.1"}),
+    (AnchorPolicy, {"kind": 5}),
+], ids=["header-int", "column-bool", "data-int", "unknown-key", "not-an-object",
+        "missing-key", "nodes-not-a-list", "interval-null", "sweep-values-string",
+        "anchor-kind-int"])
+def test_malformed_values_are_config_errors(cls, d):
+    with pytest.raises(ConfigError):
+        config_from_dict(cls, d, "section")

@@ -1,5 +1,5 @@
-"""The method registry: tags, dict round trips, family configs, default CV
-grids and dispatch to each family's own generator."""
+"""The method registry: tags, dict round trips, grid cells, default CV grids
+and dispatch to each family's own generator."""
 
 import csv
 import json
@@ -12,12 +12,13 @@ from randnet.errors import ConfigError
 from randnet.experiment.cli import main
 from randnet.methods import (
     METHOD_NAMES,
+    METHODS,
     TUNABLE,
-    family_config,
     generate_hidden_layer,
     method_from_dict,
     method_name,
     method_to_dict,
+    method_with_interval,
 )
 from randnet.paramgen import (
     AnchorPolicy,
@@ -60,7 +61,7 @@ CASES = {
     "raem5": (Raem5Config(), {"method": "raem5"}, raem_hidden_layer),
 }
 
-# tag -> (interval value, the config family_config builds from it)
+# tag -> (interval value, the grid cell it gives with the cluster anchor)
 INTERVALS = {
     "ram": (3.0, RaMConfig(u=3.0, anchor=CLUSTER)),
     "ralpham": (45.0, RAlphaMConfig(alpha_max_deg=45.0, anchor=CLUSTER)),
@@ -104,28 +105,60 @@ def test_dict_round_trip(tag):
     assert method_from_dict(json.loads(json.dumps(method_to_dict(cfg)))) == cfg
 
 
+def cluster_dict(tag):
+    """The bare method dict of ``tag``, with the cluster anchor where its
+    config has an anchor."""
+    anchor = {"anchor": CLUSTER_DICT} if "anchor" in METHODS[tag].keys else {}
+    return {"method": tag, **anchor}
+
+
 @pytest.mark.parametrize("tag", TUNABLE)
-def test_family_config_with_interval(tag):
+def test_grid_cell_with_interval(tag):
     interval, expected = INTERVALS[tag]
-    assert family_config(tag, interval, CLUSTER) == expected
-    assert family_config(tag, interval) == replace(expected, anchor=AnchorPolicy())
+    field = METHODS[tag].interval
+    assert method_with_interval(cluster_dict(tag), interval) == expected
+    assert method_with_interval({"method": tag}, interval) == replace(
+        expected, anchor=AnchorPolicy())
+    # the cell's value replaces an interval the dict sets
+    assert method_with_interval({**cluster_dict(tag), field: 7.0}, interval) == expected
     with pytest.raises(ConfigError):
-        family_config(tag)
+        method_with_interval({"method": tag}, None)
 
 
 @pytest.mark.parametrize("tag", sorted(UNTUNED))
-def test_family_config_without_interval(tag):
-    assert family_config(tag, anchor=CLUSTER) == UNTUNED[tag]
-    assert family_config(tag) == type(UNTUNED[tag])()
+def test_grid_cell_without_interval(tag):
+    assert method_with_interval(cluster_dict(tag), None) == UNTUNED[tag]
+    assert method_with_interval({"method": tag}, None) == type(UNTUNED[tag])()
+
+
+@pytest.mark.parametrize("tag", METHOD_NAMES)
+def test_grid_cells_match_direct_configs(tag):
+    # every default grid value, with and without an anchor, gives the config
+    # built directly from the tag, the value and the anchor
+    spec = METHODS[tag]
+    for anchor in (None, CLUSTER):
+        d = {"method": tag} if anchor is None else cluster_dict(tag)
+        kwargs = {} if anchor is None or "anchor" not in spec.keys else {"anchor": anchor}
+        for value in DEFAULT_GRIDS[tag]:
+            if spec.interval is not None:
+                kwargs[spec.interval] = value
+            assert method_with_interval(d, value) == spec.config(**kwargs)
+
+
+def test_grid_cell_keeps_other_keys():
+    d = {"method": "ralpham", "alpha_min_deg": 30, "anchor": {"kind": "uniform"}}
+    assert method_with_interval(d, 45.0) == RAlphaMConfig(
+        alpha_max_deg=45.0, alpha_min_deg=30.0, anchor=AnchorPolicy(kind="uniform"))
+    # a cell whose interval falls below a kept key is a config error
     with pytest.raises(ConfigError):
-        family_config(tag, 1.0)
+        method_with_interval(d, 20.0)
 
 
 def test_unknown_tag_rejected():
     with pytest.raises(ConfigError):
-        family_config("nosuch")
+        method_with_interval({"method": "nosuch"}, None)
     with pytest.raises(ConfigError):
-        family_config("nosuch", 1.0)
+        method_with_interval({"method": "nosuch"}, 1.0)
     with pytest.raises(ConfigError):
         method_from_dict({"method": "nosuch"})
     with pytest.raises(ConfigError):

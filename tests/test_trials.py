@@ -378,7 +378,7 @@ class TestCrossValidate:
 
     def test_single_cell_returned(self, demo_small):
         grid = GridSearchConfig(node_counts=[15], interval_grid=[2.0], seed=1)
-        res = cross_validate(grid, "ram", demo_small.train)
+        res = cross_validate(grid, {"method": "ram"}, demo_small.train)
         assert res.best_m == 15 and res.best_interval == 2.0
         assert len(res.table) == 1
 
@@ -388,14 +388,14 @@ class TestCrossValidate:
         grid = GridSearchConfig(
             node_counts=[25], interval_grid=[0.08, 8.0, 800.0], seed=60
         )
-        res = cross_validate(grid, "ram", self.planted_problem())
+        res = cross_validate(grid, {"method": "ram"}, self.planted_problem())
         assert res.best_interval == 8.0
 
     def test_table_covers_grid(self, demo_small):
         grid = GridSearchConfig(
             node_counts=[5, 10], interval_grid=[30.0, 60.0], seed=2
         )
-        res = cross_validate(grid, "ralpham", demo_small.train)
+        res = cross_validate(grid, {"method": "ralpham"}, demo_small.train)
         assert {(c.m, c.interval) for c in res.table} == {
             (5, 30.0), (5, 60.0), (10, 30.0), (10, 60.0)
         }
@@ -403,22 +403,22 @@ class TestCrossValidate:
 
     def test_untuned_family_ignores_interval_grid(self, demo_small):
         grid = GridSearchConfig(node_counts=[5, 10], seed=3)
-        res = cross_validate(grid, "raem5", demo_small.train)
+        res = cross_validate(grid, {"method": "raem5"}, demo_small.train)
         assert len(res.table) == 2
         assert all(c.interval is None for c in res.table)
 
     def test_deterministic(self, demo_small):
         grid = GridSearchConfig(node_counts=[8], interval_grid=[45.0], seed=4)
-        a = cross_validate(grid, "ralpham", demo_small.train)
-        b = cross_validate(grid, "ralpham", demo_small.train)
+        a = cross_validate(grid, {"method": "ralpham"}, demo_small.train)
+        b = cross_validate(grid, {"method": "ralpham"}, demo_small.train)
         assert a.table[0].mean_rmse == b.table[0].mean_rmse
 
     def test_parallel_matches_serial(self, demo_small, monkeypatch):
         grid = GridSearchConfig(node_counts=[5, 9], interval_grid=[1.0, 4.0], seed=5)
         monkeypatch.setattr(linalg, "core_count", lambda: 1)
-        a = cross_validate(grid, "ram", demo_small.train)
+        a = cross_validate(grid, {"method": "ram"}, demo_small.train)
         monkeypatch.setattr(linalg, "core_count", lambda: 4)
-        b = cross_validate(grid, "ram", demo_small.train)
+        b = cross_validate(grid, {"method": "ram"}, demo_small.train)
         assert [(c.m, c.interval, c.mean_rmse) for c in a.table] == [
             (c.m, c.interval, c.mean_rmse) for c in b.table
         ]
