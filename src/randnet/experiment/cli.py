@@ -52,7 +52,13 @@ from ..methods import (
 )
 from ..model import save_network
 from ..paramgen import AnchorPolicy, input_hypercube
-from .config import ExperimentConfig, build_config, describe_config, load_config_file
+from .config import (
+    ExperimentConfig,
+    build_config,
+    describe_config,
+    load_config_file,
+    method_list,
+)
 from .outputs import (
     CV_COLUMNS,
     HISTOGRAM_COLUMNS,
@@ -111,7 +117,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delimiter", help="data file delimiter (default comma)")
 
 
-# Config field -> the flag that sets it on every bare --method tag whose
+# Config field -> the flag that sets it on every configured method whose
 # config has that field.
 METHOD_FLAGS = {"u": "u", "alpha_max_deg": "alpha_max", "alpha_min_deg": "alpha_min",
                 "u_ae": "u_ae", "anchor": "anchor"}
@@ -124,18 +130,15 @@ def _given(args, **dests: str) -> dict:
     return {key: value for key, value in values.items() if value is not None}
 
 
-def _parse_method(text: str, args) -> dict:
+def _parse_method(text: str):
+    """A ``--method`` value: a JSON object, or else a bare tag."""
     text = text.strip()
-    if text.startswith("{"):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--method is not valid JSON: {exc}") from exc
-    keys = method_spec(text).keys
-    d = {key: value for key, value in _given(args, **METHOD_FLAGS).items() if key in keys}
-    if "anchor" in d:
-        d["anchor"] = {"kind": d["anchor"]}
-    return {"method": text, **d}
+    if not text.startswith("{"):
+        return text
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--method is not valid JSON: {exc}") from exc
 
 
 def _overlay(raw: dict, key: str, over: dict) -> dict:
@@ -144,16 +147,25 @@ def _overlay(raw: dict, key: str, over: dict) -> dict:
 
 
 def _overrides(args, raw: dict) -> dict:
+    """The config keys the flags set, each amending the file's value."""
     overrides = _given(args, seed="seed", trials="trials", nodes="nodes", output_dir="out",
                        format="format", jobs="jobs", histogram_bins="histogram_bins")
-    if args.tf:
-        overrides["problem"] = _given(args, tf="tf", n="n", train_size="train_size",
-                                      test_size="test_size")
-    elif args.data:
-        overrides["problem"] = _given(args, data="data", target_column="target_column",
-                                      header="header", delimiter="delimiter")
-    if args.methods:
-        overrides["methods"] = [_parse_method(s, args) for s in args.methods]
+    problem = _given(args, tf="tf", n="n", train_size="train_size", test_size="test_size",
+                     data="data", target_column="target_column", header="header",
+                     delimiter="delimiter")
+    if problem:
+        overrides["problem"] = (problem if "tf" in problem or "data" in problem
+                                else _overlay(raw, "problem", problem))
+    flags = _given(args, **METHOD_FLAGS)
+    if "anchor" in flags:
+        flags["anchor"] = {"kind": flags["anchor"]}
+    if args.methods or flags:
+        methods = method_list({"methods": [_parse_method(s) for s in args.methods]}
+                              if args.methods else raw)
+        overrides["methods"] = [
+            {**m, **{key: v for key, v in flags.items()
+                     if key in method_spec(m.get("method")).keys}}
+            for m in methods]
     grid = _given(args, node_counts="grid_nodes", interval_grid="grid_intervals", folds="folds")
     if grid:
         overrides["grid"] = _overlay(raw, "grid", grid)
@@ -174,7 +186,7 @@ class Run(NamedTuple):
     summary: dict
 
     def write_table(self, name: str, columns, rows) -> None:
-        write_table(os.path.join(self.out, name), columns, rows, self.cfg.out_format)
+        write_table(os.path.join(self.out, name), columns, rows, self.cfg.format)
 
     def write_summary(self, name: str = "summary.json") -> None:
         write_summary(os.path.join(self.out, name), self.summary)
@@ -212,7 +224,7 @@ def _cross_validate(run: Run, i: int) -> CvResult:
     cfg = run.cfg
     if cfg.grid is None:
         raise ConfigError("grid search needs a 'grid' config section or --grid-nodes")
-    return cross_validate(cfg.grid, cfg.method_specs[i], run.problem.train,
+    return cross_validate(cfg.grid, cfg.methods[i], run.problem.train,
                           stream=cfg.cv_stream(i))
 
 
@@ -229,7 +241,7 @@ def _trial_methods(run: Run, tune: bool = False) -> tuple[list, list]:
         if tune:
             result = _cross_validate(run, i)
             nodes = result.best_m
-            method = method_with_interval(cfg.method_specs[i], result.best_interval)
+            method = method_with_interval(cfg.methods[i], result.best_interval)
             chosen = {"m": result.best_m, "interval": result.best_interval}
             cv_table.extend(cv_rows(family, result.table))
         else:
@@ -294,8 +306,8 @@ def cmd_uae_sweep(args) -> int:
     cfg = run.cfg
     anchor = AnchorPolicy(kind=args.anchor) if args.anchor else None
     if anchor is None and cfg.method_count:
-        anchor = method_anchor(cfg.method_specs[0])
-    points = uae_sweep(run.problem, cfg.nodes, cfg.sweep_values, cfg.trials,
+        anchor = method_anchor(cfg.methods[0])
+    points = uae_sweep(run.problem, cfg.nodes, cfg.sweep.u_ae_values(), cfg.trials,
                        cfg.sweep_stream(), anchor=anchor)
     best = min(points, key=lambda p: (p.mean_rmse, p.u_ae))
     run.summary["sweep"] = {

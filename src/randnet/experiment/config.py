@@ -1,7 +1,6 @@
 """Experiment configuration: JSON file schema plus CLI flag overlay.
 
-A config file is a single JSON object; every key can also be set (and
-overridden) by a command-line flag. Example:
+A config file is a single JSON object. Example:
 
     {
       "problem": {"tf": "TF1", "n": 2},
@@ -21,9 +20,16 @@ overridden) by a command-line flag. Example:
 A problem is either a sampled target function ({"tf": name, "n": dim,
 optional "train_size"/"test_size"}) or a data file ({"data": path, optional
 "target_column", "header", "delimiter"}), which is normalized to [0, 1] and
-split 75/25. The problem, grid and sweep sections, like the methods, are
-read by ``config_from_dict``: each key is typed and checked, and an
-unknown key is a ConfigError.
+split 75/25. A method is a tag string or an object; "method" names a
+single one in place of "methods".
+
+Every flag amends its own key: a top-level flag sets the key, a problem,
+grid or sweep flag sets its key in the file's section (``--tf`` or
+``--data`` starts a new problem section), and a method flag sets its field
+in every configured method whose config has that field. ``build_config``
+then reads the merged object, top level and sections alike, with
+``config_from_dict``: each key is typed and checked, and an unknown key is
+a ConfigError.
 
 Seed namespace: child 0 samples or splits the problem, child (1, i) runs
 method i's trials, child (2, i) its cross-validation, child 3 the sweep.
@@ -33,14 +39,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Optional, Union
+from dataclasses import asdict, dataclass
+from typing import Literal, Optional, Union
 
 import numpy as np
 
 from ..benchfn import SampledProblem, TargetFunction, sample_problem
 from ..dataio import load_csv, normalize, split_75_25
-from ..errors import ConfigError, config_from_dict, config_value
+from ..errors import ConfigError, config_from_dict
 from ..methods import GeneratorConfig, check_method_dict, method_from_dict
 from ..rng import RngStream, as_stream
 from .trials import GridSearchConfig
@@ -119,7 +125,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved settings for one CLI invocation.
+    """Fully resolved settings for one CLI invocation, one field per
+    top-level config key, read by ``config_from_dict`` as the sections are.
 
     Method specs are kept as dicts so a bare family tag (enough for grid
     search, where the interval is searched rather than given) stays valid;
@@ -127,34 +134,37 @@ class ExperimentConfig:
     """
 
     problem: ProblemSpec
-    method_specs: tuple[dict, ...]
+    methods: tuple[dict, ...] = ()
     nodes: int = 100
     trials: int = DEFAULT_TRIALS
     seed: int = DEFAULT_SEED
     grid: Optional[GridSearchConfig] = None
-    sweep_values: tuple[float, ...] = ()
+    sweep: SweepSpec = SweepSpec()
     output_dir: str = "out"
-    out_format: str = "csv"
+    format: Literal["csv", "json"] = "csv"
     jobs: int = 1  # validated but unused: fits run on every core
     histogram_bins: int = 50
 
     def __post_init__(self):
-        if self.out_format not in ("csv", "json"):
-            raise ConfigError(f"format must be 'csv' or 'json', got {self.out_format!r}")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if min(self.nodes, self.trials, self.jobs, self.histogram_bins) < 1:
             raise ConfigError("nodes, trials, jobs and histogram_bins must all be >= 1")
-        for spec in self.method_specs:
+        for spec in self.methods:
             check_method_dict(spec)
+        self.sweep.u_ae_values()  # a bad sweep fails every command, not only uae-sweep
 
     @property
     def method_count(self) -> int:
-        return len(self.method_specs)
+        return len(self.methods)
 
     def family(self, i: int) -> str:
-        return self.method_specs[i]["method"]
+        return self.methods[i]["method"]
 
     def generator(self, i: int) -> GeneratorConfig:
-        return method_from_dict(self.method_specs[i])
+        return method_from_dict(self.methods[i])
 
     def root_stream(self) -> RngStream:
         return as_stream(self.seed)
@@ -183,75 +193,36 @@ def load_config_file(path: str) -> dict:
     return raw
 
 
+def method_list(d: dict) -> list[dict]:
+    """The methods the config dict ``d`` names, under "methods" or as a single
+    "method", with each bare tag turned into a ``{"method": tag}`` dict."""
+    methods = d.get("methods", [d["method"]] if "method" in d else [])
+    if not isinstance(methods, list):
+        raise ConfigError(f"'methods' must be a list, got {methods!r}")
+    if not all(isinstance(m, (str, dict)) for m in methods):
+        raise ConfigError("each method must be a tag string or an object")
+    return [{"method": m} if isinstance(m, str) else m for m in methods]
+
+
 def build_config(raw: dict, overrides: dict) -> ExperimentConfig:
-    """Merge a config dict with CLI overrides (overrides win) and validate."""
-    merged = dict(raw)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-
-    known = {"problem", "method", "methods", "nodes", "trials", "seed", "grid",
-             "sweep", "output_dir", "format", "jobs", "histogram_bins"}
-    extra = set(merged) - known
-    if extra:
-        raise ConfigError(f"unknown config keys: {sorted(extra)}")
-
-    if "problem" not in merged:
-        raise ConfigError("missing 'problem' section (or --tf/--data flag)")
-    problem = config_from_dict(ProblemSpec, merged["problem"], "problem")
-
-    if "methods" in merged:
-        raw_methods = merged["methods"]
-        if not isinstance(raw_methods, list):
-            raise ConfigError(f"'methods' must be a list, got {raw_methods!r}")
-    elif "method" in merged:
-        raw_methods = [merged["method"]]
-    else:
-        raw_methods = []
-    specs = []
-    for m in raw_methods:
-        if isinstance(m, str):
-            specs.append({"method": m})
-        elif isinstance(m, dict):
-            specs.append(dict(m))
-        else:
-            raise ConfigError("each method must be a tag string or an object")
-    method_specs = tuple(specs)
-
-    seed = config_value(int, merged.get("seed", DEFAULT_SEED), "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    grid = None
-    if "grid" in merged:
-        grid = config_from_dict(GridSearchConfig, merged["grid"], "grid")
-        if "seed" not in merged["grid"]:  # the grid seed defaults to the experiment's
-            grid = replace(grid, seed=seed)
-    sweep = config_from_dict(SweepSpec, merged.get("sweep", {}), "sweep")
-
-    return ExperimentConfig(
-        problem=problem,
-        method_specs=method_specs,
-        nodes=config_value(int, merged.get("nodes", 100), "nodes"),
-        trials=config_value(int, merged.get("trials", DEFAULT_TRIALS), "trials"),
-        seed=seed,
-        grid=grid,
-        sweep_values=sweep.u_ae_values(),
-        output_dir=str(merged.get("output_dir", "out")),
-        out_format=str(merged.get("format", "csv")),
-        jobs=config_value(int, merged.get("jobs", 1), "jobs"),
-        histogram_bins=config_value(int, merged.get("histogram_bins", 50), "histogram_bins"),
-    )
+    """Merge CLI overrides over a config dict (overrides win) and read it."""
+    merged = {**raw, **overrides}
+    merged["methods"] = method_list(merged)
+    grid = merged.get("grid")
+    if isinstance(grid, dict) and "seed" not in grid:  # defaults to the experiment's seed
+        merged["grid"] = {**grid, "seed": merged.get("seed", DEFAULT_SEED)}
+    return config_from_dict(ExperimentConfig, merged, "config", skip=frozenset({"method"}))
 
 
 def describe_config(cfg: ExperimentConfig) -> dict:
     """JSON-ready echo of the resolved configuration (for summary files)."""
     out = {
         "problem": cfg.problem.describe(),
-        "methods": [dict(spec) for spec in cfg.method_specs],
+        "methods": [dict(spec) for spec in cfg.methods],
         "nodes": cfg.nodes,
         "trials": cfg.trials,
         "seed": cfg.seed,
-        "format": cfg.out_format,
+        "format": cfg.format,
     }
     if cfg.grid is not None:
         out["grid"] = asdict(cfg.grid)

@@ -32,6 +32,9 @@ def tiny_tf_args(out, trials=4):
     ]
 
 
+ABSENT = object()  # a config key left out of the file
+
+
 def read_summary(out):
     with open(f"{out}/summary.json") as fh:
         return json.load(fh)
@@ -84,6 +87,42 @@ class TestConfigBuilding:
         assert all(type(echo[key]) is int for key in ("n", "train_size", "test_size"))
         for name in ("summary.json", "trials.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_problem_flags_amend_the_file_section(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "problem": {"tf": "TF1", "n": 1, "train_size": 200, "test_size": 80}}))
+        out = tmp_path / "o"
+        assert run("fit", "--config", config, "--train-size", "100", "--method", "ram",
+                   "--u", "1", "--nodes", "8", "--out", out) == 0
+        s = read_summary(out)
+        assert s["problem"]["train"]["n_samples"] == 100
+        assert s["config"]["problem"] == {"tf": "TF1", "n": 1, "train_size": 100,
+                                          "test_size": 80}
+
+    @pytest.mark.parametrize("file_keys, flags, echo", [
+        ({"methods": ["ram"]}, ["--u", "1"], [{"method": "ram", "u": 1.0}]),
+        ({"method": {"method": "ram", "u": 1}}, ["--u", "50"], [{"method": "ram", "u": 50.0}]),
+        ({}, ["--method", '{"method": "ram", "u": 1}', "--u", "50"],
+         [{"method": "ram", "u": 50.0}]),
+        ({"methods": ["ram", "raem5", {"method": "raem1", "u_ae": 0.5}]},
+         ["--u", "2", "--u-ae", "0.1"],
+         [{"method": "ram", "u": 2.0}, {"method": "raem5"}, {"method": "raem1", "u_ae": 0.1}]),
+    ], ids=["file-tag", "file-object", "flag-object", "only-methods-with-the-field"])
+    def test_method_flags_reach_every_configured_method(self, tmp_path, file_keys, flags,
+                                                        echo):
+        # a method flag sets its field in each method whose config has it,
+        # over the value the method sets, wherever the method comes from
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "problem": {"tf": "TF1", "n": 1, "train_size": 40, "test_size": 20},
+            "trials": 1, "nodes": 5, **file_keys}))
+        out = tmp_path / "o"
+        assert run("benchmark", "--config", config, *flags, "--out", out) == 0
+        s = read_summary(out)
+        assert s["config"]["methods"] == echo
+        for entry, method in zip(s["methods"], echo):  # and each method ran with them
+            assert {**entry["method"], **method} == entry["method"]
 
     def test_method_spec_keys_validated(self):
         with pytest.raises(ConfigError):
@@ -562,6 +601,13 @@ class TestExitCodes:
         ("benchmark", ["--method", "raem5"],
          {"problem": {"data": "d.csv", "target_column": 1.5}}),
         ("uae-sweep", [], {"sweep": {"point": 3, "lo": 0.01, "hi": 1}}),
+        ("benchmark", ["--method", "raem5"], {"output_dir": None}),
+        ("benchmark", ["--method", "raem5"], {"output_dir": 5}),
+        ("benchmark", ["--method", "raem5"], {"output_dir": ["a"]}),
+        ("benchmark", [], {"methods": "ram"}),
+        ("benchmark", [], {"methods": [5]}),
+        ("benchmark", ["--method", "raem5"], {"format": 5}),
+        ("benchmark", ["--method", "raem5"], {"problem": ABSENT}),
     ], ids=["u_ae-zero", "histogram-bins-zero", "u-string", "u-null", "anchor-string",
             "kmeans-max-iter-string", "nodes-string", "grid-nodes-string", "misspelt-key",
             "misspelt-anchor-key", "misspelt-key-grid-search", "nodes-fraction",
@@ -571,20 +617,20 @@ class TestExitCodes:
             "sweep-hi-infinite",
             "grid-intervals-infinite", "seed-flag-negative", "seed-negative",
             "grid-seed-negative", "delimiter-int", "header-string", "target-column-fraction",
-            "misspelt-sweep-key"])
+            "misspelt-sweep-key", "output-dir-null", "output-dir-int", "output-dir-list",
+            "methods-string", "methods-int", "format-int", "no-problem"])
     def test_bad_values_are_config_errors(self, tmp_path, monkeypatch, capsys, command, flags,
                                           file_keys):
         # out-of-range and malformed values exit 2 with a config error, not
         # 3 (a data error) or 1 (a traceback); a data problem reads d.csv, a
-        # well-formed file
+        # well-formed file, and a key set to ABSENT is left out of the file
         monkeypatch.chdir(tmp_path)
         (tmp_path / "d.csv").write_text("".join(f"{i},{i % 7},{i % 5}\n" for i in range(40)))
         config = tmp_path / "c.json"
-        config.write_text(json.dumps({
-            "problem": {"tf": "TF1", "n": 1, "train_size": 40, "test_size": 20},
-            "trials": 2, **file_keys,
-        }))
-        assert run(command, "--config", config, *flags, "--out", tmp_path / "o") == 2
+        keys = {"problem": {"tf": "TF1", "n": 1, "train_size": 40, "test_size": 20},
+                "trials": 2, "output_dir": "o", **file_keys}
+        config.write_text(json.dumps({k: v for k, v in keys.items() if v is not ABSENT}))
+        assert run(command, "--config", config, *flags) == 2
         assert "config error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, trials", [("fit", 1), ("benchmark", 3)])

@@ -2,13 +2,13 @@
 value of the wrong type is a ConfigError."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 from hypothesis import given, strategies as st
 
 from randnet.errors import ConfigError, config_from_dict
-from randnet.experiment.config import ProblemSpec, SweepSpec
+from randnet.experiment.config import ExperimentConfig, ProblemSpec, SweepSpec
 from randnet.experiment.trials import GridSearchConfig
 from randnet.methods import METHODS, method_from_dict, method_to_dict
 from randnet.paramgen import AnchorPolicy, RaMConfig, RAlphaMConfig
@@ -114,6 +114,22 @@ def test_values_are_read_as_their_field_types():
     assert (by_name.target_column, by_index.target_column) == ("y", -1)
     grid = config_from_dict(GridSearchConfig, {"node_counts": [5, "10"]}, "grid")
     assert grid.node_counts == (5, 10) and grid.interval_grid == ()
+
+
+def test_every_top_level_key_is_read_as_its_field_type():
+    d = {"problem": {"tf": "TF1", "n": 2}, "methods": [{"method": "ram", "u": 1}],
+         "nodes": 800.0, "trials": "3", "seed": 7, "grid": {"node_counts": [5]},
+         "sweep": {"points": 4}, "output_dir": "o", "format": "json", "jobs": 2,
+         "histogram_bins": 20}
+    assert set(d) == {f.name for f in fields(ExperimentConfig)}
+    cfg = config_from_dict(ExperimentConfig, d, "config")
+    counts = (cfg.nodes, cfg.trials, cfg.seed, cfg.jobs, cfg.histogram_bins)
+    assert counts == (800, 3, 7, 2, 20) and all(type(v) is int for v in counts)
+    assert cfg.problem == ProblemSpec(tf="TF1", n=2)
+    assert cfg.methods == ({"method": "ram", "u": 1},) and type(cfg.methods) is tuple
+    assert cfg.grid == GridSearchConfig(node_counts=(5,))
+    assert cfg.sweep == SweepSpec(points=4)
+    assert (cfg.output_dir, cfg.format) == ("o", "json")
 
 
 @pytest.mark.parametrize("cls, d", [
