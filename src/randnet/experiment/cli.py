@@ -11,10 +11,11 @@ Subcommands:
 * ``histogram``   pooled hidden-weight histogram of a generator
 
 Every command starts from ``_setup``, which resolves the config, checks its
-method count, creates the output directory, builds the problem and starts
-the summary. Methods come from the registry in ``randnet.methods``, where a
-method is declared by one entry; ``METHOD_FLAGS`` maps the method flags onto
-config fields, and a flag applies to every method whose config has its field.
+method count, builds the problem and starts the summary; the first write
+creates the output directory. Methods come from the registry in
+``randnet.methods``, where a method is declared by one entry;
+``METHOD_FLAGS`` maps the method flags onto config fields, and a flag
+applies to every method whose config has its field.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure,
 5 out of memory.
@@ -44,14 +45,13 @@ from ..errors import (
 )
 from ..methods import (
     generate_hidden_layer,
-    method_anchor,
     method_name,
     method_spec,
     method_to_dict,
     method_with_interval,
 )
 from ..model import save_network
-from ..paramgen import AnchorPolicy, input_hypercube
+from ..paramgen import input_hypercube
 from .config import (
     ExperimentConfig,
     build_config,
@@ -65,7 +65,6 @@ from .outputs import (
     SWEEP_COLUMNS,
     TRIAL_COLUMNS,
     cv_rows,
-    ensure_dir,
     histogram_rows,
     method_summary,
     sweep_rows,
@@ -141,6 +140,15 @@ def _parse_method(text: str):
         raise ConfigError(f"--method is not valid JSON: {exc}") from exc
 
 
+def _amend(method: dict, args) -> dict:
+    """The method dict with each method flag given whose field its config has."""
+    keys = method_spec(method.get("method")).keys
+    flags = {key: v for key, v in _given(args, **METHOD_FLAGS).items() if key in keys}
+    if "anchor" in flags:
+        flags["anchor"] = {"kind": flags["anchor"]}
+    return {**method, **flags}
+
+
 def _overlay(raw: dict, key: str, over: dict) -> dict:
     base = raw.get(key, {})
     return {**base, **over} if isinstance(base, dict) else over
@@ -156,16 +164,10 @@ def _overrides(args, raw: dict) -> dict:
     if problem:
         overrides["problem"] = (problem if "tf" in problem or "data" in problem
                                 else _overlay(raw, "problem", problem))
-    flags = _given(args, **METHOD_FLAGS)
-    if "anchor" in flags:
-        flags["anchor"] = {"kind": flags["anchor"]}
-    if args.methods or flags:
+    if args.methods or _given(args, **METHOD_FLAGS):
         methods = method_list({"methods": [_parse_method(s) for s in args.methods]}
                               if args.methods else raw)
-        overrides["methods"] = [
-            {**m, **{key: v for key, v in flags.items()
-                     if key in method_spec(m.get("method")).keys}}
-            for m in methods]
+        overrides["methods"] = [_amend(m, args) for m in methods]
     grid = _given(args, node_counts="grid_nodes", interval_grid="grid_intervals", folds="folds")
     if grid:
         overrides["grid"] = _overlay(raw, "grid", grid)
@@ -185,19 +187,24 @@ class Run(NamedTuple):
     problem: SampledProblem
     summary: dict
 
+    def path(self, name: str) -> str:
+        """``name`` in the output directory, which the first write creates."""
+        os.makedirs(self.out, exist_ok=True)
+        return os.path.join(self.out, name)
+
     def write_table(self, name: str, columns, rows) -> None:
-        write_table(os.path.join(self.out, name), columns, rows, self.cfg.format)
+        write_table(self.path(name), columns, rows, self.cfg.format)
 
     def write_summary(self, name: str = "summary.json") -> None:
-        write_summary(os.path.join(self.out, name), self.summary)
+        write_summary(self.path(name), self.summary)
 
 
 def _setup(args, least: int = 0, most: Optional[int] = None,
            trials: Optional[int] = None) -> Run:
     """Resolve the config, check it names between ``least`` and ``most``
-    methods, create the output directory, build the problem and start the
-    summary with the config echo and the dataset summaries. ``trials``, if
-    given, is the trial count when neither the flags nor the file set one."""
+    methods, build the problem and start the summary with the config echo
+    and the dataset summaries. ``trials``, if given, is the trial count when
+    neither the flags nor the file set one."""
     raw = load_config_file(args.config) if args.config else {}
     overrides = _overrides(args, raw)
     if trials is not None and "trials" not in raw:
@@ -205,9 +212,9 @@ def _setup(args, least: int = 0, most: Optional[int] = None,
     cfg = build_config(raw, overrides)
     count = cfg.method_count
     if count < least or (most is not None and count > most):
-        want = f"exactly {least}" if least == most else f"at least {least}"
+        want = (f"at least {least}" if most is None else
+                f"exactly {least}" if least == most else f"at most {most}")
         raise ConfigError(f"{args.command} takes {want} method(s), got {count}")
-    out = ensure_dir(cfg.output_dir)
     problem = cfg.problem.realize(cfg.problem_stream())
     summary = {
         "config": describe_config(cfg),
@@ -216,7 +223,7 @@ def _setup(args, least: int = 0, most: Optional[int] = None,
             "test": dataset_summary(problem.test, "test"),
         },
     }
-    return Run(cfg, out, problem, summary)
+    return Run(cfg, cfg.output_dir, problem, summary)
 
 
 def _cross_validate(run: Run, i: int) -> CvResult:
@@ -302,13 +309,11 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_uae_sweep(args) -> int:
-    run = _setup(args)
+    run = _setup(args, 0, 1)
     cfg = run.cfg
-    anchor = AnchorPolicy(kind=args.anchor) if args.anchor else None
-    if anchor is None and cfg.method_count:
-        anchor = method_anchor(cfg.methods[0])
+    method = cfg.methods[0] if cfg.method_count else _amend({"method": "raem1"}, args)
     points = uae_sweep(run.problem, cfg.nodes, cfg.sweep.u_ae_values(), cfg.trials,
-                       cfg.sweep_stream(), anchor=anchor)
+                       cfg.sweep_stream(), method=method)
     best = min(points, key=lambda p: (p.mean_rmse, p.u_ae))
     run.summary["sweep"] = {
         "nodes": cfg.nodes,
@@ -358,8 +363,8 @@ def cmd_compare(args) -> int:
 def cmd_emit(args) -> int:
     run = _setup(args)
     train, test = run.problem.train, run.problem.test
-    write_dataset_csv(os.path.join(run.out, "train.csv"), train)
-    write_dataset_csv(os.path.join(run.out, "test.csv"), test)
+    write_dataset_csv(run.path("train.csv"), train)
+    write_dataset_csv(run.path("test.csv"), test)
     run.summary["normalization"] = run.problem.normalization.to_dict()
     run.write_summary("problem.json")
     print(f"emit: wrote train.csv ({train.n_samples} rows) and "

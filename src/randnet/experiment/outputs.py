@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from typing import Sequence
 
 from .stats import Histogram, summarize
@@ -87,8 +86,3 @@ def method_summary(reports: Sequence[TrialReport]) -> dict:
         "rmse_test": summarize([r.rmse_test for r in reports]),
         "rmse_train": summarize([r.rmse_train for r in reports]),
     }
-
-
-def ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path

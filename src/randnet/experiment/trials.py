@@ -29,8 +29,7 @@ from ..errors import ConfigError, InvalidInputError
 from .. import linalg
 from ..methods import GeneratorConfig, generate_hidden_layer, method_spec, method_with_interval
 from ..model import TrainedNetwork, predict, rmse, train_readout
-from ..paramgen import AnchorPolicy, Hypercube, input_hypercube
-from ..rae import Raem1Config
+from ..paramgen import Hypercube, input_hypercube
 from ..rng import as_stream
 
 T = TypeVar("T")
@@ -353,24 +352,29 @@ def uae_sweep(
     trials: int,
     seed,
     *,
-    anchor: AnchorPolicy | None = None,
+    method: dict | None = None,
 ) -> list[SweepPoint]:
     """Encoder-interval sweep: how u_ae shapes the produced weights and RMSE.
 
-    For each u_ae the reported weight statistic is the per-trial median of
-    |hidden weights|, averaged over trials; RMSE is the mean test RMSE.
-    Trial t of point k draws from child stream (k, t), and the fits run on
-    every core through ``_fork_map``.
+    ``method`` is a raem1 method dict (default ``{"method": "raem1"}``);
+    each point is that dict with ``u_ae`` set to the point's value, as a
+    grid cell of ``cross_validate`` is, so every other key keeps its value.
+    The reported weight statistic is the per-trial median of |hidden
+    weights|, averaged over trials; RMSE is the mean test RMSE. Trial t of
+    point k draws from child stream (k, t), and the fits run on every core
+    through ``_fork_map``.
     """
     if len(uae_values) == 0:
         raise ConfigError("uae_values must be nonempty")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    method = {"method": "raem1"} if method is None else method
+    if method.get("method") != "raem1":
+        raise ConfigError(f"the u_ae sweep runs raem1, got method {method.get('method')!r}")
     stream = as_stream(seed)
-    anchor = anchor if anchor is not None else AnchorPolicy()
     train, test = problem.train, problem.test
     cube = input_hypercube(train.x)
-    methods = [Raem1Config(u_ae=float(u), anchor=anchor) for u in uae_values]
+    methods = [method_with_interval(method, float(u)) for u in uae_values]
 
     def fit(i: int) -> tuple[float, float]:
         k, t = divmod(i, trials)

@@ -131,12 +131,8 @@ def check_method_dict(d: dict) -> None:
     interval may be missing, since grid search supplies it."""
     tag = d.get("method")
     check_config_keys(method_spec(tag).config, d, f"method {tag!r}", _TAG_KEY)
-    method_anchor(d)
-
-
-def method_anchor(d: dict) -> Optional[AnchorPolicy]:
-    """The anchor policy a method dict sets, or None if it sets none."""
-    return config_from_dict(AnchorPolicy, d["anchor"], "anchor") if "anchor" in d else None
+    if "anchor" in d:
+        config_from_dict(AnchorPolicy, d["anchor"], "anchor")
 
 
 def method_with_interval(d: dict, interval: Optional[float]) -> GeneratorConfig:

@@ -5,11 +5,12 @@ decoder V that reconstructs the inputs is fitted in one least-squares solve.
 The encoder is a ``HiddenLayer`` and V its readout with the inputs as
 targets, so ``model.solve_readout`` fits V as it fits the network's readout;
 a tall fit streams the row blocks of ``[G | X]``, one block included, and
-never holds the whole code matrix G. The decoder rows then become the
-network's hidden weights (A = V'). Five variants differ in how the encoder
-parameters and the network biases are chosen; variant 1 additionally tunes
-the encoder weight interval, which controls how steep the produced sigmoids
-are.
+never holds the whole code matrix G. The decoder rows become the network's
+hidden weights (A = V'). The five variants differ in three choices, which
+each config class declares as class attributes, not fields: the encoder
+interval ``u_ae`` (1, or a field that variant 1 tunes to set the sigmoids'
+steepness) and the ``encoder_biases`` and ``network_biases`` rules,
+``"anchored"``, ``"uniform"`` on [-1, 1] or the weights' ``"mean"``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class Raem1Config:
 
     u_ae: float
     anchor: AnchorPolicy = field(default_factory=AnchorPolicy)
+    encoder_biases, network_biases = "anchored", "anchored"
 
     def __post_init__(self):
         check_half_width(self.u_ae, "u_ae")
@@ -41,6 +43,7 @@ class Raem2Config:
     """Fixed encoder interval [-1, 1]; anchored encoder and network biases."""
 
     anchor: AnchorPolicy = field(default_factory=AnchorPolicy)
+    u_ae, encoder_biases, network_biases = 1.0, "anchored", "anchored"
 
 
 @dataclass(frozen=True)
@@ -48,11 +51,14 @@ class Raem3Config:
     """Encoder weights and biases uniform on [-1, 1]; anchored network biases."""
 
     anchor: AnchorPolicy = field(default_factory=AnchorPolicy)
+    u_ae, encoder_biases, network_biases = 1.0, "uniform", "anchored"
 
 
 @dataclass(frozen=True)
 class Raem4Config:
     """Encoder weights/biases and network biases all uniform on [-1, 1]."""
+
+    u_ae, encoder_biases, network_biases = 1.0, "uniform", "uniform"
 
 
 @dataclass(frozen=True)
@@ -60,8 +66,21 @@ class Raem5Config:
     """Encoder parameters uniform on [-1, 1]; network bias b_i is the mean
     of node i's weights, which pins every 1-D inflection at x = -1."""
 
+    u_ae, encoder_biases, network_biases = 1.0, "uniform", "mean"
+
 
 RaemConfig = Union[Raem1Config, Raem2Config, Raem3Config, Raem4Config, Raem5Config]
+
+
+def _biases(rule: str, variant: RaemConfig, weights: np.ndarray, x_train: np.ndarray,
+            cube: Hypercube, rng: RngStream) -> np.ndarray:
+    """Biases by ``rule`` for the columns of ``weights``, drawn from ``rng``."""
+    m = weights.shape[1]
+    if rule == "anchored":
+        return anchored_biases(weights, anchor_points(variant.anchor, x_train, cube, m, rng))
+    if rule == "uniform":
+        return rng.generator().uniform(-1.0, 1.0, size=m)
+    return weights.mean(axis=0)
 
 
 def raem_hidden_layer(
@@ -73,36 +92,17 @@ def raem_hidden_layer(
 ) -> HiddenLayer:
     """Build an autoencoder-pretrained hidden layer for one variant.
 
-    Encoder weights come from child stream 0, encoder biases (anchors or
-    uniform draws) from child 1, network biases from child 2. All variants
-    share A = V' with V the fitted decoder.
+    Encoder weights come from child stream 0, encoder biases from child 1,
+    network biases from child 2. All variants share A = V' with V the
+    fitted decoder.
     """
     x_train = np.asarray(x_train, dtype=float)
     if x_train.ndim != 2 or x_train.shape[0] < 1:
         raise InvalidInputError(f"need a nonempty training matrix, got {x_train.shape}")
-    n = x_train.shape[1]
-
-    gen_w = rng.child(0).generator()
-    if isinstance(variant, Raem1Config):
-        w = gen_w.uniform(-variant.u_ae, variant.u_ae, size=(n, m))
-    else:
-        w = gen_w.uniform(-1.0, 1.0, size=(n, m))
-
-    if isinstance(variant, (Raem1Config, Raem2Config)):
-        enc_anchors = anchor_points(variant.anchor, x_train, cube, m, rng.child(1))
-        c = anchored_biases(w, enc_anchors)
-    else:
-        c = rng.child(1).generator().uniform(-1.0, 1.0, size=m)
-
+    w = rng.child(0).generator().uniform(-variant.u_ae, variant.u_ae, size=(x_train.shape[1], m))
+    c = _biases(variant.encoder_biases, variant, w, x_train, cube, rng.child(1))
     weights = solve_readout(HiddenLayer(weights=w, biases=c), x_train, x_train).T
-
-    if isinstance(variant, (Raem1Config, Raem2Config, Raem3Config)):
-        net_anchors = anchor_points(variant.anchor, x_train, cube, m, rng.child(2))
-        biases = anchored_biases(weights, net_anchors)
-    elif isinstance(variant, Raem4Config):
-        biases = rng.child(2).generator().uniform(-1.0, 1.0, size=m)
-    else:
-        biases = weights.mean(axis=0)
+    biases = _biases(variant.network_biases, variant, weights, x_train, cube, rng.child(2))
     return HiddenLayer(weights=weights, biases=biases)
 
 

@@ -289,6 +289,31 @@ class TestUaeSweep:
         assert len(lines) == 4
         assert [float(l.split(",")[0]) for l in lines[1:]] == [0.05, 0.5, 5.0]
 
+    def sweep(self, out, *flags):
+        assert run("uae-sweep", *tiny_tf_args(out, trials=2), "--sweep-values", "0.05,0.5",
+                   *flags) == 0
+        return (out / "sweep.csv").read_text()
+
+    def test_anchor_reaches_the_sweep_with_or_without_a_method(self, tmp_path):
+        # --anchor alone sweeps raem1 with that anchor, as a raem1 method
+        # amended by the flag or naming the anchor itself does
+        uniform = [self.sweep(tmp_path / str(i), *flags) for i, flags in enumerate([
+            ["--anchor", "uniform"],
+            ["--method", "raem1", "--anchor", "uniform"],
+            ["--method", '{"method": "raem1", "anchor": {"kind": "uniform"}}'],
+        ])]
+        assert uniform[0] == uniform[1] == uniform[2]
+        assert uniform[0] != self.sweep(tmp_path / "default")
+
+    def test_every_method_key_reaches_every_point(self, tmp_path):
+        tables = []
+        for iters in (1, 100):
+            config = tmp_path / f"c{iters}.json"
+            config.write_text(json.dumps({"method": {
+                "method": "raem1", "anchor": {"kind": "cluster", "kmeans_max_iter": iters}}}))
+            tables.append(self.sweep(tmp_path / f"o{iters}", "--config", config))
+        assert tables[0] != tables[1]
+
 
 class TestCompare:
     def test_pairwise_tests_and_histogram(self, tmp_path):
@@ -608,6 +633,13 @@ class TestExitCodes:
         ("benchmark", [], {"methods": [5]}),
         ("benchmark", ["--method", "raem5"], {"format": 5}),
         ("benchmark", ["--method", "raem5"], {"problem": ABSENT}),
+        ("fit", [], {"method": "ram"}),
+        ("histogram", ["--method", "raem1"], {}),
+        ("compare", ["--method", "raem4", "--method", "raem5", "--trials", "3"], {}),
+        ("grid-search", ["--method", "raem5"], {}),
+        ("uae-sweep", ["--method", "ram", "--u", "3"], {}),
+        ("uae-sweep", ["--method", "raem1", "--method", "raem4"], {}),
+        ("uae-sweep", [], {"methods": [{"method": "raem2"}]}),
     ], ids=["u_ae-zero", "histogram-bins-zero", "u-string", "u-null", "anchor-string",
             "kmeans-max-iter-string", "nodes-string", "grid-nodes-string", "misspelt-key",
             "misspelt-anchor-key", "misspelt-key-grid-search", "nodes-fraction",
@@ -618,12 +650,15 @@ class TestExitCodes:
             "grid-intervals-infinite", "seed-flag-negative", "seed-negative",
             "grid-seed-negative", "delimiter-int", "header-string", "target-column-fraction",
             "misspelt-sweep-key", "output-dir-null", "output-dir-int", "output-dir-list",
-            "methods-string", "methods-int", "format-int", "no-problem"])
+            "methods-string", "methods-int", "format-int", "no-problem", "fit-u-missing",
+            "histogram-u_ae-missing", "compare-too-few-trials", "grid-search-no-grid",
+            "uae-sweep-not-raem1", "uae-sweep-two-methods", "uae-sweep-file-not-raem1"])
     def test_bad_values_are_config_errors(self, tmp_path, monkeypatch, capsys, command, flags,
                                           file_keys):
         # out-of-range and malformed values exit 2 with a config error, not
         # 3 (a data error) or 1 (a traceback); a data problem reads d.csv, a
-        # well-formed file, and a key set to ABSENT is left out of the file
+        # well-formed file, and a key set to ABSENT is left out of the file;
+        # the output directory is made at the first write, so none is made
         monkeypatch.chdir(tmp_path)
         (tmp_path / "d.csv").write_text("".join(f"{i},{i % 7},{i % 5}\n" for i in range(40)))
         config = tmp_path / "c.json"
@@ -632,6 +667,7 @@ class TestExitCodes:
         config.write_text(json.dumps({k: v for k, v in keys.items() if v is not ABSENT}))
         assert run(command, "--config", config, *flags) == 2
         assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, trials", [("fit", 1), ("benchmark", 3)])
     def test_allocation_failure_exits_5(self, tmp_path, monkeypatch, capsys, command, trials):
@@ -648,12 +684,12 @@ class TestExitCodes:
 
     def test_compare_trial_count_checked_before_any_fit(self, tmp_path, capsys):
         # the signed-rank tests need 6 pairs; 5 trials exit 2 before the
-        # grid search or any trial runs, and no table is written
+        # grid search or any trial runs, and no output directory is made
         out = tmp_path / "o"
         assert run("compare", *tiny_tf_args(out, trials=5), "--cv", "--method", "ram",
                    "--method", "raem5", "--grid-nodes", "5,10") == 2
         assert "config error:" in capsys.readouterr().err
-        assert not list(out.glob("*"))
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as e:

@@ -1,15 +1,17 @@
 """Autoencoder pretraining and the five bias-wiring variants."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from randnet import linalg
 from randnet.errors import ConfigError, DegenerateNodeError, InvalidInputError
 from randnet.model import HiddenLayer, hidden_outputs, solve_readout
-from randnet.paramgen import AnchorPolicy, anchor_points, input_hypercube
+from randnet.paramgen import AnchorPolicy, anchor_points, anchored_biases, input_hypercube
 from randnet.rae import (
     Raem1Config,
     Raem2Config,
@@ -156,6 +158,84 @@ class TestVariantLayers:
             with pytest.raises(ConfigError):
                 Raem1Config(u_ae=u_ae)
         Raem1Config(u_ae=8e307)
+
+
+def isinstance_reference_layer(variant, x_train, cube, m, rng):
+    """``raem_hidden_layer`` as it was written before the variants declared
+    their choices as data, one ``isinstance`` chain per choice."""
+    x_train = np.asarray(x_train, dtype=float)
+    n = x_train.shape[1]
+
+    gen_w = rng.child(0).generator()
+    if isinstance(variant, Raem1Config):
+        w = gen_w.uniform(-variant.u_ae, variant.u_ae, size=(n, m))
+    else:
+        w = gen_w.uniform(-1.0, 1.0, size=(n, m))
+
+    if isinstance(variant, (Raem1Config, Raem2Config)):
+        enc_anchors = anchor_points(variant.anchor, x_train, cube, m, rng.child(1))
+        c = anchored_biases(w, enc_anchors)
+    else:
+        c = rng.child(1).generator().uniform(-1.0, 1.0, size=m)
+
+    weights = solve_readout(HiddenLayer(weights=w, biases=c), x_train, x_train).T
+
+    if isinstance(variant, (Raem1Config, Raem2Config, Raem3Config)):
+        net_anchors = anchor_points(variant.anchor, x_train, cube, m, rng.child(2))
+        biases = anchored_biases(weights, net_anchors)
+    elif isinstance(variant, Raem4Config):
+        biases = rng.child(2).generator().uniform(-1.0, 1.0, size=m)
+    else:
+        biases = weights.mean(axis=0)
+    return HiddenLayer(weights=weights, biases=biases)
+
+
+def variant_config(tag, u_ae, anchor):
+    return {"raem1": lambda: Raem1Config(u_ae=u_ae, anchor=anchor),
+            "raem2": lambda: Raem2Config(anchor=anchor),
+            "raem3": lambda: Raem3Config(anchor=anchor),
+            "raem4": Raem4Config,
+            "raem5": Raem5Config}[tag]()
+
+
+# 9000 rows make two row blocks of the decoder fit; 6 rows with up to 12
+# nodes take the wide lstsq path
+@settings(max_examples=120, deadline=None)
+@given(
+    tag=st.sampled_from(["raem1", "raem2", "raem3", "raem4", "raem5"]),
+    kind=st.sampled_from(["uniform", "train-point", "cluster"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    m=st.integers(1, 12),
+    rows=st.sampled_from([6, 40, 500, 9000]),
+    u_ae=st.sampled_from([1e-4, 0.1, 1.0, 7.5]),
+)
+@example(tag="raem1", kind="cluster", seed=0, n=3, m=12, rows=9000, u_ae=0.1)
+@example(tag="raem3", kind="train-point", seed=1, n=2, m=12, rows=9000, u_ae=1.0)
+@example(tag="raem5", kind="uniform", seed=2, n=1, m=12, rows=9000, u_ae=1.0)
+def test_variant_layers_are_the_isinstance_references_bit_for_bit(tag, kind, seed, n, m,
+                                                                  rows, u_ae):
+    if kind == "cluster":
+        m = min(m, rows)  # k-means needs a training point per centroid
+    x = np.random.default_rng(seed).uniform(size=(rows, n))
+    cube = input_hypercube(x)
+    variant = variant_config(tag, u_ae, AnchorPolicy(kind))
+    layer = raem_hidden_layer(variant, x, cube, m, RngStream(seed))
+    reference = isinstance_reference_layer(variant, x, cube, m, RngStream(seed))
+    assert layer.weights.tobytes() == reference.weights.tobytes()
+    assert layer.biases.tobytes() == reference.biases.tobytes()
+
+
+def test_variants_declare_their_choices_outside_the_config_keys():
+    # the three choices are class attributes, so they are neither dataclass
+    # fields nor keys of the method dicts
+    for variant in ALL_VARIANTS:
+        names = {f.name for f in dataclasses.fields(variant)}
+        assert not names & {"encoder_biases", "network_biases"}
+        assert variant.encoder_biases in ("anchored", "uniform")
+        assert variant.network_biases in ("anchored", "uniform", "mean")
+    assert [v.u_ae for v in ALL_VARIANTS] == [0.5, 1.0, 1.0, 1.0, 1.0]
+    assert "u_ae" not in {f.name for f in dataclasses.fields(Raem2Config)}
 
 
 class TestVariant5Geometry:

@@ -456,6 +456,25 @@ class TestUaeSweep:
         with pytest.raises(ConfigError):
             uae_sweep(demo_small, 10, [], 3, 14)
 
+    def test_points_are_the_method_dict_at_each_u_ae(self, demo_small):
+        # a point keeps every key of the method dict but u_ae, which it sets
+        def sweep(method=None):
+            return uae_sweep(demo_small, 10, [0.05, 0.5], 2, 15, method=method)
+
+        assert sweep() == sweep({"method": "raem1"}) == sweep({"method": "raem1", "u_ae": 3})
+        uniform = sweep({"method": "raem1", "anchor": {"kind": "uniform"}})
+        assert uniform != sweep()
+        assert [p.u_ae for p in uniform] == [0.05, 0.5]
+
+    @pytest.mark.parametrize("method", [{"method": "ram", "u": 1.0}, {"method": "raem2"}])
+    def test_other_methods_rejected_before_any_fit(self, monkeypatch, demo_small, method):
+        def no_fit(fit, count):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(trials, "_fork_map", no_fit)
+        with pytest.raises(ConfigError, match="raem1"):
+            uae_sweep(demo_small, 10, [0.5], 3, 14, method=method)
+
     @pytest.mark.parametrize("values", [[0.5, 0.0], [-1.0]])
     def test_nonpositive_value_rejected_before_any_fit(self, monkeypatch, demo_small, values):
         def no_fit(fit, count):
