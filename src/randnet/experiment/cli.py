@@ -72,7 +72,7 @@ from .outputs import (
     write_summary,
     write_table,
 )
-from .stats import MIN_PAIRS, weight_histogram, wilcoxon_signed_rank
+from .stats import MIN_PAIRS, median, weight_histogram, wilcoxon_signed_rank
 from .trials import CvResult, cross_validate, run_trials, uae_sweep
 
 
@@ -392,7 +392,7 @@ def cmd_histogram(args) -> int:
         "trials": cfg.trials,
         "bins": cfg.histogram_bins,
         "weight_count": int(pooled.size),
-        "median_abs_weight": float(np.median(np.abs(pooled))),
+        "median_abs_weight": median(np.abs(pooled)),
     }
     run.write_summary()
     run.write_table("histogram", HISTOGRAM_COLUMNS, histogram_rows(family, hist))

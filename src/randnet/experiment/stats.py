@@ -98,18 +98,55 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     return WilcoxonResult(stat, p)
 
 
-def summarize(values) -> dict:
-    """Mean, sample std, median, 10th/90th percentiles and range of a sample."""
+def _sample(values) -> np.ndarray:
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise InvalidInputError("cannot summarize an empty sample")
+    return v
+
+
+# ``median`` and ``percentile`` make numpy's own operations: the partition
+# it makes, with the same points, so that of two tied values (0 and -0) the
+# one numpy would pick is picked, and the NaN check on the value it puts
+# last. ``np.median`` and ``np.percentile`` import ``numpy.ma`` for those
+# steps on first use, which costs a process about 15 ms and 1.2 MB.
+
+def median(values) -> float:
+    """``np.median`` of a nonempty sample, bitwise: the mean of its one or
+    two middle values."""
+    v = _sample(values)
+    half, odd = divmod(v.size, 2)
+    part = np.partition(v, [half, -1] if odd else [half - 1, half, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[half - 1 + odd:half + 1]))
+
+
+def percentile(values, q: int) -> float:
+    """``np.percentile(values, q)`` of a nonempty sample, bitwise: the
+    linear interpolation at index ``(n - 1) q / 100`` of the sorted sample,
+    taken from the nearer of the two values it lies between."""
+    v = _sample(values)
+    index = (v.size - 1) * (q / 100)
+    lo, hi = (-1, -1) if index >= v.size - 1 else (math.floor(index), math.floor(index) + 1)
+    part = np.partition(v, sorted({0, -1, lo, hi}))
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    low, high, gamma = float(part[lo]), float(part[hi]), index - lo
+    diff = high - low
+    return high - diff * (1 - gamma) if gamma >= 0.5 else low + diff * gamma
+
+
+def summarize(values) -> dict:
+    """Mean, sample std, median, 10th/90th percentiles and range of a sample."""
+    v = _sample(values)
     return {
         "count": int(v.size),
         "mean": float(np.mean(v)),
         "std": float(np.std(v, ddof=1)) if v.size > 1 else 0.0,
-        "median": float(np.median(v)),
-        "p10": float(np.percentile(v, 10)),
-        "p90": float(np.percentile(v, 90)),
+        "median": median(v),
+        "p10": percentile(v, 10),
+        "p90": percentile(v, 90),
         "min": float(np.min(v)),
         "max": float(np.max(v)),
     }

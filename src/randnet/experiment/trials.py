@@ -31,6 +31,7 @@ from ..methods import GeneratorConfig, generate_hidden_layer, method_spec, metho
 from ..model import TrainedNetwork, predict, rmse, train_readout
 from ..paramgen import Hypercube, input_hypercube
 from ..rng import as_stream
+from .stats import median
 
 T = TypeVar("T")
 
@@ -379,7 +380,7 @@ def uae_sweep(
     def fit(i: int) -> tuple[float, float]:
         k, t = divmod(i, trials)
         trial = fit_trial(methods[k], train, test, cube, m, stream.child(k, t))
-        return float(np.median(np.abs(trial.network.hidden.weights))), trial.rmse_test
+        return median(np.abs(trial.network.hidden.weights)), trial.rmse_test
 
     rows = _fork_map(fit, len(uae_values) * trials)
     points = []

@@ -1,7 +1,7 @@
 """SVD-backed Moore-Penrose pseudoinverse and least-squares solves.
 
 Both the network readout and the autoencoder decoder reduce to minimum-norm
-least squares. The solves go through an economy SVD (LAPACK via numpy)
+least squares. The solves go through an economy SVD (LAPACK ``dgesdd``)
 rather than normal equations, so nearly rank-deficient matrices are handled
 without squaring the condition number. A tall matrix is first reduced by
 Householder QR of ``[a | rhs]`` to its square triangle R and ``Q' rhs``, and
@@ -20,8 +20,14 @@ readout can build each block when it is reduced and never hold ``a`` whole;
 ``qr_triangle`` factorizes each such buffer where it lies, with LAPACK
 ``dgeqrf`` from the OpenBLAS bundled in the numpy wheel, bound through
 ctypes, so a block in flight is held once. Its triangle is bitwise
-``np.linalg.qr``'s, which calls the same routine on a copy; where numpy
-bundles no OpenBLAS, ``np.linalg.qr`` is called instead.
+``np.linalg.qr``'s, which calls the same routine on a copy. The SVD of
+``factorize`` and ``solve_reduced`` is that library's ``dgesdd``, called as
+``np.linalg.svd`` calls it, on one F-ordered copy of the matrix that it
+overwrites, so U, s and Vt are bitwise numpy's, without numpy's second copy
+of U and Vt beside the workspace. Both routines are looked up by one helper
+and take the workspace size LAPACK asks for, queried once per shape. Where
+numpy bundles no OpenBLAS, ``np.linalg.qr`` and ``np.linalg.svd`` are
+called instead.
 
 ``single_thread_blas`` pins the BLAS under those solves to one thread while
 a worker pool runs, and ``block_budget`` hands each of the pool's units the
@@ -67,12 +73,42 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def factorize(m) -> SvdFactorization:
     """Economy SVD of ``m``; raises NumericFailureError on non-convergence."""
-    a = _as_matrix(m)
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(f"SVD did not converge: {exc}") from exc
+    u, s, vt = _svd(_as_matrix(m))
     return SvdFactorization(u=u, singular_values=s, vt=vt)
+
+
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(U, s, Vt)``, bitwise ``np.linalg.svd(a, full_matrices=False)``,
+    with U and Vt C-ordered as numpy returns them.
+
+    LAPACK ``dgesdd`` of numpy's bundled OpenBLAS, with jobz 'S' and the
+    workspace it asks for, as numpy calls it, decomposes one F-ordered copy
+    of ``a``, which it overwrites. U and Vt are copied to C order once that
+    copy and the workspace are freed: a product with a column-major U takes
+    another BLAS kernel and moves bits. Without that library numpy
+    decomposes ``a``. Any failure is a NumericFailureError.
+    """
+    gesdd = _dgesdd()
+    if gesdd is None:
+        try:
+            return np.linalg.svd(a, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailureError(f"SVD did not converge: {exc}") from exc
+    rows, cols = a.shape
+    k = min(rows, cols)
+    work_a = np.array(a, order="F")
+    s, iwork = np.empty(k), np.empty(8 * k, dtype=np.int64)
+    u, vt = np.empty((rows, k), order="F"), np.empty((k, cols), order="F")
+    # m, n, lda, ldu, ldvt, lwork, info
+    ints = np.array([rows, cols, max(1, rows), max(1, rows), max(1, k), 0, 0],
+                    dtype=np.int64)
+    m, n, lda, ldu, ldvt, lwork, info = _addresses(ints)
+    a_p, s_p, u_p, vt_p, iwork_p = (b.ctypes.data for b in (work_a, s, u, vt, iwork))
+    _lapack(gesdd, "SVD failed: dgesdd", ints, lambda work: gesdd(
+        b"S", m, n, a_p, lda, s_p, u_p, ldu, vt_p, ldvt, work, lwork, iwork_p, info, 1))
+    del work_a
+    u = np.ascontiguousarray(u)
+    return u, s, np.ascontiguousarray(vt)
 
 
 def _rank_cutoff(shape: tuple[int, int], s: np.ndarray) -> float:
@@ -102,11 +138,10 @@ def qr_triangle(buf: np.ndarray) -> np.ndarray:
     """The triangle R of the Householder QR of ``buf``, bitwise equal to
     ``np.linalg.qr(buf, mode="r")``, computed in ``buf``, which it overwrites.
 
-    ``buf`` must be a writeable, F-contiguous float64 matrix. LAPACK
-    ``dgeqrf`` of numpy's bundled OpenBLAS factorizes it where it lies: first
-    a workspace query, then the call with the workspace it asked for, as
-    numpy makes them, since a smaller workspace takes another path and moves
-    bits. Without that library numpy factorizes a copy.
+    ``buf`` must be a writeable, F-contiguous float64 matrix, checked once
+    here; the routine then gets its address. LAPACK ``dgeqrf`` of numpy's
+    bundled OpenBLAS factorizes it where it lies, with the workspace it asks
+    for (see ``_lapack``). Without that library numpy factorizes a copy.
     """
     if not (isinstance(buf, np.ndarray) and buf.ndim == 2 and buf.dtype == np.float64
             and buf.flags.f_contiguous and buf.flags.writeable):
@@ -116,18 +151,12 @@ def qr_triangle(buf: np.ndarray) -> np.ndarray:
         return np.linalg.qr(buf, mode="r")
     rows, cols = buf.shape
     tau = np.empty(min(rows, cols))
-    info = ctypes.c_int64(0)
-
-    def call(work: np.ndarray, lwork: int) -> None:
-        geqrf(_int64(rows), _int64(cols), buf, _int64(max(1, rows)), tau, work,
-              _int64(lwork), ctypes.byref(info))
-        if info.value != 0:
-            raise NumericFailureError(f"QR factorization failed: dgeqrf info {info.value}")
-
-    query = np.empty(1)
-    call(query, -1)
-    lwork = max(1, int(query[0]))
-    call(np.empty(lwork), lwork)
+    # m, n, lda, lwork, info
+    ints = np.array([rows, cols, max(1, rows), 0, 0], dtype=np.int64)
+    m, n, lda, lwork, info = _addresses(ints)
+    buf_p, tau_p = buf.ctypes.data, tau.ctypes.data
+    _lapack(geqrf, "QR factorization failed: dgeqrf", ints,
+            lambda work: geqrf(m, n, buf_p, lda, tau_p, work, lwork, info))
     return np.triu(buf[: tau.size])
 
 
@@ -276,30 +305,82 @@ def _thread_shutdowns() -> list:
     return shutdowns
 
 
-_F64 = np.ctypeslib.ndpointer(np.float64)
+def _bundled_routine(symbol: str, argtypes: list):
+    """LAPACK routine ``symbol`` of numpy's bundled OpenBLAS, taking
+    ``argtypes``, or None where numpy bundles none. That copy is ILP64, so
+    every integer argument is a pointer to an int64. A ctypes call releases
+    the GIL, so blocks factorized on ``map_blocks`` threads run in
+    parallel."""
+    package, pattern, _ = _OPENBLAS_COPIES[0]
+    for lib in _loaded_libraries(package, pattern):
+        try:
+            routine = lib[symbol]
+        except AttributeError:
+            continue
+        routine.argtypes, routine.restype = argtypes, None
+        return routine
+    return None
 
 
 @functools.cache
 def _dgeqrf():
-    """LAPACK ``dgeqrf`` of numpy's bundled OpenBLAS, or None where numpy
-    bundles none. That copy is ILP64, so every integer argument is a pointer
-    to an int64. A ctypes call releases the GIL, so blocks factorized on
-    ``map_blocks`` threads run in parallel."""
-    package, pattern, _ = _OPENBLAS_COPIES[0]
-    for lib in _loaded_libraries(package, pattern):
-        try:
-            geqrf = lib["scipy_dgeqrf_64_"]
-        except AttributeError:
-            continue
-        int64 = ctypes.POINTER(ctypes.c_int64)
-        geqrf.argtypes = [int64, int64, _F64, int64, _F64, _F64, int64, int64]
-        geqrf.restype = None
-        return geqrf
-    return None
+    """``dgeqrf(m, n, a, lda, tau, work, lwork, info)``, every argument a
+    raw pointer, or None."""
+    return _bundled_routine("scipy_dgeqrf_64_", [ctypes.c_void_p] * 8)
 
 
-def _int64(value: int):
-    return ctypes.byref(ctypes.c_int64(value))
+@functools.cache
+def _dgesdd():
+    """``dgesdd(jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork,
+    info)``, jobz a one-letter bytes string and the rest raw pointers, then
+    the hidden length of jobz that gfortran passes, or None."""
+    return _bundled_routine("scipy_dgesdd_64_",
+                            [ctypes.c_char_p] + [ctypes.c_void_p] * 13 + [ctypes.c_size_t])
+
+
+def _addresses(ints: np.ndarray) -> list[int]:
+    """The address of each entry of an int64 vector, to pass by reference."""
+    base = ints.ctypes.data
+    return [base + 8 * i for i in range(ints.size)]
+
+
+# Workspace sizes LAPACK asked for, by routine (its id: the bound routines
+# live as long as the process) and integer arguments: the query depends on
+# those alone, so a repeat shape skips it. The threads of
+# ``map_blocks`` share it, and a race at worst repeats a query. It is
+# emptied when it reaches _LWORKS_KEPT entries, so a process that meets
+# many shapes does not grow it without bound.
+_lworks: dict = {}
+_LWORKS_KEPT = 4096
+
+
+def _lapack(routine, failure: str, ints: np.ndarray, call) -> None:
+    """Run ``routine`` with the workspace it asks for, as numpy does: a
+    smaller workspace takes another path and moves bits.
+
+    ``call(work)`` calls it with the workspace at address ``work``, and the
+    last two entries of ``ints`` are its lwork and info. The workspace query
+    (lwork -1) is made the first time the routine sees its other integer
+    arguments. Any nonzero info is a NumericFailureError, ``failure`` then
+    the info.
+    """
+
+    def run(work: np.ndarray, lwork: int) -> None:
+        ints[-2:] = lwork, 0
+        call(work.ctypes.data)
+        if ints[-1] != 0:
+            raise NumericFailureError(f"{failure} info {ints[-1]}")
+
+    key = (id(routine), ints[:-2].tobytes())
+    size = _lworks.get(key)
+    if size is None:
+        query = np.empty(1)
+        run(query, -1)
+        size = max(1, int(query[0]))
+        if len(_lworks) >= _LWORKS_KEPT:
+            _lworks.clear()
+        _lworks[key] = size
+    run(np.empty(size), size)
 
 
 @contextmanager

@@ -4,17 +4,19 @@ The hidden layer is frozen after generation; training only fits the output
 weights, by a minimum-norm least-squares solve on the hidden output matrix H.
 There are no direct input-output links and no output bias.
 
-H is built by ``build_hidden`` in tiles of ``tile_rows`` rows, about 64K
-entries each, so every elementwise pass over a tile stays in cache, and
-each tile's temporaries live in one work tile reused for all of them. Every
-entry is computed by the same operations whatever the tiling, so H is
-bitwise the same. A tall fit (more rows than nodes) streams H into the
-blocked QR of ``linalg``: each row block of ``[H | t]``, one block
-included, is built into its own F-ordered buffer, factorized there to its
-triangle and dropped, so the fit never holds all of H, and holds each block
-in flight once. ``solve_readout`` is that fit for any target t, the
-readout's y or the autoencoder decoder's inputs X, and returns the solution
-alone. ``predict`` likewise multiplies one tile at a time by the readout.
+H is built by ``build_hidden`` in pieces of about 64K entries, so every
+elementwise pass over a piece stays in cache, and each piece's temporaries
+live in one work array reused for all of them: tiles of ``tile_rows`` rows
+for a row-major target, column panels for a column-major one, which is
+built where it lies. Every entry is computed by the same operations
+whatever the pieces, so H is bitwise the same. A tall fit (more rows than
+nodes) streams H into the blocked QR of ``linalg``: each row block of
+``[H | t]``, one block included, is built into its own F-ordered buffer,
+factorized there to its triangle and dropped, so the fit never holds all of
+H, and holds each block in flight once. ``solve_readout`` is that fit for
+any target t, the readout's y or the autoencoder decoder's inputs X, and
+returns the solution alone. ``predict`` likewise multiplies one tile at a
+time by the readout.
 """
 
 from __future__ import annotations
@@ -210,28 +212,30 @@ def _tiles(rows: int, nodes: int) -> list[slice]:
 
 
 def build_hidden(x, weights, biases, out) -> None:
-    """Write ``sigmoid(x @ weights + biases)`` into ``out``, tile by tile.
+    """Write ``sigmoid(x @ weights + biases)`` into ``out``, in pieces of
+    about ``_TILE_ELEMS`` entries.
 
-    One work tile, reused for every tile, holds the temporaries of both
-    steps. A target whose rows are not C-contiguous, such as the H columns
-    of an ``[H | y]`` buffer, has each tile built in one more reused
-    contiguous tile and copied in, which is faster than building into the
-    strided view.
+    A column-major target, such as the H columns of an F-ordered ``[H | y]``
+    buffer, is built where it lies one column panel at a time, about
+    ``_TILE_ELEMS // rows`` columns wide, with one F-ordered work panel and
+    x's columns made contiguous once, so every pass runs down contiguous
+    columns. Any other target is built in tiles of ``tile_rows`` rows, with
+    one work tile reused for every tile. Either way one work array holds the
+    temporaries of both steps, and every entry gets the same operations.
     """
-    nodes = weights.shape[1]
-    height = min(tile_rows(nodes), x.shape[0])
-    if out.flags.c_contiguous:
-        work, scratch = np.empty((height, nodes)), None
-    else:
-        # one allocation for both tiles: two, at N=20000 and m=800, raised
-        # the peak resident memory of a fit by about 1 MB
-        work, scratch = np.empty((2, height, nodes))
-    for rows in _tiles(x.shape[0], nodes):
-        count = rows.stop - rows.start
-        h = out[rows] if scratch is None else scratch[:count]
-        _hidden_tile(x[rows], weights, biases, h, work[:count])
-        if scratch is not None:
-            out[rows] = h
+    rows, nodes = x.shape[0], weights.shape[1]
+    if out.flags.f_contiguous and not out.flags.c_contiguous:
+        width = max(1, _TILE_ELEMS // max(1, rows))
+        columns = np.asfortranarray(x)
+        work = np.empty((rows, min(width, nodes)), order="F")
+        for lo in range(0, nodes, width):
+            cols = slice(lo, min(lo + width, nodes))
+            _hidden_tile(columns, weights[:, cols], biases[cols], out[:, cols],
+                         work[:, :cols.stop - lo])
+        return
+    work = np.empty((min(tile_rows(nodes), rows), nodes))
+    for tile in _tiles(rows, nodes):
+        _hidden_tile(x[tile], weights, biases, out[tile], work[:tile.stop - tile.start])
 
 
 def _inputs(layer: HiddenLayer, x) -> np.ndarray:
@@ -259,7 +263,7 @@ def solve_readout(layer: HiddenLayer, x, t) -> np.ndarray:
     ``lstsq(hidden_outputs(layer, x), t)``.
 
     A tall fit (more rows than nodes) never holds H whole: each of its
-    ``row_blocks``, one block included, is built, tile by tile, into one
+    ``row_blocks``, one block included, is built, panel by panel, into one
     F-ordered ``[H_b | t_b]`` buffer, which ``reduce_tall`` factorizes in
     place and drops; ``solve_reduced`` then solves as ``lstsq`` does. That
     buffer holds the values, in the layout, of the one ``lstsq`` fills, so

@@ -424,6 +424,26 @@ class TestWorkerProcesses:
             assert (proc.returncode, proc.stderr) == (0, "")
 
 
+    def test_fit_and_sweep_leave_numpy_ma_unimported(self, tmp_path):
+        # np.median and np.percentile import numpy.ma on first use, about
+        # 15 ms and 1.2 MB in every process that calls them
+        probe = (
+            "import sys\n"
+            "from randnet.experiment.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(randnet.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv in (
+            ["fit", "--method", "ram", "--u", "1", *tiny_tf_args(tmp_path / "fit", 3),
+             "--save-model", tmp_path / "fit" / "m.json"],
+            ["uae-sweep", *tiny_tf_args(tmp_path / "sweep", 2), "--sweep-points", "3"],
+        ):
+            proc = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+
 # Allocates, touches and frees a 2 MiB array and then a 30 MiB one twice,
 # printing the resident memory (MiB) above the start that each free leaves.
 _RSS_PROBE = """

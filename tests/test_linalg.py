@@ -5,11 +5,14 @@ than against another library routine; square solves are cross-checked with a
 pure-Python Gaussian elimination written here.
 """
 
+import ctypes
+import functools
 import glob
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +22,9 @@ import randnet
 from randnet import linalg
 from randnet.errors import InvalidInputError, NumericFailureError
 from randnet.linalg import factorize, lstsq, pseudoinverse, single_thread_blas
+from randnet.model import build_hidden
+from randnet.paramgen import RAlphaMConfig, generate_ralpham, input_hypercube
+from randnet.rng import as_stream
 
 
 def mp_residuals(m, p):
@@ -235,13 +241,13 @@ def test_blocked_lstsq_matches_one_block(row_blocking, cols, extra_rows, seed, d
 
 def test_tall_lstsq_decomposes_only_square_matrices(monkeypatch):
     seen = []
-    svd = np.linalg.svd
+    svd = linalg._svd
 
-    def recording_svd(a, *args, **kwargs):
+    def recording_svd(a):
         seen.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+        return svd(a)
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(linalg, "_svd", recording_svd)
     rng = np.random.default_rng(21)
     m = rng.normal(size=(300, 7))
     lstsq(m, rng.normal(size=300))
@@ -274,15 +280,15 @@ def test_tall_cutoff_uses_the_original_row_count(row_blocking):
 def test_lapack_failure_is_a_numeric_failure(monkeypatch, row_blocking, routine, fails):
     # at min_rows 8 the 80x3 matrix is reduced in 4 blocks of 20 rows on a
     # pool of 2, and their 4 triangles of 4 rows by a merge QR of 16 rows;
-    # the QR is linalg.qr_triangle, whose failure is a NumericFailureError
+    # the QR is linalg.qr_triangle and the SVD linalg._svd, whose failures
+    # are NumericFailureErrors
     row_blocking(min_rows=8)
     rng = np.random.default_rng(22)
     rows = 9 if fails == "every call" else 80
     a = rng.normal(size=(rows, 3))
     blocks = linalg.row_blocks(rows, 3)
-    owner, attr = (linalg, "qr_triangle") if routine == "qr" else (np.linalg, "svd")
-    real = getattr(owner, attr)
-    failure = NumericFailureError if routine == "qr" else np.linalg.LinAlgError
+    attr = "qr_triangle" if routine == "qr" else "_svd"
+    real = getattr(linalg, attr)
     callers = []
 
     def failing(m, *args, **kwargs):
@@ -290,10 +296,10 @@ def test_lapack_failure_is_a_numeric_failure(monkeypatch, row_blocking, routine,
         if (fails == "every call"
                 or (fails == "second block" and np.array_equal(m[:, :3], a[blocks[1]]))
                 or (fails == "merge" and m.shape[0] == 4 * len(blocks))):
-            raise failure("simulated non-convergence")
+            raise NumericFailureError("simulated non-convergence")
         return real(m, *args, **kwargs)
 
-    monkeypatch.setattr(owner, attr, failing)
+    monkeypatch.setattr(linalg, attr, failing)
     with linalg.block_budget(2), pytest.raises(NumericFailureError):
         lstsq(a, np.ones(rows))
     if fails != "every call":
@@ -325,12 +331,110 @@ def test_qr_triangle_is_numpys_r_bit_for_bit(monkeypatch, cols, extra_rows, scal
     assert r.flags.c_contiguous
 
 
+def reference_solve_reduced(r, c, shape):
+    """``linalg.solve_reduced`` as it was on ``np.linalg.svd``."""
+    u, s, vt = np.linalg.svd(r, full_matrices=False)
+    s_inv = np.zeros_like(s)
+    np.divide(1.0, s, out=s_inv, where=s > max(shape) * float(s[0]) * np.finfo(float).eps)
+    return vt.T @ ((u.T @ c) * s_inv[:, None])
+
+
+@functools.cache
+def ralpham_triangle() -> np.ndarray:
+    """The 800x800 R of the hidden matrix of a ralpham layer with slope
+    angles up to 90 degrees on 5000 points in 2-D, as the tf1-m800 readout
+    decomposes it; many saturated nodes make it rank-deficient."""
+    x = np.random.default_rng(27).uniform(size=(5000, 2))
+    layer = generate_ralpham(RAlphaMConfig(alpha_max_deg=90.0), x, input_hypercube(x), 800,
+                             as_stream(27))
+    h = np.empty((5000, 800), order="F")
+    build_hidden(x, layer.weights, layer.biases, h)
+    return linalg.qr_triangle(h)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.integers(1, 300),
+    cols=st.integers(1, 300),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+    duplicates=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    fallback=st.booleans(),
+    ralpham=st.just(False),
+)
+@example(rows=800, cols=800, scale=1.0, duplicates=0, seed=0, fallback=False, ralpham=True)
+@example(rows=300, cols=300, scale=1e8, duplicates=3, seed=1, fallback=False, ralpham=False)
+def test_svd_is_numpys_bit_for_bit(monkeypatch, rows, cols, scale, duplicates, seed, fallback,
+                                   ralpham):
+    # tall, square and wide; duplicated columns make it rank-deficient
+    rng = np.random.default_rng(seed)
+    if ralpham:
+        a = ralpham_triangle()
+        assert np.linalg.matrix_rank(a) < 800
+    else:
+        a = rng.normal(size=(rows, cols)) * scale
+        a[:, cols - min(duplicates, cols - 1):] = a[:, :1]
+    c = rng.normal(size=(a.shape[0], 2))
+    shape = (2 * a.shape[0], a.shape[1])
+    before = a.copy()
+    with monkeypatch.context() as patch:
+        if fallback:
+            patch.setattr(linalg, "_dgesdd", lambda: None)
+        got = linalg._svd(a)
+        x = linalg.solve_reduced(a, c, shape)
+    assert a.tobytes() == before.tobytes()
+    for mine, numpys in zip(got, np.linalg.svd(a, full_matrices=False)):
+        assert mine.tobytes() == numpys.tobytes()
+        assert mine.flags.c_contiguous
+    assert x.tobytes() == reference_solve_reduced(a, c, shape).tobytes()
+
+
+def test_solve_reduced_holds_one_copy_u_vt_and_the_workspace():
+    # at m=400: the F-ordered copy of R, U, Vt and dgesdd's 3m^2 + 7m
+    # workspace, about 6 m^2 doubles; numpy's svd held U and Vt twice
+    if not bundles_openblas():
+        pytest.skip("numpy bundles no OpenBLAS")
+    m = 400
+    rng = np.random.default_rng(28)
+    r = np.triu(rng.normal(size=(m, m)))
+    c = rng.normal(size=(m, 1))
+    linalg.solve_reduced(r, c, (4 * m, m))
+    tracemalloc.start()
+    try:
+        linalg.solve_reduced(r, c, (4 * m, m))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * m * m * 8
+
+
+def bundles_openblas() -> bool:
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    return bool(glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas64_*")))
+
+
 def test_qr_triangle_binds_the_bundled_openblas():
     # a silent fallback to np.linalg.qr would hide a lost in-place path
-    site = os.path.dirname(os.path.dirname(np.__file__))
-    if not glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas64_*")):
+    if not bundles_openblas():
         pytest.skip("numpy bundles no OpenBLAS")
     assert linalg._dgeqrf() is not None
+
+
+def test_svd_binds_the_bundled_openblas(monkeypatch):
+    # a silent fallback to np.linalg.svd would hide a lost in-place path
+    if not bundles_openblas():
+        pytest.skip("numpy bundles no OpenBLAS")
+    assert linalg._dgesdd() is not None
+
+    def no_numpy_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_numpy_svd)
+    rng = np.random.default_rng(25)
+    lstsq(rng.normal(size=(40, 6)), rng.normal(size=40))
+    lstsq(rng.normal(size=(4, 6)), rng.normal(size=4))
+    pseudoinverse(rng.normal(size=(5, 5)))
 
 
 def test_qr_triangle_overwrites_only_what_it_may():
@@ -349,14 +453,95 @@ def test_qr_triangle_overwrites_only_what_it_may():
     assert not np.array_equal(buf, a)
 
 
+def set_info(address: int, value: int) -> None:
+    """Write a LAPACK info argument, an int64 passed by address."""
+    ctypes.c_int64.from_address(address).value = value
+
+
 def test_qr_triangle_info_is_a_numeric_failure(monkeypatch):
     def geqrf(*args):
-        args[-1]._obj.value = -4
+        set_info(args[-1], -4)
 
     monkeypatch.setattr(linalg, "_dgeqrf", lambda: geqrf)
     with pytest.raises(NumericFailureError, match="info -4"):
         linalg.qr_triangle(np.ones((5, 2), order="F"))
 
+
+@pytest.mark.parametrize("info, on_call", [(-5, 1), (3, 2)])
+def test_svd_info_is_a_numeric_failure(monkeypatch, info, on_call):
+    # an illegal argument found by the workspace query, and a bidiagonal
+    # QR that does not converge in the call itself
+    calls = []
+
+    def gesdd(*args):
+        calls.append(args[0])
+        if len(calls) == on_call:
+            set_info(args[13], info)
+        else:
+            ctypes.c_double.from_address(args[10]).value = 64.0
+
+    monkeypatch.setattr(linalg, "_dgesdd", lambda: gesdd)
+    monkeypatch.setattr(linalg, "_lworks", {})
+    for solve in (lambda: linalg.solve_reduced(np.eye(4), np.ones((4, 1)), (4, 4)),
+                  lambda: factorize(np.eye(4))):
+        calls.clear()
+        linalg._lworks.clear()  # the query would be skipped after a first call
+        with pytest.raises(NumericFailureError, match=f"dgesdd info {info}"):
+            solve()
+        assert calls == [b"S"] * on_call
+
+
+def test_workspace_query_is_made_once_per_shape(monkeypatch):
+    if not bundles_openblas():
+        pytest.skip("numpy bundles no OpenBLAS")
+    monkeypatch.setattr(linalg, "_lworks", {})
+    seen = []
+    for name in ("_dgeqrf", "_dgesdd"):
+        real = getattr(linalg, name)()
+
+        def recording(*args, real=real, name=name):
+            seen.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, name, lambda recording=recording: recording)
+    rng = np.random.default_rng(26)
+    a = rng.normal(size=(30, 4))
+    first = lstsq(a, np.ones(30))
+    assert seen == ["_dgeqrf"] * 2 + ["_dgesdd"] * 2
+    assert lstsq(a, np.ones(30)).tobytes() == first.tobytes()
+    assert seen == ["_dgeqrf"] * 2 + ["_dgesdd"] * 2 + ["_dgeqrf", "_dgesdd"]
+
+
+def test_workspace_sizes_survive_concurrent_solves(monkeypatch):
+    # more threads than cores, switching often, on shapes that keep the
+    # shared workspace cache at its size limit: a lost or misfiled entry
+    # would give a solve the wrong workspace and move its bits
+    monkeypatch.setattr(linalg, "_lworks", {})
+    monkeypatch.setattr(linalg, "_LWORKS_KEPT", 3)
+    rng = np.random.default_rng(29)
+    problems = [(rng.normal(size=(rows, cols)), rng.normal(size=rows))
+                for rows, cols in [(40, 6), (6, 40), (30, 30), (90, 2), (1, 1)]]
+    want = [lstsq(a, t).tobytes() for a, t in problems]
+    interval = sys.getswitchinterval()
+    seen: list = []
+
+    def user(offset):
+        for k in range(50):
+            a, t = problems[(offset + k) % len(problems)]
+            seen.append(((offset + k) % len(problems), lstsq(a, t).tobytes()))
+
+    try:
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=user, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 400
+    assert all(got == want[k] for k, got in seen)
 
 def test_single_thread_blas_survives_concurrent_users():
     # more users than cores, switching threads often: a lost update of the
@@ -393,7 +578,8 @@ def test_single_thread_blas_survives_concurrent_users():
 
 def test_cli_import_and_pinning_load_no_scipy():
     # scipy's OpenBLAS copy is pinned only if something else loaded it, and
-    # resolving numpy's dgeqrf for the in-place QR loads no library either
+    # resolving numpy's dgeqrf and dgesdd for the in-place QR and SVD loads
+    # no library either
     probe = """
 import ctypes, glob, importlib.util, os, sys
 import numpy as np
@@ -417,7 +603,9 @@ before = loaded()
 with linalg.single_thread_blas():
     pass
 linalg._dgeqrf()
+linalg._dgesdd()
 linalg.qr_triangle(np.ones((3, 2), order="F"))
+linalg.factorize(np.ones((3, 2)))
 assert "scipy" not in sys.modules, "scipy was imported"
 after = loaded()
 if after != before or any("scipy.libs" in path for path in after):

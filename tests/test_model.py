@@ -244,11 +244,13 @@ class TestHiddenOutputs:
         nodes=st.one_of(st.integers(1, 40), st.integers(41, 1100)),
         extra=st.integers(0, 2),
         seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from("CF"),
     )
-    def test_tiled_build_equals_one_shot_build(self, rows, n, nodes, extra, seed):
+    def test_tiled_build_equals_one_shot_build(self, rows, n, nodes, extra, seed, order):
         # ragged last tiles, one-row inputs, tiles from 64 rows (nodes above
-        # 64K / 64) up to one tile for all rows, and strided targets: the
-        # H columns of a wider buffer, whose other columns stay untouched
+        # 64K / 64) up to one tile for all rows, and the H columns of a
+        # wider buffer, whose other columns stay untouched: strided rows in
+        # a C-ordered one, column panels, ragged too, in an F-ordered one
         step = tile_rows(nodes)
         assert step % 64 == 0 and step >= 64
         assert step == 64 or step * nodes <= 1 << 16
@@ -258,11 +260,33 @@ class TestHiddenOutputs:
         x = rng.normal(size=(rows, n))
         z = affine_arguments(x, w, b)
         want = sigmoid(z, out=z)
-        buf = np.full((rows, nodes + extra), np.nan)
+        buf = np.full((rows, nodes + extra), np.nan, order=order)
         build_hidden(x, w, b, buf[:, :nodes])
         assert buf[:, :nodes].tobytes() == want.tobytes()
         assert np.isnan(buf[:, nodes:]).all()
 
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_column_major_build_holds_one_work_panel(self, n):
+        # the H columns of a 5000x26 [H | y] buffer, as a uae-sweep-m25
+        # readout builds them: one work panel of 65536 // 5000 = 13 columns
+        # and, for n > 1, one column-major copy of x; no row tile besides
+        rng = np.random.default_rng(30 + n)
+        w = rng.normal(scale=20.0, size=(n, 25))
+        b = rng.normal(scale=5.0, size=25)
+        x = rng.normal(size=(5000, n))
+        buf = np.empty((5000, 26), order="F")
+        build_hidden(x, w, b, buf[:, :25])
+        tracemalloc.start()
+        try:
+            build_hidden(x, w, b, buf[:, :25])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = 13 * 5000 * 8 + (5000 * n * 8 if n > 1 else 0)
+        assert held <= peak < held + 16 * 1024
+        assert buf[:, :25].tobytes(order="C") == hidden_outputs(
+            HiddenLayer(weights=w, biases=b), x).tobytes()
 
 class TestTrainReadout:
     def test_square_invertible_interpolates(self):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata, wilcoxon as scipy_wilcoxon
 
 from randnet.errors import InvalidInputError
@@ -18,6 +18,8 @@ from randnet.experiment.stats import (
     EXACT_MAX_N,
     Histogram,
     average_ranks,
+    median,
+    percentile,
     summarize,
     weight_histogram,
     wilcoxon_signed_rank,
@@ -169,6 +171,38 @@ class TestSummarize:
         with pytest.raises(InvalidInputError):
             summarize([])
 
+
+
+# odd and even sizes, ties, zeros of both signs, and rarely inf or NaN
+SAMPLES = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+              st.floats(-1e6, 1e6, allow_nan=False),
+              st.sampled_from([np.inf, -np.inf, np.nan])),
+    min_size=1, max_size=40,
+)
+
+
+class TestOrderStatistics:
+    @settings(max_examples=400, deadline=None)
+    @given(values=SAMPLES)
+    def test_median_is_numpys_bit_for_bit(self, values):
+        v = np.array(values)
+        with np.errstate(invalid="ignore"):  # the mean of -inf and inf
+            assert np.float64(median(v)).tobytes() == np.float64(np.median(v)).tobytes()
+        assert v.tobytes() == np.array(values).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=SAMPLES, q=st.sampled_from([0, 10, 25, 50, 90, 100]))
+    def test_percentile_is_numpys_bit_for_bit(self, values, q):
+        v = np.array(values)
+        with np.errstate(invalid="ignore"):  # numpy interpolates between infs
+            want = np.float64(np.percentile(v, q))
+        assert np.float64(percentile(v, q)).tobytes() == want.tobytes()
+
+    def test_empty_rejected(self):
+        for stat in (median, lambda v: percentile(v, 10)):
+            with pytest.raises(InvalidInputError):
+                stat([])
 
 class TestWeightHistogram:
     def test_single_value_occupies_one_bin(self):
