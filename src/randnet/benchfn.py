@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Dataset, NormalizationSpec, fit_normalization
+from .dataio import Dataset, NormalizationSpec, normalize
 from .errors import ConfigError, InvalidInputError
 from .rng import RngStream, as_stream
 
@@ -109,28 +109,15 @@ def sample_problem(
             f"need train_size >= 2 and test_size >= 1, got {train_size}/{test_size}"
         )
     lo, hi = tf.domain
-    names = [f"x{j + 1}" for j in range(tf.n)]
 
     def draw(child: RngStream, count: int) -> Dataset:
         pts = child.generator().uniform(lo, hi, size=(count, tf.n))
-        return Dataset(x=pts, y=evaluate_tf(tf, pts), feature_names=names)
+        return Dataset(x=pts, y=evaluate_tf(tf, pts))
 
-    raw_train = draw(stream.child(0), train_size)
-    raw_test = draw(stream.child(1), test_size)
-    spec = fit_normalization(raw_train, input_range=(0.0, 1.0), output_range=(-1.0, 1.0))
-    return SampledProblem(
-        train=Dataset(
-            x=spec.apply_inputs(raw_train.x),
-            y=spec.apply_output(raw_train.y),
-            feature_names=names,
-        ),
-        test=Dataset(
-            x=spec.apply_inputs(raw_test.x),
-            y=spec.apply_output(raw_test.y),
-            feature_names=names,
-        ),
-        normalization=spec,
-    )
+    train, spec = normalize(draw(stream.child(0), train_size),
+                            input_range=(0.0, 1.0), output_range=(-1.0, 1.0))
+    test, _ = normalize(draw(stream.child(1), test_size), spec)
+    return SampledProblem(train=train, test=test, normalization=spec)
 
 
 def demo_problem_1d(seed, *, train_size: int = 5000, test_size: int = 5000) -> SampledProblem:

@@ -1,8 +1,10 @@
 """SVD-backed Moore-Penrose pseudoinverse and least-squares solves.
 
 Both the network readout and the autoencoder decoder reduce to minimum-norm
-least squares. The solves go through an economy SVD (LAPACK ``dgesdd``)
-rather than normal equations, so nearly rank-deficient matrices are handled
+least squares, and both go through one driver, ``solve_rows``, which
+``lstsq`` calls with a matrix it holds and ``model.solve_readout`` with one
+it builds. The solves go through an economy SVD (LAPACK ``dgesdd``) rather
+than normal equations, so nearly rank-deficient matrices are handled
 without squaring the condition number. A tall matrix is first reduced by
 Householder QR of ``[a | rhs]`` to its square triangle R and ``Q' rhs``, and
 only R is decomposed (Chan's R-SVD), so no tall factor is ever formed.
@@ -12,10 +14,10 @@ the matrix shape only. Each block's ``[a | rhs]`` rows are reduced to
 their own triangle, and the triangles, stacked in block order, by one more
 QR (TSQR: Demmel et al., SIAM J. Sci. Comput. 2012). So no full-size copy of
 ``[a | rhs]`` is made, and ``map_blocks`` can reduce the blocks on the cores
-a worker pool leaves idle. ``reduce_tall`` takes a function that returns one
-block's rows in a fresh F-ordered buffer, so a caller such as the network
-readout can build each block when it is reduced and never hold ``a`` whole;
-``solve_reduced`` then solves on the triangle as ``lstsq`` does.
+a worker pool leaves idle. The driver has the caller write each block's
+rows of ``a`` into a fresh F-ordered buffer when the block is reduced, so a
+caller such as the network readout never holds ``a`` whole;
+``solve_reduced`` then solves on the triangle.
 
 ``qr_triangle`` factorizes each such buffer where it lies, with LAPACK
 ``dgeqrf`` from the OpenBLAS bundled in the numpy wheel, bound through
@@ -24,16 +26,16 @@ ctypes, so a block in flight is held once. Its triangle is bitwise
 ``factorize`` and ``solve_reduced`` is that library's ``dgesdd``, called as
 ``np.linalg.svd`` calls it, on one F-ordered copy of the matrix that it
 overwrites, so U, s and Vt are bitwise numpy's, without numpy's second copy
-of U and Vt beside the workspace. Both routines are looked up by one helper
-and take the workspace size LAPACK asks for, queried once per shape. Where
-numpy bundles no OpenBLAS, ``np.linalg.qr`` and ``np.linalg.svd`` are
-called instead.
+of U and Vt beside the workspace. Both routines take the workspace size
+LAPACK asks for, queried once per shape. Where numpy bundles no OpenBLAS,
+``np.linalg.qr`` and ``np.linalg.svd`` are called instead.
 
-``single_thread_blas`` pins the BLAS under those solves to one thread while
-a worker pool runs, and ``block_budget`` hands each of the pool's units the
-cores it leaves idle, out of the ``core_count`` this process may use. Since
-the blocks and their merge order are fixed, the results depend on none of
-these.
+That one library is bound once, and every symbol of it, the two LAPACK
+routines and the thread control, is looked up by ``_symbol``.
+``single_thread_blas`` pins it to one thread while a worker pool runs, and
+``block_budget`` hands each of the pool's units the cores it leaves idle,
+out of the ``core_count`` this process may use. Since the blocks and their
+merge order are fixed, the results depend on none of these.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
-import importlib.util
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -160,33 +161,6 @@ def qr_triangle(buf: np.ndarray) -> np.ndarray:
     return np.triu(buf[: tau.size])
 
 
-def reduce_tall(augmented, blocks: list[slice], cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(R, Q' rhs)`` of the thin QR ``a = Q R`` of a matrix with more rows
-    than ``cols`` columns, from the triangle of the QR of ``[a | rhs]``; Q is
-    never formed. ``a`` and ``R`` share their singular values and right
-    singular vectors, and ``||a x - rhs||^2`` differs from
-    ``||R x - Q' rhs||^2`` by a constant, so both give the same minimum-norm
-    solution.
-
-    ``augmented(block)`` returns the ``[a | rhs]`` rows of one of ``blocks``,
-    the ``row_blocks`` of ``a``, in a fresh F-ordered buffer that this
-    function consumes: ``qr_triangle`` overwrites it with its factorization.
-    More than one triangle are stacked in block order into one more buffer
-    and reduced again. The triangles equal R up to the signs of rows, which
-    do not change the solution."""
-    try:
-        triangles = map_blocks(lambda rows: qr_triangle(augmented(rows)), blocks)
-        if len(triangles) == 1:
-            r = triangles[0]
-        else:
-            stacked = np.empty((sum(len(t) for t in triangles), triangles[0].shape[1]),
-                               order="F")
-            r = qr_triangle(np.concatenate(triangles, out=stacked))
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(f"QR factorization failed: {exc}") from exc
-    return r[:cols, :cols], r[:cols, cols:]
-
-
 def solve_reduced(r: np.ndarray, c: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Minimum-norm solution of ``r @ x = c`` through the SVD of ``r``, with
     the rank cutoff of the original matrix's ``shape``; ``c`` is 2-D."""
@@ -196,137 +170,109 @@ def solve_reduced(r: np.ndarray, c: np.ndarray, shape: tuple[int, int]) -> np.nd
     return fac.vt.T @ ((fac.u.T @ c) * s_inv[:, None])
 
 
-def lstsq(m, t) -> np.ndarray:
-    """Minimum-norm least-squares solution ``m^+ t`` of ``m @ x = t``.
+def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
+    """Minimum-norm least-squares solution ``a^+ t`` of ``a @ x = t``, with
+    ``a`` the matrix of ``shape`` that ``fill`` writes, through the SVD with
+    the rank cutoff of ``pseudoinverse``.
 
-    The solve goes through the SVD, with the rank cutoff of
-    ``pseudoinverse``. A matrix with more rows than columns is first reduced
-    to its square QR triangle by ``reduce_tall``, whose SVD takes the place
-    of the tall one; the rank cutoff still uses the shape of ``m``. A 1-D
-    ``t`` yields a 1-D result.
+    ``fill(rows, out)`` writes the rows ``rows``, a slice, of ``a`` into
+    ``out``, a fresh F-ordered view of their shape. ``t`` must be 1-D or 2-D,
+    finite, with one row per row of ``a``; a 1-D ``t`` yields a 1-D result.
+
+    A matrix with more rows than columns is filled one of its ``row_blocks``
+    at a time into the left of an F-ordered ``[a_b | t_b]`` buffer, which
+    ``qr_triangle`` overwrites with its factorization on ``map_blocks``. More
+    than one triangle are stacked in block order into one more buffer and
+    reduced again. That gives ``[R | Q' t]`` of the thin QR ``a = Q R``, Q
+    never formed, up to the signs of rows, which do not change the solution:
+    ``a`` and R share their singular values and right singular vectors, and
+    ``||a x - t||^2`` differs from ``||R x - Q' t||^2`` by a constant.
+    ``solve_reduced`` solves on R, with the rank cutoff of ``shape``. Any
+    other matrix is filled into one F-ordered buffer and solved with ``t``
+    itself on the right: the layout of that right-hand side picks the
+    matrix-product kernel, and with it the bits.
     """
-    a = _as_matrix(m)
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise InvalidInputError("right-hand side contains non-finite entries")
-    flat = t_arr.ndim == 1
-    if t_arr.ndim not in (1, 2):
-        raise InvalidInputError(f"right-hand side must be 1-D or 2-D, got {t_arr.ndim}-D")
-    rhs = t_arr.reshape(-1, 1) if flat else t_arr
-    if rhs.shape[0] != a.shape[0]:
-        raise InvalidInputError(
-            f"row count mismatch: matrix has {a.shape[0]} rows, "
-            f"right-hand side has {rhs.shape[0]}"
-        )
+    rows, cols = shape
+    t = np.asarray(t, dtype=float)
+    if t.ndim not in (1, 2) or t.shape[0] != rows:
+        raise InvalidInputError(f"target of shape {t.shape} does not match {rows} matrix rows")
+    if not np.all(np.isfinite(t)):
+        raise InvalidInputError("target contains non-finite entries")
+    rhs = t.reshape(-1, 1) if t.ndim == 1 else t
+    if rows > cols:
+        def triangle(block: slice) -> np.ndarray:
+            buf = np.empty((block.stop - block.start, cols + rhs.shape[1]), order="F")
+            fill(block, buf[:, :cols])
+            buf[:, cols:] = rhs[block]
+            return qr_triangle(buf)
 
-    if a.shape[0] > a.shape[1]:
-        def augmented(rows: slice) -> np.ndarray:
-            buf = np.empty((rows.stop - rows.start, a.shape[1] + rhs.shape[1]), order="F")
-            return np.concatenate([a[rows], rhs[rows]], axis=1, out=buf)
-
-        r, c = reduce_tall(augmented, row_blocks(*a.shape), a.shape[1])
-        x = solve_reduced(r, c, a.shape)
-    else:
-        x = solve_reduced(a, rhs, a.shape)
-    return x[:, 0] if flat else x
-
-
-# OpenBLAS copies bundled in the numpy and scipy wheels: package, library file
-# pattern, and the suffix of their scipy_openblas_{get,set}* symbols.
-_OPENBLAS_COPIES = (
-    ("numpy", "libscipy_openblas64_*", "_num_threads64_"),
-    ("scipy", "libscipy_openblas-*", "_num_threads"),
-)
-# The thread counts are process-wide library state, so the record of who
-# pinned them is process-wide too.
-_blas_lock = threading.Lock()
-_blas_handles: list | None = None
-_blas_users = 0
-_blas_saved: list[int] = []
-
-
-def _loaded_libraries(package: str, pattern: str) -> list:
-    """The libraries matching ``pattern`` in ``package``'s bundled
-    ``<package>.libs`` directory that this process has already loaded. A
-    library not yet loaded is skipped, never loaded here."""
-    spec = importlib.util.find_spec(package)
-    if spec is None or spec.origin is None:
-        return []
-    site = os.path.dirname(os.path.dirname(spec.origin))
-    libs = []
-    for path in sorted(glob.glob(os.path.join(site, package + ".libs", pattern))):
         try:
-            libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD))
-        except OSError:
-            continue
-    return libs
+            triangles = map_blocks(triangle, row_blocks(rows, cols))
+            r = triangles[0]
+            if len(triangles) > 1:
+                stacked = np.empty((sum(len(tri) for tri in triangles), r.shape[1]),
+                                   order="F")
+                r = qr_triangle(np.concatenate(triangles, out=stacked))
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailureError(f"QR factorization failed: {exc}") from exc
+        x = solve_reduced(r[:cols, :cols], r[:cols, cols:], shape)
+    else:
+        a = np.empty(shape, order="F")
+        fill(slice(0, rows), a)
+        x = solve_reduced(a, rhs, shape)
+    return x[:, 0] if t.ndim == 1 else x
 
 
-def _openblas_handles() -> list:
-    """(get, set) thread-count functions of each bundled OpenBLAS copy that
-    is already loaded.
+def lstsq(m, t) -> np.ndarray:
+    """Minimum-norm least-squares solution ``m^+ t`` of ``m @ x = t``, by
+    ``solve_rows``; a 1-D ``t`` yields a 1-D result."""
+    a = _as_matrix(m)
+    return solve_rows(lambda rows, out: np.copyto(out, a[rows]), a.shape, t)
 
-    A copy not yet loaded is skipped rather than loaded just to be pinned:
-    the package's own solves run on numpy's copy, and scipy's is loaded only
-    by code that imports scipy. Resolved once; empty where neither wheel
-    bundles OpenBLAS.
-    """
-    global _blas_handles
-    if _blas_handles is None:
-        handles = []
-        for package, pattern, suffix in _OPENBLAS_COPIES:
-            for lib in _loaded_libraries(package, pattern):
-                try:
-                    get = lib["scipy_openblas_get" + suffix]
-                    set_ = lib["scipy_openblas_set" + suffix]
-                except AttributeError:
-                    continue
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                handles.append((get, set_))
-        _blas_handles = handles
-    return _blas_handles
+
+# The thread count is process-wide library state, so the record of who
+# pinned it is process-wide too.
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = 0
 
 
 @functools.cache
-def _thread_shutdowns() -> list:
-    """``blas_thread_shutdown_`` of each bundled OpenBLAS copy that is
-    already loaded and exports it: it joins the library's worker threads,
-    which a later call that asks for more than one thread starts again."""
-    shutdowns = []
-    for package, pattern, _ in _OPENBLAS_COPIES:
-        for lib in _loaded_libraries(package, pattern):
-            try:
-                shutdown = lib["blas_thread_shutdown_"]
-            except AttributeError:
-                continue
-            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-            shutdowns.append(shutdown)
-    return shutdowns
-
-
-def _bundled_routine(symbol: str, argtypes: list):
-    """LAPACK routine ``symbol`` of numpy's bundled OpenBLAS, taking
-    ``argtypes``, or None where numpy bundles none. That copy is ILP64, so
-    every integer argument is a pointer to an int64. A ctypes call releases
-    the GIL, so blocks factorized on ``map_blocks`` threads run in
-    parallel."""
-    package, pattern, _ = _OPENBLAS_COPIES[0]
-    for lib in _loaded_libraries(package, pattern):
+def _openblas():
+    """numpy's bundled OpenBLAS, ``numpy.libs/libscipy_openblas64_*``, if
+    this process has loaded it, else None; it is never loaded here. That
+    copy is ILP64: every integer argument of its LAPACK routines is a
+    pointer to an int64. A ctypes call releases the GIL, so blocks
+    factorized on ``map_blocks`` threads run in parallel."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for path in sorted(glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas64_*"))):
         try:
-            routine = lib[symbol]
-        except AttributeError:
+            return ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
             continue
-        routine.argtypes, routine.restype = argtypes, None
-        return routine
     return None
+
+
+def _symbol(name: str, argtypes: list, restype=None):
+    """Function ``name`` of numpy's bundled OpenBLAS, taking ``argtypes`` and
+    returning ``restype``, or None where that library or the symbol is
+    missing."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    try:
+        fn = lib[name]
+    except AttributeError:
+        return None
+    fn.argtypes, fn.restype = argtypes, restype
+    return fn
 
 
 @functools.cache
 def _dgeqrf():
     """``dgeqrf(m, n, a, lda, tau, work, lwork, info)``, every argument a
     raw pointer, or None."""
-    return _bundled_routine("scipy_dgeqrf_64_", [ctypes.c_void_p] * 8)
+    return _symbol("scipy_dgeqrf_64_", [ctypes.c_void_p] * 8)
 
 
 @functools.cache
@@ -334,8 +280,24 @@ def _dgesdd():
     """``dgesdd(jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork,
     info)``, jobz a one-letter bytes string and the rest raw pointers, then
     the hidden length of jobz that gfortran passes, or None."""
-    return _bundled_routine("scipy_dgesdd_64_",
-                            [ctypes.c_char_p] + [ctypes.c_void_p] * 13 + [ctypes.c_size_t])
+    return _symbol("scipy_dgesdd_64_",
+                   [ctypes.c_char_p] + [ctypes.c_void_p] * 13 + [ctypes.c_size_t])
+
+
+@functools.cache
+def _blas_threads():
+    """``(get, set)``: the library's thread-count getter and setter, or None."""
+    get = _symbol("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
+    set_ = _symbol("scipy_openblas_set_num_threads64_", [ctypes.c_int])
+    return None if get is None or set_ is None else (get, set_)
+
+
+@functools.cache
+def _thread_shutdown():
+    """``blas_thread_shutdown_``, or None where the library does not export
+    it: it joins the library's worker threads, which a later call that asks
+    for more than one thread starts again."""
+    return _symbol("blas_thread_shutdown_", [], ctypes.c_int)
 
 
 def _addresses(ints: np.ndarray) -> list[int]:
@@ -385,25 +347,26 @@ def _lapack(routine, failure: str, ints: np.ndarray, call) -> None:
 
 @contextmanager
 def single_thread_blas():
-    """Run the body with every bundled OpenBLAS on one thread.
+    """Run the body with numpy's bundled OpenBLAS on one thread.
 
     A worker pool already gives each core a unit of work, so BLAS threads
     on top would oversubscribe the cores. One BLAS thread also makes every
     solve's result independent of the worker count. The first to enter also
-    joins each library's idle worker threads, so a process that forks inside
+    joins the library's idle worker threads, so a process that forks inside
     runs one thread when it forks. Nested and concurrent uses share one
-    pinning, and the last to leave restores the thread counts found on
-    entry, which starts the worker threads again. Without the bundled
-    libraries this does nothing.
+    pinning, and the last to leave restores the thread count found on
+    entry, which starts the worker threads again. Without that library this
+    does nothing.
     """
     global _blas_users, _blas_saved
+    threads = _blas_threads()
     with _blas_lock:
-        if _blas_users == 0:
-            handles = _openblas_handles()
-            _blas_saved = [get() for get, _ in handles]
-            for _, set_ in handles:
-                set_(1)
-            for shutdown in _thread_shutdowns():
+        if _blas_users == 0 and threads is not None:
+            get, set_ = threads
+            _blas_saved = get()
+            set_(1)
+            shutdown = _thread_shutdown()
+            if shutdown is not None:
                 shutdown()
         _blas_users += 1
     try:
@@ -411,9 +374,8 @@ def single_thread_blas():
     finally:
         with _blas_lock:
             _blas_users -= 1
-            if _blas_users == 0:
-                for (_, set_), count in zip(_blas_handles, _blas_saved):
-                    set_(count)
+            if _blas_users == 0 and threads is not None:
+                threads[1](_blas_saved)
 
 
 # Row blocks: the block count doubles while every block keeps at least

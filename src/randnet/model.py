@@ -10,13 +10,13 @@ live in one work array reused for all of them: tiles of ``tile_rows`` rows
 for a row-major target, column panels for a column-major one, which is
 built where it lies. Every entry is computed by the same operations
 whatever the pieces, so H is bitwise the same. A tall fit (more rows than
-nodes) streams H into the blocked QR of ``linalg``: each row block of
-``[H | t]``, one block included, is built into its own F-ordered buffer,
-factorized there to its triangle and dropped, so the fit never holds all of
-H, and holds each block in flight once. ``solve_readout`` is that fit for
-any target t, the readout's y or the autoencoder decoder's inputs X, and
-returns the solution alone. ``predict`` likewise multiplies one tile at a
-time by the readout.
+nodes) streams H into the blocked QR of ``linalg.solve_rows``: each row
+block of ``[H | t]``, one block included, is built into its own F-ordered
+buffer, factorized there to its triangle and dropped, so the fit never
+holds all of H, and holds each block in flight once. ``solve_readout`` is
+that fit for any target t, the readout's y or the autoencoder decoder's
+inputs X, and returns the solution alone. ``predict`` likewise multiplies
+one tile at a time by the readout.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .dataio import NormalizationSpec
 from .errors import InvalidInputError
-from .linalg import lstsq, map_blocks, reduce_tall, row_blocks, solve_reduced
+from .linalg import map_blocks, row_blocks, solve_rows
 
 # Open-interval bounds for sigmoid outputs: saturation may round to 0.0/1.0
 # in float64, which would put entries on the boundary of (0, 1).
@@ -262,36 +262,18 @@ def solve_readout(layer: HiddenLayer, x, t) -> np.ndarray:
     outputs of ``layer`` on ``x`` and ``t`` 1-D or 2-D, bitwise equal to
     ``lstsq(hidden_outputs(layer, x), t)``.
 
-    A tall fit (more rows than nodes) never holds H whole: each of its
-    ``row_blocks``, one block included, is built, panel by panel, into one
-    F-ordered ``[H_b | t_b]`` buffer, which ``reduce_tall`` factorizes in
-    place and drops; ``solve_reduced`` then solves as ``lstsq`` does. That
-    buffer holds the values, in the layout, of the one ``lstsq`` fills, so
-    the solution is the same. A fit with no more rows than nodes builds H
-    and solves ``lstsq`` on it.
+    ``linalg.solve_rows`` has ``build_hidden`` write H's rows, panel by
+    panel, into the F-ordered buffers it solves on: one per row block of a
+    tall fit (more rows than nodes), each factorized in place and dropped,
+    so the fit never holds H whole, and one for all of H otherwise. Those
+    buffers hold the values, in the layout, of the ones ``lstsq`` fills, so
+    the solution is the same.
     """
-    t = np.asarray(t, dtype=float)
     x = _inputs(layer, x)
-    if t.ndim not in (1, 2) or t.shape[0] != x.shape[0]:
-        raise InvalidInputError(
-            f"target shape {t.shape} does not match {x.shape[0]} input rows"
-        )
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
-        raise InvalidInputError("training inputs or targets contain non-finite values")
-    m = layer.node_count
-    if x.shape[0] <= m:
-        return lstsq(hidden_outputs(layer, x), t)
-    rhs = t.reshape(x.shape[0], -1)
-
-    def augmented(rows: slice) -> np.ndarray:
-        ht = np.empty((rows.stop - rows.start, m + rhs.shape[1]), order="F")
-        build_hidden(x[rows], layer.weights, layer.biases, ht[:, :m])
-        ht[:, m:] = rhs[rows]
-        return ht
-
-    blocks = row_blocks(x.shape[0], m)
-    solution = solve_reduced(*reduce_tall(augmented, blocks, m), (x.shape[0], m))
-    return solution[:, 0] if t.ndim == 1 else solution
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("training inputs contain non-finite values")
+    return solve_rows(lambda rows, out: build_hidden(x[rows], layer.weights, layer.biases, out),
+                      (x.shape[0], layer.node_count), t)
 
 
 def train_readout(layer: HiddenLayer, x, y) -> ReadoutWeights:

@@ -13,7 +13,7 @@ from randnet.benchfn import (
     sample_problem,
     write_dataset_csv,
 )
-from randnet.dataio import load_csv
+from randnet.dataio import dataset_summary, load_csv
 from randnet.errors import ConfigError, InvalidInputError
 from randnet.rng import RngStream
 
@@ -149,6 +149,15 @@ class TestSampling:
         assert isinstance(prob, SampledProblem)
         assert prob.train.n_features == 1
         assert prob.train.n_samples == 5000 and prob.test.n_samples == 5000
+
+    def test_problems_carry_no_feature_names(self):
+        # the x1..xn names are the defaults of the summary and the CSV writer,
+        # so an n-long list is never built before the draw
+        for name in ("TF1", "TF2", "TF3"):
+            prob = sample_problem(TargetFunction(name, 3), RngStream(13), train_size=20)
+            assert prob.train.feature_names is None and prob.test.feature_names is None
+            columns = dataset_summary(prob.train)["columns"]
+            assert [c["name"] for c in columns] == ["x1", "x2", "x3"]
 
     def test_size_validation(self):
         with pytest.raises(ConfigError):

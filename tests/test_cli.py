@@ -538,27 +538,26 @@ class TestEmitAndHistogram:
     def test_histogram_draws_on_one_blas_thread(self, tmp_path, monkeypatch):
         # a raem decoder solve's result depends on the BLAS thread count, so
         # the draw runs on one thread, as the fit maps do
-        handles = linalg._openblas_handles()
-        if not handles:
+        threads = linalg._blas_threads()
+        if threads is None:
             pytest.skip("no bundled OpenBLAS")
+        get, set_ = threads
         seen, draw = [], cli.generate_hidden_layer
 
         def spy(*args):
-            seen.append([get() for get, _ in handles])
+            seen.append(get())
             return draw(*args)
 
         monkeypatch.setattr(cli, "generate_hidden_layer", spy)
-        saved = [get() for get, _ in handles]
+        saved = get()
         try:
-            for _, set_ in handles:
-                set_(2)
+            set_(2)
             assert run("histogram", *tiny_tf_args(tmp_path / "h", trials=3),
                        "--method", "raem1", "--u-ae", "0.5") == 0
-            assert seen == [[1] * len(handles)] * 3
-            assert [get() for get, _ in handles] == [2] * len(handles)
+            assert seen == [1] * 3
+            assert get() == 2
         finally:
-            for (_, set_), count in zip(handles, saved):
-                set_(count)
+            set_(saved)
 
     def test_histogram_draws_the_layers_of_the_trials(self, tmp_path):
         # the same streams give the same layers, bitwise, as run_trials draws
@@ -577,7 +576,31 @@ class TestEmitAndHistogram:
         assert got == float(np.median(np.abs(pooled)))
 
 
+# Runs the CLI on its arguments under a 2 GiB address-space limit.
+_LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from randnet.experiment.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestExitCodes:
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS")
+    def test_huge_dimension_is_out_of_memory(self, tmp_path):
+        # the draw of 2 x 2^40 points fails at once: nothing n-long is built
+        # before it. The limit turns a slow climb into a MemoryError and the
+        # timeout a hang into a failure; numpy's message names the draw.
+        src = os.path.dirname(os.path.dirname(randnet.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = ["emit", "--tf", "TF1", "--n", str(2**40), "--train-size", "2",
+                "--out", str(tmp_path / "e")]
+        proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 5, proc.stderr
+        assert "out of memory: Unable to allocate" in proc.stderr
+        assert not (tmp_path / "e").exists()
+
     def test_missing_data_file(self, tmp_path):
         assert run("benchmark", "--data", tmp_path / "nope.dat", "--method",
                    "ram", "--u", "1", "--nodes", "5", "--trials", "2",

@@ -22,7 +22,7 @@ import randnet
 from randnet import linalg
 from randnet.errors import InvalidInputError, NumericFailureError
 from randnet.linalg import factorize, lstsq, pseudoinverse, single_thread_blas
-from randnet.model import build_hidden
+from randnet.model import HiddenLayer, build_hidden, hidden_outputs, solve_readout
 from randnet.paramgen import RAlphaMConfig, generate_ralpham, input_hypercube
 from randnet.rng import as_stream
 
@@ -237,6 +237,78 @@ def test_blocked_lstsq_matches_one_block(row_blocking, cols, extra_rows, seed, d
         assert np.array_equal(lstsq(m, t), got)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * max(1.0, np.abs(want).max()))
+
+
+def reference_lstsq(a, t):
+    """``lstsq`` as it was before ``solve_rows``: a tall ``a`` reduced by the
+    ``qr_triangle`` of each ``[a | t]`` row block and of their stacked
+    triangles, then ``solve_reduced``; any other ``a`` solved as it is."""
+    rhs = t.reshape(-1, 1) if t.ndim == 1 else t
+    cols = a.shape[1]
+    if a.shape[0] > cols:
+        def augmented(rows):
+            buf = np.empty((rows.stop - rows.start, cols + rhs.shape[1]), order="F")
+            return np.concatenate([a[rows], rhs[rows]], axis=1, out=buf)
+
+        triangles = [linalg.qr_triangle(augmented(rows))
+                     for rows in linalg.row_blocks(*a.shape)]
+        r = triangles[0]
+        if len(triangles) > 1:
+            stacked = np.empty((sum(len(tri) for tri in triangles), r.shape[1]), order="F")
+            r = linalg.qr_triangle(np.concatenate(triangles, out=stacked))
+        x = linalg.solve_reduced(r[:cols, :cols], r[:cols, cols:], a.shape)
+    else:
+        x = linalg.solve_reduced(a, rhs, a.shape)
+    return x[:, 0] if t.ndim == 1 else x
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.integers(1, 400),
+    nodes=st.integers(1, 30),
+    inputs=st.integers(1, 3),
+    rhs_cols=st.sampled_from([None, 1, 3]),
+    blocked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=400, nodes=3, inputs=2, rhs_cols=None, blocked=True, seed=0)  # 16 blocks
+@example(rows=400, nodes=30, inputs=1, rhs_cols=3, blocked=True, seed=1)  # 2 blocks
+@example(rows=20, nodes=20, inputs=2, rhs_cols=None, blocked=False, seed=2)  # square
+@example(rows=7, nodes=30, inputs=3, rhs_cols=3, blocked=False, seed=3)  # wide
+def test_solve_rows_keeps_the_bits_of_the_two_chains_it_replaced(
+        row_blocking, rows, nodes, inputs, rhs_cols, blocked, seed):
+    # lstsq and solve_readout, on one block or several and on one thread or
+    # two, against the chain both ran before, by their bytes
+    row_blocking(min_rows=8 if blocked else 10**9)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(rows, inputs))
+    layer = HiddenLayer(rng.normal(scale=5.0, size=(inputs, nodes)), rng.normal(size=nodes))
+    t = rng.normal(size=rows if rhs_cols is None else (rows, rhs_cols))
+    h = hidden_outputs(layer, x)
+    want = reference_lstsq(h, t)
+    assert want.shape == (nodes,) + t.shape[1:]
+    assert lstsq(h, t).tobytes() == want.tobytes()
+    assert lstsq(np.asfortranarray(h), t).tobytes() == want.tobytes()
+    assert solve_readout(layer, x, t).tobytes() == want.tobytes()
+    with linalg.block_budget(2):
+        assert lstsq(h, t).tobytes() == want.tobytes()
+        assert solve_readout(layer, x, t).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [12, 3], ids=["tall", "wide"])
+@pytest.mark.parametrize("target", [
+    pytest.param(lambda rows: np.r_[np.ones(rows - 1), np.nan], id="nan"),
+    pytest.param(lambda rows: np.ones(rows + 1), id="row-count"),
+    pytest.param(lambda rows: np.ones((rows, 2, 1)), id="3-d"),
+])
+def test_bad_targets_are_invalid_input_from_both_callers(rows, target):
+    layer = HiddenLayer(np.ones((1, 4)), np.linspace(-1.0, 1.0, 4))
+    x = np.linspace(0.0, 1.0, rows)[:, None]
+    with pytest.raises(InvalidInputError, match="target"):
+        lstsq(hidden_outputs(layer, x), target(rows))
+    with pytest.raises(InvalidInputError, match="target"):
+        solve_readout(layer, x, target(rows))
 
 
 def test_tall_lstsq_decomposes_only_square_matrices(monkeypatch):
@@ -546,40 +618,39 @@ def test_workspace_sizes_survive_concurrent_solves(monkeypatch):
 def test_single_thread_blas_survives_concurrent_users():
     # more users than cores, switching threads often: a lost update of the
     # shared user count would leave BLAS pinned or unpin it inside a body
-    handles = linalg._openblas_handles()
-    if not handles:
+    threads = linalg._blas_threads()
+    if threads is None:
         pytest.skip("no bundled OpenBLAS")
-    saved = [get() for get, _ in handles]
+    get, set_ = threads
+    saved = get()
     interval = sys.getswitchinterval()
     seen: list = []
 
     def user():
         for _ in range(200):
             with single_thread_blas():
-                seen.append([get() for get, _ in handles])
+                seen.append(get())
 
     try:
-        for _, set_ in handles:
-            set_(2)
+        set_(2)
         sys.setswitchinterval(1e-6)
-        threads = [threading.Thread(target=user) for _ in range(8)]
-        for t in threads:
+        users = [threading.Thread(target=user) for _ in range(8)]
+        for t in users:
             t.start()
-        for t in threads:
+        for t in users:
             t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        assert seen == [[1] * len(handles)] * 1600
-        assert [get() for get, _ in handles] == [2] * len(handles)
+        assert not any(t.is_alive() for t in users)
+        assert seen == [1] * 1600
+        assert get() == 2
     finally:
         sys.setswitchinterval(interval)
-        for (_, set_), count in zip(handles, saved):
-            set_(count)
+        set_(saved)
 
 
 def test_cli_import_and_pinning_load_no_scipy():
-    # scipy's OpenBLAS copy is pinned only if something else loaded it, and
-    # resolving numpy's dgeqrf and dgesdd for the in-place QR and SVD loads
-    # no library either
+    # resolving numpy's dgeqrf, dgesdd and thread control for the in-place
+    # QR and SVD and the pinning loads no library, scipy's OpenBLAS copy
+    # least of all
     probe = """
 import ctypes, glob, importlib.util, os, sys
 import numpy as np
@@ -602,8 +673,11 @@ def loaded():
 before = loaded()
 with linalg.single_thread_blas():
     pass
-linalg._dgeqrf()
-linalg._dgesdd()
+bundled = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                  "numpy.libs", "libscipy_openblas64_*"))
+resolved = [linalg._dgeqrf(), linalg._dgesdd(), linalg._blas_threads()]
+if bundled and None in resolved:
+    sys.exit(f"unresolved: {resolved}")
 linalg.qr_triangle(np.ones((3, 2), order="F"))
 linalg.factorize(np.ones((3, 2)))
 assert "scipy" not in sys.modules, "scipy was imported"

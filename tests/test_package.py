@@ -1,5 +1,6 @@
 """The package's public names, and the README's library example and usage lines."""
 
+import ast
 import contextlib
 import io
 import math
@@ -11,6 +12,7 @@ import randnet
 from randnet.experiment.cli import build_parser
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+SRC = pathlib.Path(randnet.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -40,3 +42,46 @@ def test_readme_usage_lines_parse():
     commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
     assert commands == {"fit", "benchmark", "grid-search", "uae-sweep", "compare", "emit",
                         "histogram"}
+
+
+def test_no_unused_import_or_unreferenced_private_name():
+    # the modules other than the __init__ re-export files import nothing they
+    # do not use, and define no private module-level name that nothing in
+    # src/ uses: what a deletion leaves behind fails here
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+
+    def loaded(tree):
+        return {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+
+    def referenced(tree):
+        names = loaded(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        return names
+
+    anywhere = set().union(*map(referenced, trees.values()))
+    unused, unreferenced = [], []
+    for path, tree in trees.items():
+        if path.name == "__init__.py":
+            continue
+        here = loaded(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{path.name}: {name}" for name in bound if name not in here]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                defined = []
+            unreferenced += [f"{path.name}: {name}" for name in defined
+                             if name.startswith("_") and not name.startswith("__")
+                             and name not in anywhere]
+    assert unused == [] and unreferenced == []

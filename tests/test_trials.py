@@ -22,7 +22,7 @@ from randnet.experiment.trials import (
     uae_sweep,
 )
 from randnet import linalg
-from randnet.linalg import _openblas_handles, lstsq
+from randnet.linalg import lstsq
 from randnet.methods import generate_hidden_layer
 from randnet.model import hidden_outputs
 from randnet.paramgen import RaMConfig, RAlphaMConfig, generate_ram, input_hypercube
@@ -112,20 +112,18 @@ class TestWorkerPool:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_blas_on_one_thread_inside_and_restored_after(self, monkeypatch, cores):
-        handles = _openblas_handles()
-        if not handles:
+        threads = linalg._blas_threads()
+        if threads is None:
             pytest.skip("no bundled OpenBLAS")
+        get, set_ = threads
         monkeypatch.setattr(linalg, "core_count", lambda: cores)
-        saved = [get() for get, _ in handles]
+        saved = get()
         try:
-            for _, set_ in handles:
-                set_(2)
-            seen = trials._fork_map(lambda i: [get() for get, _ in handles], 4)
-            assert seen == [[1] * len(handles)] * 4
-            assert [get() for get, _ in handles] == [2] * len(handles)
+            set_(2)
+            assert trials._fork_map(lambda i: get(), 4) == [1] * 4
+            assert get() == 2
         finally:
-            for (_, set_), count in zip(handles, saved):
-                set_(count)
+            set_(saved)
 
 
 def assert_no_child_left():
@@ -155,7 +153,7 @@ class TestForkMap:
         assert_no_child_left()
 
     def test_every_process_forks_and_fits_on_one_thread(self, monkeypatch):
-        if not os.path.exists("/proc/self/status") or not linalg._thread_shutdowns():
+        if not os.path.exists("/proc/self/status") or linalg._thread_shutdown() is None:
             pytest.skip("no /proc, or no bundled OpenBLAS exports blas_thread_shutdown_")
 
         def threads():
