@@ -97,7 +97,8 @@ def sample_problem(
     """Draw a problem instance: train points from child stream 0, test from 1.
 
     Train and test sets have the same default size and are sampled from
-    disjoint substreams of the given stream.
+    disjoint substreams of the given stream. A size or dimension that numpy
+    cannot draw is a ConfigError; one it cannot allocate, a MemoryError.
     """
     stream = as_stream(rng)
     if train_size is None:
@@ -111,7 +112,10 @@ def sample_problem(
     lo, hi = tf.domain
 
     def draw(child: RngStream, count: int) -> Dataset:
-        pts = child.generator().uniform(lo, hi, size=(count, tf.n))
+        try:
+            pts = child.generator().uniform(lo, hi, size=(count, tf.n))
+        except ValueError as exc:  # a dimension past what numpy can index
+            raise ConfigError(f"cannot draw {count} points with n={tf.n}: {exc}") from exc
         return Dataset(x=pts, y=evaluate_tf(tf, pts))
 
     train, spec = normalize(draw(stream.child(0), train_size),

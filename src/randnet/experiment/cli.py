@@ -379,10 +379,8 @@ def cmd_histogram(args) -> int:
     x = run.problem.train.x
     cube = input_hypercube(x)
     stream = cfg.trial_stream(0)
-    # one BLAS thread, as in the fit maps, so no raem decoder solve depends on the count
-    with linalg.single_thread_blas():
-        layers = [generate_hidden_layer(method, x, cube, cfg.nodes, stream.child(t))
-                  for t in range(cfg.trials)]
+    layers = [generate_hidden_layer(method, x, cube, cfg.nodes, stream.child(t))
+              for t in range(cfg.trials)]
     hist = weight_histogram(layers, cfg.histogram_bins)
     family = method_name(method)
     pooled = np.concatenate([layer.weights.ravel() for layer in layers])
@@ -480,7 +478,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # One BLAS thread for the whole command: the fit maps and the
+        # histogram draw need it for their bits, and a pin per map would
+        # start the library's worker threads again between maps.
+        with linalg.single_thread_blas():
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

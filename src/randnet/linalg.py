@@ -21,14 +21,18 @@ caller such as the network readout never holds ``a`` whole;
 
 ``qr_triangle`` factorizes each such buffer where it lies, with LAPACK
 ``dgeqrf`` from the OpenBLAS bundled in the numpy wheel, bound through
-ctypes, so a block in flight is held once. Its triangle is bitwise
-``np.linalg.qr``'s, which calls the same routine on a copy. The SVD of
-``factorize`` and ``solve_reduced`` is that library's ``dgesdd``, called as
-``np.linalg.svd`` calls it, on one F-ordered copy of the matrix that it
-overwrites, so U, s and Vt are bitwise numpy's, without numpy's second copy
-of U and Vt beside the workspace. Both routines take the workspace size
-LAPACK asks for, queried once per shape. Where numpy bundles no OpenBLAS,
-``np.linalg.qr`` and ``np.linalg.svd`` are called instead.
+ctypes, and leaves the triangle, bitwise ``np.linalg.qr``'s, in the
+buffer's leading entries; the driver then cuts the buffer's one allocation
+down to it with numpy's realloc. So a block in flight is held once, and
+never beside its triangle. The SVD is that library's ``dgesdd``, called as
+``np.linalg.svd`` calls it, so U, s and Vt are bitwise numpy's, without
+numpy's second copy of U and Vt beside the workspace. It overwrites the
+matrix it decomposes: ``factorize``, ``pseudoinverse`` and
+``solve_reduced`` hand it an F-ordered copy of theirs, and the driver the
+final triangle, or the filled matrix of a wide solve, itself. Both routines
+take the workspace size LAPACK asks for, queried once per shape. Where
+numpy bundles no OpenBLAS, ``np.linalg.qr`` and ``np.linalg.svd`` are
+called instead.
 
 That one library is bound once, and every symbol of it, the two LAPACK
 routines and the thread control, is looked up by ``_symbol``.
@@ -80,13 +84,25 @@ def factorize(m) -> SvdFactorization:
 
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(U, s, Vt)``, bitwise ``np.linalg.svd(a, full_matrices=False)``,
-    with U and Vt C-ordered as numpy returns them.
+    with U and Vt C-ordered as numpy returns them; ``a`` is left as it is.
+
+    ``_svd_in_place`` decomposes one F-ordered copy of ``a``, the copy
+    ``np.linalg.svd`` makes itself. Without numpy's bundled OpenBLAS numpy
+    decomposes ``a``.
+    """
+    return _svd_in_place(a if _dgesdd() is None else np.array(a, order="F"))
+
+
+def _svd_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(U, s, Vt)`` of ``a``, bitwise ``np.linalg.svd(a,
+    full_matrices=False)``, with U and Vt C-ordered as numpy returns them;
+    ``a``, a writeable F-contiguous float64 matrix, is given up.
 
     LAPACK ``dgesdd`` of numpy's bundled OpenBLAS, with jobz 'S' and the
-    workspace it asks for, as numpy calls it, decomposes one F-ordered copy
-    of ``a``, which it overwrites. U and Vt are copied to C order once that
-    copy and the workspace are freed: a product with a column-major U takes
-    another BLAS kernel and moves bits. Without that library numpy
+    workspace it asks for, as numpy calls it on its own F-ordered copy,
+    decomposes ``a`` where it lies and overwrites it. U and Vt are copied to
+    C order once the workspace is freed: a product with a column-major U
+    takes another BLAS kernel and moves bits. Without that library numpy
     decomposes ``a``. Any failure is a NumericFailureError.
     """
     gesdd = _dgesdd()
@@ -95,19 +111,18 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             return np.linalg.svd(a, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError(f"SVD did not converge: {exc}") from exc
+    _check_buffer(a, "SVD input")
     rows, cols = a.shape
     k = min(rows, cols)
-    work_a = np.array(a, order="F")
     s, iwork = np.empty(k), np.empty(8 * k, dtype=np.int64)
     u, vt = np.empty((rows, k), order="F"), np.empty((k, cols), order="F")
     # m, n, lda, ldu, ldvt, lwork, info
     ints = np.array([rows, cols, max(1, rows), max(1, rows), max(1, k), 0, 0],
                     dtype=np.int64)
     m, n, lda, ldu, ldvt, lwork, info = _addresses(ints)
-    a_p, s_p, u_p, vt_p, iwork_p = (b.ctypes.data for b in (work_a, s, u, vt, iwork))
+    a_p, s_p, u_p, vt_p, iwork_p = (b.ctypes.data for b in (a, s, u, vt, iwork))
     _lapack(gesdd, "SVD failed: dgesdd", ints, lambda work: gesdd(
         b"S", m, n, a_p, lda, s_p, u_p, ldu, vt_p, ldvt, work, lwork, iwork_p, info, 1))
-    del work_a
     u = np.ascontiguousarray(u)
     return u, s, np.ascontiguousarray(vt)
 
@@ -135,39 +150,113 @@ def pseudoinverse(m) -> np.ndarray:
     return (fac.vt.T * s_inv) @ fac.u.T
 
 
+def _check_buffer(buf, what: str) -> None:
+    """Raise InvalidInputError unless ``buf`` is a writeable, F-contiguous
+    float64 matrix, which a LAPACK routine may overwrite where it lies."""
+    if not (isinstance(buf, np.ndarray) and buf.ndim == 2 and buf.dtype == np.float64
+            and buf.flags.f_contiguous and buf.flags.writeable):
+        raise InvalidInputError(f"{what} must be a writeable, F-contiguous float64 matrix")
+
+
+def _leading(buf: np.ndarray, k: int) -> np.ndarray:
+    """The F-ordered ``k x cols`` matrix, with leading dimension k, held by
+    the first ``k * cols`` entries of the F-contiguous ``buf``: a view."""
+    return buf.reshape(-1, order="F")[: k * buf.shape[1]].reshape((k, buf.shape[1]), order="F")
+
+
+def _pack_rows(buf: np.ndarray, k: int) -> np.ndarray:
+    """Move the top ``k`` rows of the F-contiguous ``buf`` into
+    ``_leading(buf, k)`` and return that view.
+
+    Column 0 already lies there. The rest move in column groups ``[j0, j1)``
+    with ``j1 <= rows * j0 // k``: a group's destination then ends at offset
+    ``j1 * k``, at or before offset ``j0 * rows``, where its first source
+    column begins, so numpy copies it with no temporary, and each group is
+    about ``rows / k`` times as wide as the last. Where that bound gives no
+    column, a single column moves, through a temporary of k entries.
+    """
+    rows, cols = buf.shape
+    packed = _leading(buf, k)
+    j0 = 1
+    while k < rows and j0 < cols:
+        j1 = min(cols, max(j0 + 1, rows * j0 // k))
+        packed[:, j0:j1] = buf[:k, j0:j1]
+        j0 = j1
+    return packed
+
+
 def qr_triangle(buf: np.ndarray) -> np.ndarray:
     """The triangle R of the Householder QR of ``buf``, bitwise equal to
-    ``np.linalg.qr(buf, mode="r")``, computed in ``buf``, which it overwrites.
+    ``np.linalg.qr(buf, mode="r")``, computed in ``buf``, which it overwrites,
+    and returned F-ordered in its own memory: R is the ``k x cols`` matrix,
+    k = min(rows, cols), that the first ``k * cols`` entries of ``buf`` hold
+    with leading dimension k. A caller that owns that memory can cut it down
+    to R, as ``_owned_triangle`` does.
 
     ``buf`` must be a writeable, F-contiguous float64 matrix, checked once
     here; the routine then gets its address. LAPACK ``dgeqrf`` of numpy's
     bundled OpenBLAS factorizes it where it lies, with the workspace it asks
-    for (see ``_lapack``). Without that library numpy factorizes a copy.
+    for (see ``_lapack``), and leaves R in its top k rows, above the
+    Householder vectors. ``_pack_rows`` moves them up, and the entries below
+    R's diagonal are zeroed. Without that library numpy factorizes a copy,
+    and its R is written there.
     """
-    if not (isinstance(buf, np.ndarray) and buf.ndim == 2 and buf.dtype == np.float64
-            and buf.flags.f_contiguous and buf.flags.writeable):
-        raise InvalidInputError("QR buffer must be a writeable, F-contiguous float64 matrix")
+    _check_buffer(buf, "QR buffer")
+    rows, cols = buf.shape
+    k = min(rows, cols)
     geqrf = _dgeqrf()
     if geqrf is None:
-        return np.linalg.qr(buf, mode="r")
-    rows, cols = buf.shape
-    tau = np.empty(min(rows, cols))
+        r = np.linalg.qr(buf, mode="r")
+        packed = _leading(buf, k)
+        packed[...] = r
+        return packed
+    tau = np.empty(k)
     # m, n, lda, lwork, info
     ints = np.array([rows, cols, max(1, rows), 0, 0], dtype=np.int64)
     m, n, lda, lwork, info = _addresses(ints)
     buf_p, tau_p = buf.ctypes.data, tau.ctypes.data
     _lapack(geqrf, "QR factorization failed: dgeqrf", ints,
             lambda work: geqrf(m, n, buf_p, lda, tau_p, work, lwork, info))
-    return np.triu(buf[: tau.size])
+    packed = _pack_rows(buf, k)
+    np.copyto(packed, 0.0, where=np.tri(k, cols, -1, dtype=bool))
+    return packed
+
+
+def _owned_triangle(rows: int, cols: int, fill) -> np.ndarray:
+    """The triangle R of the QR of the F-ordered ``rows x cols`` matrix that
+    ``fill(out)`` writes into ``out``, as a 1-D array holding R F-ordered.
+
+    The matrix is one allocation, which ``qr_triangle`` overwrites with R in
+    its leading entries and numpy's realloc then cuts down to them, so the
+    matrix and its triangle are not held side by side. Where something else
+    still refers to the allocation, such as a debugger's copy of this
+    frame's locals, numpy refuses, and R is copied out instead.
+    """
+    flat = np.empty(rows * cols)
+    fill(flat.reshape((rows, cols), order="F"))
+    qr_triangle(flat.reshape((rows, cols), order="F"))
+    size = min(rows, cols) * cols
+    try:
+        flat.resize(size)
+    except ValueError:
+        return flat[:size].copy()
+    return flat
+
+
+def _solve_svd(usv: tuple[np.ndarray, np.ndarray, np.ndarray], c: np.ndarray,
+               shape: tuple[int, int]) -> np.ndarray:
+    """Minimum-norm solution of ``M @ x = c``, with ``usv`` the SVD of M and
+    the rank cutoff of the original matrix's ``shape``; ``c`` is 2-D."""
+    u, s, vt = usv
+    s_inv = _inverse_above(s, _rank_cutoff(shape, s))
+    return vt.T @ ((u.T @ c) * s_inv[:, None])
 
 
 def solve_reduced(r: np.ndarray, c: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Minimum-norm solution of ``r @ x = c`` through the SVD of ``r``, with
-    the rank cutoff of the original matrix's ``shape``; ``c`` is 2-D."""
-    fac = factorize(r)
-    s = fac.singular_values
-    s_inv = _inverse_above(s, _rank_cutoff(shape, s))
-    return fac.vt.T @ ((fac.u.T @ c) * s_inv[:, None])
+    the rank cutoff of the original matrix's ``shape``; ``c`` is 2-D and
+    ``r`` is left as it is."""
+    return _solve_svd(_svd(_as_matrix(r)), c, shape)
 
 
 def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
@@ -176,21 +265,29 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
     the rank cutoff of ``pseudoinverse``.
 
     ``fill(rows, out)`` writes the rows ``rows``, a slice, of ``a`` into
-    ``out``, a fresh F-ordered view of their shape. ``t`` must be 1-D or 2-D,
-    finite, with one row per row of ``a``; a 1-D ``t`` yields a 1-D result.
+    ``out``, a fresh F-ordered view of their shape. ``t`` must be 1-D or
+    2-D, finite, with one row per row of ``a``; a 1-D ``t`` yields a 1-D
+    result.
 
     A matrix with more rows than columns is filled one of its ``row_blocks``
     at a time into the left of an F-ordered ``[a_b | t_b]`` buffer, which
-    ``qr_triangle`` overwrites with its factorization on ``map_blocks``. More
-    than one triangle are stacked in block order into one more buffer and
-    reduced again. That gives ``[R | Q' t]`` of the thin QR ``a = Q R``, Q
-    never formed, up to the signs of rows, which do not change the solution:
-    ``a`` and R share their singular values and right singular vectors, and
-    ``||a x - t||^2`` differs from ``||R x - Q' t||^2`` by a constant.
-    ``solve_reduced`` solves on R, with the rank cutoff of ``shape``. Any
-    other matrix is filled into one F-ordered buffer and solved with ``t``
-    itself on the right: the layout of that right-hand side picks the
-    matrix-product kernel, and with it the bits.
+    ``_owned_triangle`` reduces to its triangle in its own memory on
+    ``map_blocks``. More than one triangle are stacked in block order into
+    one more buffer, and dropped, and that is reduced again. That gives
+    ``[R | Q' t]`` of the thin QR ``a = Q R``, Q never formed, up to the
+    signs of rows, which do not change the solution: ``a`` and R share their
+    singular values and right singular vectors, and ``||a x - t||^2``
+    differs from ``||R x - Q' t||^2`` by a constant. ``Q' t`` is copied
+    out, R packed to leading dimension ``cols`` in the triangle's
+    allocation, and ``_svd_in_place`` decomposes it there. ``Q' t`` then
+    goes back into that spent memory with the row stride it has in the
+    C-ordered ``[R | Q' t]`` that ``np.linalg.qr`` returns, and the solve
+    takes the rank cutoff of ``shape``. Any other
+    matrix is filled into one F-ordered buffer, which ``_svd_in_place``
+    overwrites, and solved with ``t`` itself on the right. The layout of the
+    right-hand side picks the matrix-product kernel, and with it the bits:
+    a unit-stride column of ``Q' t`` takes another gemv kernel than a
+    strided one.
     """
     rows, cols = shape
     t = np.asarray(t, dtype=float)
@@ -200,26 +297,35 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
         raise InvalidInputError("target contains non-finite entries")
     rhs = t.reshape(-1, 1) if t.ndim == 1 else t
     if rows > cols:
+        width = cols + rhs.shape[1]
+
         def triangle(block: slice) -> np.ndarray:
-            buf = np.empty((block.stop - block.start, cols + rhs.shape[1]), order="F")
-            fill(block, buf[:, :cols])
-            buf[:, cols:] = rhs[block]
-            return qr_triangle(buf)
+            def write(out: np.ndarray) -> None:
+                fill(block, out[:, :cols])
+                out[:, cols:] = rhs[block]
+            return _owned_triangle(block.stop - block.start, width, write)
+
+        def stack(out: np.ndarray) -> None:
+            np.concatenate([tri.reshape((-1, width), order="F") for tri in triangles], out=out)
+            triangles.clear()
 
         try:
             triangles = map_blocks(triangle, row_blocks(rows, cols))
-            r = triangles[0]
-            if len(triangles) > 1:
-                stacked = np.empty((sum(len(tri) for tri in triangles), r.shape[1]),
-                                   order="F")
-                r = qr_triangle(np.concatenate(triangles, out=stacked))
+            flat = triangles[0] if len(triangles) == 1 else _owned_triangle(
+                sum(tri.size for tri in triangles) // width, width, stack)
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError(f"QR factorization failed: {exc}") from exc
-        x = solve_reduced(r[:cols, :cols], r[:cols, cols:], shape)
+        r = flat.reshape((-1, width), order="F")
+        c = r[:cols, cols:].copy()
+        _pack_rows(r[:, :cols], cols)
+        usv = _svd_in_place(_as_matrix(flat[: cols * cols].reshape((cols, cols), order="F")))
+        qt = flat[: cols * width].reshape((cols, width))[:, cols:]
+        qt[...] = c
+        x = _solve_svd(usv, qt, shape)
     else:
         a = np.empty(shape, order="F")
         fill(slice(0, rows), a)
-        x = solve_reduced(a, rhs, shape)
+        x = _solve_svd(_svd_in_place(_as_matrix(a)), rhs, shape)
     return x[:, 0] if t.ndim == 1 else x
 
 

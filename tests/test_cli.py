@@ -444,6 +444,44 @@ class TestWorkerProcesses:
                                   capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
 
+    def test_one_blas_pin_holds_across_the_maps_of_a_command(self, tmp_path, monkeypatch):
+        # restoring the thread count as a map leaves starts the library's
+        # worker threads again; the command pins one thread once, so every
+        # map starts, and every helper forks, from a one-thread process
+        if not os.path.exists("/proc/self/status") or linalg._thread_shutdown() is None:
+            pytest.skip("no /proc, or no bundled OpenBLAS exports blas_thread_shutdown_")
+        get, set_ = linalg._blas_threads()
+
+        def threads():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+
+        at_map, at_fork = [], []
+        fork_map, fork = trials._fork_map, os.fork
+
+        def counting_map(*args):
+            at_map.append(threads())
+            return fork_map(*args)
+
+        def counting_fork():
+            at_fork.append(threads())
+            return fork()
+
+        monkeypatch.setattr(trials, "_fork_map", counting_map)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(linalg, "core_count", lambda: 2)
+        saved = get()
+        try:
+            set_(2)
+            a = np.random.default_rng(0).normal(size=(400, 400))
+            a @ a  # starts the worker threads
+            assert run(*fork_map_commands(tmp_path)[0]) == 0
+            assert get() == 2
+        finally:
+            set_(saved)
+        assert len(at_map) > 1 and at_map == [1] * len(at_map)
+        assert at_fork and at_fork == [1] * len(at_fork)
+
 # Allocates, touches and frees a 2 MiB array and then a 30 MiB one twice,
 # printing the resident memory (MiB) above the start that each free leaves.
 _RSS_PROBE = """
@@ -600,6 +638,20 @@ class TestExitCodes:
         assert proc.returncode == 5, proc.stderr
         assert "out of memory: Unable to allocate" in proc.stderr
         assert not (tmp_path / "e").exists()
+
+    def test_undrawable_dimension_is_a_config_error(self, tmp_path):
+        # numpy cannot index a dimension of 10^20: its ValueError from the
+        # draw comes out as a config error that names n, with no traceback
+        src = os.path.dirname(os.path.dirname(randnet.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = ["fit", "--tf", "TF1", "--n", str(10**20), "--train-size", "200",
+                "--method", "ram", "--u", "1", "--nodes", "5", "--out", str(tmp_path / "f")]
+        proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert f"n={10**20}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_data_file(self, tmp_path):
         assert run("benchmark", "--data", tmp_path / "nope.dat", "--method",

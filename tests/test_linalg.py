@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import randnet
-from randnet import linalg
+from randnet import linalg, model
 from randnet.errors import InvalidInputError, NumericFailureError
 from randnet.linalg import factorize, lstsq, pseudoinverse, single_thread_blas
 from randnet.model import HiddenLayer, build_hidden, hidden_outputs, solve_readout
@@ -241,8 +241,10 @@ def test_blocked_lstsq_matches_one_block(row_blocking, cols, extra_rows, seed, d
 
 def reference_lstsq(a, t):
     """``lstsq`` as it was before ``solve_rows``: a tall ``a`` reduced by the
-    ``qr_triangle`` of each ``[a | t]`` row block and of their stacked
-    triangles, then ``solve_reduced``; any other ``a`` solved as it is."""
+    QR triangle of each ``[a | t]`` row block and of their stacked
+    triangles, then ``solve_reduced``; any other ``a`` solved as it is. The
+    triangles are ``np.linalg.qr``'s, C-ordered, as ``qr_triangle`` returned
+    them then."""
     rhs = t.reshape(-1, 1) if t.ndim == 1 else t
     cols = a.shape[1]
     if a.shape[0] > cols:
@@ -250,12 +252,12 @@ def reference_lstsq(a, t):
             buf = np.empty((rows.stop - rows.start, cols + rhs.shape[1]), order="F")
             return np.concatenate([a[rows], rhs[rows]], axis=1, out=buf)
 
-        triangles = [linalg.qr_triangle(augmented(rows))
+        triangles = [np.linalg.qr(augmented(rows), mode="r")
                      for rows in linalg.row_blocks(*a.shape)]
         r = triangles[0]
         if len(triangles) > 1:
             stacked = np.empty((sum(len(tri) for tri in triangles), r.shape[1]), order="F")
-            r = linalg.qr_triangle(np.concatenate(triangles, out=stacked))
+            r = np.linalg.qr(np.concatenate(triangles, out=stacked), mode="r")
         x = linalg.solve_reduced(r[:cols, :cols], r[:cols, cols:], a.shape)
     else:
         x = linalg.solve_reduced(a, rhs, a.shape)
@@ -313,13 +315,13 @@ def test_bad_targets_are_invalid_input_from_both_callers(rows, target):
 
 def test_tall_lstsq_decomposes_only_square_matrices(monkeypatch):
     seen = []
-    svd = linalg._svd
+    svd = linalg._svd_in_place
 
     def recording_svd(a):
         seen.append(np.shape(a))
         return svd(a)
 
-    monkeypatch.setattr(linalg, "_svd", recording_svd)
+    monkeypatch.setattr(linalg, "_svd_in_place", recording_svd)
     rng = np.random.default_rng(21)
     m = rng.normal(size=(300, 7))
     lstsq(m, rng.normal(size=300))
@@ -352,14 +354,14 @@ def test_tall_cutoff_uses_the_original_row_count(row_blocking):
 def test_lapack_failure_is_a_numeric_failure(monkeypatch, row_blocking, routine, fails):
     # at min_rows 8 the 80x3 matrix is reduced in 4 blocks of 20 rows on a
     # pool of 2, and their 4 triangles of 4 rows by a merge QR of 16 rows;
-    # the QR is linalg.qr_triangle and the SVD linalg._svd, whose failures
-    # are NumericFailureErrors
+    # the QR is linalg.qr_triangle and the SVD linalg._svd_in_place, whose
+    # failures are NumericFailureErrors
     row_blocking(min_rows=8)
     rng = np.random.default_rng(22)
     rows = 9 if fails == "every call" else 80
     a = rng.normal(size=(rows, 3))
     blocks = linalg.row_blocks(rows, 3)
-    attr = "qr_triangle" if routine == "qr" else "_svd"
+    attr = "qr_triangle" if routine == "qr" else "_svd_in_place"
     real = getattr(linalg, attr)
     callers = []
 
@@ -400,7 +402,7 @@ def test_qr_triangle_is_numpys_r_bit_for_bit(monkeypatch, cols, extra_rows, scal
             patch.setattr(linalg, "_dgeqrf", lambda: None)
         r = linalg.qr_triangle(buf)
     assert r.tobytes() == np.linalg.qr(a, mode="r").tobytes()
-    assert r.flags.c_contiguous
+    assert r.flags.f_contiguous
 
 
 def reference_solve_reduced(r, c, shape):
@@ -421,7 +423,7 @@ def ralpham_triangle() -> np.ndarray:
                              as_stream(27))
     h = np.empty((5000, 800), order="F")
     build_hidden(x, layer.weights, layer.biases, h)
-    return linalg.qr_triangle(h)
+    return linalg.qr_triangle(h).copy()  # not a view that keeps h
 
 
 @settings(max_examples=80, deadline=None,
@@ -479,6 +481,137 @@ def test_solve_reduced_holds_one_copy_u_vt_and_the_workspace():
     finally:
         tracemalloc.stop()
     assert peak < 6.5 * m * m * 8
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn()`` runs, after one untraced warm-up
+    call has made the workspace queries."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_owned_svd_holds_u_vt_and_the_workspace_only():
+    # at m=400 dgesdd overwrites the R handed over: U, Vt and its 3m^2 + 7m
+    # workspace, about 5 m^2 doubles, where the copying path holds 6.04
+    if not bundles_openblas():
+        pytest.skip("numpy bundles no OpenBLAS")
+    m = 400
+    r = np.asfortranarray(np.triu(np.random.default_rng(31).normal(size=(m, m))))
+    assert traced_peak(lambda: linalg._svd_in_place(r.copy(order="F"))) - r.nbytes \
+        < 5.2 * m * m * 8
+    assert traced_peak(lambda: linalg._svd(r)) > 6.0 * m * m * 8
+
+
+def test_one_block_readout_holds_its_block_and_no_triangle_beside_it():
+    # the 3000x402 [H | t] buffer and build_hidden's work panel of
+    # 65536 // 3000 = 21 columns; the 400x402 triangle, 13% of the buffer,
+    # is left in the buffer's own memory and cut down to there
+    if not bundles_openblas():
+        pytest.skip("numpy bundles no OpenBLAS")
+    rows, nodes = 3000, 400
+    rng = np.random.default_rng(32)
+    x = rng.uniform(size=(rows, 1))
+    layer = HiddenLayer(rng.normal(scale=5.0, size=(1, nodes)), rng.normal(size=nodes))
+    t = rng.normal(size=(rows, 2))
+    assert len(linalg.row_blocks(rows, nodes)) == 1
+    block = rows * (nodes + 2) * 8
+    panel = rows * max(1, model._TILE_ELEMS // rows) * 8
+    assert traced_peak(lambda: solve_readout(layer, x, t)) < 1.05 * (block + panel)
+
+
+def test_wide_solve_holds_its_matrix_once():
+    # a 400x800 solve: the filled buffer, which dgesdd overwrites, U (half a
+    # copy of a), Vt (one copy) and the workspace, about 4.5 copies of a
+    if not bundles_openblas():
+        pytest.skip("numpy bundles no OpenBLAS")
+    rng = np.random.default_rng(33)
+    x = rng.uniform(size=(400, 1))
+    layer = HiddenLayer(rng.normal(scale=5.0, size=(1, 800)), rng.normal(size=800))
+    t = rng.normal(size=400)
+    h = hidden_outputs(layer, x)
+    assert traced_peak(lambda: lstsq(h, t)) <= 4.6 * h.nbytes
+    assert traced_peak(lambda: solve_readout(layer, x, t)) <= 4.6 * h.nbytes
+
+
+def test_solve_under_a_debugger_copies_what_it_cannot_cut(row_blocking):
+    # a tracer that reads every frame's locals, as a debugger does, holds one
+    # more reference to each buffer, so numpy's realloc refuses to cut it
+    # down; the solve then cuts a copy and keeps its bits
+    row_blocking(min_rows=8)
+    rng = np.random.default_rng(34)
+    a, t = rng.normal(size=(90, 4)), rng.normal(size=(90, 2))
+    assert len(linalg.row_blocks(*a.shape)) > 1
+    want = lstsq(a, t)
+
+    def tracer(frame, event, arg):
+        frame.f_locals
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        got = lstsq(a, t)
+    finally:
+        sys.settrace(None)
+    assert got.tobytes() == want.tobytes()
+
+
+def numpys_triangle(a: np.ndarray, blocks: list) -> np.ndarray:
+    """The R of ``a`` by ``np.linalg.qr``: of each row block, then, for
+    more than one, of their triangles stacked in block order."""
+    triangles = [np.linalg.qr(a[rows], mode="r") for rows in blocks]
+    return triangles[0] if len(triangles) == 1 else np.linalg.qr(np.vstack(triangles), mode="r")
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    cols=st.integers(1, 40),
+    extra_rows=st.integers(-10, 200),
+    rhs_cols=st.sampled_from([None, 1, 3]),
+    blocked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cols=30, extra_rows=1, rhs_cols=None, blocked=False, seed=0)  # [a | t] square
+@example(cols=12, extra_rows=1, rhs_cols=3, blocked=False, seed=1)  # [a | t] wide
+@example(cols=5, extra_rows=200, rhs_cols=3, blocked=True, seed=2)  # merged blocks
+@example(cols=20, extra_rows=0, rhs_cols=1, blocked=False, seed=3)  # a square
+def test_packed_triangles_are_numpys_r_bit_for_bit(monkeypatch, row_blocking, cols, extra_rows,
+                                                  rhs_cols, blocked, seed):
+    # qr_triangle leaves R in the leading entries of the memory it factorized,
+    # and solve_rows hands the SVD numpy's R of [a | t], one block or several
+    # merged, with Q' t beside it; a matrix with no more rows than columns
+    # goes to the SVD as it is
+    rows = max(1, cols + extra_rows)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rows, cols))
+    t = rng.normal(size=rows if rhs_cols is None else (rows, rhs_cols))
+    aug = np.hstack([a, t.reshape(rows, -1)])
+    flat = np.empty(aug.size)
+    buf = flat.reshape(aug.shape, order="F")
+    buf[...] = aug
+    r = linalg.qr_triangle(buf)
+    assert r.tobytes() == np.linalg.qr(aug, mode="r").tobytes()
+    assert r.flags.f_contiguous and r.ctypes.data == flat.ctypes.data
+
+    row_blocking(min_rows=8 if blocked else 10**9)
+    seen = []
+    svd, solve = linalg._svd_in_place, linalg._solve_svd
+    monkeypatch.setattr(linalg, "_svd_in_place", lambda m: seen.append(m.copy()) or svd(m))
+    monkeypatch.setattr(linalg, "_solve_svd",
+                        lambda usv, c, shape: seen.append(c.copy()) or solve(usv, c, shape))
+    lstsq(a, t)
+    decomposed, qt = seen
+    if rows > cols:
+        want = numpys_triangle(aug, linalg.row_blocks(rows, cols))
+        assert decomposed.tobytes() == want[:cols, :cols].tobytes()
+        assert qt.tobytes() == want[:cols, cols:].tobytes()
+    else:
+        assert decomposed.tobytes() == a.tobytes()
 
 
 def bundles_openblas() -> bool:
