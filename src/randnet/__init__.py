@@ -47,14 +47,12 @@ from .model import (
 )
 from .paramgen import (
     AnchorPolicy,
-    Hypercube,
     RaMConfig,
     RAlphaMConfig,
     anchor_points,
     anchored_biases,
     generate_ralpham,
     generate_ram,
-    input_hypercube,
 )
 from .rae import (
     Raem1Config,
@@ -77,7 +75,6 @@ __all__ = [
     "DegenerateNodeError",
     "GeneratorConfig",
     "HiddenLayer",
-    "Hypercube",
     "InvalidInputError",
     "METHOD_NAMES",
     "NormalizationSpec",
@@ -107,7 +104,6 @@ __all__ = [
     "generate_ram",
     "hidden_outputs",
     "inflection_hyperplane_offset",
-    "input_hypercube",
     "load_csv",
     "load_network",
     "lstsq",

@@ -51,7 +51,6 @@ from ..methods import (
     method_with_interval,
 )
 from ..model import save_network
-from ..paramgen import input_hypercube
 from .config import (
     ExperimentConfig,
     build_config,
@@ -377,9 +376,8 @@ def cmd_histogram(args) -> int:
     cfg = run.cfg
     method = cfg.generator(0)
     x = run.problem.train.x
-    cube = input_hypercube(x)
     stream = cfg.trial_stream(0)
-    layers = [generate_hidden_layer(method, x, cube, cfg.nodes, stream.child(t))
+    layers = [generate_hidden_layer(method, x, cfg.nodes, stream.child(t))
               for t in range(cfg.trials)]
     hist = weight_histogram(layers, cfg.histogram_bins)
     family = method_name(method)

@@ -29,7 +29,6 @@ from ..errors import ConfigError, InvalidInputError
 from .. import linalg
 from ..methods import GeneratorConfig, generate_hidden_layer, method_spec, method_with_interval
 from ..model import TrainedNetwork, predict, rmse, train_readout
-from ..paramgen import Hypercube, input_hypercube
 from ..rng import as_stream
 from .stats import median
 
@@ -58,16 +57,9 @@ class TrialFit(NamedTuple):
     rmse_test: float
 
 
-def fit_trial(
-    method: GeneratorConfig,
-    train: Dataset,
-    test: Dataset,
-    cube: Hypercube,
-    m: int,
-    stream,
-) -> TrialFit:
-    """One trial: generate a hidden layer, fit its readout, score it on the
-    test rows.
+def fit_trial(method: GeneratorConfig, train: Dataset, test: Dataset, m: int, stream) -> TrialFit:
+    """One trial: generate a hidden layer from the train inputs, which also
+    bound its anchors, fit its readout, score it on the test rows.
 
     The train hidden outputs exist only inside the readout fit, which
     streams them. The test hidden outputs are built and used one tile at a
@@ -75,7 +67,7 @@ def fit_trial(
     caller that reports it, since most fits, those of the grid search and
     the sweep, have no use for it.
     """
-    layer = generate_hidden_layer(method, train.x, cube, m, stream)
+    layer = generate_hidden_layer(method, train.x, m, stream)
     net = TrainedNetwork(hidden=layer, readout=train_readout(layer, train.x, train.y))
     return TrialFit(net, rmse(predict(net, test.x), test.y))
 
@@ -208,10 +200,9 @@ def run_trials(
         raise ConfigError(f"node count must be >= 1, got {m}")
     stream = as_stream(seed)
     train, test = problem.train, problem.test
-    cube = input_hypercube(train.x)
 
     def one(t: int) -> TrialReport:
-        fit = fit_trial(method, train, test, cube, m, stream.child(t))
+        fit = fit_trial(method, train, test, m, stream.child(t))
         return TrialReport(
             trial=t,
             seed=stream.seed,
@@ -318,14 +309,13 @@ def cross_validate(
     methods = [method_with_interval(method, iv) for _, iv in cells]
     folds = kfold_indices(train.n_samples, grid.folds, stream.child(0, 0))
     splits = [(train.subset(tr), train.subset(va)) for tr, va in folds]
-    cubes = [input_hypercube(fold_train.x) for fold_train, _ in splits]
     per_cell = grid.folds * grid.trials_per_cell
 
     def fit(i: int) -> tuple[float]:
         ci, rest = divmod(i, per_cell)
         f, t = divmod(rest, grid.trials_per_cell)
         fold_train, fold_val = splits[f]
-        trial = fit_trial(methods[ci], fold_train, fold_val, cubes[f], cells[ci][0],
+        trial = fit_trial(methods[ci], fold_train, fold_val, cells[ci][0],
                           stream.child(1, ci, f, t))
         return (trial.rmse_test,)
 
@@ -374,12 +364,11 @@ def uae_sweep(
         raise ConfigError(f"the u_ae sweep runs raem1, got method {method.get('method')!r}")
     stream = as_stream(seed)
     train, test = problem.train, problem.test
-    cube = input_hypercube(train.x)
     methods = [method_with_interval(method, float(u)) for u in uae_values]
 
     def fit(i: int) -> tuple[float, float]:
         k, t = divmod(i, trials)
-        trial = fit_trial(methods[k], train, test, cube, m, stream.child(k, t))
+        trial = fit_trial(methods[k], train, test, m, stream.child(k, t))
         return median(np.abs(trial.network.hidden.weights)), trial.rmse_test
 
     rows = _fork_map(fit, len(uae_values) * trials)

@@ -16,8 +16,8 @@ QR (TSQR: Demmel et al., SIAM J. Sci. Comput. 2012). So no full-size copy of
 ``[a | rhs]`` is made, and ``map_blocks`` can reduce the blocks on the cores
 a worker pool leaves idle. The driver has the caller write each block's
 rows of ``a`` into a fresh F-ordered buffer when the block is reduced, so a
-caller such as the network readout never holds ``a`` whole;
-``solve_reduced`` then solves on the triangle.
+caller such as the network readout never holds ``a`` whole, and then solves
+on the final triangle.
 
 ``qr_triangle`` factorizes each such buffer where it lies, with LAPACK
 ``dgeqrf`` from the OpenBLAS bundled in the numpy wheel, bound through
@@ -27,9 +27,9 @@ down to it with numpy's realloc. So a block in flight is held once, and
 never beside its triangle. The SVD is that library's ``dgesdd``, called as
 ``np.linalg.svd`` calls it, so U, s and Vt are bitwise numpy's, without
 numpy's second copy of U and Vt beside the workspace. It overwrites the
-matrix it decomposes: ``factorize``, ``pseudoinverse`` and
-``solve_reduced`` hand it an F-ordered copy of theirs, and the driver the
-final triangle, or the filled matrix of a wide solve, itself. Both routines
+matrix it decomposes: ``factorize`` and ``pseudoinverse`` hand it an
+F-ordered copy of theirs, and the driver the final triangle, or the filled
+matrix of a wide solve, itself. Both routines
 take the workspace size LAPACK asks for, queried once per shape. Where
 numpy bundles no OpenBLAS, ``np.linalg.qr`` and ``np.linalg.svd`` are
 called instead.
@@ -252,13 +252,6 @@ def _solve_svd(usv: tuple[np.ndarray, np.ndarray, np.ndarray], c: np.ndarray,
     return vt.T @ ((u.T @ c) * s_inv[:, None])
 
 
-def solve_reduced(r: np.ndarray, c: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Minimum-norm solution of ``r @ x = c`` through the SVD of ``r``, with
-    the rank cutoff of the original matrix's ``shape``; ``c`` is 2-D and
-    ``r`` is left as it is."""
-    return _solve_svd(_svd(_as_matrix(r)), c, shape)
-
-
 def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
     """Minimum-norm least-squares solution ``a^+ t`` of ``a @ x = t``, with
     ``a`` the matrix of ``shape`` that ``fill`` writes, through the SVD with
@@ -284,10 +277,11 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
     C-ordered ``[R | Q' t]`` that ``np.linalg.qr`` returns, and the solve
     takes the rank cutoff of ``shape``. Any other
     matrix is filled into one F-ordered buffer, which ``_svd_in_place``
-    overwrites, and solved with ``t`` itself on the right. The layout of the
-    right-hand side picks the matrix-product kernel, and with it the bits:
-    a unit-stride column of ``Q' t`` takes another gemv kernel than a
-    strided one.
+    overwrites, and solved with a C-ordered copy of ``t`` on the right. The
+    layout of the right-hand side picks the matrix-product kernel, and with
+    it the bits: a unit-stride column of ``Q' t`` takes another gemv kernel
+    than a strided one. So each branch puts it in one layout, and the
+    caller's layout of ``t`` never moves a bit.
     """
     rows, cols = shape
     t = np.asarray(t, dtype=float)
@@ -325,7 +319,7 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
     else:
         a = np.empty(shape, order="F")
         fill(slice(0, rows), a)
-        x = _solve_svd(_svd_in_place(_as_matrix(a)), rhs, shape)
+        x = _solve_svd(_svd_in_place(_as_matrix(a)), np.array(rhs, order="C"), shape)
     return x[:, 0] if t.ndim == 1 else x
 
 

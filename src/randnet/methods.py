@@ -26,7 +26,6 @@ from .errors import ConfigError, check_config_keys, config_from_dict
 from .model import HiddenLayer
 from .paramgen import (
     AnchorPolicy,
-    Hypercube,
     RaMConfig,
     RAlphaMConfig,
     generate_ralpham,
@@ -99,15 +98,12 @@ def method_name(cfg: GeneratorConfig) -> str:
     raise ConfigError(f"unknown generator config type {type(cfg).__name__}")
 
 
-def generate_hidden_layer(
-    cfg: GeneratorConfig,
-    x_train,
-    cube: Hypercube,
-    m: int,
-    rng: RngStream,
-) -> HiddenLayer:
-    """Draw one hidden layer of m nodes using the configured method."""
-    return METHODS[method_name(cfg)].generate(cfg, x_train, cube, m, rng)
+def generate_hidden_layer(cfg: GeneratorConfig, x_train, m: int, rng: RngStream) -> HiddenLayer:
+    """Draw one hidden layer of m nodes for the training inputs ``x_train``
+    using the configured method. Every generator takes ``(cfg, x_train, m,
+    rng)``: the input dimension and the anchors' bounding box come from
+    ``x_train``."""
+    return METHODS[method_name(cfg)].generate(cfg, x_train, m, rng)
 
 
 def method_to_dict(cfg: GeneratorConfig) -> dict:

@@ -165,27 +165,20 @@ def _sigmoid_tile(z, out, work) -> None:
     np.clip(out, _SIG_LO, _SIG_HI, out=out)
 
 
-def affine_arguments(x, weights, biases, *, out=None) -> np.ndarray:
-    """Node arguments x @ weights + biases with a fixed summation order.
-
-    Accumulates one input dimension at a time, so every entry is a
-    left-to-right sum that does not depend on how many rows are evaluated
-    together. BLAS matmul reorders the reduction per block shape, which
-    breaks bit-identical row-partitioned evaluation. ``out``, a float array
-    of the result's shape, receives the result in place of a new array.
-    """
-    z = np.empty((x.shape[0], weights.shape[1]), dtype=float) if out is None else out
-    _affine_tile(x, weights, biases, z, np.empty_like(z))
-    return z
-
-
 def _affine_tile(x, weights, biases, out, work) -> None:
-    """``affine_arguments(x, weights, biases, out=out)`` with ``work``, an
-    array of out's shape, for the products of the second input dimension
-    on. Each product is a copy of ``w_j`` scaled by ``x_j`` in place, which
-    broadcasts one operand where ``np.multiply(x_j, w_j)`` broadcasts two,
-    and the biases are added to the first: IEEE multiplication and addition
-    commute, so ``w0 x0 + b`` has the bits of ``b + x0 w0``."""
+    """Node arguments ``x @ weights + biases`` into ``out``, with ``work``,
+    an array of out's shape, for the products of the second input dimension
+    on.
+
+    The sum runs in a fixed order, ``b + x0 w0``, then ``+ xj wj`` one
+    input dimension at a time, so every entry is a left-to-right sum that
+    does not depend on how many rows are evaluated together; BLAS matmul
+    reorders the reduction per block shape, which would break bit-identical
+    evaluation in tiles. Each product is a copy of ``w_j`` scaled by ``x_j``
+    in place, which broadcasts one operand where ``np.multiply(x_j, w_j)``
+    broadcasts two, and the biases are added to the first: IEEE
+    multiplication and addition commute, so ``w0 x0 + b`` has the bits of
+    ``b + x0 w0``."""
     np.copyto(out, weights[0])
     out *= x[:, 0, np.newaxis]
     out += biases

@@ -2,10 +2,12 @@
 
 Two families: uniform weights on [-u, u], and uniform slope angles mapped to
 weights through a = 4 tan(alpha). Both place each node's inflection point at
-an anchor inside the input hypercube by setting b_i = -a_i . x*_i, so the
-steep part of every sigmoid lands where the data lives. Anchor points come
-from one of three policies: uniform in the hypercube, a random training
-point, or a k-means cluster prototype.
+an anchor x*_i inside the bounding box of the training inputs by setting
+b_i = -a_i . x*_i, so the steep part of every sigmoid lands where the data
+lives. Anchor points come from one of three policies: uniform in that box,
+a random training point, or a k-means cluster prototype. Every generator
+takes ``(cfg, x_train, m, rng)`` and derives the input dimension and the box
+from ``x_train``, which ``training_inputs`` checks.
 """
 
 from __future__ import annotations
@@ -26,38 +28,13 @@ AnchorKind = Literal["uniform", "train-point", "cluster"]
 MAX_ABS_SLOPE_WEIGHT = 4.0 * math.tan(math.radians(89.99))
 
 
-@dataclass(frozen=True)
-class Hypercube:
-    """Axis-aligned box: per-dimension [low, high] bounds."""
-
-    lows: np.ndarray
-    highs: np.ndarray
-
-    def __post_init__(self):
-        lows = np.atleast_1d(np.asarray(self.lows, dtype=float))
-        highs = np.atleast_1d(np.asarray(self.highs, dtype=float))
-        if lows.shape != highs.shape or lows.ndim != 1:
-            raise InvalidInputError("hypercube bounds must be 1-D arrays of equal length")
-        if np.any(lows > highs):
-            raise InvalidInputError("hypercube lower bounds exceed upper bounds")
-        object.__setattr__(self, "lows", lows)
-        object.__setattr__(self, "highs", highs)
-
-    @property
-    def dim(self) -> int:
-        return self.lows.shape[0]
-
-    def contains(self, points: np.ndarray) -> bool:
-        p = np.atleast_2d(points)
-        return bool(np.all(p >= self.lows) and np.all(p <= self.highs))
-
-
-def input_hypercube(x) -> Hypercube:
-    """Bounding box of the rows of ``x``."""
-    x = np.asarray(x, dtype=float)
+def training_inputs(x_train) -> np.ndarray:
+    """``x_train`` as a float matrix; raise InvalidInputError unless it is
+    2-D with at least one row. Every generator checks its inputs here."""
+    x = np.asarray(x_train, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
-        raise InvalidInputError(f"need a nonempty 2-D input matrix, got shape {x.shape}")
-    return Hypercube(lows=x.min(axis=0), highs=x.max(axis=0))
+        raise InvalidInputError(f"need a nonempty 2-D training matrix, got shape {x.shape}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -153,20 +130,20 @@ def _kmeans(x: np.ndarray, k: int, gen: np.random.Generator, max_iter: int, rel_
 
 def anchor_points(
     policy: AnchorPolicy,
-    x_train: np.ndarray | None,
-    cube: Hypercube,
+    x_train: np.ndarray,
     m: int,
     rng: RngStream,
 ) -> np.ndarray:
-    """Draw ``m`` anchor points in the hypercube according to ``policy``."""
+    """Draw ``m`` anchor points for the training inputs ``x_train`` according
+    to ``policy``: uniform in their bounding box, per-column
+    ``[min, max]``, random rows of ``x_train``, or k-means prototypes of
+    them. Every policy keeps the anchors inside that box."""
+    x_train = training_inputs(x_train)
     if m < 1:
         raise ConfigError(f"need at least one anchor, got m={m}")
     gen = rng.generator()
     if policy.kind == "uniform":
-        return gen.uniform(cube.lows, cube.highs, size=(m, cube.dim))
-    if x_train is None or len(x_train) == 0:
-        raise ConfigError(f"{policy.kind!r} anchors need a nonempty training set")
-    x_train = np.asarray(x_train, dtype=float)
+        return gen.uniform(x_train.min(axis=0), x_train.max(axis=0), size=(m, x_train.shape[1]))
     if policy.kind == "train-point":
         idx = gen.integers(0, x_train.shape[0], size=m)
         return x_train[idx]
@@ -184,26 +161,17 @@ def anchored_biases(weights: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return np.array([-float(np.dot(weights[:, i], anchors[i])) for i in range(m)])
 
 
-def generate_ram(
-    cfg: RaMConfig,
-    x_train: np.ndarray | None,
-    cube: Hypercube,
-    m: int,
-    rng: RngStream,
-) -> HiddenLayer:
+def generate_ram(cfg: RaMConfig, x_train: np.ndarray, m: int, rng: RngStream) -> HiddenLayer:
     """Uniform weights on [-u, u]; weights use child stream 0, anchors child 1."""
+    x_train = training_inputs(x_train)
     gen = rng.child(0).generator()
-    weights = gen.uniform(-cfg.u, cfg.u, size=(cube.dim, m))
-    anchors = anchor_points(cfg.anchor, x_train, cube, m, rng.child(1))
+    weights = gen.uniform(-cfg.u, cfg.u, size=(x_train.shape[1], m))
+    anchors = anchor_points(cfg.anchor, x_train, m, rng.child(1))
     return HiddenLayer(weights=weights, biases=anchored_biases(weights, anchors))
 
 
 def generate_ralpham(
-    cfg: RAlphaMConfig,
-    x_train: np.ndarray | None,
-    cube: Hypercube,
-    m: int,
-    rng: RngStream,
+    cfg: RAlphaMConfig, x_train: np.ndarray, m: int, rng: RngStream
 ) -> HiddenLayer:
     """Uniform slope angles mapped to weights via a = 4 tan(alpha).
 
@@ -211,10 +179,12 @@ def generate_ralpham(
     |a| is additionally capped at 4 tan(89.99 deg) as a float-safety guard.
     Draw order: angles, then signs, then anchors (child streams 0 and 1).
     """
+    x_train = training_inputs(x_train)
+    n = x_train.shape[1]
     gen = rng.child(0).generator()
-    abs_deg = gen.uniform(cfg.alpha_min_deg, cfg.alpha_max_deg, size=(cube.dim, m))
-    signs = gen.integers(0, 2, size=(cube.dim, m)) * 2 - 1
+    abs_deg = gen.uniform(cfg.alpha_min_deg, cfg.alpha_max_deg, size=(n, m))
+    signs = gen.integers(0, 2, size=(n, m)) * 2 - 1
     magnitude = np.minimum(4.0 * np.tan(np.radians(abs_deg)), MAX_ABS_SLOPE_WEIGHT)
     weights = signs * magnitude
-    anchors = anchor_points(cfg.anchor, x_train, cube, m, rng.child(1))
+    anchors = anchor_points(cfg.anchor, x_train, m, rng.child(1))
     return HiddenLayer(weights=weights, biases=anchored_biases(weights, anchors))

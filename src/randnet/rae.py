@@ -20,9 +20,15 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DegenerateNodeError, InvalidInputError
+from .errors import DegenerateNodeError
 from .model import HiddenLayer, solve_readout
-from .paramgen import AnchorPolicy, Hypercube, anchor_points, anchored_biases, check_half_width
+from .paramgen import (
+    AnchorPolicy,
+    anchor_points,
+    anchored_biases,
+    check_half_width,
+    training_inputs,
+)
 from .rng import RngStream
 
 
@@ -72,37 +78,29 @@ class Raem5Config:
 RaemConfig = Union[Raem1Config, Raem2Config, Raem3Config, Raem4Config, Raem5Config]
 
 
-def _biases(rule: str, variant: RaemConfig, weights: np.ndarray, x_train: np.ndarray,
-            cube: Hypercube, rng: RngStream) -> np.ndarray:
+def _biases(rule: str, cfg: RaemConfig, weights: np.ndarray, x_train: np.ndarray,
+            rng: RngStream) -> np.ndarray:
     """Biases by ``rule`` for the columns of ``weights``, drawn from ``rng``."""
     m = weights.shape[1]
     if rule == "anchored":
-        return anchored_biases(weights, anchor_points(variant.anchor, x_train, cube, m, rng))
+        return anchored_biases(weights, anchor_points(cfg.anchor, x_train, m, rng))
     if rule == "uniform":
         return rng.generator().uniform(-1.0, 1.0, size=m)
     return weights.mean(axis=0)
 
 
-def raem_hidden_layer(
-    variant: RaemConfig,
-    x_train: np.ndarray,
-    cube: Hypercube,
-    m: int,
-    rng: RngStream,
-) -> HiddenLayer:
+def raem_hidden_layer(cfg: RaemConfig, x_train: np.ndarray, m: int, rng: RngStream) -> HiddenLayer:
     """Build an autoencoder-pretrained hidden layer for one variant.
 
     Encoder weights come from child stream 0, encoder biases from child 1,
     network biases from child 2. All variants share A = V' with V the
     fitted decoder.
     """
-    x_train = np.asarray(x_train, dtype=float)
-    if x_train.ndim != 2 or x_train.shape[0] < 1:
-        raise InvalidInputError(f"need a nonempty training matrix, got {x_train.shape}")
-    w = rng.child(0).generator().uniform(-variant.u_ae, variant.u_ae, size=(x_train.shape[1], m))
-    c = _biases(variant.encoder_biases, variant, w, x_train, cube, rng.child(1))
+    x_train = training_inputs(x_train)
+    w = rng.child(0).generator().uniform(-cfg.u_ae, cfg.u_ae, size=(x_train.shape[1], m))
+    c = _biases(cfg.encoder_biases, cfg, w, x_train, rng.child(1))
     weights = solve_readout(HiddenLayer(weights=w, biases=c), x_train, x_train).T
-    biases = _biases(variant.network_biases, variant, weights, x_train, cube, rng.child(2))
+    biases = _biases(cfg.network_biases, cfg, weights, x_train, rng.child(2))
     return HiddenLayer(weights=weights, biases=biases)
 
 

@@ -27,7 +27,7 @@ from randnet.experiment.trials import run_trials, uae_sweep
 from randnet.linalg import pseudoinverse
 from randnet.methods import generate_hidden_layer
 from randnet.model import sigmoid
-from randnet.paramgen import RaMConfig, RAlphaMConfig, anchor_points, input_hypercube
+from randnet.paramgen import RaMConfig, RAlphaMConfig, anchor_points
 from randnet.rae import (
     Raem1Config,
     Raem2Config,
@@ -73,7 +73,6 @@ def test_02_inflection_anchoring():
         TargetFunction("TF1", 2), as_stream(55).child(0), train_size=400, test_size=100
     )
     x = problem.train.x
-    cube = input_hypercube(x)
     m = 2000
     # (config, child stream that draws the network's anchor points)
     cases = [
@@ -86,8 +85,8 @@ def test_02_inflection_anchoring():
     worst = 0.0
     for i, (cfg, anchor_child) in enumerate(cases):
         rng = as_stream(210).child(i)
-        layer = generate_hidden_layer(cfg, x, cube, m, rng)
-        anchors = anchor_points(cfg.anchor, x, cube, m, rng.child(anchor_child))
+        layer = generate_hidden_layer(cfg, x, m, rng)
+        anchors = anchor_points(cfg.anchor, x, m, rng.child(anchor_child))
         z = np.einsum("ij,ji->i", anchors, layer.weights) + layer.biases
         worst = max(worst, float(np.max(np.abs(sigmoid(z) - 0.5))))
     record(
@@ -101,7 +100,7 @@ def test_03_mean_bias_degeneracy_1d(demo_full):
     t0 = time.perf_counter()
     x = demo_full.train.x
     layer = generate_hidden_layer(
-        Raem5Config(), x, input_hypercube(x), 200, as_stream(310)
+        Raem5Config(), x, 200, as_stream(310)
     )
     # with 1-D inputs the column mean bias equals the weight itself, so the
     # sigmoid argument vanishes exactly at x = -1 for every node

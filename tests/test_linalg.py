@@ -23,7 +23,7 @@ from randnet import linalg, model
 from randnet.errors import InvalidInputError, NumericFailureError
 from randnet.linalg import factorize, lstsq, pseudoinverse, single_thread_blas
 from randnet.model import HiddenLayer, build_hidden, hidden_outputs, solve_readout
-from randnet.paramgen import RAlphaMConfig, generate_ralpham, input_hypercube
+from randnet.paramgen import RAlphaMConfig, generate_ralpham
 from randnet.rng import as_stream
 
 
@@ -242,7 +242,8 @@ def test_blocked_lstsq_matches_one_block(row_blocking, cols, extra_rows, seed, d
 def reference_lstsq(a, t):
     """``lstsq`` as it was before ``solve_rows``: a tall ``a`` reduced by the
     QR triangle of each ``[a | t]`` row block and of their stacked
-    triangles, then ``solve_reduced``; any other ``a`` solved as it is. The
+    triangles, then solved on the triangle as ``reference_solve_reduced``
+    does; any other ``a`` solved as it is. The
     triangles are ``np.linalg.qr``'s, C-ordered, as ``qr_triangle`` returned
     them then."""
     rhs = t.reshape(-1, 1) if t.ndim == 1 else t
@@ -258,9 +259,9 @@ def reference_lstsq(a, t):
         if len(triangles) > 1:
             stacked = np.empty((sum(len(tri) for tri in triangles), r.shape[1]), order="F")
             r = np.linalg.qr(np.concatenate(triangles, out=stacked), mode="r")
-        x = linalg.solve_reduced(r[:cols, :cols], r[:cols, cols:], a.shape)
+        x = reference_solve_reduced(r[:cols, :cols], r[:cols, cols:], a.shape)
     else:
-        x = linalg.solve_reduced(a, rhs, a.shape)
+        x = reference_solve_reduced(a, rhs, a.shape)
     return x[:, 0] if t.ndim == 1 else x
 
 
@@ -296,6 +297,30 @@ def test_solve_rows_keeps_the_bits_of_the_two_chains_it_replaced(
     with linalg.block_budget(2):
         assert lstsq(h, t).tobytes() == want.tobytes()
         assert solve_readout(layer, x, t).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 90),
+    cols=st.integers(1, 90),
+    rhs_cols=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=50, cols=60, rhs_cols=1, seed=0)  # wide
+@example(rows=50, cols=50, rhs_cols=None, seed=1)  # square
+@example(rows=1200, cols=50, rhs_cols=1, seed=2)  # tall
+def test_target_layout_moves_no_bit(rows, cols, rhs_cols, seed):
+    # a strided column, an F-ordered block and a contiguous copy of the same
+    # targets give one solution, in the tall branch and the wide one
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rows, cols))
+    k = 1 if rhs_cols is None else rhs_cols
+    block = rng.normal(size=(rows, 2 * k + 1))
+    picked = (lambda b: b[:, 1]) if rhs_cols is None else (lambda b: b[:, 1:2 * k + 1:2])
+    want = lstsq(a, picked(block).copy()).tobytes()
+    for t in (picked(block), picked(np.asfortranarray(block)),
+              np.asfortranarray(picked(block))):
+        assert lstsq(a, t).tobytes() == want
 
 
 @pytest.mark.parametrize("rows", [12, 3], ids=["tall", "wide"])
@@ -406,7 +431,8 @@ def test_qr_triangle_is_numpys_r_bit_for_bit(monkeypatch, cols, extra_rows, scal
 
 
 def reference_solve_reduced(r, c, shape):
-    """``linalg.solve_reduced`` as it was on ``np.linalg.svd``."""
+    """Minimum-norm solution of ``r @ x = c`` through ``np.linalg.svd`` of
+    ``r``, with the rank cutoff of the original matrix's ``shape``."""
     u, s, vt = np.linalg.svd(r, full_matrices=False)
     s_inv = np.zeros_like(s)
     np.divide(1.0, s, out=s_inv, where=s > max(shape) * float(s[0]) * np.finfo(float).eps)
@@ -419,7 +445,7 @@ def ralpham_triangle() -> np.ndarray:
     angles up to 90 degrees on 5000 points in 2-D, as the tf1-m800 readout
     decomposes it; many saturated nodes make it rank-deficient."""
     x = np.random.default_rng(27).uniform(size=(5000, 2))
-    layer = generate_ralpham(RAlphaMConfig(alpha_max_deg=90.0), x, input_hypercube(x), 800,
+    layer = generate_ralpham(RAlphaMConfig(alpha_max_deg=90.0), x, 800,
                              as_stream(27))
     h = np.empty((5000, 800), order="F")
     build_hidden(x, layer.weights, layer.biases, h)
@@ -456,7 +482,7 @@ def test_svd_is_numpys_bit_for_bit(monkeypatch, rows, cols, scale, duplicates, s
         if fallback:
             patch.setattr(linalg, "_dgesdd", lambda: None)
         got = linalg._svd(a)
-        x = linalg.solve_reduced(a, c, shape)
+        x = linalg._solve_svd(got, c, shape)
     assert a.tobytes() == before.tobytes()
     for mine, numpys in zip(got, np.linalg.svd(a, full_matrices=False)):
         assert mine.tobytes() == numpys.tobytes()
@@ -465,18 +491,18 @@ def test_svd_is_numpys_bit_for_bit(monkeypatch, rows, cols, scale, duplicates, s
 
 
 def test_solve_reduced_holds_one_copy_u_vt_and_the_workspace():
-    # at m=400: the F-ordered copy of R, U, Vt and dgesdd's 3m^2 + 7m
-    # workspace, about 6 m^2 doubles; numpy's svd held U and Vt twice
+    # at m=400, on the copying SVD path that the solve on a kept triangle
+    # took and ``factorize`` takes: the F-ordered copy of R, U, Vt and
+    # dgesdd's 3m^2 + 7m workspace, about 6 m^2 doubles; numpy's svd held U
+    # and Vt twice
     if not bundles_openblas():
         pytest.skip("numpy bundles no OpenBLAS")
     m = 400
-    rng = np.random.default_rng(28)
-    r = np.triu(rng.normal(size=(m, m)))
-    c = rng.normal(size=(m, 1))
-    linalg.solve_reduced(r, c, (4 * m, m))
+    r = np.triu(np.random.default_rng(28).normal(size=(m, m)))
+    factorize(r)
     tracemalloc.start()
     try:
-        linalg.solve_reduced(r, c, (4 * m, m))
+        factorize(r)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -687,7 +713,7 @@ def test_svd_info_is_a_numeric_failure(monkeypatch, info, on_call):
 
     monkeypatch.setattr(linalg, "_dgesdd", lambda: gesdd)
     monkeypatch.setattr(linalg, "_lworks", {})
-    for solve in (lambda: linalg.solve_reduced(np.eye(4), np.ones((4, 1)), (4, 4)),
+    for solve in (lambda: lstsq(np.eye(4), np.ones((4, 1))),
                   lambda: factorize(np.eye(4))):
         calls.clear()
         linalg._lworks.clear()  # the query would be skipped after a first call

@@ -2,13 +2,14 @@
 and dispatch to each family's own generator."""
 
 import csv
+import inspect
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from randnet.errors import ConfigError
+from randnet.errors import ConfigError, InvalidInputError
 from randnet.experiment.cli import main
 from randnet.methods import (
     METHOD_NAMES,
@@ -24,9 +25,9 @@ from randnet.paramgen import (
     AnchorPolicy,
     RaMConfig,
     RAlphaMConfig,
+    anchor_points,
     generate_ralpham,
     generate_ram,
-    input_hypercube,
 )
 from randnet.rae import (
     Raem1Config,
@@ -169,11 +170,27 @@ def test_unknown_tag_rejected():
 def test_generate_dispatches_bitwise_to_family_generator(tag):
     cfg, _, own = CASES[tag]
     x = np.random.default_rng(3).uniform(size=(40, 2))
-    cube = input_hypercube(x)
-    got = generate_hidden_layer(cfg, x, cube, 9, RngStream(11, (4,)))
-    want = own(cfg, x, cube, 9, RngStream(11, (4,)))
+    got = generate_hidden_layer(cfg, x, 9, RngStream(11, (4,)))
+    want = own(cfg, x, 9, RngStream(11, (4,)))
     assert np.array_equal(got.weights, want.weights)
     assert np.array_equal(got.biases, want.biases)
+
+
+def test_every_generator_takes_the_training_inputs_alone():
+    # the input dimension and the anchors' box come from x_train
+    for spec in METHODS.values():
+        assert list(inspect.signature(spec.generate).parameters) == ["cfg", "x_train", "m", "rng"]
+
+
+def test_every_generator_rejects_a_malformed_training_set():
+    # raem4 and raem5 draw no anchors, and still check their inputs
+    for bad in (np.empty((0, 2)), np.ones(5), np.ones((4, 2, 1))):
+        for cfg, _, own in CASES.values():
+            for generate in (own, generate_hidden_layer):
+                with pytest.raises(InvalidInputError, match="nonempty 2-D training matrix"):
+                    generate(cfg, bad, 3, RngStream(1))
+        with pytest.raises(InvalidInputError, match="nonempty 2-D training matrix"):
+            anchor_points(AnchorPolicy("uniform"), bad, 3, RngStream(1))
 
 
 @pytest.mark.parametrize("tag", METHOD_NAMES)

@@ -17,7 +17,6 @@ from randnet.model import (
     HiddenLayer,
     ReadoutWeights,
     TrainedNetwork,
-    affine_arguments,
     build_hidden,
     hidden_outputs,
     load_network,
@@ -50,6 +49,15 @@ def two_branch_sigmoid(z):
         ez = np.exp(z[~pos])
     want[~pos] = ez / (1.0 + ez)
     return np.clip(want, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
+def fixed_order_arguments(x, w, b):
+    """Node arguments ``x @ w + b`` summed in a fixed order: ``b + x0 w0``,
+    then ``+ xj wj`` left to right."""
+    z = b + x[:, 0, np.newaxis] * w[0]
+    for j in range(1, w.shape[0]):
+        z += x[:, j, np.newaxis] * w[j]
+    return z
 
 
 class TestSigmoid:
@@ -224,7 +232,7 @@ class TestHiddenOutputs:
         w = rng.normal(scale=20.0, size=(n, 120))
         b = rng.normal(scale=5.0, size=120)
         x = rng.normal(size=(1000, n))
-        z = affine_arguments(x, w, b)
+        z = fixed_order_arguments(x, w, b)
         want = np.tile(b, (1000, 1))
         for j in range(n):
             want += x[:, j, np.newaxis] * w[j]
@@ -258,7 +266,7 @@ class TestHiddenOutputs:
         w = rng.normal(scale=20.0, size=(n, nodes))
         b = rng.normal(scale=5.0, size=nodes)
         x = rng.normal(size=(rows, n))
-        z = affine_arguments(x, w, b)
+        z = fixed_order_arguments(x, w, b)
         want = sigmoid(z, out=z)
         buf = np.full((rows, nodes + extra), np.nan, order=order)
         build_hidden(x, w, b, buf[:, :nodes])

@@ -44,25 +44,31 @@ def test_readme_usage_lines_parse():
                         "histogram"}
 
 
+def source_trees() -> dict:
+    return {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+
+
+def loaded(tree) -> set:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+
+
+def referenced(tree) -> set:
+    """Every name ``tree`` loads, reads as an attribute or imports."""
+    names = loaded(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 def test_no_unused_import_or_unreferenced_private_name():
     # the modules other than the __init__ re-export files import nothing they
     # do not use, and define no private module-level name that nothing in
     # src/ uses: what a deletion leaves behind fails here
-    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
-
-    def loaded(tree):
-        return {node.id for node in ast.walk(tree)
-                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
-
-    def referenced(tree):
-        names = loaded(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
-        return names
-
+    trees = source_trees()
     anywhere = set().union(*map(referenced, trees.values()))
     unused, unreferenced = [], []
     for path, tree in trees.items():
@@ -85,3 +91,15 @@ def test_no_unused_import_or_unreferenced_private_name():
                              if name.startswith("_") and not name.startswith("__")
                              and name not in anywhere]
     assert unused == [] and unreferenced == []
+
+
+def test_every_public_function_and_class_is_used_or_exported():
+    # a public module-level function or class that no src/ module refers to
+    # and no __init__ re-exports is code nothing needs
+    trees = source_trees()
+    anywhere = set().union(*map(referenced, trees.values()))
+    unused = [f"{path.name}: {node.name}" for path, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in anywhere]
+    assert unused == []

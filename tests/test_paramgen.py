@@ -5,73 +5,70 @@ import math
 import numpy as np
 import pytest
 
-from randnet.errors import ConfigError, InvalidInputError
+from hypothesis import example, given, settings, strategies as st
+
+from randnet.errors import ConfigError
 from randnet.model import HiddenLayer, hidden_outputs
 from randnet.paramgen import (
     MAX_ABS_SLOPE_WEIGHT,
     AnchorPolicy,
-    Hypercube,
     RaMConfig,
     RAlphaMConfig,
     anchor_points,
     anchored_biases,
     generate_ram,
     generate_ralpham,
-    input_hypercube,
 )
 from randnet.rng import RngStream
-
-UNIT = Hypercube(lows=[0.0, 0.0], highs=[1.0, 1.0])
 
 
 def training_cloud(seed=0, n=2, rows=300):
     return np.random.default_rng(seed).uniform(size=(rows, n))
 
 
-class TestHypercube:
-    def test_single_point_degenerate(self):
-        cube = input_hypercube([[0.3, -1.0]])
-        assert cube.lows.tolist() == [0.3, -1.0]
-        assert cube.highs.tolist() == [0.3, -1.0]
-
-    def test_two_points(self):
-        cube = input_hypercube([[0.0, 0.0], [1.0, 2.0]])
-        assert cube.lows.tolist() == [0.0, 0.0]
-        assert cube.highs.tolist() == [1.0, 2.0]
-
-    def test_matches_scan_oracle(self):
-        x = np.random.default_rng(1).normal(size=(100, 3))
-        cube = input_hypercube(x)
-        for j in range(3):
-            lo = min(x[i, j] for i in range(100))
-            hi = max(x[i, j] for i in range(100))
-            assert cube.lows[j] == lo and cube.highs[j] == hi
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            input_hypercube(np.empty((0, 2)))
-
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(InvalidInputError):
-            Hypercube(lows=[1.0], highs=[0.0])
+def inside_bounds(points, x) -> bool:
+    """Every point lies in the bounding box of the rows of ``x``."""
+    return bool(np.all(points >= x.min(axis=0)) and np.all(points <= x.max(axis=0)))
 
 
 class TestAnchorPoints:
     def test_uniform_policy_stays_in_cube(self):
-        cube = Hypercube(lows=[2.0, -1.0], highs=[3.0, 4.0])
-        pts = anchor_points(AnchorPolicy("uniform"), None, cube, 200, RngStream(3))
+        x = np.array([[2.0, -1.0], [3.0, 4.0], [2.5, 0.0]])
+        pts = anchor_points(AnchorPolicy("uniform"), x, 200, RngStream(3))
         assert pts.shape == (200, 2)
-        assert cube.contains(pts)
+        assert inside_bounds(pts, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 50),
+        cols=st.integers(1, 5),
+        constant=st.booleans(),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=1, cols=3, constant=False, m=5, seed=0)
+    @example(rows=20, cols=1, constant=True, m=5, seed=1)
+    def test_uniform_anchors_are_one_draw_in_the_bounding_box(self, rows, cols, constant, m,
+                                                              seed):
+        # the box is the training inputs' own: per-column min and max, a
+        # constant column and a single row giving zero-width sides
+        x = np.random.default_rng(seed).normal(scale=3.0, size=(rows, cols))
+        if constant:
+            x[:, -1] = 0.7
+        pts = anchor_points(AnchorPolicy("uniform"), x, m, RngStream(seed))
+        want = RngStream(seed).generator().uniform(x.min(0), x.max(0), size=(m, cols))
+        assert pts.tobytes() == want.tobytes()
+        assert inside_bounds(pts, x)
 
     def test_train_point_policy_returns_training_rows(self):
         x = training_cloud(2)
-        pts = anchor_points(AnchorPolicy("train-point"), x, UNIT, 50, RngStream(4))
+        pts = anchor_points(AnchorPolicy("train-point"), x, 50, RngStream(4))
         rows = {tuple(r) for r in x}
         assert all(tuple(p) in rows for p in pts)
 
     def test_cluster_policy_with_k_equal_n_returns_the_points(self):
         x = training_cloud(5, rows=12)
-        pts = anchor_points(AnchorPolicy("cluster"), x, UNIT, 12, RngStream(5))
+        pts = anchor_points(AnchorPolicy("cluster"), x, 12, RngStream(5))
         got = sorted(map(tuple, np.round(pts, 12)))
         want = sorted(map(tuple, np.round(x, 12)))
         assert got == want
@@ -81,22 +78,19 @@ class TestAnchorPoints:
         blob_a = rng.normal(loc=0.1, scale=0.01, size=(80, 2))
         blob_b = rng.normal(loc=0.9, scale=0.01, size=(80, 2))
         x = np.vstack([blob_a, blob_b])
-        pts = anchor_points(
-            AnchorPolicy("cluster"), x, input_hypercube(x), 2, RngStream(6)
-        )
+        pts = anchor_points(AnchorPolicy("cluster"), x, 2, RngStream(6))
         centers = sorted(pts[:, 0].tolist())
         assert abs(centers[0] - 0.1) < 0.05 and abs(centers[1] - 0.9) < 0.05
 
     def test_cluster_policy_needs_enough_points(self):
         with pytest.raises(ConfigError):
-            anchor_points(AnchorPolicy("cluster"), training_cloud(7, rows=5), UNIT, 9, RngStream(7))
+            anchor_points(AnchorPolicy("cluster"), training_cloud(7, rows=5), 9, RngStream(7))
 
     def test_all_policies_stay_inside_hypercube(self):
         x = training_cloud(8)
-        cube = input_hypercube(x)
         for kind in ("uniform", "train-point", "cluster"):
-            pts = anchor_points(AnchorPolicy(kind), x, cube, 20, RngStream(8))
-            assert cube.contains(pts)
+            pts = anchor_points(AnchorPolicy(kind), x, 20, RngStream(8))
+            assert inside_bounds(pts, x)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError):
@@ -123,32 +117,30 @@ class TestAnchoredBiases:
 class TestGenerateRam:
     def test_weights_within_interval(self):
         x = training_cloud(10)
-        layer = generate_ram(RaMConfig(u=20.0), x, input_hypercube(x), 800, RngStream(10))
+        layer = generate_ram(RaMConfig(u=20.0), x, 800, RngStream(10))
         assert layer.weights.shape == (2, 800)
         assert np.all(np.abs(layer.weights) <= 20.0)
 
     def test_large_sample_mean_near_zero(self):
         x = training_cloud(11, n=4)
         layer = generate_ram(
-            RaMConfig(u=1.0), x, input_hypercube(x), 250_000, RngStream(11)
+            RaMConfig(u=1.0), x, 250_000, RngStream(11)
         )
         assert abs(layer.weights.mean()) <= 0.005
 
     def test_nodes_output_half_at_their_anchors(self):
         x = training_cloud(12)
-        cube = input_hypercube(x)
         rng = RngStream(12)
-        layer = generate_ram(RaMConfig(u=5.0), x, cube, 100, rng)
+        layer = generate_ram(RaMConfig(u=5.0), x, 100, rng)
         # anchors are drawn from child stream 1, per the generator contract
-        anchors = anchor_points(AnchorPolicy(), x, cube, 100, rng.child(1))
+        anchors = anchor_points(AnchorPolicy(), x, 100, rng.child(1))
         h = hidden_outputs(layer, anchors)
         assert np.max(np.abs(np.diag(h) - 0.5)) <= 1e-12
 
     def test_determinism(self):
         x = training_cloud(13)
-        cube = input_hypercube(x)
-        a = generate_ram(RaMConfig(u=2.0), x, cube, 30, RngStream(13))
-        b = generate_ram(RaMConfig(u=2.0), x, cube, 30, RngStream(13))
+        a = generate_ram(RaMConfig(u=2.0), x, 30, RngStream(13))
+        b = generate_ram(RaMConfig(u=2.0), x, 30, RngStream(13))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
 
@@ -164,14 +156,14 @@ class TestGenerateRalpham:
     def test_narrow_band_at_45_degrees_gives_slope_4(self):
         x = training_cloud(14)
         cfg = RAlphaMConfig(alpha_min_deg=44.999, alpha_max_deg=45.001)
-        layer = generate_ralpham(cfg, x, input_hypercube(x), 500, RngStream(14))
+        layer = generate_ralpham(cfg, x, 500, RngStream(14))
         assert np.all(np.abs(np.abs(layer.weights) - 4.0) < 4e-4)
 
     def test_band_near_14_degrees_matches_unit_interval(self):
         # |a| ~ 1 at alpha ~ 14 deg, the angle band equivalent to u = 1
         x = training_cloud(15)
         cfg = RAlphaMConfig(alpha_min_deg=13.9, alpha_max_deg=14.1)
-        layer = generate_ralpham(cfg, x, input_hypercube(x), 500, RngStream(15))
+        layer = generate_ralpham(cfg, x, 500, RngStream(15))
         mags = np.abs(layer.weights)
         assert np.all((mags > 0.989) & (mags < 1.005))
         assert abs(math.degrees(math.atan(0.25)) - 14.0) < 0.05
@@ -179,7 +171,7 @@ class TestGenerateRalpham:
     def test_angles_recovered_from_weights_are_in_band(self):
         x = training_cloud(16)
         cfg = RAlphaMConfig(alpha_max_deg=90.0)
-        layer = generate_ralpham(cfg, x, input_hypercube(x), 50_000, RngStream(16))
+        layer = generate_ralpham(cfg, x, 50_000, RngStream(16))
         deg = np.degrees(np.arctan(np.abs(layer.weights) / 4.0))
         assert np.all((deg >= 0.0) & (deg < 90.0))
         # angle distribution should be close to uniform: quartile occupancy
@@ -189,13 +181,13 @@ class TestGenerateRalpham:
     def test_median_absolute_weight_is_four(self):
         x = training_cloud(17, n=4)
         cfg = RAlphaMConfig(alpha_max_deg=90.0)
-        layer = generate_ralpham(cfg, x, input_hypercube(x), 50_000, RngStream(17))
+        layer = generate_ralpham(cfg, x, 50_000, RngStream(17))
         assert abs(np.median(np.abs(layer.weights)) - 4.0) < 0.1
 
     def test_sign_symmetry(self):
         x = training_cloud(18)
         cfg = RAlphaMConfig(alpha_max_deg=89.0)
-        layer = generate_ralpham(cfg, x, input_hypercube(x), 50_000, RngStream(18))
+        layer = generate_ralpham(cfg, x, 50_000, RngStream(18))
         w = layer.weights[layer.weights != 0.0]
         pos = int(np.sum(w > 0))
         # two-sided sign test via the normal approximation
@@ -206,25 +198,23 @@ class TestGenerateRalpham:
     def test_magnitudes_capped_below_90_degree_pole(self):
         x = training_cloud(19)
         cfg = RAlphaMConfig(alpha_max_deg=90.0)
-        layer = generate_ralpham(cfg, x, input_hypercube(x), 20_000, RngStream(19))
+        layer = generate_ralpham(cfg, x, 20_000, RngStream(19))
         assert np.all(np.isfinite(layer.weights))
         assert np.max(np.abs(layer.weights)) <= MAX_ABS_SLOPE_WEIGHT
 
     def test_nodes_output_half_at_their_anchors(self):
         x = training_cloud(20)
-        cube = input_hypercube(x)
         rng = RngStream(20)
-        layer = generate_ralpham(RAlphaMConfig(alpha_max_deg=89.0), x, cube, 100, rng)
-        anchors = anchor_points(AnchorPolicy(), x, cube, 100, rng.child(1))
+        layer = generate_ralpham(RAlphaMConfig(alpha_max_deg=89.0), x, 100, rng)
+        anchors = anchor_points(AnchorPolicy(), x, 100, rng.child(1))
         h = hidden_outputs(layer, anchors)
         assert np.max(np.abs(np.diag(h) - 0.5)) <= 1e-12
 
     def test_determinism(self):
         x = training_cloud(21)
-        cube = input_hypercube(x)
         cfg = RAlphaMConfig(alpha_max_deg=70.0)
-        a = generate_ralpham(cfg, x, cube, 40, RngStream(21))
-        b = generate_ralpham(cfg, x, cube, 40, RngStream(21))
+        a = generate_ralpham(cfg, x, 40, RngStream(21))
+        b = generate_ralpham(cfg, x, 40, RngStream(21))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
 

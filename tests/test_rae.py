@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from randnet import linalg
 from randnet.errors import ConfigError, DegenerateNodeError, InvalidInputError
 from randnet.model import HiddenLayer, hidden_outputs, solve_readout
-from randnet.paramgen import AnchorPolicy, anchor_points, anchored_biases, input_hypercube
+from randnet.paramgen import AnchorPolicy, anchor_points, anchored_biases
 from randnet.rae import (
     Raem1Config,
     Raem2Config,
@@ -101,19 +101,17 @@ class TestDecode:
 class TestVariantLayers:
     def test_all_variants_produce_valid_layers(self, demo_small):
         x = demo_small.train.x
-        cube = input_hypercube(x)
         for k, cfg in enumerate(ALL_VARIANTS):
-            layer = raem_hidden_layer(cfg, x, cube, 10, RngStream(100 + k))
+            layer = raem_hidden_layer(cfg, x, 10, RngStream(100 + k))
             assert layer.weights.shape == (1, 10)
             assert layer.biases.shape == (10,)
             assert np.all(np.isfinite(layer.weights))
 
     def test_determinism(self, demo_small):
         x = demo_small.train.x
-        cube = input_hypercube(x)
         for cfg in ALL_VARIANTS:
-            a = raem_hidden_layer(cfg, x, cube, 8, RngStream(7))
-            b = raem_hidden_layer(cfg, x, cube, 8, RngStream(7))
+            a = raem_hidden_layer(cfg, x, 8, RngStream(7))
+            b = raem_hidden_layer(cfg, x, 8, RngStream(7))
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.biases, b.biases)
 
@@ -121,20 +119,18 @@ class TestVariantLayers:
         # with u_ae = 1 the tuned-interval variant draws the same encoder as
         # the fixed-interval one, so the layers must coincide exactly
         x = demo_small.train.x
-        cube = input_hypercube(x)
-        a = raem_hidden_layer(Raem1Config(u_ae=1.0), x, cube, 12, RngStream(8))
-        b = raem_hidden_layer(Raem2Config(), x, cube, 12, RngStream(8))
+        a = raem_hidden_layer(Raem1Config(u_ae=1.0), x, 12, RngStream(8))
+        b = raem_hidden_layer(Raem2Config(), x, 12, RngStream(8))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
 
     def test_anchored_variants_output_half_at_network_anchors(self, demo_small):
         x = demo_small.train.x
-        cube = input_hypercube(x)
         for cfg in (Raem1Config(u_ae=0.1), Raem2Config(), Raem3Config()):
             rng = RngStream(9)
-            layer = raem_hidden_layer(cfg, x, cube, 25, rng)
+            layer = raem_hidden_layer(cfg, x, 25, rng)
             # network anchors come from child stream 2, per the docstring
-            anchors = anchor_points(AnchorPolicy(), x, cube, 25, rng.child(2))
+            anchors = anchor_points(AnchorPolicy(), x, 25, rng.child(2))
             h = hidden_outputs(layer, anchors)
             assert np.max(np.abs(np.diag(h) - 0.5)) <= 1e-12
 
@@ -142,12 +138,11 @@ class TestVariantLayers:
         # 4000x100 in 8 blocks: the code matrix G alone is 3.2 MB, one
         # block's [G | X] 0.4 MB
         x = np.random.default_rng(12).uniform(size=(4000, 3))
-        cube = input_hypercube(x)
         row_blocking(min_rows=256)
         assert len(linalg.row_blocks(4000, 100)) == 8
         tracemalloc.start()
         try:
-            raem_hidden_layer(Raem5Config(), x, cube, 100, RngStream(13))
+            raem_hidden_layer(Raem5Config(), x, 100, RngStream(13))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -160,7 +155,7 @@ class TestVariantLayers:
         Raem1Config(u_ae=8e307)
 
 
-def isinstance_reference_layer(variant, x_train, cube, m, rng):
+def isinstance_reference_layer(variant, x_train, m, rng):
     """``raem_hidden_layer`` as it was written before the variants declared
     their choices as data, one ``isinstance`` chain per choice."""
     x_train = np.asarray(x_train, dtype=float)
@@ -173,7 +168,7 @@ def isinstance_reference_layer(variant, x_train, cube, m, rng):
         w = gen_w.uniform(-1.0, 1.0, size=(n, m))
 
     if isinstance(variant, (Raem1Config, Raem2Config)):
-        enc_anchors = anchor_points(variant.anchor, x_train, cube, m, rng.child(1))
+        enc_anchors = anchor_points(variant.anchor, x_train, m, rng.child(1))
         c = anchored_biases(w, enc_anchors)
     else:
         c = rng.child(1).generator().uniform(-1.0, 1.0, size=m)
@@ -181,7 +176,7 @@ def isinstance_reference_layer(variant, x_train, cube, m, rng):
     weights = solve_readout(HiddenLayer(weights=w, biases=c), x_train, x_train).T
 
     if isinstance(variant, (Raem1Config, Raem2Config, Raem3Config)):
-        net_anchors = anchor_points(variant.anchor, x_train, cube, m, rng.child(2))
+        net_anchors = anchor_points(variant.anchor, x_train, m, rng.child(2))
         biases = anchored_biases(weights, net_anchors)
     elif isinstance(variant, Raem4Config):
         biases = rng.child(2).generator().uniform(-1.0, 1.0, size=m)
@@ -218,10 +213,9 @@ def test_variant_layers_are_the_isinstance_references_bit_for_bit(tag, kind, see
     if kind == "cluster":
         m = min(m, rows)  # k-means needs a training point per centroid
     x = np.random.default_rng(seed).uniform(size=(rows, n))
-    cube = input_hypercube(x)
     variant = variant_config(tag, u_ae, AnchorPolicy(kind))
-    layer = raem_hidden_layer(variant, x, cube, m, RngStream(seed))
-    reference = isinstance_reference_layer(variant, x, cube, m, RngStream(seed))
+    layer = raem_hidden_layer(variant, x, m, RngStream(seed))
+    reference = isinstance_reference_layer(variant, x, m, RngStream(seed))
     assert layer.weights.tobytes() == reference.weights.tobytes()
     assert layer.biases.tobytes() == reference.biases.tobytes()
 
@@ -242,14 +236,14 @@ class TestVariant5Geometry:
     def test_bias_is_mean_of_node_weights(self, demo_small):
         x = np.hstack([demo_small.train.x, demo_small.train.x ** 2])
         layer = raem_hidden_layer(
-            Raem5Config(), x, input_hypercube(x), 15, RngStream(10)
+            Raem5Config(), x, 15, RngStream(10)
         )
         assert np.array_equal(layer.biases, layer.weights.mean(axis=0))
 
     def test_one_dimensional_inflections_all_at_minus_one(self, demo_small):
         x = demo_small.train.x
         layer = raem_hidden_layer(
-            Raem5Config(), x, input_hypercube(x), 40, RngStream(11)
+            Raem5Config(), x, 40, RngStream(11)
         )
         a = layer.weights[0]
         assert np.all(-layer.biases / a == -1.0)
@@ -261,7 +255,7 @@ class TestVariant5Geometry:
         # with every inflection at x = -1, a node never crosses 0.5 on [0, 1]
         x = demo_small.train.x
         layer = raem_hidden_layer(
-            Raem5Config(), x, input_hypercube(x), 40, RngStream(12)
+            Raem5Config(), x, 40, RngStream(12)
         )
         h = hidden_outputs(layer, x)
         positive = layer.weights[0] > 0
@@ -273,23 +267,21 @@ class TestVariant1Steepness:
     def test_median_weight_magnitude_at_reference_interval(self, demo_full):
         # u_ae = 0.1 produces steep decoder weights on the 1-D demo
         x = demo_full.train.x
-        cube = input_hypercube(x)
         for seed in range(5):
             layer = raem_hidden_layer(
-                Raem1Config(u_ae=0.1), x, cube, 25, RngStream(seed)
+                Raem1Config(u_ae=0.1), x, 25, RngStream(seed)
             )
             med = float(np.median(np.abs(layer.weights)))
             assert 5.0 <= med <= 14.0
 
     def test_unit_interval_gives_shallow_weights(self, demo_full):
         x = demo_full.train.x
-        cube = input_hypercube(x)
         meds = [
             float(
                 np.median(
                     np.abs(
                         raem_hidden_layer(
-                            Raem1Config(u_ae=1.0), x, cube, 25, RngStream(seed)
+                            Raem1Config(u_ae=1.0), x, 25, RngStream(seed)
                         ).weights
                     )
                 )
@@ -302,7 +294,6 @@ class TestVariant1Steepness:
         # averaged over 20 seeds the sweep-grid medians are nonincreasing,
         # with one adjacent wobble tolerated as sampling noise
         x = demo_full.train.x
-        cube = input_hypercube(x)
         grid = np.geomspace(1e-4, 10.0, 8)
         medians = []
         for u_ae in grid:
@@ -311,7 +302,7 @@ class TestVariant1Steepness:
                     np.median(
                         np.abs(
                             raem_hidden_layer(
-                                Raem1Config(u_ae=float(u_ae)), x, cube, 25, RngStream(seed)
+                                Raem1Config(u_ae=float(u_ae)), x, 25, RngStream(seed)
                             ).weights
                         )
                     )

@@ -25,7 +25,7 @@ from randnet import linalg
 from randnet.linalg import lstsq
 from randnet.methods import generate_hidden_layer
 from randnet.model import hidden_outputs
-from randnet.paramgen import RaMConfig, RAlphaMConfig, generate_ram, input_hypercube
+from randnet.paramgen import RaMConfig, RAlphaMConfig, generate_ram
 from randnet.rae import Raem1Config, Raem3Config, Raem5Config
 from randnet.rng import RngStream
 
@@ -264,10 +264,9 @@ class TestRunTrials:
         # each report carries the network it trained, whose hidden layer is
         # the one the trial's stream generates
         reports = run_trials(RaMConfig(u=2.0), demo_small, 7, 2, 7)
-        cube = input_hypercube(demo_small.train.x)
         for t, r in enumerate(reports):
             assert r.network.hidden.weights.shape == (1, 7)
-            want = generate_hidden_layer(RaMConfig(u=2.0), demo_small.train.x, cube, 7,
+            want = generate_hidden_layer(RaMConfig(u=2.0), demo_small.train.x, 7,
                                          RngStream(7).child(t))
             assert np.array_equal(r.network.hidden.weights, want.weights)
 
@@ -369,8 +368,7 @@ class TestCrossValidate:
     def planted_problem(self):
         gen_rng = RngStream(50)
         x = gen_rng.child(0).generator().uniform(size=(600, 2))
-        cube = input_hypercube(x)
-        layer = generate_ram(RaMConfig(u=8.0), x, cube, 40, gen_rng.child(1))
+        layer = generate_ram(RaMConfig(u=8.0), x, 40, gen_rng.child(1))
         beta = gen_rng.child(2).generator().normal(size=40)
         return Dataset(x, hidden_outputs(layer, x) @ beta)
 
