@@ -46,7 +46,6 @@ from .model import (
     train_readout,
 )
 from .paramgen import (
-    AnchorPolicy,
     RaMConfig,
     RAlphaMConfig,
     anchor_points,
@@ -68,7 +67,6 @@ from .rng import RngStream, as_stream
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorPolicy",
     "ConfigError",
     "DataFormatError",
     "Dataset",

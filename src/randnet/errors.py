@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the config reader:
 ``config_from_dict`` turns every config section into its typed dataclass,
-and ``config_value`` reports a malformed value as a ConfigError.
+``read_value`` reads one value as its annotated type, and ``config_value``
+reports a malformed value as a ConfigError.
 
 The CLI maps these onto exit codes: configuration problems exit 2, data
 problems exit 3, numeric failures exit 4.
@@ -55,7 +56,7 @@ def check_config_keys(cls: type, d, what: str, skip: frozenset = frozenset()) ->
                           f"its keys are {sorted(names | skip)}")
 
 
-def _read(kind, value, what: str):
+def read_value(kind, value, what: str):
     """``value`` as the annotated type ``kind``, or ConfigError."""
     origin = get_origin(kind)
     if origin is Union:  # Optional[...], and Union[int, str] for a column
@@ -63,7 +64,8 @@ def _read(kind, value, what: str):
             return None
         kinds = [k for k in get_args(kind) if k is not type(None)]
         # a string is read as the str member, if any; anything else as the first
-        return _read(str if isinstance(value, str) and str in kinds else kinds[0], value, what)
+        return read_value(str if isinstance(value, str) and str in kinds else kinds[0], value,
+                          what)
     if origin in (tuple, Sequence):  # a sequence of numbers, read as a tuple
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{what} must be a list, got {value!r}")
@@ -72,8 +74,10 @@ def _read(kind, value, what: str):
         return config_from_dict(kind, value, what)
     if kind in (int, float):
         return config_value(kind, value, what)
-    if origin is Literal:  # a choice of strings; the dataclass checks which
-        kind = str
+    if origin is Literal:  # a choice of strings
+        if value not in get_args(kind):
+            raise ConfigError(f"{what} must be one of {list(get_args(kind))}, got {value!r}")
+        return value
     if not isinstance(value, kind):  # bool (a JSON bool only) and str
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
     return value
@@ -81,17 +85,18 @@ def _read(kind, value, what: str):
 
 def config_from_dict(cls: type, d, what: str, skip: frozenset = frozenset()):
     """Build the dataclass ``cls`` from the config object ``d``, reading each
-    key as its field's annotated type: numbers through ``config_value``,
-    bools and strings as themselves, sequences of numbers as tuples and
-    nested dataclasses (the anchor policy) the same way. A key that names no
-    field, other than those in ``skip``, a missing key that has no default
-    and a value of the wrong type raise ConfigError."""
+    key as its field's annotated type with ``read_value``: numbers through
+    ``config_value``, bools and strings as themselves, a ``Literal`` as one
+    of its members, sequences of numbers as tuples and nested dataclasses
+    (a config's grid section) the same way. A key that names no field, other
+    than those in ``skip``, a missing key that has no default and a value of
+    the wrong type or outside its ``Literal`` raise ConfigError."""
     check_config_keys(cls, d, what, skip)
     hints = get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
         if f.name in d:
-            kwargs[f.name] = _read(hints[f.name], d[f.name], f"{what} key {f.name!r}")
+            kwargs[f.name] = read_value(hints[f.name], d[f.name], f"{what} key {f.name!r}")
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{what} needs key {f.name!r}")
     return cls(**kwargs)

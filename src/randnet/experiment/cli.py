@@ -29,7 +29,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, get_args
 
 import numpy as np
 
@@ -51,8 +51,10 @@ from ..methods import (
     method_with_interval,
 )
 from ..model import save_network
+from ..paramgen import AnchorKind
 from .config import (
     ExperimentConfig,
+    OutputFormat,
     build_config,
     describe_config,
     load_config_file,
@@ -96,10 +98,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha-max", type=float, help="top slope angle (deg) for ralpham")
     p.add_argument("--alpha-min", type=float, help="bottom slope angle (deg) for ralpham")
     p.add_argument("--u-ae", type=float, help="encoder half-width for raem1")
-    p.add_argument("--anchor", choices=("uniform", "train-point", "cluster"),
-                   help="anchor point policy")
+    p.add_argument("--anchor", choices=get_args(AnchorKind), help="anchor point kind")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), help="tabular output format")
+    p.add_argument("--format", choices=get_args(OutputFormat), help="tabular output format")
     p.add_argument("--jobs", type=int,
                    help="accepted and ignored: fits run on every core the process "
                         "may use (limit them with taskset)")
@@ -143,8 +144,6 @@ def _amend(method: dict, args) -> dict:
     """The method dict with each method flag given whose field its config has."""
     keys = method_spec(method.get("method")).keys
     flags = {key: v for key, v in _given(args, **METHOD_FLAGS).items() if key in keys}
-    if "anchor" in flags:
-        flags["anchor"] = {"kind": flags["anchor"]}
     return {**method, **flags}
 
 
@@ -230,8 +229,7 @@ def _cross_validate(run: Run, i: int) -> CvResult:
     cfg = run.cfg
     if cfg.grid is None:
         raise ConfigError("grid search needs a 'grid' config section or --grid-nodes")
-    return cross_validate(cfg.grid, cfg.methods[i], run.problem.train,
-                          stream=cfg.cv_stream(i))
+    return cross_validate(cfg.grid, cfg.methods[i], run.problem.train, cfg.cv_stream(i))
 
 
 def _trial_methods(run: Run, tune: bool = False) -> tuple[list, list]:

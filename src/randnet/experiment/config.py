@@ -53,6 +53,7 @@ from .trials import GridSearchConfig
 
 DEFAULT_SEED = 1
 DEFAULT_TRIALS = 10
+OutputFormat = Literal["csv", "json"]
 TF_KEYS = ("tf", "n", "train_size", "test_size")
 DATA_KEYS = ("data", "target_column", "header", "delimiter")
 
@@ -141,13 +142,11 @@ class ExperimentConfig:
     grid: Optional[GridSearchConfig] = None
     sweep: SweepSpec = SweepSpec()
     output_dir: str = "out"
-    format: Literal["csv", "json"] = "csv"
+    format: OutputFormat = "csv"
     jobs: int = 1  # validated but unused: fits run on every core
     histogram_bins: int = 50
 
     def __post_init__(self):
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if min(self.nodes, self.trials, self.jobs, self.histogram_bins) < 1:
@@ -208,9 +207,6 @@ def build_config(raw: dict, overrides: dict) -> ExperimentConfig:
     """Merge CLI overrides over a config dict (overrides win) and read it."""
     merged = {**raw, **overrides}
     merged["methods"] = method_list(merged)
-    grid = merged.get("grid")
-    if isinstance(grid, dict) and "seed" not in grid:  # defaults to the experiment's seed
-        merged["grid"] = {**grid, "seed": merged.get("seed", DEFAULT_SEED)}
     return config_from_dict(ExperimentConfig, merged, "config", skip=frozenset({"method"}))
 
 

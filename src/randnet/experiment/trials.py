@@ -78,13 +78,17 @@ def _fork_map(fit: Callable[[int], T], count: int) -> list[T]:
 
     The calling process is worker 0 and forks P - 1 helpers once; fit i runs
     on process i mod P. So the split is fixed by ``count``, and the results
-    by the fits' own streams. A helper inherits the inputs through the fork
-    and sends back only its fits' results, or the failure that stopped its
-    share, through a pipe; it leaves with ``os._exit``, so buffered output
-    and exit handlers run once, in the caller. Every process runs BLAS on
-    one thread with a block budget of ``cores // P``, so a map of one fit
-    runs its row blocks on every core. Where fork is missing the caller runs
-    every fit.
+    by the fits' own streams. The caller runs share 0 itself, fit 0 first,
+    so a hook on the fit path sees fit 0 in the calling process, and an
+    exit exception raised there ends the map at once. ``bench/child.py``
+    needs both: it takes its set-up mark at the first hidden layer the
+    caller draws, and ends a ``--setup-only`` run there. A helper inherits
+    the inputs through the fork and sends back only its fits' results, or
+    the failure that stopped its share, through a pipe; it leaves with
+    ``os._exit``, so buffered output and exit handlers run once, in the
+    caller. Every process runs BLAS on one thread with a block budget of
+    ``cores // P``, so a map of one fit runs its row blocks on every core.
+    Where fork is missing the caller runs every fit.
 
     A failed fit stops the share of its process. Once every helper has
     finished, the failure of the lowest fit index re-raises in the caller,
@@ -223,7 +227,6 @@ class GridSearchConfig:
     interval_grid: Sequence[float] = ()
     folds: int = 5
     trials_per_cell: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.node_counts) == 0:
@@ -234,8 +237,6 @@ class GridSearchConfig:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if self.trials_per_cell < 1:
             raise ConfigError("trials_per_cell must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"grid seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -278,13 +279,7 @@ def select_best(table: Sequence[CvCell]) -> CvCell:
     return min(table, key=key)
 
 
-def cross_validate(
-    grid: GridSearchConfig,
-    method: dict,
-    train: Dataset,
-    *,
-    stream=None,
-) -> CvResult:
+def cross_validate(grid: GridSearchConfig, method: dict, train: Dataset, seed) -> CvResult:
     """Mean validation RMSE for every grid cell; returns the argmin cell.
 
     ``method`` is a method dict, as in a config file. Tunable methods (ram,
@@ -293,9 +288,9 @@ def cross_validate(
     method dict with its interval field set to the cell's value, so every
     other key keeps its value. The parameter-free methods search node count
     only. Cell (ci), fold (f), trial (t) together index the child stream,
-    making every fold evaluation independently reproducible. Randomness
-    comes from `stream` when given, else from the grid's seed. The fits run
-    on every core through ``_fork_map``.
+    making every fold evaluation independently reproducible. ``seed`` is an
+    int or a stream, as in ``run_trials``; child (0, 0) of it shuffles the
+    folds. The fits run on every core through ``_fork_map``.
     """
     spec = method_spec(method.get("method"))
     intervals = (grid.interval_grid or spec.grid) if spec.interval else (None,)
@@ -304,7 +299,7 @@ def cross_validate(
             f"need at least folds={grid.folds} samples, got {train.n_samples}"
         )
 
-    stream = as_stream(grid.seed) if stream is None else as_stream(stream)
+    stream = as_stream(seed)
     cells = [(m, iv) for m in grid.node_counts for iv in intervals]
     methods = [method_with_interval(method, iv) for _, iv in cells]
     folds = kfold_indices(train.n_samples, grid.folds, stream.child(0, 0))

@@ -30,7 +30,7 @@ numpy's second copy of U and Vt beside the workspace. It overwrites the
 matrix it decomposes: ``factorize`` and ``pseudoinverse`` hand it an
 F-ordered copy of theirs, and the driver the final triangle, or the filled
 matrix of a wide solve, itself. Both routines
-take the workspace size LAPACK asks for, queried once per shape. Where
+take the workspace size LAPACK asks for, queried on every call. Where
 numpy bundles no OpenBLAS, ``np.linalg.qr`` and ``np.linalg.svd`` are
 called instead.
 
@@ -121,7 +121,7 @@ def _svd_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     dtype=np.int64)
     m, n, lda, ldu, ldvt, lwork, info = _addresses(ints)
     a_p, s_p, u_p, vt_p, iwork_p = (b.ctypes.data for b in (a, s, u, vt, iwork))
-    _lapack(gesdd, "SVD failed: dgesdd", ints, lambda work: gesdd(
+    _lapack("SVD failed: dgesdd", ints, lambda work: gesdd(
         b"S", m, n, a_p, lda, s_p, u_p, ldu, vt_p, ldvt, work, lwork, iwork_p, info, 1))
     u = np.ascontiguousarray(u)
     return u, s, np.ascontiguousarray(vt)
@@ -215,7 +215,7 @@ def qr_triangle(buf: np.ndarray) -> np.ndarray:
     ints = np.array([rows, cols, max(1, rows), 0, 0], dtype=np.int64)
     m, n, lda, lwork, info = _addresses(ints)
     buf_p, tau_p = buf.ctypes.data, tau.ctypes.data
-    _lapack(geqrf, "QR factorization failed: dgeqrf", ints,
+    _lapack("QR factorization failed: dgeqrf", ints,
             lambda work: geqrf(m, n, buf_p, lda, tau_p, work, lwork, info))
     packed = _pack_rows(buf, k)
     np.copyto(packed, 0.0, where=np.tri(k, cols, -1, dtype=bool))
@@ -344,6 +344,8 @@ def _openblas():
     copy is ILP64: every integer argument of its LAPACK routines is a
     pointer to an int64. A ctypes call releases the GIL, so blocks
     factorized on ``map_blocks`` threads run in parallel."""
+    if not hasattr(os, "RTLD_NOLOAD"):  # as on Windows: no lookup that loads nothing
+        return None
     site = os.path.dirname(os.path.dirname(np.__file__))
     for path in sorted(glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas64_*"))):
         try:
@@ -406,25 +408,14 @@ def _addresses(ints: np.ndarray) -> list[int]:
     return [base + 8 * i for i in range(ints.size)]
 
 
-# Workspace sizes LAPACK asked for, by routine (its id: the bound routines
-# live as long as the process) and integer arguments: the query depends on
-# those alone, so a repeat shape skips it. The threads of
-# ``map_blocks`` share it, and a race at worst repeats a query. It is
-# emptied when it reaches _LWORKS_KEPT entries, so a process that meets
-# many shapes does not grow it without bound.
-_lworks: dict = {}
-_LWORKS_KEPT = 4096
-
-
-def _lapack(routine, failure: str, ints: np.ndarray, call) -> None:
-    """Run ``routine`` with the workspace it asks for, as numpy does: a
+def _lapack(failure: str, ints: np.ndarray, call) -> None:
+    """Run a LAPACK routine with the workspace it asks for, as numpy does: a
     smaller workspace takes another path and moves bits.
 
     ``call(work)`` calls it with the workspace at address ``work``, and the
-    last two entries of ``ints`` are its lwork and info. The workspace query
-    (lwork -1) is made the first time the routine sees its other integer
-    arguments. Any nonzero info is a NumericFailureError, ``failure`` then
-    the info.
+    last two entries of ``ints`` are its lwork and info. Each run first
+    queries the workspace size (lwork -1). Any nonzero info is a
+    NumericFailureError, ``failure`` then the info.
     """
 
     def run(work: np.ndarray, lwork: int) -> None:
@@ -433,15 +424,9 @@ def _lapack(routine, failure: str, ints: np.ndarray, call) -> None:
         if ints[-1] != 0:
             raise NumericFailureError(f"{failure} info {ints[-1]}")
 
-    key = (id(routine), ints[:-2].tobytes())
-    size = _lworks.get(key)
-    if size is None:
-        query = np.empty(1)
-        run(query, -1)
-        size = max(1, int(query[0]))
-        if len(_lworks) >= _LWORKS_KEPT:
-            _lworks.clear()
-        _lworks[key] = size
+    query = np.empty(1)
+    run(query, -1)
+    size = max(1, int(query[0]))
     run(np.empty(size), size)
 
 

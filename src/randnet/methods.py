@@ -22,10 +22,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, check_config_keys, config_from_dict
+from .errors import ConfigError, check_config_keys, config_from_dict, read_value
 from .model import HiddenLayer
 from .paramgen import (
-    AnchorPolicy,
+    AnchorKind,
     RaMConfig,
     RAlphaMConfig,
     generate_ralpham,
@@ -123,12 +123,12 @@ def method_from_dict(d: dict) -> GeneratorConfig:
 
 def check_method_dict(d: dict) -> None:
     """Raise ConfigError unless ``d`` names a known method, sets only fields
-    of its config, and sets a well-formed anchor if it sets one. The
+    of its config, and sets one of the anchor kinds if it sets one. The
     interval may be missing, since grid search supplies it."""
     tag = d.get("method")
     check_config_keys(method_spec(tag).config, d, f"method {tag!r}", _TAG_KEY)
     if "anchor" in d:
-        config_from_dict(AnchorPolicy, d["anchor"], "anchor")
+        read_value(AnchorKind, d["anchor"], f"method {tag!r} key 'anchor'")
 
 
 def method_with_interval(d: dict, interval: Optional[float]) -> GeneratorConfig:

@@ -4,17 +4,18 @@ Two families: uniform weights on [-u, u], and uniform slope angles mapped to
 weights through a = 4 tan(alpha). Both place each node's inflection point at
 an anchor x*_i inside the bounding box of the training inputs by setting
 b_i = -a_i . x*_i, so the steep part of every sigmoid lands where the data
-lives. Anchor points come from one of three policies: uniform in that box,
-a random training point, or a k-means cluster prototype. Every generator
-takes ``(cfg, x_train, m, rng)`` and derives the input dimension and the box
-from ``x_train``, which ``training_inputs`` checks.
+lives. A config's ``anchor`` is the kind of anchor point, one of three:
+``"uniform"`` in that box, a random ``"train-point"``, or a k-means
+``"cluster"`` prototype. Every generator takes ``(cfg, x_train, m, rng)``
+and derives the input dimension and the box from ``x_train``, which
+``training_inputs`` checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Literal
+from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -27,6 +28,11 @@ AnchorKind = Literal["uniform", "train-point", "cluster"]
 # Slope weights from angles are capped just short of the 90 degree pole.
 MAX_ABS_SLOPE_WEIGHT = 4.0 * math.tan(math.radians(89.99))
 
+# Lloyd iterations of the cluster anchors stop after this many rounds, or
+# once the centers move by at most this share of their norm.
+_KMEANS_MAX_ITER = 100
+_KMEANS_REL_TOL = 1e-6
+
 
 def training_inputs(x_train) -> np.ndarray:
     """``x_train`` as a float matrix; raise InvalidInputError unless it is
@@ -35,24 +41,6 @@ def training_inputs(x_train) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] < 1:
         raise InvalidInputError(f"need a nonempty 2-D training matrix, got shape {x.shape}")
     return x
-
-
-@dataclass(frozen=True)
-class AnchorPolicy:
-    """Where inflection anchors come from; defaults to random training points."""
-
-    kind: AnchorKind = "train-point"
-    kmeans_max_iter: int = 100
-    kmeans_rel_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "train-point", "cluster"):
-            raise ConfigError(f"unknown anchor policy {self.kind!r}")
-        if not self.kmeans_max_iter >= 1:
-            raise ConfigError(f"kmeans_max_iter must be >= 1, got {self.kmeans_max_iter}")
-        if not 0 <= self.kmeans_rel_tol < math.inf:
-            raise ConfigError(
-                f"kmeans_rel_tol must be finite and >= 0, got {self.kmeans_rel_tol}")
 
 
 def check_half_width(value: float, name: str) -> None:
@@ -69,7 +57,7 @@ class RaMConfig:
     """Uniform weights on [-u, u] with anchored biases."""
 
     u: float
-    anchor: AnchorPolicy = field(default_factory=AnchorPolicy)
+    anchor: AnchorKind = "train-point"
 
     def __post_init__(self):
         check_half_width(self.u, "u")
@@ -82,7 +70,7 @@ class RAlphaMConfig:
 
     alpha_max_deg: float
     alpha_min_deg: float = 0.0
-    anchor: AnchorPolicy = field(default_factory=AnchorPolicy)
+    anchor: AnchorKind = "train-point"
 
     def __post_init__(self):
         if not 0.0 <= self.alpha_min_deg < self.alpha_max_deg <= 90.0:
@@ -92,7 +80,7 @@ class RAlphaMConfig:
             )
 
 
-def _kmeans(x: np.ndarray, k: int, gen: np.random.Generator, max_iter: int, rel_tol: float) -> np.ndarray:
+def _kmeans(x: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
     """Lloyd iterations with k-means++ seeding; empty clusters keep their center."""
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
@@ -107,7 +95,7 @@ def _kmeans(x: np.ndarray, k: int, gen: np.random.Generator, max_iter: int, rel_
         centers[j] = x[idx]
         np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1), out=d2)
 
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         # argmin over squared distances, chunked to bound memory at large N*k
         assign = np.empty(n, dtype=np.intp)
         c_sq = np.sum(centers * centers, axis=1)
@@ -123,35 +111,33 @@ def _kmeans(x: np.ndarray, k: int, gen: np.random.Generator, max_iter: int, rel_
         shift = np.linalg.norm(new_centers - centers)
         scale = max(np.linalg.norm(centers), np.finfo(float).tiny)
         centers = new_centers
-        if shift / scale <= rel_tol:
+        if shift / scale <= _KMEANS_REL_TOL:
             break
     return centers
 
 
-def anchor_points(
-    policy: AnchorPolicy,
-    x_train: np.ndarray,
-    m: int,
-    rng: RngStream,
-) -> np.ndarray:
-    """Draw ``m`` anchor points for the training inputs ``x_train`` according
-    to ``policy``: uniform in their bounding box, per-column
-    ``[min, max]``, random rows of ``x_train``, or k-means prototypes of
-    them. Every policy keeps the anchors inside that box."""
+def anchor_points(kind: AnchorKind, x_train: np.ndarray, m: int, rng: RngStream) -> np.ndarray:
+    """Draw ``m`` anchor points of ``kind`` for the training inputs
+    ``x_train``: ``"uniform"`` in their bounding box, per-column
+    ``[min, max]``, ``"train-point"`` random rows of ``x_train``, or
+    ``"cluster"`` k-means prototypes of them. Every kind keeps the anchors
+    inside that box; any other kind is a ConfigError."""
     x_train = training_inputs(x_train)
     if m < 1:
         raise ConfigError(f"need at least one anchor, got m={m}")
+    if kind not in get_args(AnchorKind):
+        raise ConfigError(f"unknown anchor kind {kind!r}; choose from {get_args(AnchorKind)}")
     gen = rng.generator()
-    if policy.kind == "uniform":
+    if kind == "uniform":
         return gen.uniform(x_train.min(axis=0), x_train.max(axis=0), size=(m, x_train.shape[1]))
-    if policy.kind == "train-point":
+    if kind == "train-point":
         idx = gen.integers(0, x_train.shape[0], size=m)
         return x_train[idx]
     if x_train.shape[0] < m:
         raise ConfigError(
             f"cluster anchors need at least m={m} training points, got {x_train.shape[0]}"
         )
-    return _kmeans(x_train, m, gen, policy.kmeans_max_iter, policy.kmeans_rel_tol)
+    return _kmeans(x_train, m, gen)
 
 
 def anchored_biases(weights: np.ndarray, anchors: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ steepness) and the ``encoder_biases`` and ``network_biases`` rules,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateNodeError
 from .model import HiddenLayer, solve_readout
 from .paramgen import (
-    AnchorPolicy,
+    AnchorKind,
     anchor_points,
     anchored_biases,
     check_half_width,
@@ -37,7 +37,7 @@ class Raem1Config:
     """Tuned encoder interval [-u_ae, u_ae]; anchored encoder and network biases."""
 
     u_ae: float
-    anchor: AnchorPolicy = field(default_factory=AnchorPolicy)
+    anchor: AnchorKind = "train-point"
     encoder_biases, network_biases = "anchored", "anchored"
 
     def __post_init__(self):
@@ -48,7 +48,7 @@ class Raem1Config:
 class Raem2Config:
     """Fixed encoder interval [-1, 1]; anchored encoder and network biases."""
 
-    anchor: AnchorPolicy = field(default_factory=AnchorPolicy)
+    anchor: AnchorKind = "train-point"
     u_ae, encoder_biases, network_biases = 1.0, "anchored", "anchored"
 
 
@@ -56,7 +56,7 @@ class Raem2Config:
 class Raem3Config:
     """Encoder weights and biases uniform on [-1, 1]; anchored network biases."""
 
-    anchor: AnchorPolicy = field(default_factory=AnchorPolicy)
+    anchor: AnchorKind = "train-point"
     u_ae, encoder_biases, network_biases = 1.0, "uniform", "anchored"
 
 

@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -15,10 +16,16 @@ import randnet
 from randnet import linalg
 from randnet.dataio import load_csv
 from randnet.experiment.cli import main
-from randnet.experiment.config import build_config, describe_config, load_config_file
+from randnet.experiment.config import (
+    OutputFormat,
+    build_config,
+    describe_config,
+    load_config_file,
+)
 from randnet.errors import ConfigError, NumericFailureError
 from randnet.experiment import cli, trials
 from randnet.model import load_network, predict, rmse
+from randnet.paramgen import AnchorKind
 
 
 def run(*argv):
@@ -123,6 +130,28 @@ class TestConfigBuilding:
         assert s["config"]["methods"] == echo
         for entry, method in zip(s["methods"], echo):  # and each method ran with them
             assert {**entry["method"], **method} == entry["method"]
+
+    def test_choice_flags_offer_the_config_literals(self):
+        # --anchor and --format offer exactly the members the reader accepts
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        for sub in commands.values():
+            choices = {a.dest: a.choices for a in sub._actions if a.choices is not None}
+            assert tuple(choices["anchor"]) == get_args(AnchorKind)
+            assert tuple(choices["format"]) == get_args(OutputFormat)
+
+    def test_anchor_is_written_and_echoed_as_its_kind(self, tmp_path):
+        anchored = {"method": "ram", "u": 1.0, "anchor": "cluster"}
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"method": anchored}))
+        outs = [tmp_path / "file", tmp_path / "flag"]
+        assert run("benchmark", *tiny_tf_args(outs[0], trials=1), "--config", config) == 0
+        assert run("benchmark", *tiny_tf_args(outs[1], trials=1), "--method", "ram",
+                   "--u", "1", "--anchor", "cluster") == 0
+        for out in outs:
+            s = read_summary(out)
+            assert s["config"]["methods"] == [anchored]
+            assert s["methods"][0]["method"] == anchored
+        assert (outs[0] / "trials.csv").read_bytes() == (outs[1] / "trials.csv").read_bytes()
 
     def test_method_spec_keys_validated(self):
         with pytest.raises(ConfigError):
@@ -300,18 +329,18 @@ class TestUaeSweep:
         uniform = [self.sweep(tmp_path / str(i), *flags) for i, flags in enumerate([
             ["--anchor", "uniform"],
             ["--method", "raem1", "--anchor", "uniform"],
-            ["--method", '{"method": "raem1", "anchor": {"kind": "uniform"}}'],
+            ["--method", '{"method": "raem1", "anchor": "uniform"}'],
         ])]
         assert uniform[0] == uniform[1] == uniform[2]
         assert uniform[0] != self.sweep(tmp_path / "default")
 
     def test_every_method_key_reaches_every_point(self, tmp_path):
         tables = []
-        for iters in (1, 100):
-            config = tmp_path / f"c{iters}.json"
-            config.write_text(json.dumps({"method": {
-                "method": "raem1", "anchor": {"kind": "cluster", "kmeans_max_iter": iters}}}))
-            tables.append(self.sweep(tmp_path / f"o{iters}", "--config", config))
+        for anchor in ("train-point", "cluster"):
+            config = tmp_path / f"c-{anchor}.json"
+            config.write_text(json.dumps({"method": {"method": "raem1", "anchor": anchor}}))
+            tables.append(self.sweep(tmp_path / f"o-{anchor}", "--config", config))
+        assert tables[0] == self.sweep(tmp_path / "default")
         assert tables[0] != tables[1]
 
 
@@ -683,27 +712,17 @@ class TestExitCodes:
         ("histogram", ["--method", "ram", "--u", "1", "--histogram-bins", "0"], {}),
         ("benchmark", ["--method", '{"method": "ram", "u": "abc"}'], {}),
         ("benchmark", ["--method", '{"method": "ram", "u": null}'], {}),
-        ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": "cluster"}'], {}),
-        ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": '
-                                   '{"kind": "cluster", "kmeans_max_iter": "x"}}'], {}),
+        ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": {"kind": "cluster"}}'],
+         {}),
         ("benchmark", ["--method", "raem5"], {"nodes": "x"}),
         ("grid-search", ["--method", "raem5", "--grid-nodes", "5,x"], {}),
         ("benchmark", ["--method", '{"method": "ralpham", "alpha_max_deg": 80, '
                                    '"alpha_min": 40}'], {}),
-        ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": {"knd": "cluster"}}'],
-         {}),
+        ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": "clustr"}'], {}),
         ("grid-search", ["--method", '{"method": "ram", "uu": 1}', "--grid-nodes", "5"], {}),
         ("benchmark", ["--method", "raem5"], {"nodes": 10.7}),
         ("benchmark", ["--method", "raem5"], {"trials": 2.9}),
         ("benchmark", ["--method", "raem5"], {"nodes": True}),
-        # 5 nodes, so that 40 training points are enough cluster anchors
-        ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": '
-                                   '{"kind": "cluster", "kmeans_max_iter": -3}}'], {"nodes": 5}),
-        ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": '
-                                   '{"kind": "cluster", "kmeans_rel_tol": -1e-6}}'], {"nodes": 5}),
-        ("benchmark", ["--method", '{"method": "ram", "u": 1, "anchor": '
-                                   '{"kind": "cluster", "kmeans_rel_tol": Infinity}}'],
-         {"nodes": 5}),
         # an interval [-u, u] whose width 2u overflows cannot be drawn from
         ("benchmark", ["--method", "ram", "--u", "1e308"], {}),
         ("fit", ["--method", '{"method": "ram", "u": Infinity}'], {}),
@@ -715,6 +734,7 @@ class TestExitCodes:
          {}),
         ("fit", ["--method", "ram", "--u", "1", "--seed", "-1"], {}),
         ("benchmark", ["--method", "raem5"], {"seed": -1}),
+        # the grid has no seed key: the grid search draws from the config's seed
         ("grid-search", ["--method", "raem5"], {"grid": {"node_counts": [5], "seed": -1}}),
         ("benchmark", ["--method", "raem5"], {"problem": {"data": "d.csv", "delimiter": 5}}),
         ("benchmark", ["--method", "raem5"], {"problem": {"data": "d.csv", "header": "no"}}),
@@ -727,6 +747,7 @@ class TestExitCodes:
         ("benchmark", [], {"methods": "ram"}),
         ("benchmark", [], {"methods": [5]}),
         ("benchmark", ["--method", "raem5"], {"format": 5}),
+        ("benchmark", ["--method", "raem5"], {"format": "xml"}),
         ("benchmark", ["--method", "raem5"], {"problem": ABSENT}),
         ("fit", [], {"method": "ram"}),
         ("histogram", ["--method", "raem1"], {}),
@@ -735,18 +756,17 @@ class TestExitCodes:
         ("uae-sweep", ["--method", "ram", "--u", "3"], {}),
         ("uae-sweep", ["--method", "raem1", "--method", "raem4"], {}),
         ("uae-sweep", [], {"methods": [{"method": "raem2"}]}),
-    ], ids=["u_ae-zero", "histogram-bins-zero", "u-string", "u-null", "anchor-string",
-            "kmeans-max-iter-string", "nodes-string", "grid-nodes-string", "misspelt-key",
-            "misspelt-anchor-key", "misspelt-key-grid-search", "nodes-fraction",
-            "trials-fraction", "nodes-bool", "kmeans-max-iter-negative",
-            "kmeans-rel-tol-negative", "kmeans-rel-tol-infinite", "u-width-overflows",
+    ], ids=["u_ae-zero", "histogram-bins-zero", "u-string", "u-null", "anchor-object",
+            "nodes-string", "grid-nodes-string", "misspelt-key",
+            "anchor-unknown-kind", "misspelt-key-grid-search", "nodes-fraction",
+            "trials-fraction", "nodes-bool", "u-width-overflows",
             "u-infinite", "u_ae-infinite", "sweep-values-infinite", "sweep-values-zero",
             "sweep-hi-infinite",
             "grid-intervals-infinite", "seed-flag-negative", "seed-negative",
             "grid-seed-negative", "delimiter-int", "header-string", "target-column-fraction",
             "misspelt-sweep-key", "output-dir-null", "output-dir-int", "output-dir-list",
-            "methods-string", "methods-int", "format-int", "no-problem", "fit-u-missing",
-            "histogram-u_ae-missing", "compare-too-few-trials", "grid-search-no-grid",
+            "methods-string", "methods-int", "format-int", "format-unknown", "no-problem",
+            "fit-u-missing", "histogram-u_ae-missing", "compare-too-few-trials", "grid-search-no-grid",
             "uae-sweep-not-raem1", "uae-sweep-two-methods", "uae-sweep-file-not-raem1"])
     def test_bad_values_are_config_errors(self, tmp_path, monkeypatch, capsys, command, flags,
                                           file_keys):

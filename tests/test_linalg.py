@@ -712,20 +712,18 @@ def test_svd_info_is_a_numeric_failure(monkeypatch, info, on_call):
             ctypes.c_double.from_address(args[10]).value = 64.0
 
     monkeypatch.setattr(linalg, "_dgesdd", lambda: gesdd)
-    monkeypatch.setattr(linalg, "_lworks", {})
     for solve in (lambda: lstsq(np.eye(4), np.ones((4, 1))),
                   lambda: factorize(np.eye(4))):
         calls.clear()
-        linalg._lworks.clear()  # the query would be skipped after a first call
         with pytest.raises(NumericFailureError, match=f"dgesdd info {info}"):
             solve()
         assert calls == [b"S"] * on_call
 
 
-def test_workspace_query_is_made_once_per_shape(monkeypatch):
+def test_workspace_query_is_made_on_every_call(monkeypatch):
+    # as numpy queries it: a query, then the call, for each routine each time
     if not bundles_openblas():
         pytest.skip("numpy bundles no OpenBLAS")
-    monkeypatch.setattr(linalg, "_lworks", {})
     seen = []
     for name in ("_dgeqrf", "_dgesdd"):
         real = getattr(linalg, name)()
@@ -740,15 +738,12 @@ def test_workspace_query_is_made_once_per_shape(monkeypatch):
     first = lstsq(a, np.ones(30))
     assert seen == ["_dgeqrf"] * 2 + ["_dgesdd"] * 2
     assert lstsq(a, np.ones(30)).tobytes() == first.tobytes()
-    assert seen == ["_dgeqrf"] * 2 + ["_dgesdd"] * 2 + ["_dgeqrf", "_dgesdd"]
+    assert seen == (["_dgeqrf"] * 2 + ["_dgesdd"] * 2) * 2
 
 
-def test_workspace_sizes_survive_concurrent_solves(monkeypatch):
-    # more threads than cores, switching often, on shapes that keep the
-    # shared workspace cache at its size limit: a lost or misfiled entry
-    # would give a solve the wrong workspace and move its bits
-    monkeypatch.setattr(linalg, "_lworks", {})
-    monkeypatch.setattr(linalg, "_LWORKS_KEPT", 3)
+def test_workspace_sizes_survive_concurrent_solves():
+    # more threads than cores, switching often, on mixed shapes: a
+    # workspace sized for another shape would move a solve's bits
     rng = np.random.default_rng(29)
     problems = [(rng.normal(size=(rows, cols)), rng.normal(size=rows))
                 for rows, cols in [(40, 6), (6, 40), (30, 30), (90, 2), (1, 1)]]
@@ -773,6 +768,39 @@ def test_workspace_sizes_survive_concurrent_solves(monkeypatch):
         sys.setswitchinterval(interval)
     assert len(seen) == 400
     assert all(got == want[k] for k, got in seen)
+
+
+# The lookups of the bundled library that are made once per process.
+CACHED_LOOKUPS = ("_openblas", "_dgeqrf", "_dgesdd", "_blas_threads", "_thread_shutdown")
+
+
+def test_no_rtld_noload_means_no_binding(monkeypatch):
+    # where os has no RTLD_NOLOAD, as on Windows, the library cannot be
+    # looked up without loading it: no binding, and numpy's qr and svd run,
+    # which give the bytes of the bound path
+    rng = np.random.default_rng(31)
+    a, t = rng.normal(size=(40, 6)), rng.normal(size=40)
+    x = rng.uniform(size=(50, 2))
+    layer = HiddenLayer(rng.normal(scale=3.0, size=(2, 7)), rng.normal(size=7))
+
+    def solves():
+        return [lstsq(a, t).tobytes(), lstsq(a[:4], t[:4]).tobytes(),
+                solve_readout(layer, x, x[:, 0]).tobytes()]
+
+    def clear():
+        for name in CACHED_LOOKUPS:
+            getattr(linalg, name).cache_clear()
+
+    bound = solves()
+    try:
+        monkeypatch.delattr(os, "RTLD_NOLOAD", raising=False)
+        clear()
+        assert linalg._openblas() is None and linalg._dgesdd() is None
+        assert solves() == bound
+    finally:
+        monkeypatch.undo()
+        clear()
+
 
 def test_single_thread_blas_survives_concurrent_users():
     # more users than cores, switching threads often: a lost update of the

@@ -22,7 +22,6 @@ from randnet.methods import (
     method_with_interval,
 )
 from randnet.paramgen import (
-    AnchorPolicy,
     RaMConfig,
     RAlphaMConfig,
     anchor_points,
@@ -39,9 +38,8 @@ from randnet.rae import (
 )
 from randnet.rng import RngStream
 
-DEFAULT_ANCHOR = {"kind": "train-point", "kmeans_max_iter": 100, "kmeans_rel_tol": 1e-6}
-CLUSTER = AnchorPolicy(kind="cluster", kmeans_max_iter=7, kmeans_rel_tol=1e-3)
-CLUSTER_DICT = {"kind": "cluster", "kmeans_max_iter": 7, "kmeans_rel_tol": 1e-3}
+DEFAULT_ANCHOR = "train-point"
+CLUSTER = "cluster"
 
 # tag -> (config, its exact method_to_dict, the family's own generator)
 CASES = {
@@ -50,12 +48,12 @@ CASES = {
     "ralpham": (
         RAlphaMConfig(alpha_max_deg=80.0, alpha_min_deg=5.0, anchor=CLUSTER),
         {"method": "ralpham", "alpha_max_deg": 80.0, "alpha_min_deg": 5.0,
-         "anchor": CLUSTER_DICT},
+         "anchor": CLUSTER},
         generate_ralpham,
     ),
     "raem1": (Raem1Config(u_ae=0.1), {"method": "raem1", "u_ae": 0.1, "anchor": DEFAULT_ANCHOR},
               raem_hidden_layer),
-    "raem2": (Raem2Config(anchor=CLUSTER), {"method": "raem2", "anchor": CLUSTER_DICT},
+    "raem2": (Raem2Config(anchor=CLUSTER), {"method": "raem2", "anchor": CLUSTER},
               raem_hidden_layer),
     "raem3": (Raem3Config(), {"method": "raem3", "anchor": DEFAULT_ANCHOR}, raem_hidden_layer),
     "raem4": (Raem4Config(), {"method": "raem4"}, raem_hidden_layer),
@@ -109,7 +107,7 @@ def test_dict_round_trip(tag):
 def cluster_dict(tag):
     """The bare method dict of ``tag``, with the cluster anchor where its
     config has an anchor."""
-    anchor = {"anchor": CLUSTER_DICT} if "anchor" in METHODS[tag].keys else {}
+    anchor = {"anchor": CLUSTER} if "anchor" in METHODS[tag].keys else {}
     return {"method": tag, **anchor}
 
 
@@ -119,7 +117,7 @@ def test_grid_cell_with_interval(tag):
     field = METHODS[tag].interval
     assert method_with_interval(cluster_dict(tag), interval) == expected
     assert method_with_interval({"method": tag}, interval) == replace(
-        expected, anchor=AnchorPolicy())
+        expected, anchor=DEFAULT_ANCHOR)
     # the cell's value replaces an interval the dict sets
     assert method_with_interval({**cluster_dict(tag), field: 7.0}, interval) == expected
     with pytest.raises(ConfigError):
@@ -147,9 +145,9 @@ def test_grid_cells_match_direct_configs(tag):
 
 
 def test_grid_cell_keeps_other_keys():
-    d = {"method": "ralpham", "alpha_min_deg": 30, "anchor": {"kind": "uniform"}}
+    d = {"method": "ralpham", "alpha_min_deg": 30, "anchor": "uniform"}
     assert method_with_interval(d, 45.0) == RAlphaMConfig(
-        alpha_max_deg=45.0, alpha_min_deg=30.0, anchor=AnchorPolicy(kind="uniform"))
+        alpha_max_deg=45.0, alpha_min_deg=30.0, anchor="uniform")
     # a cell whose interval falls below a kept key is a config error
     with pytest.raises(ConfigError):
         method_with_interval(d, 20.0)
@@ -190,7 +188,7 @@ def test_every_generator_rejects_a_malformed_training_set():
                 with pytest.raises(InvalidInputError, match="nonempty 2-D training matrix"):
                     generate(cfg, bad, 3, RngStream(1))
         with pytest.raises(InvalidInputError, match="nonempty 2-D training matrix"):
-            anchor_points(AnchorPolicy("uniform"), bad, 3, RngStream(1))
+            anchor_points("uniform", bad, 3, RngStream(1))
 
 
 @pytest.mark.parametrize("tag", METHOD_NAMES)

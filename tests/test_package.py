@@ -1,8 +1,10 @@
-"""The package's public names, and the README's library example and usage lines."""
+"""The package's public names, and the README's library example, usage lines and
+config example."""
 
 import ast
 import contextlib
 import io
+import json
 import math
 import pathlib
 import re
@@ -10,6 +12,8 @@ import shlex
 
 import randnet
 from randnet.experiment.cli import build_parser
+from randnet.experiment.config import build_config
+from randnet.methods import method_from_dict
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 SRC = pathlib.Path(randnet.__file__).resolve().parent
@@ -42,6 +46,20 @@ def test_readme_usage_lines_parse():
     commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
     assert commands == {"fit", "benchmark", "grid-search", "uae-sweep", "compare", "emit",
                         "histogram"}
+
+
+def test_readme_config_example_reads():
+    # the config file under "Config files" reads as a config, and every
+    # inline anchor example there is an anchor a method reads
+    section = README.read_text().split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+    [block] = re.findall(r"```json\n(.*?)```", section, flags=re.S)
+    build_config(json.loads(block), {})
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    spans = re.findall(r'`([^`]*"anchor"[^`]*)`', prose)
+    assert spans
+    for span in spans:
+        anchor = json.loads(span if span.startswith("{") else "{" + span + "}")["anchor"]
+        assert method_from_dict({"method": "ram", "u": 1.0, "anchor": anchor}).anchor == anchor
 
 
 def source_trees() -> dict:

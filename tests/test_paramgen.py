@@ -1,4 +1,4 @@
-"""Anchor policies and the two direct weight generators."""
+"""Anchor kinds and the two direct weight generators."""
 
 import math
 
@@ -11,7 +11,6 @@ from randnet.errors import ConfigError
 from randnet.model import HiddenLayer, hidden_outputs
 from randnet.paramgen import (
     MAX_ABS_SLOPE_WEIGHT,
-    AnchorPolicy,
     RaMConfig,
     RAlphaMConfig,
     anchor_points,
@@ -34,7 +33,7 @@ def inside_bounds(points, x) -> bool:
 class TestAnchorPoints:
     def test_uniform_policy_stays_in_cube(self):
         x = np.array([[2.0, -1.0], [3.0, 4.0], [2.5, 0.0]])
-        pts = anchor_points(AnchorPolicy("uniform"), x, 200, RngStream(3))
+        pts = anchor_points("uniform", x, 200, RngStream(3))
         assert pts.shape == (200, 2)
         assert inside_bounds(pts, x)
 
@@ -55,20 +54,20 @@ class TestAnchorPoints:
         x = np.random.default_rng(seed).normal(scale=3.0, size=(rows, cols))
         if constant:
             x[:, -1] = 0.7
-        pts = anchor_points(AnchorPolicy("uniform"), x, m, RngStream(seed))
+        pts = anchor_points("uniform", x, m, RngStream(seed))
         want = RngStream(seed).generator().uniform(x.min(0), x.max(0), size=(m, cols))
         assert pts.tobytes() == want.tobytes()
         assert inside_bounds(pts, x)
 
     def test_train_point_policy_returns_training_rows(self):
         x = training_cloud(2)
-        pts = anchor_points(AnchorPolicy("train-point"), x, 50, RngStream(4))
+        pts = anchor_points("train-point", x, 50, RngStream(4))
         rows = {tuple(r) for r in x}
         assert all(tuple(p) in rows for p in pts)
 
     def test_cluster_policy_with_k_equal_n_returns_the_points(self):
         x = training_cloud(5, rows=12)
-        pts = anchor_points(AnchorPolicy("cluster"), x, 12, RngStream(5))
+        pts = anchor_points("cluster", x, 12, RngStream(5))
         got = sorted(map(tuple, np.round(pts, 12)))
         want = sorted(map(tuple, np.round(x, 12)))
         assert got == want
@@ -78,23 +77,25 @@ class TestAnchorPoints:
         blob_a = rng.normal(loc=0.1, scale=0.01, size=(80, 2))
         blob_b = rng.normal(loc=0.9, scale=0.01, size=(80, 2))
         x = np.vstack([blob_a, blob_b])
-        pts = anchor_points(AnchorPolicy("cluster"), x, 2, RngStream(6))
+        pts = anchor_points("cluster", x, 2, RngStream(6))
         centers = sorted(pts[:, 0].tolist())
         assert abs(centers[0] - 0.1) < 0.05 and abs(centers[1] - 0.9) < 0.05
 
     def test_cluster_policy_needs_enough_points(self):
         with pytest.raises(ConfigError):
-            anchor_points(AnchorPolicy("cluster"), training_cloud(7, rows=5), 9, RngStream(7))
+            anchor_points("cluster", training_cloud(7, rows=5), 9, RngStream(7))
 
     def test_all_policies_stay_inside_hypercube(self):
         x = training_cloud(8)
         for kind in ("uniform", "train-point", "cluster"):
-            pts = anchor_points(AnchorPolicy(kind), x, 20, RngStream(8))
+            pts = anchor_points(kind, x, 20, RngStream(8))
             assert inside_bounds(pts, x)
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            AnchorPolicy("median")
+        # the last branch runs k-means for any kind that reaches it
+        for kind in ("median", "Cluster", "", None):
+            with pytest.raises(ConfigError, match="unknown anchor kind"):
+                anchor_points(kind, training_cloud(9), 5, RngStream(9))
 
 
 class TestAnchoredBiases:
@@ -133,7 +134,7 @@ class TestGenerateRam:
         rng = RngStream(12)
         layer = generate_ram(RaMConfig(u=5.0), x, 100, rng)
         # anchors are drawn from child stream 1, per the generator contract
-        anchors = anchor_points(AnchorPolicy(), x, 100, rng.child(1))
+        anchors = anchor_points("train-point", x, 100, rng.child(1))
         h = hidden_outputs(layer, anchors)
         assert np.max(np.abs(np.diag(h) - 0.5)) <= 1e-12
 
@@ -206,7 +207,7 @@ class TestGenerateRalpham:
         x = training_cloud(20)
         rng = RngStream(20)
         layer = generate_ralpham(RAlphaMConfig(alpha_max_deg=89.0), x, 100, rng)
-        anchors = anchor_points(AnchorPolicy(), x, 100, rng.child(1))
+        anchors = anchor_points("train-point", x, 100, rng.child(1))
         h = hidden_outputs(layer, anchors)
         assert np.max(np.abs(np.diag(h) - 0.5)) <= 1e-12
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from randnet import linalg
 from randnet.errors import ConfigError, DegenerateNodeError, InvalidInputError
 from randnet.model import HiddenLayer, hidden_outputs, solve_readout
-from randnet.paramgen import AnchorPolicy, anchor_points, anchored_biases
+from randnet.paramgen import anchor_points, anchored_biases
 from randnet.rae import (
     Raem1Config,
     Raem2Config,
@@ -130,7 +130,7 @@ class TestVariantLayers:
             rng = RngStream(9)
             layer = raem_hidden_layer(cfg, x, 25, rng)
             # network anchors come from child stream 2, per the docstring
-            anchors = anchor_points(AnchorPolicy(), x, 25, rng.child(2))
+            anchors = anchor_points("train-point", x, 25, rng.child(2))
             h = hidden_outputs(layer, anchors)
             assert np.max(np.abs(np.diag(h) - 0.5)) <= 1e-12
 
@@ -213,7 +213,7 @@ def test_variant_layers_are_the_isinstance_references_bit_for_bit(tag, kind, see
     if kind == "cluster":
         m = min(m, rows)  # k-means needs a training point per centroid
     x = np.random.default_rng(seed).uniform(size=(rows, n))
-    variant = variant_config(tag, u_ae, AnchorPolicy(kind))
+    variant = variant_config(tag, u_ae, kind)
     layer = raem_hidden_layer(variant, x, m, RngStream(seed))
     reference = isinstance_reference_layer(variant, x, m, RngStream(seed))
     assert layer.weights.tobytes() == reference.weights.tobytes()

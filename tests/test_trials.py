@@ -373,59 +373,55 @@ class TestCrossValidate:
         return Dataset(x, hidden_outputs(layer, x) @ beta)
 
     def test_single_cell_returned(self, demo_small):
-        grid = GridSearchConfig(node_counts=[15], interval_grid=[2.0], seed=1)
-        res = cross_validate(grid, {"method": "ram"}, demo_small.train)
+        grid = GridSearchConfig(node_counts=[15], interval_grid=[2.0])
+        res = cross_validate(grid, {"method": "ram"}, demo_small.train, 1)
         assert res.best_m == 15 and res.best_interval == 2.0
         assert len(res.table) == 1
 
     def test_planted_interval_wins(self):
         # data generated by steepness-8 sigmoids: the matching grid cell
         # must beat both the flat and the near-step alternatives
-        grid = GridSearchConfig(
-            node_counts=[25], interval_grid=[0.08, 8.0, 800.0], seed=60
-        )
-        res = cross_validate(grid, {"method": "ram"}, self.planted_problem())
+        grid = GridSearchConfig(node_counts=[25], interval_grid=[0.08, 8.0, 800.0])
+        res = cross_validate(grid, {"method": "ram"}, self.planted_problem(), 60)
         assert res.best_interval == 8.0
 
     def test_table_covers_grid(self, demo_small):
-        grid = GridSearchConfig(
-            node_counts=[5, 10], interval_grid=[30.0, 60.0], seed=2
-        )
-        res = cross_validate(grid, {"method": "ralpham"}, demo_small.train)
+        grid = GridSearchConfig(node_counts=[5, 10], interval_grid=[30.0, 60.0])
+        res = cross_validate(grid, {"method": "ralpham"}, demo_small.train, 2)
         assert {(c.m, c.interval) for c in res.table} == {
             (5, 30.0), (5, 60.0), (10, 30.0), (10, 60.0)
         }
         assert all(c.mean_rmse >= 0 for c in res.table)
 
     def test_untuned_family_ignores_interval_grid(self, demo_small):
-        grid = GridSearchConfig(node_counts=[5, 10], seed=3)
-        res = cross_validate(grid, {"method": "raem5"}, demo_small.train)
+        grid = GridSearchConfig(node_counts=[5, 10])
+        res = cross_validate(grid, {"method": "raem5"}, demo_small.train, 3)
         assert len(res.table) == 2
         assert all(c.interval is None for c in res.table)
 
     def test_deterministic(self, demo_small):
-        grid = GridSearchConfig(node_counts=[8], interval_grid=[45.0], seed=4)
-        a = cross_validate(grid, {"method": "ralpham"}, demo_small.train)
-        b = cross_validate(grid, {"method": "ralpham"}, demo_small.train)
+        grid = GridSearchConfig(node_counts=[8], interval_grid=[45.0])
+        a = cross_validate(grid, {"method": "ralpham"}, demo_small.train, 4)
+        b = cross_validate(grid, {"method": "ralpham"}, demo_small.train, 4)
         assert a.table[0].mean_rmse == b.table[0].mean_rmse
 
     def test_parallel_matches_serial(self, demo_small, monkeypatch):
-        grid = GridSearchConfig(node_counts=[5, 9], interval_grid=[1.0, 4.0], seed=5)
+        grid = GridSearchConfig(node_counts=[5, 9], interval_grid=[1.0, 4.0])
         monkeypatch.setattr(linalg, "core_count", lambda: 1)
-        a = cross_validate(grid, {"method": "ram"}, demo_small.train)
+        a = cross_validate(grid, {"method": "ram"}, demo_small.train, 5)
         monkeypatch.setattr(linalg, "core_count", lambda: 4)
-        b = cross_validate(grid, {"method": "ram"}, demo_small.train)
+        b = cross_validate(grid, {"method": "ram"}, demo_small.train, 5)
         assert [(c.m, c.interval, c.mean_rmse) for c in a.table] == [
             (c.m, c.interval, c.mean_rmse) for c in b.table
         ]
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
-            GridSearchConfig(node_counts=[], seed=1)
+            GridSearchConfig(node_counts=[])
         with pytest.raises(ConfigError):
-            GridSearchConfig(node_counts=[5], folds=1, seed=1)
+            GridSearchConfig(node_counts=[5], folds=1)
         with pytest.raises(ConfigError):
-            GridSearchConfig(node_counts=[5], trials_per_cell=0, seed=1)
+            GridSearchConfig(node_counts=[5], trials_per_cell=0)
 
 
 class TestUaeSweep:
@@ -458,7 +454,7 @@ class TestUaeSweep:
             return uae_sweep(demo_small, 10, [0.05, 0.5], 2, 15, method=method)
 
         assert sweep() == sweep({"method": "raem1"}) == sweep({"method": "raem1", "u_ae": 3})
-        uniform = sweep({"method": "raem1", "anchor": {"kind": "uniform"}})
+        uniform = sweep({"method": "raem1", "anchor": "uniform"})
         assert uniform != sweep()
         assert [p.u_ae for p in uniform] == [0.05, 0.5]
 
