@@ -180,17 +180,25 @@ def load_csv(
 
     The last column is the target unless ``target_column`` selects another
     (by index, or by name when ``header`` is true). Lines starting with
-    ``@`` and blank lines are skipped.
+    ``@`` and blank lines are skipped. A delimiter that is not one
+    character is a ConfigError, raised before the file is read; a file that
+    is not UTF-8 text is a DataFormatError. A leading byte-order mark, as
+    spreadsheet exports write, is skipped.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
     rows: list[list[str]] = []
     line_numbers: list[int] = []
-    with open(path, "r", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("@"):
-                continue
-            rows.append(next(csv.reader([stripped], delimiter=delimiter)))
-            line_numbers.append(lineno)
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("@"):
+                    continue
+                rows.append(next(csv.reader([stripped], delimiter=delimiter)))
+                line_numbers.append(lineno)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
 

@@ -44,18 +44,6 @@ def config_value(kind: type, value, what: str):
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None
 
 
-def check_config_keys(cls: type, d, what: str, skip: frozenset = frozenset()) -> None:
-    """Raise ConfigError unless ``d`` is an object whose keys, apart from
-    ``skip``, all name fields of the dataclass ``cls``."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{what} must be an object, got {d!r}")
-    names = {f.name for f in fields(cls)}
-    extra = set(d) - names - skip
-    if extra:
-        raise ConfigError(f"{what} has unknown keys {sorted(extra)}; "
-                          f"its keys are {sorted(names | skip)}")
-
-
 def read_value(kind, value, what: str):
     """``value`` as the annotated type ``kind``, or ConfigError."""
     origin = get_origin(kind)
@@ -90,8 +78,15 @@ def config_from_dict(cls: type, d, what: str, skip: frozenset = frozenset()):
     of its members, sequences of numbers as tuples and nested dataclasses
     (a config's grid section) the same way. A key that names no field, other
     than those in ``skip``, a missing key that has no default and a value of
-    the wrong type or outside its ``Literal`` raise ConfigError."""
-    check_config_keys(cls, d, what, skip)
+    the wrong type or outside its ``Literal`` raise ConfigError, and so does
+    a ``d`` that is not an object."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be an object, got {d!r}")
+    names = {f.name for f in fields(cls)}
+    extra = set(d) - names - skip
+    if extra:
+        raise ConfigError(f"{what} has unknown keys {sorted(extra)}; "
+                          f"its keys are {sorted(names | skip)}")
     hints = get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):

@@ -13,9 +13,15 @@ Subcommands:
 Every command starts from ``_setup``, which resolves the config, checks its
 method count, builds the problem and starts the summary; the first write
 creates the output directory. Methods come from the registry in
-``randnet.methods``, where a method is declared by one entry;
-``METHOD_FLAGS`` maps the method flags onto config fields, and a flag
-applies to every method whose config has its field.
+``randnet.methods``, where a method is declared by one entry.
+
+Each flag's argparse ``dest`` is the config key it sets, so the config
+dataclasses name the flags: ``_overrides`` reads the top-level flags from
+``ExperimentConfig``'s fields, the problem flags from ``ProblemSpec``'s and
+the grid and sweep flags from ``GridSearchConfig``'s and ``SweepSpec``'s,
+and a method flag applies to every method whose config has its field.
+``--method`` alone sets no field of its own name: its ``methods`` list is
+read by the method branch of ``_overrides``.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure,
 5 out of memory.
@@ -28,7 +34,7 @@ import ctypes
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from typing import NamedTuple, Optional, get_args
 
 import numpy as np
@@ -44,6 +50,8 @@ from ..errors import (
     NumericFailureError,
 )
 from ..methods import (
+    METHODS,
+    check_method_dict,
     generate_hidden_layer,
     method_name,
     method_spec,
@@ -55,26 +63,23 @@ from ..paramgen import AnchorKind
 from .config import (
     ExperimentConfig,
     OutputFormat,
+    ProblemSpec,
+    SweepSpec,
     build_config,
     describe_config,
     load_config_file,
     method_list,
 )
 from .outputs import (
-    CV_COLUMNS,
-    HISTOGRAM_COLUMNS,
-    SWEEP_COLUMNS,
-    TRIAL_COLUMNS,
     cv_rows,
     histogram_rows,
     method_summary,
-    sweep_rows,
     trial_rows,
     write_summary,
     write_table,
 )
 from .stats import MIN_PAIRS, median, weight_histogram, wilcoxon_signed_rank
-from .trials import CvResult, cross_validate, run_trials, uae_sweep
+from .trials import CvResult, GridSearchConfig, cross_validate, run_trials, uae_sweep
 
 
 def _split(text: str) -> list[str]:
@@ -95,11 +100,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", action="append", dest="methods",
                    help="method tag (ram, ralpham, raem1..raem5) or JSON object; repeatable")
     p.add_argument("--u", type=float, help="weight half-width for ram")
-    p.add_argument("--alpha-max", type=float, help="top slope angle (deg) for ralpham")
-    p.add_argument("--alpha-min", type=float, help="bottom slope angle (deg) for ralpham")
+    p.add_argument("--alpha-max", type=float, dest="alpha_max_deg", metavar="ALPHA_MAX",
+                   help="top slope angle (deg) for ralpham")
+    p.add_argument("--alpha-min", type=float, dest="alpha_min_deg", metavar="ALPHA_MIN",
+                   help="bottom slope angle (deg) for ralpham")
     p.add_argument("--u-ae", type=float, help="encoder half-width for raem1")
     p.add_argument("--anchor", choices=get_args(AnchorKind), help="anchor point kind")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
     p.add_argument("--format", choices=get_args(OutputFormat), help="tabular output format")
     p.add_argument("--jobs", type=int,
                    help="accepted and ignored: fits run on every core the process "
@@ -116,16 +123,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delimiter", help="data file delimiter (default comma)")
 
 
-# Config field -> the flag that sets it on every configured method whose
-# config has that field.
-METHOD_FLAGS = {"u": "u", "alpha_max_deg": "alpha_max", "alpha_min_deg": "alpha_min",
-                "u_ae": "u_ae", "anchor": "anchor"}
-
-
-def _given(args, **dests: str) -> dict:
-    """Config key -> flag value for the flags that were given; ``dests``
-    maps each config key to its flag's argparse destination."""
-    values = {key: getattr(args, dest, None) for key, dest in dests.items()}
+def _given(args, cls) -> dict:
+    """Config key -> value of each flag given whose ``dest`` names a field
+    of the dataclass ``cls``."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(cls)}
     return {key: value for key, value in values.items() if value is not None}
 
 
@@ -142,9 +143,7 @@ def _parse_method(text: str):
 
 def _amend(method: dict, args) -> dict:
     """The method dict with each method flag given whose field its config has."""
-    keys = method_spec(method.get("method")).keys
-    flags = {key: v for key, v in _given(args, **METHOD_FLAGS).items() if key in keys}
-    return {**method, **flags}
+    return {**method, **_given(args, method_spec(method.get("method")).config)}
 
 
 def _overlay(raw: dict, key: str, over: dict) -> dict:
@@ -154,25 +153,20 @@ def _overlay(raw: dict, key: str, over: dict) -> dict:
 
 def _overrides(args, raw: dict) -> dict:
     """The config keys the flags set, each amending the file's value."""
-    overrides = _given(args, seed="seed", trials="trials", nodes="nodes", output_dir="out",
-                       format="format", jobs="jobs", histogram_bins="histogram_bins")
-    problem = _given(args, tf="tf", n="n", train_size="train_size", test_size="test_size",
-                     data="data", target_column="target_column", header="header",
-                     delimiter="delimiter")
+    overrides = _given(args, ExperimentConfig)
+    problem = _given(args, ProblemSpec)
     if problem:
         overrides["problem"] = (problem if "tf" in problem or "data" in problem
                                 else _overlay(raw, "problem", problem))
-    if args.methods or _given(args, **METHOD_FLAGS):
+    # the top-level read above took --method's raw strings as "methods";
+    # this branch, which runs whenever --method is given, replaces them
+    if args.methods or any(_given(args, spec.config) for spec in METHODS.values()):
         methods = method_list({"methods": [_parse_method(s) for s in args.methods]}
                               if args.methods else raw)
         overrides["methods"] = [_amend(m, args) for m in methods]
-    grid = _given(args, node_counts="grid_nodes", interval_grid="grid_intervals", folds="folds")
-    if grid:
-        overrides["grid"] = _overlay(raw, "grid", grid)
-    sweep = (_given(args, values="sweep_values")
-             or _given(args, lo="sweep_lo", hi="sweep_hi", points="sweep_points"))
-    if sweep:
-        overrides["sweep"] = _overlay(raw, "sweep", sweep)
+    for key, cls in (("grid", GridSearchConfig), ("sweep", SweepSpec)):
+        if section := _given(args, cls):
+            overrides[key] = _overlay(raw, key, section)
     return overrides
 
 
@@ -190,8 +184,8 @@ class Run(NamedTuple):
         os.makedirs(self.out, exist_ok=True)
         return os.path.join(self.out, name)
 
-    def write_table(self, name: str, columns, rows) -> None:
-        write_table(self.path(name), columns, rows, self.cfg.format)
+    def write_table(self, name: str, rows) -> None:
+        write_table(self.path(name), rows, self.cfg.format)
 
     def write_summary(self, name: str = "summary.json") -> None:
         write_summary(self.path(name), self.summary)
@@ -235,8 +229,11 @@ def _cross_validate(run: Run, i: int) -> CvResult:
 def _trial_methods(run: Run, tune: bool = False) -> tuple[list, list]:
     """Trials of every configured method, each tuned by grid search first
     when ``tune``. Adds one summary entry per method and returns
-    ``(tag, reports)`` per method plus the grid-search table rows."""
+    ``(tag, reports)`` per method plus the grid-search table rows. Untuned,
+    every method is read before the first fit, so one without its interval
+    stops the command before any trial."""
     cfg = run.cfg
+    generators = [] if tune else [cfg.generator(i) for i in range(cfg.method_count)]
     run.summary["methods"] = []
     results: list = []
     cv_table: list = []
@@ -249,7 +246,7 @@ def _trial_methods(run: Run, tune: bool = False) -> tuple[list, list]:
             chosen = {"m": result.best_m, "interval": result.best_interval}
             cv_table.extend(cv_rows(family, result.table))
         else:
-            method = cfg.generator(i)
+            method = generators[i]
         reports = run_trials(method, run.problem, nodes, cfg.trials, cfg.trial_stream(i))
         entry = {"method": method_to_dict(method), "nodes": nodes, **method_summary(reports)}
         if chosen:
@@ -262,8 +259,8 @@ def _trial_methods(run: Run, tune: bool = False) -> tuple[list, list]:
 def _write_results(run: Run, results: list) -> None:
     """Write the summary and the trials table of ``_trial_methods``' results."""
     run.write_summary()
-    run.write_table("trials", TRIAL_COLUMNS,
-                    [row for family, reports in results for row in trial_rows(family, reports)])
+    run.write_table("trials", [row for family, reports in results
+                               for row in trial_rows(family, reports)])
 
 
 def cmd_fit(args) -> int:
@@ -299,7 +296,7 @@ def cmd_grid_search(args) -> int:
         "cells": len(result.table),
     }
     run.write_summary()
-    run.write_table("cv_table", CV_COLUMNS, cv_rows(family, result.table))
+    run.write_table("cv_table", cv_rows(family, result.table))
     print(f"grid-search: {family} best m={result.best_m} "
           f"interval={result.best_interval}")
     return 0
@@ -309,6 +306,7 @@ def cmd_uae_sweep(args) -> int:
     run = _setup(args, 0, 1)
     cfg = run.cfg
     method = cfg.methods[0] if cfg.method_count else _amend({"method": "raem1"}, args)
+    check_method_dict(method)  # the default raem1 too, with the method flags it took
     points = uae_sweep(run.problem, cfg.nodes, cfg.sweep.u_ae_values(), cfg.trials,
                        cfg.sweep_stream(), method=method)
     best = min(points, key=lambda p: (p.mean_rmse, p.u_ae))
@@ -320,7 +318,7 @@ def cmd_uae_sweep(args) -> int:
         "median_abs_weight_at_min": best.median_abs_weight,
     }
     run.write_summary()
-    run.write_table("sweep", SWEEP_COLUMNS, sweep_rows(points))
+    run.write_table("sweep", map(asdict, points))
     print(f"uae-sweep: min mean rmse {best.mean_rmse:.6g} at u_ae={best.u_ae:.6g}")
     return 0
 
@@ -348,9 +346,9 @@ def cmd_compare(args) -> int:
         layers = [r.network.hidden for r in reports]
         hist_table.extend(histogram_rows(family, weight_histogram(layers, cfg.histogram_bins)))
     _write_results(run, results)
-    run.write_table("histogram", HISTOGRAM_COLUMNS, hist_table)
+    run.write_table("histogram", hist_table)
     if cv_table:
-        run.write_table("cv_table", CV_COLUMNS, cv_table)
+        run.write_table("cv_table", cv_table)
     for entry in run.summary["methods"]:
         print(f"compare: {entry['method']['method']} m={entry['nodes']} "
               f"mean test rmse {entry['rmse_test']['mean']:.6g}")
@@ -389,16 +387,17 @@ def cmd_histogram(args) -> int:
         "median_abs_weight": median(np.abs(pooled)),
     }
     run.write_summary()
-    run.write_table("histogram", HISTOGRAM_COLUMNS, histogram_rows(family, hist))
+    run.write_table("histogram", histogram_rows(family, hist))
     print(f"histogram: {family} median |a| = "
           f"{run.summary['histogram']['median_abs_weight']:.6g}")
     return 0
 
 
 def _add_grid(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-nodes", type=_split, help="comma-separated node counts")
-    p.add_argument("--grid-intervals", type=_split,
-                   help="comma-separated interval values")
+    p.add_argument("--grid-nodes", type=_split, dest="node_counts", metavar="GRID_NODES",
+                   help="comma-separated node counts")
+    p.add_argument("--grid-intervals", type=_split, dest="interval_grid",
+                   metavar="GRID_INTERVALS", help="comma-separated interval values")
     p.add_argument("--folds", type=int, help="cross-validation folds (default 5)")
 
 
@@ -422,10 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(command("grid-search", cmd_grid_search, "cross-validated hyperparameter search"))
 
     p = command("uae-sweep", cmd_uae_sweep, "encoder interval sweep for raem1")
-    p.add_argument("--sweep-lo", type=float, help="smallest u_ae")
-    p.add_argument("--sweep-hi", type=float, help="largest u_ae")
-    p.add_argument("--sweep-points", type=int, help="number of log-spaced values")
-    p.add_argument("--sweep-values", type=_split,
+    p.add_argument("--sweep-lo", type=float, dest="lo", metavar="SWEEP_LO", help="smallest u_ae")
+    p.add_argument("--sweep-hi", type=float, dest="hi", metavar="SWEEP_HI", help="largest u_ae")
+    p.add_argument("--sweep-points", type=int, dest="points", metavar="SWEEP_POINTS",
+                   help="number of log-spaced values")
+    p.add_argument("--sweep-values", type=_split, dest="values", metavar="SWEEP_VALUES",
                    help="comma-separated explicit u_ae values")
 
     p = command("compare", cmd_compare, "multi-method comparison with rank tests")

@@ -129,9 +129,11 @@ class ExperimentConfig:
     """Fully resolved settings for one CLI invocation, one field per
     top-level config key, read by ``config_from_dict`` as the sections are.
 
-    Method specs are kept as dicts so a bare family tag (enough for grid
-    search, where the interval is searched rather than given) stays valid;
-    `generator(i)` materializes a full config and rejects incomplete specs.
+    Method specs are kept as dicts, which grid search and the sweep fill
+    in, so a tunable method may leave its interval out. Each dict is still
+    read whole here, by ``check_method_dict``, so a bad key or value stops
+    the run before any fit; `generator(i)` builds the method's config and
+    rejects one without its interval.
     """
 
     problem: ProblemSpec
@@ -183,9 +185,9 @@ class ExperimentConfig:
 
 def load_config_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: top level must be an object")

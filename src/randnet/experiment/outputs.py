@@ -9,18 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from typing import Sequence
 
 from .stats import Histogram, summarize
-from .trials import CvCell, SweepPoint, TrialReport
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
+from .trials import CvCell, TrialReport
 
 
 def write_summary(path: str, summary: dict) -> None:
@@ -29,55 +22,40 @@ def write_summary(path: str, summary: dict) -> None:
         fh.write("\n")
 
 
-def write_table(path_base: str, columns: Sequence[str], rows, fmt: str = "csv") -> str:
-    """Write rows under the given columns as CSV or JSON; returns the path."""
-    rows = [list(r) for r in rows]
+def write_table(path_base: str, rows, fmt: str = "csv") -> str:
+    """Write rows, dicts with the same keys, as CSV under the first row's
+    keys or as a JSON list of objects; returns the path."""
+    rows = list(rows)
     if fmt == "json":
         path = path_base + ".json"
-        payload = [dict(zip(columns, r)) for r in rows]
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(rows, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path
     path = path_base + ".csv"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow([_cell(v) for v in r])
+        # csv writes a float as its repr and None as an empty cell
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else [])
+        writer.writeheader()
+        writer.writerows(rows)
     return path
 
 
 def trial_rows(method: str, reports: Sequence[TrialReport]):
     for r in reports:
-        yield [method, r.trial, r.rmse_train, r.rmse_test]
-
-
-TRIAL_COLUMNS = ("method", "trial", "rmse_train", "rmse_test")
+        yield {"method": method, "trial": r.trial, "rmse_train": r.rmse_train,
+               "rmse_test": r.rmse_test}
 
 
 def histogram_rows(method: str, hist: Histogram):
     for i, count in enumerate(hist.counts):
-        yield [method, float(hist.edges[i]), float(hist.edges[i + 1]), int(count)]
-
-
-HISTOGRAM_COLUMNS = ("method", "bin_left", "bin_right", "count")
-
-
-def sweep_rows(points: Sequence[SweepPoint]):
-    for p in points:
-        yield [p.u_ae, p.median_abs_weight, p.mean_rmse]
-
-
-SWEEP_COLUMNS = ("u_ae", "median_abs_weight", "mean_rmse")
+        yield {"method": method, "bin_left": float(hist.edges[i]),
+               "bin_right": float(hist.edges[i + 1]), "count": int(count)}
 
 
 def cv_rows(method: str, table: Sequence[CvCell]):
     for cell in table:
-        yield [method, cell.m, cell.interval, cell.mean_rmse]
-
-
-CV_COLUMNS = ("method", "m", "interval", "mean_rmse")
+        yield {"method": method, **asdict(cell)}
 
 
 def method_summary(reports: Sequence[TrialReport]) -> dict:

@@ -17,20 +17,14 @@ adding one entry.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, check_config_keys, config_from_dict, read_value
+from .errors import ConfigError, config_from_dict
 from .model import HiddenLayer
-from .paramgen import (
-    AnchorKind,
-    RaMConfig,
-    RAlphaMConfig,
-    generate_ralpham,
-    generate_ram,
-)
+from .paramgen import RaMConfig, RAlphaMConfig, generate_ralpham, generate_ram
 from .rae import (
     Raem1Config,
     Raem2Config,
@@ -54,11 +48,6 @@ class MethodSpec:
     generate: Callable[..., HiddenLayer]
     interval: Optional[str] = None
     grid: tuple[float, ...] = ()
-
-    @property
-    def keys(self) -> frozenset[str]:
-        """Names of the config's fields, as in its method dict."""
-        return frozenset(f.name for f in fields(self.config))
 
 
 def _log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
@@ -122,13 +111,14 @@ def method_from_dict(d: dict) -> GeneratorConfig:
 
 
 def check_method_dict(d: dict) -> None:
-    """Raise ConfigError unless ``d`` names a known method, sets only fields
-    of its config, and sets one of the anchor kinds if it sets one. The
-    interval may be missing, since grid search supplies it."""
-    tag = d.get("method")
-    check_config_keys(method_spec(tag).config, d, f"method {tag!r}", _TAG_KEY)
-    if "anchor" in d:
-        read_value(AnchorKind, d["anchor"], f"method {tag!r} key 'anchor'")
+    """Raise ConfigError unless ``d`` reads whole as its method, as
+    ``method_from_dict`` reads it. The interval may be missing, since grid
+    search supplies it; the read then takes the largest value of the
+    method's default grid, the one that admits every other key's value
+    (``alpha_min_deg`` below ``alpha_max_deg``). A given interval is read
+    too, even where a grid search or the sweep replaces it."""
+    spec = method_spec(d.get("method"))
+    method_from_dict({spec.interval: max(spec.grid), **d} if spec.interval else d)
 
 
 def method_with_interval(d: dict, interval: Optional[float]) -> GeneratorConfig:

@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import fields
 from typing import get_args
 
 import numpy as np
@@ -17,13 +18,17 @@ from randnet import linalg
 from randnet.dataio import load_csv
 from randnet.experiment.cli import main
 from randnet.experiment.config import (
+    ExperimentConfig,
     OutputFormat,
+    ProblemSpec,
+    SweepSpec,
     build_config,
     describe_config,
     load_config_file,
 )
 from randnet.errors import ConfigError, NumericFailureError
 from randnet.experiment import cli, trials
+from randnet.methods import METHODS
 from randnet.model import load_network, predict, rmse
 from randnet.paramgen import AnchorKind
 
@@ -138,6 +143,18 @@ class TestConfigBuilding:
             choices = {a.dest: a.choices for a in sub._actions if a.choices is not None}
             assert tuple(choices["anchor"]) == get_args(AnchorKind)
             assert tuple(choices["format"]) == get_args(OutputFormat)
+
+    def test_every_flag_is_a_config_key(self):
+        # each flag's dest is the key it sets; --method fills "methods" with
+        # its raw values, which the method branch of the overrides replaces
+        keys = {f.name for cls in (ExperimentConfig, ProblemSpec, trials.GridSearchConfig,
+                                   SweepSpec, *(spec.config for spec in METHODS.values()))
+                for f in fields(cls)}
+        not_keys = {"help", "config", "methods", "cv", "save_model"}
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        for name, sub in commands.items():
+            dests = {a.dest for a in sub._actions} - not_keys
+            assert dests <= keys, (name, sorted(dests - keys))
 
     def test_anchor_is_written_and_echoed_as_its_kind(self, tmp_path):
         anchored = {"method": "ram", "u": 1.0, "anchor": "cluster"}
@@ -756,6 +773,9 @@ class TestExitCodes:
         ("uae-sweep", ["--method", "ram", "--u", "3"], {}),
         ("uae-sweep", ["--method", "raem1", "--method", "raem4"], {}),
         ("uae-sweep", [], {"methods": [{"method": "raem2"}]}),
+        ("emit", ["--data", "d.csv", "--header", "--delimiter", ";;"], {}),
+        ("emit", ["--data", "d.csv", "--delimiter", ""], {}),
+        ("emit", [], {"problem": {"data": "d.csv", "delimiter": ""}}),
     ], ids=["u_ae-zero", "histogram-bins-zero", "u-string", "u-null", "anchor-object",
             "nodes-string", "grid-nodes-string", "misspelt-key",
             "anchor-unknown-kind", "misspelt-key-grid-search", "nodes-fraction",
@@ -767,7 +787,8 @@ class TestExitCodes:
             "misspelt-sweep-key", "output-dir-null", "output-dir-int", "output-dir-list",
             "methods-string", "methods-int", "format-int", "format-unknown", "no-problem",
             "fit-u-missing", "histogram-u_ae-missing", "compare-too-few-trials", "grid-search-no-grid",
-            "uae-sweep-not-raem1", "uae-sweep-two-methods", "uae-sweep-file-not-raem1"])
+            "uae-sweep-not-raem1", "uae-sweep-two-methods", "uae-sweep-file-not-raem1",
+            "delimiter-flag-two-chars", "delimiter-flag-empty", "delimiter-file-empty"])
     def test_bad_values_are_config_errors(self, tmp_path, monkeypatch, capsys, command, flags,
                                           file_keys):
         # out-of-range and malformed values exit 2 with a config error, not
@@ -783,6 +804,56 @@ class TestExitCodes:
         assert run(command, "--config", config, *flags) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("benchmark", ["--method", '{"method": "ralpham"}']),
+        ("benchmark", ["--method", '{"method": "raem1", "u_ae": -1}']),
+        ("compare", ["--method", '{"method": "ralpham"}']),
+        ("compare", ["--method", '{"method": "ralpham", "alpha_max_deg": 95}']),
+        ("grid-search", ["--method", '{"method": "ram", "u": -1}', "--grid-nodes", "5"]),
+        ("uae-sweep", ["--method", '{"method": "raem1", "u_ae": 0}']),
+        ("uae-sweep", ["--u-ae", "0"]),
+    ], ids=["benchmark-interval-missing", "benchmark-out-of-range", "compare-interval-missing",
+            "compare-out-of-range", "grid-search-replaced-interval",
+            "uae-sweep-replaced-interval", "uae-sweep-default-method-flag"])
+    def test_config_errors_come_before_any_fit(self, tmp_path, monkeypatch, capsys, command,
+                                               flags):
+        # every method dict is read whole when the config is read, so a bad
+        # second method stops the run before the first one's trials, and an
+        # interval that grid search or the sweep would replace is read too
+        monkeypatch.setattr(linalg, "core_count", lambda: 1)  # every fit in this process
+        draws, draw = [], trials.generate_hidden_layer
+
+        def counting(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(trials, "generate_hidden_layer", counting)
+        out = tmp_path / "o"
+        first = [] if command in ("grid-search", "uae-sweep") else [
+            "--method", '{"method": "ram", "u": 1}']
+        assert run(command, *tiny_tf_args(out, trials=6), *first, *flags) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert draws == []
+        assert not out.exists()
+
+    def test_non_utf8_data_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"1,2\n3,4\n\xff,5\n")
+        assert run("emit", "--data", data, "--out", tmp_path / "o") == 3
+        assert capsys.readouterr().err.startswith(f"data error: {data}: not UTF-8 text")
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_bytes(b'{"seed": 1, "output_dir": "\xff"}')
+        assert run("emit", "--config", config, "--tf", "TF1", "--n", "1") == 2
+        assert capsys.readouterr().err.startswith(f"config error: config file {config}")
+
+    def test_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_bytes(b'\xef\xbb\xbf{"problem": {"tf": "TF1", "n": 1, "train_size": 20}}')
+        assert run("emit", "--config", config, "--out", tmp_path / "o") == 0
 
     @pytest.mark.parametrize("command, trials", [("fit", 1), ("benchmark", 3)])
     def test_allocation_failure_exits_5(self, tmp_path, monkeypatch, capsys, command, trials):

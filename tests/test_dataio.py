@@ -75,6 +75,24 @@ class TestLoadCsv:
         ds = load_csv(write(tmp_path, "1;2\n3;4\n"), delimiter=";")
         assert ds.x.tolist() == [[1.0], [3.0]]
 
+    @pytest.mark.parametrize("delimiter", [";;", "", None])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        # checked before the file is read, so a missing file gives no OSError
+        with pytest.raises(ConfigError, match="delimiter must be one character"):
+            load_csv(tmp_path / "nope.csv", delimiter=delimiter)
+
+    def test_non_utf8_text_is_a_format_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1,2\n\xff,3\n")
+        with pytest.raises(DataFormatError, match="latin1.csv: not UTF-8 text"):
+            load_csv(path)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfx,y\n1,2\n3,4\n")
+        ds = load_csv(path, header=True, target_column="x")
+        assert ds.y.tolist() == [1.0, 3.0]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")

@@ -4,7 +4,7 @@ and dispatch to each family's own generator."""
 import csv
 import inspect
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from randnet.methods import (
     METHOD_NAMES,
     METHODS,
     TUNABLE,
+    check_method_dict,
     generate_hidden_layer,
     method_from_dict,
     method_name,
@@ -104,10 +105,14 @@ def test_dict_round_trip(tag):
     assert method_from_dict(json.loads(json.dumps(method_to_dict(cfg)))) == cfg
 
 
+def field_names(cls):
+    return {f.name for f in fields(cls)}
+
+
 def cluster_dict(tag):
     """The bare method dict of ``tag``, with the cluster anchor where its
     config has an anchor."""
-    anchor = {"anchor": CLUSTER} if "anchor" in METHODS[tag].keys else {}
+    anchor = {"anchor": CLUSTER} if "anchor" in field_names(METHODS[tag].config) else {}
     return {"method": tag, **anchor}
 
 
@@ -137,7 +142,8 @@ def test_grid_cells_match_direct_configs(tag):
     spec = METHODS[tag]
     for anchor in (None, CLUSTER):
         d = {"method": tag} if anchor is None else cluster_dict(tag)
-        kwargs = {} if anchor is None or "anchor" not in spec.keys else {"anchor": anchor}
+        kwargs = ({} if anchor is None or "anchor" not in field_names(spec.config)
+                  else {"anchor": anchor})
         for value in DEFAULT_GRIDS[tag]:
             if spec.interval is not None:
                 kwargs[spec.interval] = value
@@ -151,6 +157,28 @@ def test_grid_cell_keeps_other_keys():
     # a cell whose interval falls below a kept key is a config error
     with pytest.raises(ConfigError):
         method_with_interval(d, 20.0)
+
+
+@pytest.mark.parametrize("d", [
+    {"method": "ram"}, {"method": "ralpham", "alpha_min_deg": 89}, {"method": "raem1"},
+    {"method": "raem4"}, {"method": "ram", "u": 1e-9, "anchor": "cluster"},
+], ids=["ram-bare", "ralpham-steep-bottom", "raem1-bare", "raem4", "ram-given"])
+def test_check_reads_a_dict_that_may_lack_its_interval(d):
+    check_method_dict(d)
+
+
+@pytest.mark.parametrize("d", [
+    {"method": "ram", "u": -1}, {"method": "raem1", "u_ae": 0}, {"method": "ralpham",
+    "alpha_max_deg": 95}, {"method": "ralpham", "alpha_min_deg": 90},
+    {"method": "ram", "u": "abc"}, {"method": "raem4", "anchor": "cluster"},
+    {"method": "ram", "anchor": "clustr"}, {"method": "nosuch"},
+], ids=["u-negative", "u_ae-zero", "alpha-max-above-90", "alpha-min-at-90", "u-string",
+        "raem4-anchor", "anchor-unknown", "unknown-tag"])
+def test_check_reads_every_given_value(d):
+    # a given interval is read although grid search would replace it, and
+    # a missing one is read as the largest default, the most permissive
+    with pytest.raises(ConfigError):
+        check_method_dict(d)
 
 
 def test_unknown_tag_rejected():
