@@ -79,7 +79,14 @@ from .outputs import (
     write_table,
 )
 from .stats import MIN_PAIRS, median, weight_histogram, wilcoxon_signed_rank
-from .trials import CvResult, GridSearchConfig, cross_validate, run_trials, uae_sweep
+from .trials import (
+    CvResult,
+    GridSearchConfig,
+    cross_validate,
+    grid_methods,
+    run_trials,
+    uae_sweep,
+)
 
 
 def _split(text: str) -> list[str]:
@@ -218,21 +225,31 @@ def _setup(args, least: int = 0, most: Optional[int] = None,
     return Run(cfg, cfg.output_dir, problem, summary)
 
 
+def _grid(cfg: ExperimentConfig) -> GridSearchConfig:
+    """The config's grid, which a grid search needs."""
+    if cfg.grid is None:
+        raise ConfigError("grid search needs a 'grid' config section or --grid-nodes")
+    return cfg.grid
+
+
 def _cross_validate(run: Run, i: int) -> CvResult:
     """Grid search for method i."""
     cfg = run.cfg
-    if cfg.grid is None:
-        raise ConfigError("grid search needs a 'grid' config section or --grid-nodes")
-    return cross_validate(cfg.grid, cfg.methods[i], run.problem.train, cfg.cv_stream(i))
+    return cross_validate(_grid(cfg), cfg.methods[i], run.problem.train, cfg.cv_stream(i))
 
 
 def _trial_methods(run: Run, tune: bool = False) -> tuple[list, list]:
     """Trials of every configured method, each tuned by grid search first
     when ``tune``. Adds one summary entry per method and returns
-    ``(tag, reports)`` per method plus the grid-search table rows. Untuned,
-    every method is read before the first fit, so one without its interval
-    stops the command before any trial."""
+    ``(tag, reports)`` per method plus the grid-search table rows. Every
+    method is read before the first fit, untuned as it is and tuned at
+    every interval of its grid, so one without its interval, or with a
+    grid interval it rejects, stops the command before any fit."""
     cfg = run.cfg
+    if tune:
+        grid = _grid(cfg)
+        for method in cfg.methods:
+            grid_methods(grid, method)
     generators = [] if tune else [cfg.generator(i) for i in range(cfg.method_count)]
     run.summary["methods"] = []
     results: list = []

@@ -279,6 +279,18 @@ def select_best(table: Sequence[CvCell]) -> CvCell:
     return min(table, key=key)
 
 
+def grid_methods(grid: GridSearchConfig, method: dict) -> list[tuple[Optional[float],
+                                                                     GeneratorConfig]]:
+    """``(interval, method)`` for each interval the grid search of method
+    dict ``method`` tries, in grid order: the grid's intervals, or the
+    method's default grid when those are empty, or the one interval None of
+    a parameter-free method. Each method is read whole here, so a value it
+    rejects is a ConfigError before any fit."""
+    spec = method_spec(method.get("method"))
+    intervals = (grid.interval_grid or spec.grid) if spec.interval else (None,)
+    return [(iv, method_with_interval(method, iv)) for iv in intervals]
+
+
 def cross_validate(grid: GridSearchConfig, method: dict, train: Dataset, seed) -> CvResult:
     """Mean validation RMSE for every grid cell; returns the argmin cell.
 
@@ -292,16 +304,14 @@ def cross_validate(grid: GridSearchConfig, method: dict, train: Dataset, seed) -
     int or a stream, as in ``run_trials``; child (0, 0) of it shuffles the
     folds. The fits run on every core through ``_fork_map``.
     """
-    spec = method_spec(method.get("method"))
-    intervals = (grid.interval_grid or spec.grid) if spec.interval else (None,)
+    tried = grid_methods(grid, method)
     if train.n_samples < grid.folds:
         raise InvalidInputError(
             f"need at least folds={grid.folds} samples, got {train.n_samples}"
         )
 
     stream = as_stream(seed)
-    cells = [(m, iv) for m in grid.node_counts for iv in intervals]
-    methods = [method_with_interval(method, iv) for _, iv in cells]
+    cells = [(m, iv, cfg) for m in grid.node_counts for iv, cfg in tried]
     folds = kfold_indices(train.n_samples, grid.folds, stream.child(0, 0))
     splits = [(train.subset(tr), train.subset(va)) for tr, va in folds]
     per_cell = grid.folds * grid.trials_per_cell
@@ -310,15 +320,15 @@ def cross_validate(grid: GridSearchConfig, method: dict, train: Dataset, seed) -
         ci, rest = divmod(i, per_cell)
         f, t = divmod(rest, grid.trials_per_cell)
         fold_train, fold_val = splits[f]
-        trial = fit_trial(methods[ci], fold_train, fold_val, cells[ci][0],
-                          stream.child(1, ci, f, t))
+        m, _, cfg = cells[ci]
+        trial = fit_trial(cfg, fold_train, fold_val, m, stream.child(1, ci, f, t))
         return (trial.rmse_test,)
 
     errs = [err for (err,) in _fork_map(fit, len(cells) * per_cell)]
     table = tuple(
         CvCell(m=m, interval=interval,
                mean_rmse=float(np.mean(errs[ci * per_cell:(ci + 1) * per_cell])))
-        for ci, (m, interval) in enumerate(cells)
+        for ci, (m, interval, _) in enumerate(cells)
     )
     best = select_best(table)
     return CvResult(best_m=best.m, best_interval=best.interval, table=table)

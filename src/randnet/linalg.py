@@ -22,17 +22,27 @@ on the final triangle.
 ``qr_triangle`` factorizes each such buffer where it lies, with LAPACK
 ``dgeqrf`` from the OpenBLAS bundled in the numpy wheel, bound through
 ctypes, and leaves the triangle, bitwise ``np.linalg.qr``'s, in the
-buffer's leading entries; the driver then cuts the buffer's one allocation
-down to it with numpy's realloc. So a block in flight is held once, and
-never beside its triangle. The SVD is that library's ``dgesdd``, called as
+buffer's leading entries. Where there is more than one block,
+``solve_rows`` packs each block's triangle there into packed upper form,
+the half of the square that is not zeros below the diagonal, and keeps it
+so until the merge, which unpacks the triangles into a zero-filled buffer,
+so the merge sees the same values in the same layout as before. A buffer of
+at least ``_CUT_BYTES`` is then cut down to its triangle with numpy's
+realloc, so a block in flight is held once, and never beside its triangle;
+a smaller one has its triangle copied out and is freed whole, so that
+glibc's default allocator settings, which a program that imports the
+package keeps, reuse its pages for the next solve rather than map them
+afresh. So while the blocks are reduced a solve holds ``budget`` blocks in
+flight, with their build panels, and the packed triangles of the blocks
+done so far; the merge holds its buffer and the packed triangles not yet
+copied into it. The SVD is that library's ``dgesdd``, called as
 ``np.linalg.svd`` calls it, so U, s and Vt are bitwise numpy's, without
 numpy's second copy of U and Vt beside the workspace. It overwrites the
 matrix it decomposes: ``factorize`` and ``pseudoinverse`` hand it an
-F-ordered copy of theirs, and the driver the final triangle, or the filled
-matrix of a wide solve, itself. Both routines
-take the workspace size LAPACK asks for, queried on every call. Where
-numpy bundles no OpenBLAS, ``np.linalg.qr`` and ``np.linalg.svd`` are
-called instead.
+F-ordered copy of theirs, and ``solve_rows`` the final triangle, or the
+filled matrix of a wide solve, itself. Both routines take the workspace
+size LAPACK asks for, queried on every call. Where numpy bundles no
+OpenBLAS, ``np.linalg.qr`` and ``np.linalg.svd`` are called instead.
 
 That one library is bound once, and every symbol of it, the two LAPACK
 routines and the thread control, is looked up by ``_symbol``.
@@ -222,20 +232,70 @@ def qr_triangle(buf: np.ndarray) -> np.ndarray:
     return packed
 
 
-def _owned_triangle(rows: int, cols: int, fill) -> np.ndarray:
+# A matrix of at least _CUT_BYTES is cut down to its triangle in its own
+# allocation; a smaller one has its triangle copied out and is freed whole.
+# The bound is the CLI's pinned 4 MiB mmap threshold. Below it the matrix
+# lies in the heap, where a cut hands no page back: one 5000x100 readout
+# solve under the CLI's settings peaked at 42.9 MB cut and 42.8 MB copied,
+# where at 5000x800 the cut saved the triangle's copy, 70.4 MB against 75.2.
+# Under glibc's default settings, which a program that imports the package
+# keeps, a cut matrix leaves a chunk too small to raise glibc's moving mmap
+# threshold when it is freed, so every later solve maps and faults its
+# matrix afresh: 254, 178 and 987 minor faults per 5000x25, 900x100 and
+# 5000x100 solve, where a copy took none (one BLAS thread, 2-core x86-64).
+_CUT_BYTES = 4 << 20
+
+
+def _packed_spans(k: int, cols: int):
+    """``(start, length)`` of each column of a ``k x cols`` upper triangle in
+    its packed form, which holds column j's first min(j + 1, k) entries,
+    column after column."""
+    start = 0
+    for j in range(cols):
+        length = min(j + 1, k)
+        yield start, length
+        start += length
+
+
+def _pack_upper(flat: np.ndarray, k: int, cols: int) -> int:
+    """Move the F-ordered ``k x cols`` upper triangle held by the leading
+    entries of the 1-D ``flat`` into its packed form there, and return the
+    packed size. Each column moves to an offset at or before its own, so
+    the columns move in order, with no temporary beyond one column."""
+    for j, (start, n) in enumerate(_packed_spans(k, cols)):
+        flat[start:start + n] = flat[j * k:j * k + n]
+    return start + n
+
+
+def _unpack_upper(packed: np.ndarray, out: np.ndarray) -> None:
+    """Write the packed upper triangle ``packed`` into the upper entries of
+    the ``k x cols`` view ``out``, whose other entries are left as they
+    are."""
+    k, cols = out.shape
+    for j, (start, n) in enumerate(_packed_spans(k, cols)):
+        out[:n, j] = packed[start:start + n]
+
+
+def _owned_triangle(rows: int, cols: int, fill, packed: bool = False) -> np.ndarray:
     """The triangle R of the QR of the F-ordered ``rows x cols`` matrix that
-    ``fill(out)`` writes into ``out``, as a 1-D array holding R F-ordered.
+    ``fill(out)`` writes into ``out``, as a 1-D array holding R F-ordered,
+    or, if ``packed``, in the packed form of ``_packed_spans``.
 
     The matrix is one allocation, which ``qr_triangle`` overwrites with R in
-    its leading entries and numpy's realloc then cuts down to them, so the
-    matrix and its triangle are not held side by side. Where something else
-    still refers to the allocation, such as a debugger's copy of this
-    frame's locals, numpy refuses, and R is copied out instead.
+    its leading entries, and ``_pack_upper`` packs there. A matrix of at
+    least ``_CUT_BYTES`` is then cut down to R by numpy's realloc, so the
+    matrix and its triangle are not held side by side; a smaller one has R
+    copied out, and is freed whole. Where something else still refers to
+    the allocation, such as a debugger's copy of this frame's locals, numpy
+    refuses the cut, and R is copied out too.
     """
     flat = np.empty(rows * cols)
     fill(flat.reshape((rows, cols), order="F"))
     qr_triangle(flat.reshape((rows, cols), order="F"))
-    size = min(rows, cols) * cols
+    k = min(rows, cols)
+    size = _pack_upper(flat, k, cols) if packed else k * cols
+    if flat.nbytes < _CUT_BYTES:
+        return flat[:size].copy()
     try:
         flat.resize(size)
     except ValueError:
@@ -264,9 +324,13 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
 
     A matrix with more rows than columns is filled one of its ``row_blocks``
     at a time into the left of an F-ordered ``[a_b | t_b]`` buffer, which
-    ``_owned_triangle`` reduces to its triangle in its own memory on
-    ``map_blocks``. More than one triangle are stacked in block order into
-    one more buffer, and dropped, and that is reduced again. That gives
+    ``_owned_triangle`` reduces to its triangle on ``map_blocks``. Where
+    there is more than one block, each triangle is held in packed upper
+    form until the merge: a zero-filled buffer with each block's triangle,
+    of min(block rows, ``cols`` + targets) rows, unpacked into its rows in
+    block order, each packed triangle dropped once it is copied, holds what
+    the full triangles stacked in block order hold, bit for bit, and is
+    reduced again. One block's triangle is kept as it is. That gives
     ``[R | Q' t]`` of the thin QR ``a = Q R``, Q never formed, up to the
     signs of rows, which do not change the solution: ``a`` and R share their
     singular values and right singular vectors, and ``||a x - t||^2``
@@ -292,21 +356,28 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
     rhs = t.reshape(-1, 1) if t.ndim == 1 else t
     if rows > cols:
         width = cols + rhs.shape[1]
+        blocks = row_blocks(rows, cols)
+        heights = [min(block.stop - block.start, width) for block in blocks]
 
         def triangle(block: slice) -> np.ndarray:
             def write(out: np.ndarray) -> None:
                 fill(block, out[:, :cols])
                 out[:, cols:] = rhs[block]
-            return _owned_triangle(block.stop - block.start, width, write)
+            return _owned_triangle(block.stop - block.start, width, write,
+                                   packed=len(blocks) > 1)
 
         def stack(out: np.ndarray) -> None:
-            np.concatenate([tri.reshape((-1, width), order="F") for tri in triangles], out=out)
-            triangles.clear()
+            out[...] = 0.0
+            top = 0
+            for i, k in enumerate(heights):
+                _unpack_upper(triangles[i], out[top:top + k])
+                triangles[i] = None
+                top += k
 
         try:
-            triangles = map_blocks(triangle, row_blocks(rows, cols))
-            flat = triangles[0] if len(triangles) == 1 else _owned_triangle(
-                sum(tri.size for tri in triangles) // width, width, stack)
+            triangles = map_blocks(triangle, blocks)
+            flat = triangles[0] if len(blocks) == 1 else _owned_triangle(
+                sum(heights), width, stack)
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError(f"QR factorization failed: {exc}") from exc
         r = flat.reshape((-1, width), order="F")

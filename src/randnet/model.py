@@ -12,12 +12,14 @@ built where it lies. Every entry is computed by the same operations
 whatever the pieces, so H is bitwise the same. A tall fit (more rows than
 nodes) streams H into the blocked QR of ``linalg.solve_rows``: each row
 block of ``[H | t]``, one block included, is built into its own F-ordered
-buffer, factorized there and cut down to its triangle, so the fit never
-holds all of H, and holds each block in flight once, never beside its
-triangle. ``solve_readout`` is
-that fit for any target t, the readout's y or the autoencoder decoder's
-inputs X, and returns the solution alone. ``predict`` likewise multiplies
-one tile at a time by the readout.
+buffer and factorized there. A block of 4 MiB or more is cut down to its
+triangle, and a smaller one has it copied out; where a fit has several
+blocks, each finished triangle is held packed, as its upper half, until
+the blocks' triangles are merged. So the fit never holds all of H, and
+holds each large block in flight once, never beside its triangle.
+``solve_readout`` is that fit for any target t, the readout's y or the
+autoencoder decoder's inputs X, and returns the solution alone.
+``predict`` likewise multiplies one tile at a time by the readout.
 """
 
 from __future__ import annotations
@@ -258,11 +260,10 @@ def solve_readout(layer: HiddenLayer, x, t) -> np.ndarray:
 
     ``linalg.solve_rows`` has ``build_hidden`` write H's rows, panel by
     panel, into the F-ordered buffers it solves on: one per row block of a
-    tall fit (more rows than nodes), each factorized in place and cut down
+    tall fit (more rows than nodes), each factorized in place and reduced
     to its triangle, so the fit never holds H whole, and one for all of H
-    otherwise. Those
-    buffers hold the values, in the layout, of the ones ``lstsq`` fills, so
-    the solution is the same.
+    otherwise. Those buffers hold the values, in the layout, of the ones
+    ``lstsq`` fills, so the solution is the same.
     """
     x = _inputs(layer, x)
     if not np.all(np.isfinite(x)):

@@ -813,14 +813,20 @@ class TestExitCodes:
         ("grid-search", ["--method", '{"method": "ram", "u": -1}', "--grid-nodes", "5"]),
         ("uae-sweep", ["--method", '{"method": "raem1", "u_ae": 0}']),
         ("uae-sweep", ["--u-ae", "0"]),
+        ("compare", ["--cv", "--method", "raem5", "--method", "ralpham", "--grid-nodes", "5",
+                     "--grid-intervals", "45,100"]),
+        ("compare", ["--cv", "--method", "raem5"]),
     ], ids=["benchmark-interval-missing", "benchmark-out-of-range", "compare-interval-missing",
             "compare-out-of-range", "grid-search-replaced-interval",
-            "uae-sweep-replaced-interval", "uae-sweep-default-method-flag"])
+            "uae-sweep-replaced-interval", "uae-sweep-default-method-flag",
+            "compare-cv-grid-interval-out-of-range", "compare-cv-no-grid"])
     def test_config_errors_come_before_any_fit(self, tmp_path, monkeypatch, capsys, command,
                                                flags):
         # every method dict is read whole when the config is read, so a bad
         # second method stops the run before the first one's trials, and an
-        # interval that grid search or the sweep would replace is read too
+        # interval that grid search or the sweep would replace is read too;
+        # with --cv every method is read at every grid interval, and the
+        # grid is looked for, before the first method's grid search
         monkeypatch.setattr(linalg, "core_count", lambda: 1)  # every fit in this process
         draws, draw = [], trials.generate_hidden_layer
 

@@ -9,6 +9,7 @@ import ctypes
 import functools
 import glob
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import randnet
 from randnet import linalg, model
+from randnet.experiment import cli
 from randnet.errors import InvalidInputError, NumericFailureError
 from randnet.linalg import factorize, lstsq, pseudoinverse, single_thread_blas
 from randnet.model import HiddenLayer, build_hidden, hidden_outputs, solve_readout
@@ -564,10 +566,38 @@ def test_wide_solve_holds_its_matrix_once():
     assert traced_peak(lambda: solve_readout(layer, x, t)) <= 4.6 * h.nbytes
 
 
-def test_solve_under_a_debugger_copies_what_it_cannot_cut(row_blocking):
+def test_multi_block_readout_holds_each_finished_triangle_packed(row_blocking):
+    # 4 blocks of 2000x401 at budget 1, each cut down to its triangle and
+    # packed there, 401 * 402 / 2 entries: the block phase holds one block,
+    # its build panel and the 3 packed triangles before it, and the merge
+    # its 1604x401 buffer and the packed triangles not yet copied into it;
+    # full 401x401 triangles would put 1.9 MB more on the block phase
+    if not bundles_openblas():
+        pytest.skip("numpy bundles no OpenBLAS")
+    row_blocking(min_rows=8)
+    rows, nodes = 8000, 400
+    rng = np.random.default_rng(35)
+    x = rng.uniform(size=(rows, 1))
+    layer = HiddenLayer(rng.normal(scale=5.0, size=(1, nodes)), rng.normal(size=nodes))
+    t = rng.normal(size=rows)
+    blocks = linalg.row_blocks(rows, nodes)
+    assert [b.stop - b.start for b in blocks] == [2000] * 4
+    width = nodes + 1
+    block = 2000 * width * 8
+    assert block >= linalg._CUT_BYTES
+    packed = width * (width + 1) // 2 * 8
+    panel = 2000 * (model._TILE_ELEMS // 2000) * 8
+    merge = 4 * width * width * 8
+    bound = max(block + 3 * packed + panel, merge + 4 * packed)
+    assert traced_peak(lambda: solve_readout(layer, x, t)) < 1.05 * bound
+
+
+def test_solve_under_a_debugger_copies_what_it_cannot_cut(monkeypatch, row_blocking):
     # a tracer that reads every frame's locals, as a debugger does, holds one
     # more reference to each buffer, so numpy's realloc refuses to cut it
-    # down; the solve then cuts a copy and keeps its bits
+    # down; the solve then cuts a copy and keeps its bits. Every buffer here
+    # is below the cut threshold, which is lowered so that each is cut
+    monkeypatch.setattr(linalg, "_CUT_BYTES", 0)
     row_blocking(min_rows=8)
     rng = np.random.default_rng(34)
     a, t = rng.normal(size=(90, 4)), rng.normal(size=(90, 2))
@@ -638,6 +668,101 @@ def test_packed_triangles_are_numpys_r_bit_for_bit(monkeypatch, row_blocking, co
         assert qt.tobytes() == want[:cols, cols:].tobytes()
     else:
         assert decomposed.tobytes() == a.tobytes()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    cols=st.integers(1, 12),
+    min_rows=st.integers(1, 16),
+    extra_rows=st.integers(0, 60),
+    rhs_cols=st.sampled_from([None, 1, 3]),
+    cut=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cols=12, min_rows=5, extra_rows=0, rhs_cols=3, cut=True, seed=0)  # trapezoids
+@example(cols=12, min_rows=5, extra_rows=7, rhs_cols=None, cut=False, seed=1)  # trapezoids
+@example(cols=3, min_rows=16, extra_rows=60, rhs_cols=1, cut=True, seed=2)  # triangles
+def test_packed_block_triangles_solve_as_numpys_triangle(monkeypatch, row_blocking, cols,
+                                                         min_rows, extra_rows, rhs_cols, cut,
+                                                         seed):
+    # each block's triangle is held packed until the merge, cut down in its
+    # block's memory or copied out of it, and with no rows-per-column floor
+    # a block may have fewer rows than [a | t] has columns, so its triangle
+    # is a trapezoid; the merge then sees numpy's triangles, stacked, and
+    # the solve on budgets 1 and 2 is the solve on numpy's final triangle
+    row_blocking(min_rows=min_rows)
+    monkeypatch.setattr(linalg, "_ROWS_PER_COL", 0)
+    monkeypatch.setattr(linalg, "_CUT_BYTES", 0 if cut else 1 << 60)
+    rows = max(cols + 1, 2 * min_rows) + extra_rows
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rows, cols))
+    t = rng.normal(size=rows if rhs_cols is None else (rows, rhs_cols))
+    aug = np.hstack([a, t.reshape(rows, -1)])
+    blocks = linalg.row_blocks(rows, cols)
+    assert len(blocks) > 1
+    r = numpys_triangle(aug, blocks)
+    want = reference_solve_reduced(r[:cols, :cols], r[:cols, cols:], a.shape)
+    want = want[:, 0] if t.ndim == 1 else want
+    sizes = []
+    unpack = linalg._unpack_upper
+    monkeypatch.setattr(linalg, "_unpack_upper",
+                        lambda packed, out: sizes.append(packed.size) or unpack(packed, out))
+    for budget in (1, 2):
+        with linalg.block_budget(budget):
+            assert lstsq(a, t).tobytes() == want.tobytes()
+    width = aug.shape[1]
+    heights = [min(b.stop - b.start, width) for b in blocks]
+    assert sizes == 2 * [k * (k + 1) // 2 + (width - k) * k for k in heights]
+
+
+@pytest.mark.parametrize("rows, nodes, cut", [
+    (5000, 800, True),   # tf1-m800 H, and each fit-n5-save block: 30.6 MiB
+    (5000, 100, False),  # 3.85 MiB
+    (5000, 25, False),   # uae-sweep-m25
+    (1280, 100, False),  # compare-cv-file, its largest CV fold
+])
+def test_only_blocks_the_cli_maps_on_their_own_are_cut(rows, nodes, cut):
+    # the CLI maps every array of 4 MiB or more on its own, and a cut hands
+    # pages back only there
+    assert linalg._CUT_BYTES == cli._MMAP_BYTES
+    assert (rows * (nodes + 1) * 8 >= linalg._CUT_BYTES) == cut
+
+
+def test_repeated_library_solves_take_no_page_faults():
+    # a program that imports the package keeps glibc's default malloc
+    # settings; there, once warm, a solve whose block its triangle is copied
+    # out of takes its pages from the heap, not from fresh mappings
+    if platform.system() != "Linux" or platform.libc_ver()[0] != "glibc":
+        pytest.skip("glibc's malloc only")
+    probe = """
+import resource
+import numpy as np
+from randnet import linalg
+from randnet.model import HiddenLayer, solve_readout
+
+rng = np.random.default_rng(36)
+with linalg.single_thread_blas():
+    for rows, nodes in [(5000, 25), (900, 100)]:
+        x = rng.uniform(size=(rows, 1))
+        layer = HiddenLayer(rng.normal(scale=5.0, size=(1, nodes)), rng.normal(size=nodes))
+        t = rng.normal(size=rows)
+        for _ in range(10):
+            solve_readout(layer, x, t)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            solve_readout(layer, x, t)
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+    src = os.path.dirname(os.path.dirname(randnet.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("MALLOC_") and name != "GLIBC_TUNABLES"}
+    done = subprocess.run([sys.executable, "-c", probe], env={**env, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    faults = [float(line) for line in done.stdout.split()]
+    assert len(faults) == 2 and max(faults) <= 10, faults
 
 
 def bundles_openblas() -> bool:

@@ -121,3 +121,21 @@ def test_every_public_function_and_class_is_used_or_exported():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in anywhere]
     assert unused == []
+
+
+def test_only_the_cli_tunes_malloc():
+    # the CLI owns its process and pins glibc's malloc thresholds there; a
+    # program that imports the package keeps its allocator's settings, so
+    # no other module names mallopt or malloc_trim, as a name, an attribute,
+    # an import or a looked-up string
+    tuning = {"mallopt", "malloc_trim"}
+    named = {}
+    for path, tree in source_trees().items():
+        strings = {node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        names = referenced(tree) | {alias.name for node in ast.walk(tree)
+                                    if isinstance(node, ast.Import) for alias in node.names}
+        found = (names | strings) & tuning
+        if found:
+            named[path.relative_to(SRC).as_posix()] = sorted(found)
+    assert named == {"experiment/cli.py": ["mallopt"]}
