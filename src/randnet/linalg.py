@@ -10,46 +10,43 @@ Householder QR of ``[a | rhs]`` to its square triangle R and ``Q' rhs``, and
 only R is decomposed (Chan's R-SVD), so no tall factor is ever formed.
 
 The QR works on the contiguous row blocks of ``row_blocks``, which depend on
-the matrix shape only. Each block's ``[a | rhs]`` rows are reduced to
-their own triangle, and the triangles, stacked in block order, by one more
-QR (TSQR: Demmel et al., SIAM J. Sci. Comput. 2012). So no full-size copy of
-``[a | rhs]`` is made, and ``map_blocks`` can reduce the blocks on the cores
-a worker pool leaves idle. The driver has the caller write each block's
-rows of ``a`` into a fresh F-ordered buffer when the block is reduced, so a
-caller such as the network readout never holds ``a`` whole, and then solves
-on the final triangle.
+the matrix shape only. The caller writes each block's ``[a | rhs]`` rows
+into a fresh F-ordered buffer, which is reduced to its own triangle there,
+and the triangles are folded, in block order, into one running triangle
+(sequential TSQR: Demmel et al., SIAM J. Sci. Comput. 2012). So no
+full-size copy of ``[a | rhs]`` is made, a caller such as the network
+readout never holds ``a`` whole, and ``map_blocks`` can reduce the blocks
+on the cores a worker pool leaves idle.
 
-``qr_triangle`` factorizes each such buffer where it lies, with LAPACK
-``dgeqrf`` from the OpenBLAS bundled in the numpy wheel, bound through
-ctypes, and leaves the triangle, bitwise ``np.linalg.qr``'s, in the
-buffer's leading entries. Where there is more than one block,
-``solve_rows`` packs each block's triangle there into packed upper form,
-the half of the square that is not zeros below the diagonal, and keeps it
-so until the merge, which unpacks the triangles into a zero-filled buffer,
-so the merge sees the same values in the same layout as before. A buffer of
-at least ``_CUT_BYTES`` is then cut down to its triangle with numpy's
-realloc, so a block in flight is held once, and never beside its triangle;
-a smaller one has its triangle copied out and is freed whole, so that
+``qr_triangle`` factorizes each buffer where it lies, with LAPACK ``dgeqrf``
+from the OpenBLAS bundled in the numpy wheel, bound through ctypes, and
+leaves the triangle, bitwise ``np.linalg.qr``'s, in the buffer's leading
+entries. A buffer of at least ``_CUT_BYTES`` is then cut down to its
+triangle with numpy's realloc, so it is never held beside its triangle; a
+smaller one has its triangle copied out and is freed whole, so that
 glibc's default allocator settings, which a program that imports the
 package keeps, reuse its pages for the next solve rather than map them
-afresh. So while the blocks are reduced a solve holds ``budget`` blocks in
-flight, with their build panels, and the packed triangles of the blocks
-done so far; the merge holds its buffer and the packed triangles not yet
-copied into it. The SVD is that library's ``dgesdd``, called as
-``np.linalg.svd`` calls it, so U, s and Vt are bitwise numpy's, without
-numpy's second copy of U and Vt beside the workspace. It overwrites the
-matrix it decomposes: ``factorize`` and ``pseudoinverse`` hand it an
-F-ordered copy of theirs, and ``solve_rows`` the final triangle, or the
-filled matrix of a wide solve, itself. Both routines take the workspace
-size LAPACK asks for, queried on every call. Where numpy bundles no
-OpenBLAS, ``np.linalg.qr`` and ``np.linalg.svd`` are called instead.
+afresh. ``_fold`` is that library's ``dtpqrt``. So a solve holds at most
+``budget`` blocks in flight, with their build panels, beside the running
+triangle and the one being folded into it. The SVD is that library's
+``dgesdd``, called as ``np.linalg.svd`` calls it, so U, s and Vt are
+bitwise numpy's, without numpy's second copy of U and Vt beside the
+workspace. It overwrites the matrix it decomposes: ``factorize`` and
+``pseudoinverse`` hand it an F-ordered copy of theirs, and ``solve_rows``
+the final triangle, or the filled matrix of a wide solve, itself.
+``dgeqrf`` and ``dgesdd`` take the workspace size LAPACK asks for, queried
+on every call. Where numpy bundles no OpenBLAS, numpy's QR and SVD are
+called instead.
 
-That one library is bound once, and every symbol of it, the two LAPACK
+That one library is bound once, and every symbol of it, the three LAPACK
 routines and the thread control, is looked up by ``_symbol``.
 ``single_thread_blas`` pins it to one thread while a worker pool runs, and
 ``block_budget`` hands each of the pool's units the cores it leaves idle,
-out of the ``core_count`` this process may use. Since the blocks and their
-merge order are fixed, the results depend on none of these.
+out of the ``core_count`` this process may use. The blocks and their fold
+order are fixed, so the results depend on neither the budget nor the core
+count. The BLAS thread count does move the bits of large solves: a
+20000x300 ``lstsq`` gives other bytes on the library's default threads
+than on one. So the CLI pins one thread for the whole command.
 """
 
 from __future__ import annotations
@@ -60,7 +57,8 @@ import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from collections import deque
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,61 +244,53 @@ def qr_triangle(buf: np.ndarray) -> np.ndarray:
 _CUT_BYTES = 4 << 20
 
 
-def _packed_spans(k: int, cols: int):
-    """``(start, length)`` of each column of a ``k x cols`` upper triangle in
-    its packed form, which holds column j's first min(j + 1, k) entries,
-    column after column."""
-    start = 0
-    for j in range(cols):
-        length = min(j + 1, k)
-        yield start, length
-        start += length
-
-
-def _pack_upper(flat: np.ndarray, k: int, cols: int) -> int:
-    """Move the F-ordered ``k x cols`` upper triangle held by the leading
-    entries of the 1-D ``flat`` into its packed form there, and return the
-    packed size. Each column moves to an offset at or before its own, so
-    the columns move in order, with no temporary beyond one column."""
-    for j, (start, n) in enumerate(_packed_spans(k, cols)):
-        flat[start:start + n] = flat[j * k:j * k + n]
-    return start + n
-
-
-def _unpack_upper(packed: np.ndarray, out: np.ndarray) -> None:
-    """Write the packed upper triangle ``packed`` into the upper entries of
-    the ``k x cols`` view ``out``, whose other entries are left as they
-    are."""
-    k, cols = out.shape
-    for j, (start, n) in enumerate(_packed_spans(k, cols)):
-        out[:n, j] = packed[start:start + n]
-
-
-def _owned_triangle(rows: int, cols: int, fill, packed: bool = False) -> np.ndarray:
+def _owned_triangle(rows: int, cols: int, fill) -> np.ndarray:
     """The triangle R of the QR of the F-ordered ``rows x cols`` matrix that
-    ``fill(out)`` writes into ``out``, as a 1-D array holding R F-ordered,
-    or, if ``packed``, in the packed form of ``_packed_spans``.
+    ``fill(out)`` writes into ``out``, F-ordered in an allocation of its own.
 
-    The matrix is one allocation, which ``qr_triangle`` overwrites with R in
-    its leading entries, and ``_pack_upper`` packs there. A matrix of at
-    least ``_CUT_BYTES`` is then cut down to R by numpy's realloc, so the
-    matrix and its triangle are not held side by side; a smaller one has R
-    copied out, and is freed whole. Where something else still refers to
-    the allocation, such as a debugger's copy of this frame's locals, numpy
-    refuses the cut, and R is copied out too.
+    ``qr_triangle`` overwrites the matrix with R in its leading entries. A
+    matrix of at least ``_CUT_BYTES`` is then cut down to R by numpy's
+    realloc, so the two are not held side by side, unless something else
+    refers to it, such as a debugger's copy of this frame's locals; any
+    other has R copied out, and is freed whole.
     """
     flat = np.empty(rows * cols)
     fill(flat.reshape((rows, cols), order="F"))
     qr_triangle(flat.reshape((rows, cols), order="F"))
     k = min(rows, cols)
-    size = _pack_upper(flat, k, cols) if packed else k * cols
-    if flat.nbytes < _CUT_BYTES:
-        return flat[:size].copy()
-    try:
-        flat.resize(size)
-    except ValueError:
-        return flat[:size].copy()
-    return flat
+    if flat.nbytes >= _CUT_BYTES:
+        with suppress(ValueError):
+            flat.resize(k * cols)
+    if flat.size > k * cols:
+        flat = flat[: k * cols].copy()
+    return flat.reshape((k, cols), order="F")
+
+
+def _fold(r: np.ndarray, lower: np.ndarray) -> None:
+    """Overwrite the F-contiguous upper triangle ``r`` with the R of the QR
+    of ``r`` stacked on ``lower``, an F-contiguous upper trapezoid of as
+    many columns and at most as many rows, which is overwritten too.
+
+    LAPACK ``dtpqrt`` of numpy's bundled OpenBLAS, the merge step of
+    sequential TSQR, works on the two where they lie, in column blocks of
+    ``min(32, cols)``: with 64 a four-block 2003x120 solve gave other bits
+    on two BLAS threads than on one. Without that library numpy factorizes
+    the stacked pair. Any failure is a NumericFailureError.
+    """
+    tpqrt = _dtpqrt()
+    if tpqrt is None:
+        r[...] = np.linalg.qr(np.vstack([r, lower]), mode="r")
+        return
+    k, cols = lower.shape
+    nb = min(32, cols)
+    t, work = np.empty(nb * cols), np.empty(nb * cols)
+    # m, n, l, nb, lda, ldb, ldt, info
+    ints = np.array([k, cols, k, nb, cols, k, nb, 0], dtype=np.int64)
+    m, n, l, nb_p, lda, ldb, ldt, info = _addresses(ints)
+    tpqrt(m, n, l, nb_p, r.ctypes.data, lda, lower.ctypes.data, ldb, t.ctypes.data, ldt,
+          work.ctypes.data, info)
+    if ints[-1] != 0:
+        raise NumericFailureError(f"QR fold failed: dtpqrt info {ints[-1]}")
 
 
 def _solve_svd(usv: tuple[np.ndarray, np.ndarray, np.ndarray], c: np.ndarray,
@@ -325,21 +315,17 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
     A matrix with more rows than columns is filled one of its ``row_blocks``
     at a time into the left of an F-ordered ``[a_b | t_b]`` buffer, which
     ``_owned_triangle`` reduces to its triangle on ``map_blocks``. Where
-    there is more than one block, each triangle is held in packed upper
-    form until the merge: a zero-filled buffer with each block's triangle,
-    of min(block rows, ``cols`` + targets) rows, unpacked into its rows in
-    block order, each packed triangle dropped once it is copied, holds what
-    the full triangles stacked in block order hold, bit for bit, and is
-    reduced again. One block's triangle is kept as it is. That gives
-    ``[R | Q' t]`` of the thin QR ``a = Q R``, Q never formed, up to the
-    signs of rows, which do not change the solution: ``a`` and R share their
-    singular values and right singular vectors, and ``||a x - t||^2``
-    differs from ``||R x - Q' t||^2`` by a constant. ``Q' t`` is copied
-    out, R packed to leading dimension ``cols`` in the triangle's
-    allocation, and ``_svd_in_place`` decomposes it there. ``Q' t`` then
-    goes back into that spent memory with the row stride it has in the
-    C-ordered ``[R | Q' t]`` that ``np.linalg.qr`` returns, and the solve
-    takes the rank cutoff of ``shape``. Any other
+    there are several, block 0's is copied into a zero-filled square, which
+    pads a trapezoid, and ``_fold`` folds each later one into it as it
+    comes, in block order. That gives ``[R | Q' t]`` of the thin QR
+    ``a = Q R``, Q never formed, up to the signs of rows, which do not
+    change the solution: ``a`` and R share their singular values and right
+    singular vectors, and ``||a x - t||^2`` differs from ``||R x - Q' t||^2``
+    by a constant. ``Q' t`` is copied out, R packed to leading dimension
+    ``cols`` in the triangle's allocation, and ``_svd_in_place`` decomposes
+    it there. ``Q' t`` then goes back into that spent memory with the row
+    stride it has in the C-ordered ``[R | Q' t]`` that ``np.linalg.qr``
+    returns, and the solve takes the rank cutoff of ``shape``. Any other
     matrix is filled into one F-ordered buffer, which ``_svd_in_place``
     overwrites, and solved with a C-ordered copy of ``t`` on the right. The
     layout of the right-hand side picks the matrix-product kernel, and with
@@ -357,30 +343,26 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
     if rows > cols:
         width = cols + rhs.shape[1]
         blocks = row_blocks(rows, cols)
-        heights = [min(block.stop - block.start, width) for block in blocks]
 
         def triangle(block: slice) -> np.ndarray:
             def write(out: np.ndarray) -> None:
                 fill(block, out[:, :cols])
                 out[:, cols:] = rhs[block]
-            return _owned_triangle(block.stop - block.start, width, write,
-                                   packed=len(blocks) > 1)
-
-        def stack(out: np.ndarray) -> None:
-            out[...] = 0.0
-            top = 0
-            for i, k in enumerate(heights):
-                _unpack_upper(triangles[i], out[top:top + k])
-                triangles[i] = None
-                top += k
+            return _owned_triangle(block.stop - block.start, width, write)
 
         try:
-            triangles = map_blocks(triangle, blocks)
-            flat = triangles[0] if len(blocks) == 1 else _owned_triangle(
-                sum(heights), width, stack)
+            # no triangle outlives its fold: each goes from next() into _fold
+            with closing(map_blocks(triangle, blocks)) as triangles:
+                if len(blocks) == 1:
+                    r = next(triangles)
+                else:
+                    r = np.zeros((width, width), order="F")
+                    r[: min(blocks[0].stop, width)] = next(triangles)
+                    for _ in blocks[1:]:
+                        _fold(r, next(triangles))
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError(f"QR factorization failed: {exc}") from exc
-        r = flat.reshape((-1, width), order="F")
+        flat = r.reshape(-1, order="F")
         c = r[:cols, cols:].copy()
         _pack_rows(r[:, :cols], cols)
         usv = _svd_in_place(_as_matrix(flat[: cols * cols].reshape((cols, cols), order="F")))
@@ -455,6 +437,13 @@ def _dgesdd():
     the hidden length of jobz that gfortran passes, or None."""
     return _symbol("scipy_dgesdd_64_",
                    [ctypes.c_char_p] + [ctypes.c_void_p] * 13 + [ctypes.c_size_t])
+
+
+@functools.cache
+def _dtpqrt():
+    """``dtpqrt(m, n, l, nb, a, lda, b, ldb, t, ldt, work, info)``, raw
+    pointers all, or None."""
+    return _symbol("scipy_dtpqrt_64_", [ctypes.c_void_p] * 12)
 
 
 @functools.cache
@@ -578,19 +567,28 @@ def block_budget(cores: int):
         _budget.cores = saved
 
 
-def map_blocks(fn, blocks: list) -> list:
-    """``[fn(b) for b in blocks]``, with up to the calling thread's block
-    budget of blocks in flight; order preserved.
+def map_blocks(fn, blocks: list):
+    """Yield ``fn(b)`` for each of ``blocks``, in order, with up to the
+    calling thread's block budget of blocks in flight.
 
-    One block, or a budget of one, runs in the calling thread with no pool.
-    An exception raised by ``fn`` propagates once the blocks in flight have
-    finished; blocks not yet started are dropped.
+    One block, or a budget of one, runs in the calling thread with no pool,
+    each block when the caller asks for it. Otherwise block i + budget is
+    submitted once the caller has taken block i and asks for the next. An
+    exception raised by ``fn``, or the generator's close, shuts the pool
+    down once the blocks in flight have finished; blocks not yet started
+    are dropped.
     """
     workers = min(len(blocks), getattr(_budget, "cores", 1))
     if workers <= 1:
-        return [fn(b) for b in blocks]
+        yield from map(fn, blocks)
+        return
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="randnet-block")
     try:
-        return list(pool.map(fn, blocks))
+        pending = deque(pool.submit(fn, b) for b in blocks[:workers])
+        for b in blocks[workers:]:
+            yield pending.popleft().result()
+            pending.append(pool.submit(fn, b))
+        while pending:
+            yield pending.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)

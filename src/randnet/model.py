@@ -14,9 +14,9 @@ nodes) streams H into the blocked QR of ``linalg.solve_rows``: each row
 block of ``[H | t]``, one block included, is built into its own F-ordered
 buffer and factorized there. A block of 4 MiB or more is cut down to its
 triangle, and a smaller one has it copied out; where a fit has several
-blocks, each finished triangle is held packed, as its upper half, until
-the blocks' triangles are merged. So the fit never holds all of H, and
-holds each large block in flight once, never beside its triangle.
+blocks, each triangle is folded into one running triangle, in block order,
+as it comes, and dropped. So the fit never holds all of H, and holds each
+large block in flight once, never beside its triangle.
 ``solve_readout`` is that fit for any target t, the readout's y or the
 autoencoder decoder's inputs X, and returns the solution alone.
 ``predict`` likewise multiplies one tile at a time by the readout.
@@ -305,7 +305,8 @@ def predict(net: TrainedNetwork, x) -> np.ndarray:
             _hidden_tile(x[rows], layer.weights, layer.biases, h[:k], work[:k])
             np.matmul(h[:k], beta, out=out[rows])
 
-    map_blocks(block, list(range(count)))
+    for _ in map_blocks(block, list(range(count))):
+        pass
     return out
 
 
