@@ -11,42 +11,27 @@ only R is decomposed (Chan's R-SVD), so no tall factor is ever formed.
 
 The QR works on the contiguous row blocks of ``row_blocks``, which depend on
 the matrix shape only. The caller writes each block's ``[a | rhs]`` rows
-into a fresh F-ordered buffer, which is reduced to its own triangle there,
-and the triangles are folded, in block order, into one running triangle
-(sequential TSQR: Demmel et al., SIAM J. Sci. Comput. 2012). So no
-full-size copy of ``[a | rhs]`` is made, a caller such as the network
-readout never holds ``a`` whole, and ``map_blocks`` can reduce the blocks
-on the cores a worker pool leaves idle.
+into a fresh F-ordered buffer, which ``map_blocks`` factorizes in place on
+the cores a worker pool leaves idle. Each block's triangle is folded from
+where it lies, the block's top rows, into one running triangle, in block
+order (sequential TSQR: Demmel et al., SIAM J. Sci. Comput. 2012), and the
+block is then freed whole. So no full-size copy of ``[a | rhs]`` is made,
+and a caller such as the network readout never holds ``a`` whole.
 
-``qr_triangle`` factorizes each buffer where it lies, with LAPACK ``dgeqrf``
-from the OpenBLAS bundled in the numpy wheel, bound through ctypes, and
-leaves the triangle, bitwise ``np.linalg.qr``'s, in the buffer's leading
-entries. A buffer of at least ``_CUT_BYTES`` is then cut down to its
-triangle with numpy's realloc, so it is never held beside its triangle; a
-smaller one has its triangle copied out and is freed whole, so that
-glibc's default allocator settings, which a program that imports the
-package keeps, reuse its pages for the next solve rather than map them
-afresh. ``_fold`` is that library's ``dtpqrt``. So a solve holds at most
-``budget`` blocks in flight, with their build panels, beside the running
-triangle and the one being folded into it. The SVD is that library's
-``dgesdd``, called as ``np.linalg.svd`` calls it, so U, s and Vt are
-bitwise numpy's, without numpy's second copy of U and Vt beside the
-workspace. It overwrites the matrix it decomposes: ``factorize`` and
-``pseudoinverse`` hand it an F-ordered copy of theirs, and ``solve_rows``
-the final triangle, or the filled matrix of a wide solve, itself.
-``dgeqrf`` and ``dgesdd`` take the workspace size LAPACK asks for, queried
-on every call. Where numpy bundles no OpenBLAS, numpy's QR and SVD are
-called instead.
+``qr_triangle`` is LAPACK ``dgeqrf``, ``_fold`` is ``dtpqrt`` and the SVD is
+``dgesdd``, all from the OpenBLAS bundled in the numpy wheel, bound through
+ctypes by ``_symbol`` and called with the workspace LAPACK asks for on
+every call, as numpy calls them, so R, U, s and Vt are bitwise numpy's.
+Each overwrites the matrices it is handed. Where numpy bundles no OpenBLAS,
+numpy's QR and SVD are called instead.
 
-That one library is bound once, and every symbol of it, the three LAPACK
-routines and the thread control, is looked up by ``_symbol``.
-``single_thread_blas`` pins it to one thread while a worker pool runs, and
-``block_budget`` hands each of the pool's units the cores it leaves idle,
-out of the ``core_count`` this process may use. The blocks and their fold
-order are fixed, so the results depend on neither the budget nor the core
-count. The BLAS thread count does move the bits of large solves: a
-20000x300 ``lstsq`` gives other bytes on the library's default threads
-than on one. So the CLI pins one thread for the whole command.
+``single_thread_blas`` pins that library to one thread while a worker pool
+runs, and ``block_budget`` hands each of the pool's units the cores it
+leaves idle, out of the ``core_count`` this process may use. The blocks and
+their fold order are fixed, so the results depend on neither the budget nor
+the core count. The BLAS thread count does move the bits of large solves: a
+20000x300 ``lstsq`` gives other bytes on the library's default threads than
+on one. So the CLI pins one thread for the whole command.
 """
 
 from __future__ import annotations
@@ -166,15 +151,10 @@ def _check_buffer(buf, what: str) -> None:
         raise InvalidInputError(f"{what} must be a writeable, F-contiguous float64 matrix")
 
 
-def _leading(buf: np.ndarray, k: int) -> np.ndarray:
-    """The F-ordered ``k x cols`` matrix, with leading dimension k, held by
-    the first ``k * cols`` entries of the F-contiguous ``buf``: a view."""
-    return buf.reshape(-1, order="F")[: k * buf.shape[1]].reshape((k, buf.shape[1]), order="F")
-
-
 def _pack_rows(buf: np.ndarray, k: int) -> np.ndarray:
-    """Move the top ``k`` rows of the F-contiguous ``buf`` into
-    ``_leading(buf, k)`` and return that view.
+    """Move the top ``k`` rows of the F-contiguous ``buf`` into its first
+    ``k * cols`` entries, as an F-ordered ``k x cols`` matrix with leading
+    dimension k, and return that view.
 
     Column 0 already lies there. The rest move in column groups ``[j0, j1)``
     with ``j1 <= rows * j0 // k``: a group's destination then ends at offset
@@ -184,7 +164,7 @@ def _pack_rows(buf: np.ndarray, k: int) -> np.ndarray:
     column, a single column moves, through a temporary of k entries.
     """
     rows, cols = buf.shape
-    packed = _leading(buf, k)
+    packed = buf.reshape(-1, order="F")[: k * cols].reshape((k, cols), order="F")
     j0 = 1
     while k < rows and j0 < cols:
         j1 = min(cols, max(j0 + 1, rows * j0 // k))
@@ -195,29 +175,24 @@ def _pack_rows(buf: np.ndarray, k: int) -> np.ndarray:
 
 def qr_triangle(buf: np.ndarray) -> np.ndarray:
     """The triangle R of the Householder QR of ``buf``, bitwise equal to
-    ``np.linalg.qr(buf, mode="r")``, computed in ``buf``, which it overwrites,
-    and returned F-ordered in its own memory: R is the ``k x cols`` matrix,
-    k = min(rows, cols), that the first ``k * cols`` entries of ``buf`` hold
-    with leading dimension k. A caller that owns that memory can cut it down
-    to R, as ``_owned_triangle`` does.
+    ``np.linalg.qr(buf, mode="r")``, computed in ``buf``, which it
+    overwrites: the view ``buf[:k]``, k = min(rows, cols), with leading
+    dimension ``rows`` and the entries below R's diagonal zeroed.
 
     ``buf`` must be a writeable, F-contiguous float64 matrix, checked once
     here; the routine then gets its address. LAPACK ``dgeqrf`` of numpy's
     bundled OpenBLAS factorizes it where it lies, with the workspace it asks
     for (see ``_lapack``), and leaves R in its top k rows, above the
-    Householder vectors. ``_pack_rows`` moves them up, and the entries below
-    R's diagonal are zeroed. Without that library numpy factorizes a copy,
-    and its R is written there.
+    Householder vectors, which stay. Without that library numpy factorizes
+    a copy, and its R is written there.
     """
     _check_buffer(buf, "QR buffer")
     rows, cols = buf.shape
     k = min(rows, cols)
     geqrf = _dgeqrf()
     if geqrf is None:
-        r = np.linalg.qr(buf, mode="r")
-        packed = _leading(buf, k)
-        packed[...] = r
-        return packed
+        buf[:k] = np.linalg.qr(buf, mode="r")
+        return buf[:k]
     tau = np.empty(k)
     # m, n, lda, lwork, info
     ints = np.array([rows, cols, max(1, rows), 0, 0], dtype=np.int64)
@@ -225,57 +200,23 @@ def qr_triangle(buf: np.ndarray) -> np.ndarray:
     buf_p, tau_p = buf.ctypes.data, tau.ctypes.data
     _lapack("QR factorization failed: dgeqrf", ints,
             lambda work: geqrf(m, n, buf_p, lda, tau_p, work, lwork, info))
-    packed = _pack_rows(buf, k)
-    np.copyto(packed, 0.0, where=np.tri(k, cols, -1, dtype=bool))
-    return packed
-
-
-# A matrix of at least _CUT_BYTES is cut down to its triangle in its own
-# allocation; a smaller one has its triangle copied out and is freed whole.
-# The bound is the CLI's pinned 4 MiB mmap threshold. Below it the matrix
-# lies in the heap, where a cut hands no page back: one 5000x100 readout
-# solve under the CLI's settings peaked at 42.9 MB cut and 42.8 MB copied,
-# where at 5000x800 the cut saved the triangle's copy, 70.4 MB against 75.2.
-# Under glibc's default settings, which a program that imports the package
-# keeps, a cut matrix leaves a chunk too small to raise glibc's moving mmap
-# threshold when it is freed, so every later solve maps and faults its
-# matrix afresh: 254, 178 and 987 minor faults per 5000x25, 900x100 and
-# 5000x100 solve, where a copy took none (one BLAS thread, 2-core x86-64).
-_CUT_BYTES = 4 << 20
-
-
-def _owned_triangle(rows: int, cols: int, fill) -> np.ndarray:
-    """The triangle R of the QR of the F-ordered ``rows x cols`` matrix that
-    ``fill(out)`` writes into ``out``, F-ordered in an allocation of its own.
-
-    ``qr_triangle`` overwrites the matrix with R in its leading entries. A
-    matrix of at least ``_CUT_BYTES`` is then cut down to R by numpy's
-    realloc, so the two are not held side by side, unless something else
-    refers to it, such as a debugger's copy of this frame's locals; any
-    other has R copied out, and is freed whole.
-    """
-    flat = np.empty(rows * cols)
-    fill(flat.reshape((rows, cols), order="F"))
-    qr_triangle(flat.reshape((rows, cols), order="F"))
-    k = min(rows, cols)
-    if flat.nbytes >= _CUT_BYTES:
-        with suppress(ValueError):
-            flat.resize(k * cols)
-    if flat.size > k * cols:
-        flat = flat[: k * cols].copy()
-    return flat.reshape((k, cols), order="F")
+    np.copyto(buf[:k], 0.0, where=np.tri(k, cols, -1, dtype=bool))
+    return buf[:k]
 
 
 def _fold(r: np.ndarray, lower: np.ndarray) -> None:
     """Overwrite the F-contiguous upper triangle ``r`` with the R of the QR
-    of ``r`` stacked on ``lower``, an F-contiguous upper trapezoid of as
-    many columns and at most as many rows, which is overwritten too.
+    of ``r`` stacked on ``lower``, an upper trapezoid of as many columns and
+    at most as many rows, column-major with leading dimension
+    ``lower.strides[1] // 8``, as ``qr_triangle`` returns it; ``lower`` is
+    overwritten too.
 
     LAPACK ``dtpqrt`` of numpy's bundled OpenBLAS, the merge step of
     sequential TSQR, works on the two where they lie, in column blocks of
     ``min(32, cols)``: with 64 a four-block 2003x120 solve gave other bits
-    on two BLAS threads than on one. Without that library numpy factorizes
-    the stacked pair. Any failure is a NumericFailureError.
+    on two BLAS threads than on one. With ``l = m`` it reads no entry of
+    ``lower`` below the diagonal. Without that library numpy factorizes the
+    stacked pair. Any failure is a NumericFailureError.
     """
     tpqrt = _dtpqrt()
     if tpqrt is None:
@@ -285,7 +226,7 @@ def _fold(r: np.ndarray, lower: np.ndarray) -> None:
     nb = min(32, cols)
     t, work = np.empty(nb * cols), np.empty(nb * cols)
     # m, n, l, nb, lda, ldb, ldt, info
-    ints = np.array([k, cols, k, nb, cols, k, nb, 0], dtype=np.int64)
+    ints = np.array([k, cols, k, nb, cols, lower.strides[1] // 8, nb, 0], dtype=np.int64)
     m, n, l, nb_p, lda, ldb, ldt, info = _addresses(ints)
     tpqrt(m, n, l, nb_p, r.ctypes.data, lda, lower.ctypes.data, ldb, t.ctypes.data, ldt,
           work.ctypes.data, info)
@@ -302,6 +243,9 @@ def _solve_svd(usv: tuple[np.ndarray, np.ndarray, np.ndarray], c: np.ndarray,
     return vt.T @ ((u.T @ c) * s_inv[:, None])
 
 
+_CUT_BYTES = 4 << 20  # see the one-block cut in solve_rows
+
+
 def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
     """Minimum-norm least-squares solution ``a^+ t`` of ``a @ x = t``, with
     ``a`` the matrix of ``shape`` that ``fill`` writes, through the SVD with
@@ -314,24 +258,20 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
 
     A matrix with more rows than columns is filled one of its ``row_blocks``
     at a time into the left of an F-ordered ``[a_b | t_b]`` buffer, which
-    ``_owned_triangle`` reduces to its triangle on ``map_blocks``. Where
-    there are several, block 0's is copied into a zero-filled square, which
-    pads a trapezoid, and ``_fold`` folds each later one into it as it
-    comes, in block order. That gives ``[R | Q' t]`` of the thin QR
-    ``a = Q R``, Q never formed, up to the signs of rows, which do not
-    change the solution: ``a`` and R share their singular values and right
-    singular vectors, and ``||a x - t||^2`` differs from ``||R x - Q' t||^2``
-    by a constant. ``Q' t`` is copied out, R packed to leading dimension
-    ``cols`` in the triangle's allocation, and ``_svd_in_place`` decomposes
-    it there. ``Q' t`` then goes back into that spent memory with the row
-    stride it has in the C-ordered ``[R | Q' t]`` that ``np.linalg.qr``
-    returns, and the solve takes the rank cutoff of ``shape``. Any other
-    matrix is filled into one F-ordered buffer, which ``_svd_in_place``
-    overwrites, and solved with a C-ordered copy of ``t`` on the right. The
-    layout of the right-hand side picks the matrix-product kernel, and with
-    it the bits: a unit-stride column of ``Q' t`` takes another gemv kernel
-    than a strided one. So each branch puts it in one layout, and the
-    caller's layout of ``t`` never moves a bit.
+    ``qr_triangle`` factorizes on ``map_blocks``. Where there are several,
+    block 0's triangle is copied into a zero-filled square, which pads a
+    trapezoid, and ``_fold`` folds each later block's top rows into it, in
+    block order. That gives ``[R | Q' t]`` of the thin QR ``a = Q R`` up to
+    the signs of rows, which leave the solution as it is. ``Q' t`` is
+    copied out, R packed to leading dimension ``cols`` in the square, or in
+    the block of a one-block fit, and ``_svd_in_place`` decomposes it there.
+    ``Q' t`` then goes back into that spent memory with the row stride it
+    has in the C-ordered ``[R | Q' t]`` that ``np.linalg.qr`` returns. Any
+    other matrix is filled into one F-ordered buffer, which
+    ``_svd_in_place`` overwrites, and solved with a C-ordered copy of ``t``.
+    The layout of the right-hand side picks the matrix-product kernel, and
+    with it the bits, so each branch puts it in one layout, and the caller's
+    layout of ``t`` never moves a bit.
     """
     rows, cols = shape
     t = np.asarray(t, dtype=float)
@@ -344,27 +284,51 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
         width = cols + rhs.shape[1]
         blocks = row_blocks(rows, cols)
 
-        def triangle(block: slice) -> np.ndarray:
-            def write(out: np.ndarray) -> None:
-                fill(block, out[:, :cols])
-                out[:, cols:] = rhs[block]
-            return _owned_triangle(block.stop - block.start, width, write)
+        def factorized(block: slice) -> np.ndarray:
+            buf = np.empty((block.stop - block.start, width), order="F")
+            fill(block, buf[:, :cols])
+            buf[:, cols:] = rhs[block]
+            qr_triangle(buf)
+            return buf
 
         try:
-            # no triangle outlives its fold: each goes from next() into _fold
-            with closing(map_blocks(triangle, blocks)) as triangles:
+            # no block outlives its fold: each goes from next() into _fold
+            with closing(map_blocks(factorized, blocks)) as done:
                 if len(blocks) == 1:
-                    r = next(triangles)
+                    r = next(done)
                 else:
                     r = np.zeros((width, width), order="F")
-                    r[: min(blocks[0].stop, width)] = next(triangles)
+                    r[: min(blocks[0].stop, width)] = next(done)[:width]
                     for _ in blocks[1:]:
-                        _fold(r, next(triangles))
+                        _fold(r, next(done)[:width])
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError(f"QR factorization failed: {exc}") from exc
-        flat = r.reshape(-1, order="F")
         c = r[:cols, cols:].copy()
         _pack_rows(r[:, :cols], cols)
+        if len(blocks) == 1:
+            # A block of at least _CUT_BYTES is cut down to its first
+            # cols * width entries by numpy's realloc, so it is not held
+            # beside them through the SVD, unless something else refers to
+            # it, such as a debugger's copy of this frame's locals; any
+            # other has them copied out, and is freed whole. The bound is
+            # the CLI's pinned 4 MiB mmap threshold. Below it the block lies
+            # in the heap, where a cut hands no page back: one 5000x100
+            # readout solve under the CLI's settings peaked at 42.9 MB cut
+            # and 42.8 MB copied, where at 5000x800 the cut saved the copy,
+            # 70.4 MB against 75.2. Under glibc's default settings, which a
+            # program that imports the package keeps, a cut block leaves a
+            # chunk too small to raise glibc's moving mmap threshold when it
+            # is freed, so every later solve maps and faults its block
+            # afresh: 254, 178 and 987 minor faults per 5000x25, 900x100 and
+            # 5000x100 solve, where a copy took none (one BLAS thread, 2-core
+            # x86-64). The resize is made here, not in a helper, whose
+            # argument would be a second reference that numpy refuses.
+            if r.nbytes >= _CUT_BYTES:
+                with suppress(ValueError):
+                    r.resize(cols * width)
+            if r.size > cols * width:
+                r = r.reshape(-1, order="F")[: cols * width].copy()
+        flat = r.reshape(-1, order="F")
         usv = _svd_in_place(_as_matrix(flat[: cols * cols].reshape((cols, cols), order="F")))
         qt = flat[: cols * width].reshape((cols, width))[:, cols:]
         qt[...] = c
