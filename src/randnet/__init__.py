@@ -23,7 +23,7 @@ from .errors import (
     InvalidInputError,
     NumericFailureError,
 )
-from .linalg import factorize, lstsq, pseudoinverse
+from .linalg import lstsq, pseudoinverse
 from .methods import (
     METHOD_NAMES,
     TUNABLE,
@@ -95,7 +95,6 @@ __all__ = [
     "as_stream",
     "demo_problem_1d",
     "evaluate_tf",
-    "factorize",
     "fit_normalization",
     "generate_hidden_layer",
     "generate_ralpham",

@@ -40,7 +40,6 @@ class TrialReport:
     """Outcome of one training trial; ``network`` is the network it trained."""
 
     trial: int
-    seed: int
     rmse_train: float
     rmse_test: float
     network: TrainedNetwork
@@ -209,7 +208,6 @@ def run_trials(
         fit = fit_trial(method, train, test, m, stream.child(t))
         return TrialReport(
             trial=t,
-            seed=stream.seed,
             rmse_train=rmse(predict(fit.network, train.x), train.y),
             rmse_test=fit.rmse_test,
             network=fit.network,

@@ -11,7 +11,7 @@ only R is decomposed (Chan's R-SVD), so no tall factor is ever formed.
 
 The QR works on the contiguous row blocks of ``row_blocks``, which depend on
 the matrix shape only. The caller writes each block's ``[a | rhs]`` rows
-into a fresh F-ordered buffer, which ``map_blocks`` factorizes in place on
+into a fresh F-ordered buffer, which ``map_blocks`` QR-reduces in place on
 the cores a worker pool leaves idle. Each block's triangle is folded from
 where it lies, the block's top rows, into one running triangle, in block
 order (sequential TSQR: Demmel et al., SIAM J. Sci. Comput. 2012), and the
@@ -44,20 +44,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from collections import deque
 from contextlib import closing, contextmanager, suppress
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
-
-
-@dataclass(frozen=True)
-class SvdFactorization:
-    """Economy SVD ``M = U diag(s) Vt`` with nonincreasing singular values."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    vt: np.ndarray
 
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -67,23 +57,6 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a
-
-
-def factorize(m) -> SvdFactorization:
-    """Economy SVD of ``m``; raises NumericFailureError on non-convergence."""
-    u, s, vt = _svd(_as_matrix(m))
-    return SvdFactorization(u=u, singular_values=s, vt=vt)
-
-
-def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(U, s, Vt)``, bitwise ``np.linalg.svd(a, full_matrices=False)``,
-    with U and Vt C-ordered as numpy returns them; ``a`` is left as it is.
-
-    ``_svd_in_place`` decomposes one F-ordered copy of ``a``, the copy
-    ``np.linalg.svd`` makes itself. Without numpy's bundled OpenBLAS numpy
-    decomposes ``a``.
-    """
-    return _svd_in_place(a if _dgesdd() is None else np.array(a, order="F"))
 
 
 def _svd_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,27 +93,23 @@ def _svd_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, np.ascontiguousarray(vt)
 
 
-def _rank_cutoff(shape: tuple[int, int], s: np.ndarray) -> float:
-    """The rank cutoff ``max(rows, cols) * sigma_max * eps`` of a matrix of
-    ``shape`` with nonincreasing singular values ``s``."""
-    return max(shape) * float(s[0]) * np.finfo(float).eps
-
-
-def _inverse_above(s: np.ndarray, cutoff: float) -> np.ndarray:
-    """1/s for singular values above the cutoff, exactly 0 for the rest."""
+def _inverse_above_cutoff(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """1/s for the nonincreasing singular values ``s`` of a matrix of
+    ``shape`` above its rank cutoff ``max(rows, cols) * sigma_max * eps``,
+    exactly 0 for the rest."""
     s_inv = np.zeros_like(s)
-    np.divide(1.0, s, out=s_inv, where=s > cutoff)
+    np.divide(1.0, s, out=s_inv, where=s > max(shape) * float(s[0]) * np.finfo(float).eps)
     return s_inv
 
 
 def pseudoinverse(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse with singular values below the rank
-    cutoff treated as exactly zero."""
+    cutoff treated as exactly zero, through the SVD of one F-ordered copy of
+    ``m``, the copy ``np.linalg.svd`` makes itself."""
     a = _as_matrix(m)
-    fac = factorize(a)
-    s = fac.singular_values
-    s_inv = _inverse_above(s, _rank_cutoff(a.shape, s))
-    return (fac.vt.T * s_inv) @ fac.u.T
+    u, s, vt = _svd_in_place(np.array(a, order="F"))
+    s_inv = _inverse_above_cutoff(s, a.shape)
+    return (vt.T * s_inv) @ u.T
 
 
 def _check_buffer(buf, what: str) -> None:
@@ -181,17 +150,20 @@ def qr_triangle(buf: np.ndarray) -> np.ndarray:
 
     ``buf`` must be a writeable, F-contiguous float64 matrix, checked once
     here; the routine then gets its address. LAPACK ``dgeqrf`` of numpy's
-    bundled OpenBLAS factorizes it where it lies, with the workspace it asks
+    bundled OpenBLAS decomposes it where it lies, with the workspace it asks
     for (see ``_lapack``), and leaves R in its top k rows, above the
-    Householder vectors, which stay. Without that library numpy factorizes
-    a copy, and its R is written there.
+    Householder vectors, which stay. Without that library numpy decomposes
+    a copy, and its R is written there. Any failure is a NumericFailureError.
     """
     _check_buffer(buf, "QR buffer")
     rows, cols = buf.shape
     k = min(rows, cols)
     geqrf = _dgeqrf()
     if geqrf is None:
-        buf[:k] = np.linalg.qr(buf, mode="r")
+        try:
+            buf[:k] = np.linalg.qr(buf, mode="r")
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailureError(f"QR factorization failed: {exc}") from exc
         return buf[:k]
     tau = np.empty(k)
     # m, n, lda, lwork, info
@@ -215,12 +187,15 @@ def _fold(r: np.ndarray, lower: np.ndarray) -> None:
     sequential TSQR, works on the two where they lie, in column blocks of
     ``min(32, cols)``: with 64 a four-block 2003x120 solve gave other bits
     on two BLAS threads than on one. With ``l = m`` it reads no entry of
-    ``lower`` below the diagonal. Without that library numpy factorizes the
+    ``lower`` below the diagonal. Without that library numpy decomposes the
     stacked pair. Any failure is a NumericFailureError.
     """
     tpqrt = _dtpqrt()
     if tpqrt is None:
-        r[...] = np.linalg.qr(np.vstack([r, lower]), mode="r")
+        try:
+            r[...] = np.linalg.qr(np.vstack([r, lower]), mode="r")
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailureError(f"QR fold failed: {exc}") from exc
         return
     k, cols = lower.shape
     nb = min(32, cols)
@@ -239,7 +214,7 @@ def _solve_svd(usv: tuple[np.ndarray, np.ndarray, np.ndarray], c: np.ndarray,
     """Minimum-norm solution of ``M @ x = c``, with ``usv`` the SVD of M and
     the rank cutoff of the original matrix's ``shape``; ``c`` is 2-D."""
     u, s, vt = usv
-    s_inv = _inverse_above(s, _rank_cutoff(shape, s))
+    s_inv = _inverse_above_cutoff(s, shape)
     return vt.T @ ((u.T @ c) * s_inv[:, None])
 
 
@@ -258,7 +233,7 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
 
     A matrix with more rows than columns is filled one of its ``row_blocks``
     at a time into the left of an F-ordered ``[a_b | t_b]`` buffer, which
-    ``qr_triangle`` factorizes on ``map_blocks``. Where there are several,
+    ``qr_triangle`` reduces on ``map_blocks``. Where there are several,
     block 0's triangle is copied into a zero-filled square, which pads a
     trapezoid, and ``_fold`` folds each later block's top rows into it, in
     block order. That gives ``[R | Q' t]`` of the thin QR ``a = Q R`` up to
@@ -284,25 +259,22 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
         width = cols + rhs.shape[1]
         blocks = row_blocks(rows, cols)
 
-        def factorized(block: slice) -> np.ndarray:
+        def reduced(block: slice) -> np.ndarray:
             buf = np.empty((block.stop - block.start, width), order="F")
             fill(block, buf[:, :cols])
             buf[:, cols:] = rhs[block]
             qr_triangle(buf)
             return buf
 
-        try:
-            # no block outlives its fold: each goes from next() into _fold
-            with closing(map_blocks(factorized, blocks)) as done:
-                if len(blocks) == 1:
-                    r = next(done)
-                else:
-                    r = np.zeros((width, width), order="F")
-                    r[: min(blocks[0].stop, width)] = next(done)[:width]
-                    for _ in blocks[1:]:
-                        _fold(r, next(done)[:width])
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailureError(f"QR factorization failed: {exc}") from exc
+        # no block outlives its fold: each goes from next() into _fold
+        with closing(map_blocks(reduced, blocks)) as done:
+            if len(blocks) == 1:
+                r = next(done)
+            else:
+                r = np.zeros((width, width), order="F")
+                r[: min(blocks[0].stop, width)] = next(done)[:width]
+                for _ in blocks[1:]:
+                    _fold(r, next(done)[:width])
         c = r[:cols, cols:].copy()
         _pack_rows(r[:, :cols], cols)
         if len(blocks) == 1:
@@ -360,7 +332,7 @@ def _openblas():
     this process has loaded it, else None; it is never loaded here. That
     copy is ILP64: every integer argument of its LAPACK routines is a
     pointer to an int64. A ctypes call releases the GIL, so blocks
-    factorized on ``map_blocks`` threads run in parallel."""
+    reduced on ``map_blocks`` threads run in parallel."""
     if not hasattr(os, "RTLD_NOLOAD"):  # as on Windows: no lookup that loads nothing
         return None
     site = os.path.dirname(os.path.dirname(np.__file__))
@@ -488,9 +460,9 @@ def single_thread_blas():
 
 
 # Row blocks: the block count doubles while every block keeps at least
-# _MIN_BLOCK_ROWS rows and _ROWS_PER_COL rows per column of [a | rhs]. The
-# second floor keeps the merge QR, one triangle per block, at most a quarter
-# of the rows; the first keeps small solves, which gain little, in one block.
+# _MIN_BLOCK_ROWS rows and _ROWS_PER_COL rows per column of [a | rhs]. Below
+# that, the folds cost more than the split saves: a 5000x26 QR took 1.08 ms
+# in one dgeqrf and 1.43 to 1.91 ms in 2 to 8 folded blocks, on one thread.
 _MIN_BLOCK_ROWS = 4096
 _ROWS_PER_COL = 4
 _budget = threading.local()

@@ -12,7 +12,7 @@ built where it lies. Every entry is computed by the same operations
 whatever the pieces, so H is bitwise the same. A tall fit (more rows than
 nodes) streams H into the blocked QR of ``linalg.solve_rows``: each row
 block of ``[H | t]``, one block included, is built into its own F-ordered
-buffer and factorized there. Where a fit has several blocks, each block's
+buffer and reduced there. Where a fit has several blocks, each block's
 triangle is folded from where it lies, the block's top rows, into one
 running triangle, in block order, as it comes, and the block is freed
 whole. Only a one-block fit is cut down to its triangle, at 4 MiB or more,
@@ -261,7 +261,7 @@ def solve_readout(layer: HiddenLayer, x, t) -> np.ndarray:
 
     ``linalg.solve_rows`` has ``build_hidden`` write H's rows, panel by
     panel, into the F-ordered buffers it solves on: one per row block of a
-    tall fit (more rows than nodes), each factorized in place and freed once
+    tall fit (more rows than nodes), each QR-reduced in place and freed once
     its triangle is taken, so the fit never holds H whole, and one for all
     of H otherwise. Those buffers hold the values, in the layout, of the ones
     ``lstsq`` fills, so the solution is the same.

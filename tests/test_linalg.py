@@ -23,7 +23,7 @@ import randnet
 from randnet import linalg, model
 from randnet.experiment import cli
 from randnet.errors import InvalidInputError, NumericFailureError
-from randnet.linalg import factorize, lstsq, pseudoinverse, single_thread_blas
+from randnet.linalg import lstsq, pseudoinverse, single_thread_blas
 from randnet.model import HiddenLayer, build_hidden, hidden_outputs, solve_readout
 from randnet.paramgen import RAlphaMConfig, generate_ralpham
 from randnet.rng import as_stream
@@ -101,10 +101,9 @@ def test_automatic_rank_cutoff_keeps_a_small_singular_value():
 
 def test_factorization_shapes_and_order():
     m = np.random.default_rng(14).normal(size=(8, 5))
-    f = factorize(m)
-    s = f.singular_values
+    u, s, vt = linalg._svd_in_place(np.array(m, order="F"))
     assert np.all(s[:-1] >= s[1:]) and np.all(s >= 0)
-    recon = (f.u * s) @ f.vt
+    recon = (u * s) @ vt
     assert np.max(np.abs(recon - m)) <= 1e-10 * s[0]
 
 
@@ -245,14 +244,14 @@ def reference_lstsq(a, t):
     """``lstsq`` as it was before ``solve_rows``, with the triangles of
     several row blocks folded: a tall ``a`` reduced to the
     ``folded_triangle`` of ``[a | t]``, then solved on the triangle as
-    ``reference_solve_reduced`` does; any other ``a`` solved as it is."""
+    ``reference_svd_solve`` does; any other ``a`` solved as it is."""
     rhs = t.reshape(-1, 1) if t.ndim == 1 else t
     cols = a.shape[1]
     if a.shape[0] > cols:
         r = folded_triangle(np.hstack([a, rhs]), linalg.row_blocks(*a.shape))
-        x = reference_solve_reduced(r[:cols, :cols], r[:cols, cols:], a.shape)
+        x = reference_svd_solve(r[:cols, :cols], r[:cols, cols:], a.shape)
     else:
-        x = reference_solve_reduced(a, rhs, a.shape)
+        x = reference_svd_solve(a, rhs, a.shape)
     return x[:, 0] if t.ndim == 1 else x
 
 
@@ -411,6 +410,29 @@ def test_lapack_failure_is_a_numeric_failure(monkeypatch, row_blocking, routine,
     assert not [t for t in threading.enumerate() if t.name.startswith("randnet-block")]
 
 
+@pytest.mark.parametrize("missing", ["_dgeqrf", "_dtpqrt"])
+def test_numpy_qr_failure_is_a_numeric_failure(monkeypatch, row_blocking, missing):
+    # without dgeqrf each block, and without dtpqrt each fold, is numpy's
+    # QR, whose LinAlgError is a NumericFailureError; at min_rows 8 the
+    # 80x3 matrix is reduced in 4 blocks on a pool of 2, which is shut down
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("simulated non-convergence")
+
+    row_blocking(min_rows=8)
+    assert len(linalg.row_blocks(80, 3)) == 4
+    monkeypatch.setattr(linalg, missing, lambda: None)
+    monkeypatch.setattr(np.linalg, "qr", no_convergence)
+    rng = np.random.default_rng(23)
+    with linalg.block_budget(2), pytest.raises(NumericFailureError, match="simulated"):
+        lstsq(rng.normal(size=(80, 3)), np.ones(80))
+    assert not [t for t in threading.enumerate() if t.name.startswith("randnet-block")]
+    with pytest.raises(NumericFailureError, match="simulated"):
+        if missing == "_dgeqrf":
+            linalg.qr_triangle(np.ones((5, 2), order="F"))
+        else:
+            linalg._fold(np.eye(2, order="F"), np.eye(2, order="F"))
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -436,7 +458,7 @@ def test_qr_triangle_is_numpys_r_bit_for_bit(monkeypatch, cols, extra_rows, scal
     assert r.ctypes.data == buf.ctypes.data
 
 
-def reference_solve_reduced(r, c, shape):
+def reference_svd_solve(r, c, shape):
     """Minimum-norm solution of ``r @ x = c`` through ``np.linalg.svd`` of
     ``r``, with the rank cutoff of the original matrix's ``shape``."""
     u, s, vt = np.linalg.svd(r, full_matrices=False)
@@ -487,28 +509,55 @@ def test_svd_is_numpys_bit_for_bit(monkeypatch, rows, cols, scale, duplicates, s
     with monkeypatch.context() as patch:
         if fallback:
             patch.setattr(linalg, "_dgesdd", lambda: None)
-        got = linalg._svd(a)
+        got = linalg._svd_in_place(np.array(a, order="F"))
         x = linalg._solve_svd(got, c, shape)
     assert a.tobytes() == before.tobytes()
     for mine, numpys in zip(got, np.linalg.svd(a, full_matrices=False)):
         assert mine.tobytes() == numpys.tobytes()
         assert mine.flags.c_contiguous
-    assert x.tobytes() == reference_solve_reduced(a, c, shape).tobytes()
+    assert x.tobytes() == reference_svd_solve(a, c, shape).tobytes()
 
 
-def test_solve_reduced_holds_one_copy_u_vt_and_the_workspace():
-    # at m=400, on the copying SVD path that the solve on a kept triangle
-    # took and ``factorize`` takes: the F-ordered copy of R, U, Vt and
-    # dgesdd's 3m^2 + 7m workspace, about 6 m^2 doubles; numpy's svd held U
-    # and Vt twice
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.integers(1, 60),
+    cols=st.integers(1, 60),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+    seed=st.integers(0, 2**32 - 1),
+    fallback=st.booleans(),
+)
+@example(rows=60, cols=60, scale=1e8, seed=0, fallback=False)
+@example(rows=60, cols=60, scale=1e-8, seed=0, fallback=True)
+def test_pseudoinverse_is_numpys_svd_bit_for_bit(monkeypatch, rows, cols, scale, seed,
+                                                 fallback):
+    # through dgesdd of the bundled OpenBLAS and through numpy's svd; the
+    # second row repeats the first, so a shape of at least two rows and two
+    # columns is rank-deficient
+    a = np.random.default_rng(seed).normal(size=(rows, cols)) * scale
+    a[1:2] = a[:1]
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    s_inv = np.zeros_like(s)
+    np.divide(1.0, s, out=s_inv, where=s > max(a.shape) * float(s[0]) * np.finfo(float).eps)
+    with monkeypatch.context() as patch:
+        if fallback:
+            patch.setattr(linalg, "_dgesdd", lambda: None)
+        got = pseudoinverse(a)
+    assert got.tobytes() == ((vt.T * s_inv) @ u.T).tobytes()
+
+
+def test_pseudoinverse_holds_one_copy_u_vt_and_the_workspace():
+    # at m=400, on the copying SVD path that pseudoinverse takes: the
+    # F-ordered copy of R, U, Vt and dgesdd's 3m^2 + 7m workspace, about
+    # 6 m^2 doubles; numpy's svd held U and Vt twice
     if not bundles_openblas():
         pytest.skip("numpy bundles no OpenBLAS")
     m = 400
     r = np.triu(np.random.default_rng(28).normal(size=(m, m)))
-    factorize(r)
+    pseudoinverse(r)
     tracemalloc.start()
     try:
-        factorize(r)
+        pseudoinverse(r)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -529,14 +578,15 @@ def traced_peak(fn) -> int:
 
 def test_owned_svd_holds_u_vt_and_the_workspace_only():
     # at m=400 dgesdd overwrites the R handed over: U, Vt and its 3m^2 + 7m
-    # workspace, about 5 m^2 doubles, where the copying path holds 6.04
+    # workspace, about 5 m^2 doubles, where pseudoinverse, which decomposes
+    # a copy, holds 6.04
     if not bundles_openblas():
         pytest.skip("numpy bundles no OpenBLAS")
     m = 400
     r = np.asfortranarray(np.triu(np.random.default_rng(31).normal(size=(m, m))))
     assert traced_peak(lambda: linalg._svd_in_place(r.copy(order="F"))) - r.nbytes \
         < 5.2 * m * m * 8
-    assert traced_peak(lambda: linalg._svd(r)) > 6.0 * m * m * 8
+    assert traced_peak(lambda: pseudoinverse(r)) > 6.0 * m * m * 8
 
 
 def test_one_block_readout_holds_its_block_and_no_triangle_beside_it():
@@ -667,8 +717,8 @@ def folded_triangle(a: np.ndarray, blocks: list) -> np.ndarray:
 @example(cols=12, extra_rows=1, rhs_cols=3, blocked=False, seed=1)  # [a | t] wide
 @example(cols=5, extra_rows=200, rhs_cols=3, blocked=True, seed=2)  # folded blocks
 @example(cols=20, extra_rows=0, rhs_cols=1, blocked=False, seed=3)  # a square
-def test_packed_triangles_are_numpys_r_bit_for_bit(monkeypatch, row_blocking, cols, extra_rows,
-                                                  rhs_cols, blocked, seed):
+def test_svd_is_handed_numpys_triangle_bit_for_bit(monkeypatch, row_blocking, cols, extra_rows,
+                                                   rhs_cols, blocked, seed):
     # qr_triangle leaves R in the top rows of the buffer it factorized, and
     # solve_rows hands the SVD numpy's R of [a | t], one block or several
     # folded by numpy's QR, with Q' t beside it; a matrix with no more rows
@@ -743,7 +793,7 @@ def test_block_triangles_fold_in_block_order(monkeypatch, row_blocking, cols, mi
     blocks = linalg.row_blocks(rows, cols)
     assert len(blocks) > 1
     r = folded_triangle(np.hstack([a, t.reshape(rows, -1)]), blocks)
-    want = reference_solve_reduced(r[:cols, :cols], r[:cols, cols:], a.shape)
+    want = reference_svd_solve(r[:cols, :cols], r[:cols, cols:], a.shape)
     want = want[:, 0] if t.ndim == 1 else want
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "_dtpqrt", lambda: None)
@@ -912,7 +962,7 @@ def test_svd_info_is_a_numeric_failure(monkeypatch, info, on_call):
 
     monkeypatch.setattr(linalg, "_dgesdd", lambda: gesdd)
     for solve in (lambda: lstsq(np.eye(4), np.ones((4, 1))),
-                  lambda: factorize(np.eye(4))):
+                  lambda: pseudoinverse(np.eye(4))):
         calls.clear()
         with pytest.raises(NumericFailureError, match=f"dgesdd info {info}"):
             solve()
@@ -1065,7 +1115,7 @@ resolved = [linalg._dgeqrf(), linalg._dgesdd(), linalg._blas_threads()]
 if bundled and None in resolved:
     sys.exit(f"unresolved: {resolved}")
 linalg.qr_triangle(np.ones((3, 2), order="F"))
-linalg.factorize(np.ones((3, 2)))
+linalg.pseudoinverse(np.ones((3, 2)))
 assert "scipy" not in sys.modules, "scipy was imported"
 after = loaded()
 if after != before or any("scipy.libs" in path for path in after):

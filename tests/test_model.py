@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from randnet.benchfn import SampledProblem
 from randnet.dataio import Dataset, NormalizationSpec
 from randnet.errors import InvalidInputError
-from randnet import linalg
+from randnet import linalg, model
 from randnet.experiment.trials import run_trials
 from randnet.linalg import lstsq
 from randnet.model import (
@@ -197,19 +197,24 @@ class TestHiddenOutputs:
             assert np.array_equal(full, parts)
 
     @pytest.mark.parametrize("budget", [1, 2])
-    def test_blocked_build_equals_one_block_build(self, row_blocking, budget):
-        # 1001 rows at min_rows 64 give 8 unequal blocks; the steep layer
-        # saturates some entries, so the clip is covered too
+    def test_blocked_build_equals_one_block_build(self, monkeypatch, row_blocking, budget):
+        # predict builds H in row tiles, here of 64 rows, and splits them
+        # into row blocks: 1001 rows at min_rows 64 give 8 blocks of 2
+        # tiles, the last tile ragged at 41 rows. The steep layer saturates
+        # some entries, so the clip is covered too
+        monkeypatch.setattr(model, "_TILE_ELEMS", 64 * 11)
         rng = np.random.default_rng(3)
         layer = random_layer(rng, 5, 11, scale=40.0)
         x = rng.normal(size=(1001, 5))
-        one_block = hidden_outputs(layer, x)
+        net = TrainedNetwork(hidden=layer, readout=ReadoutWeights(rng.normal(size=11)))
+        assert tile_rows(11) == 64
+        one_block = predict(net, x)
         row_blocking(min_rows=64)
         assert len(linalg.row_blocks(1001, 11)) == 8
         with linalg.block_budget(budget):
-            blocked = hidden_outputs(layer, x)
-        assert np.array_equal(blocked, one_block)
-        assert np.any(one_block == np.nextafter(1.0, 0.0))
+            blocked = predict(net, x)
+        assert blocked.tobytes() == one_block.tobytes()
+        assert np.any(hidden_outputs(layer, x) == np.nextafter(1.0, 0.0))
 
     def test_node_permutation_permutes_columns_exactly(self):
         rng = np.random.default_rng(3)

@@ -36,9 +36,7 @@ def reports_equal(a, b):
     if len(a) != len(b):
         return False
     for r, s in zip(a, b):
-        if (r.trial, r.seed, r.rmse_train, r.rmse_test) != (
-            s.trial, s.seed, s.rmse_train, s.rmse_test
-        ):
+        if (r.trial, r.rmse_train, r.rmse_test) != (s.trial, s.rmse_train, s.rmse_test):
             return False
         if not np.array_equal(r.network.hidden.weights, s.network.hidden.weights):
             return False
