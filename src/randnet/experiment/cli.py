@@ -30,7 +30,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
@@ -457,37 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc mallopt parameters, and the values the CLI pins them to.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_TRIM_BYTES, _MMAP_BYTES = 64 << 20, 4 << 20
-
-
-def _pin_malloc_thresholds() -> None:
-    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 64 MiB.
-
-    By default glibc raises both after the first large mmapped block is
-    freed (the mmap threshold up to 32 MiB, the trim threshold to twice it),
-    so the row blocks, triangles and SVD workspace of a tall fit then come
-    from heaps that keep their pages once freed. Pinned, every array of
-    4 MiB or more is unmapped when freed, and the heap keeps up to 64 MiB
-    rather than shrinking and faulting its pages back in on every small
-    fit. Forked helpers inherit the settings, and no result changes. Only
-    ``main`` calls this: the CLI owns its process, while a program that
-    imports randnet keeps its allocator's defaults. Where the C library has
-    no ``mallopt`` this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no mallopt, or no handle on the process
-        return
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
-
-
 def main(argv=None) -> int:
-    _pin_malloc_thresholds()
+    linalg.pin_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -314,15 +314,15 @@ def cross_validate(grid: GridSearchConfig, method: dict, train: Dataset, seed) -
     splits = [(train.subset(tr), train.subset(va)) for tr, va in folds]
     per_cell = grid.folds * grid.trials_per_cell
 
-    def fit(i: int) -> tuple[float]:
+    def fit(i: int) -> float:
         ci, rest = divmod(i, per_cell)
         f, t = divmod(rest, grid.trials_per_cell)
         fold_train, fold_val = splits[f]
         m, _, cfg = cells[ci]
         trial = fit_trial(cfg, fold_train, fold_val, m, stream.child(1, ci, f, t))
-        return (trial.rmse_test,)
+        return trial.rmse_test
 
-    errs = [err for (err,) in _fork_map(fit, len(cells) * per_cell)]
+    errs = _fork_map(fit, len(cells) * per_cell)
     table = tuple(
         CvCell(m=m, interval=interval,
                mean_rmse=float(np.mean(errs[ci * per_cell:(ci + 1) * per_cell])))

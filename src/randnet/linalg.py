@@ -15,8 +15,10 @@ into a fresh F-ordered buffer, which ``map_blocks`` QR-reduces in place on
 the cores a worker pool leaves idle. Each block's triangle is folded from
 where it lies, the block's top rows, into one running triangle, in block
 order (sequential TSQR: Demmel et al., SIAM J. Sci. Comput. 2012), and the
-block is then freed whole. So no full-size copy of ``[a | rhs]`` is made,
-and a caller such as the network readout never holds ``a`` whole.
+block is then freed whole; only the CLI's cut of a lone large block, in
+``solve_rows``, keeps its triangle in the block. So no full-size copy of
+``[a | rhs]`` is made, and a caller such as the network readout never holds
+``a`` whole.
 
 ``qr_triangle`` is LAPACK ``dgeqrf``, ``_fold`` is ``dtpqrt`` and the SVD is
 ``dgesdd``, all from the OpenBLAS bundled in the numpy wheel, bound through
@@ -31,7 +33,8 @@ leaves idle, out of the ``core_count`` this process may use. The blocks and
 their fold order are fixed, so the results depend on neither the budget nor
 the core count. The BLAS thread count does move the bits of large solves: a
 20000x300 ``lstsq`` gives other bytes on the library's default threads than
-on one. So the CLI pins one thread for the whole command.
+on one. So the CLI pins one thread for the whole command, and pins glibc's
+malloc thresholds through ``pin_malloc_thresholds``.
 """
 
 from __future__ import annotations
@@ -50,26 +53,27 @@ import numpy as np
 from .errors import InvalidInputError, NumericFailureError
 
 
-def _as_matrix(m, name: str = "matrix") -> np.ndarray:
+def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise InvalidInputError(f"{name} must be 2-D and nonempty, got shape {a.shape}")
+        raise InvalidInputError(f"matrix must be 2-D and nonempty, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
+        raise InvalidInputError("matrix contains non-finite entries")
     return a
 
 
 def _svd_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(U, s, Vt)`` of ``a``, bitwise ``np.linalg.svd(a,
     full_matrices=False)``, with U and Vt C-ordered as numpy returns them;
-    ``a``, a writeable F-contiguous float64 matrix, is given up.
+    ``a``, a matrix that ``_check_buffer`` accepts, is given up.
 
     LAPACK ``dgesdd`` of numpy's bundled OpenBLAS, with jobz 'S' and the
     workspace it asks for, as numpy calls it on its own F-ordered copy,
-    decomposes ``a`` where it lies and overwrites it. U and Vt are copied to
-    C order once the workspace is freed: a product with a column-major U
-    takes another BLAS kernel and moves bits. Without that library numpy
-    decomposes ``a``. Any failure is a NumericFailureError.
+    decomposes ``a`` where it lies, with its column spacing as the leading
+    dimension, and overwrites it; the leading dimension moves no bit. U and
+    Vt are copied to C order once the workspace is freed: a product with a
+    column-major U takes another BLAS kernel and moves bits. Without that
+    library numpy decomposes ``a``. Any failure is a NumericFailureError.
     """
     gesdd = _dgesdd()
     if gesdd is None:
@@ -77,14 +81,13 @@ def _svd_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             return np.linalg.svd(a, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError(f"SVD did not converge: {exc}") from exc
-    _check_buffer(a, "SVD input")
+    ld = _check_buffer(a, "SVD input")
     rows, cols = a.shape
     k = min(rows, cols)
     s, iwork = np.empty(k), np.empty(8 * k, dtype=np.int64)
     u, vt = np.empty((rows, k), order="F"), np.empty((k, cols), order="F")
     # m, n, lda, ldu, ldvt, lwork, info
-    ints = np.array([rows, cols, max(1, rows), max(1, rows), max(1, k), 0, 0],
-                    dtype=np.int64)
+    ints = np.array([rows, cols, ld, max(1, rows), max(1, k), 0, 0], dtype=np.int64)
     m, n, lda, ldu, ldvt, lwork, info = _addresses(ints)
     a_p, s_p, u_p, vt_p, iwork_p = (b.ctypes.data for b in (a, s, u, vt, iwork))
     _lapack("SVD failed: dgesdd", ints, lambda work: gesdd(
@@ -112,18 +115,26 @@ def pseudoinverse(m) -> np.ndarray:
     return (vt.T * s_inv) @ u.T
 
 
-def _check_buffer(buf, what: str) -> None:
-    """Raise InvalidInputError unless ``buf`` is a writeable, F-contiguous
-    float64 matrix, which a LAPACK routine may overwrite where it lies."""
+def _check_buffer(buf, what: str) -> int:
+    """The leading dimension with which a LAPACK routine may overwrite
+    ``buf`` where it lies: a writeable float64 matrix whose rows are adjacent
+    in memory and whose columns lie at least its row count apart, as every
+    F-contiguous matrix and its top-left views are. Anything else is an
+    InvalidInputError."""
     if not (isinstance(buf, np.ndarray) and buf.ndim == 2 and buf.dtype == np.float64
-            and buf.flags.f_contiguous and buf.flags.writeable):
-        raise InvalidInputError(f"{what} must be a writeable, F-contiguous float64 matrix")
+            and buf.flags.writeable):
+        raise InvalidInputError(f"{what} must be a writeable float64 matrix")
+    (rows, cols), (row_step, col_step) = buf.shape, buf.strides
+    ld = col_step // 8 if cols > 1 else max(1, rows)
+    if (rows > 1 and row_step != 8) or col_step % 8 or ld < max(1, rows):
+        raise InvalidInputError(f"{what} must be column-major with its rows adjacent")
+    return ld
 
 
-def _pack_rows(buf: np.ndarray, k: int) -> np.ndarray:
+def _pack_rows(buf: np.ndarray, k: int) -> None:
     """Move the top ``k`` rows of the F-contiguous ``buf`` into its first
     ``k * cols`` entries, as an F-ordered ``k x cols`` matrix with leading
-    dimension k, and return that view.
+    dimension k.
 
     Column 0 already lies there. The rest move in column groups ``[j0, j1)``
     with ``j1 <= rows * j0 // k``: a group's destination then ends at offset
@@ -139,23 +150,23 @@ def _pack_rows(buf: np.ndarray, k: int) -> np.ndarray:
         j1 = min(cols, max(j0 + 1, rows * j0 // k))
         packed[:, j0:j1] = buf[:k, j0:j1]
         j0 = j1
-    return packed
 
 
 def qr_triangle(buf: np.ndarray) -> np.ndarray:
     """The triangle R of the Householder QR of ``buf``, bitwise equal to
     ``np.linalg.qr(buf, mode="r")``, computed in ``buf``, which it
-    overwrites: the view ``buf[:k]``, k = min(rows, cols), with leading
-    dimension ``rows`` and the entries below R's diagonal zeroed.
+    overwrites: the view ``buf[:k]``, k = min(rows, cols), with ``buf``'s
+    strides and the entries below R's diagonal zeroed.
 
-    ``buf`` must be a writeable, F-contiguous float64 matrix, checked once
-    here; the routine then gets its address. LAPACK ``dgeqrf`` of numpy's
-    bundled OpenBLAS decomposes it where it lies, with the workspace it asks
-    for (see ``_lapack``), and leaves R in its top k rows, above the
-    Householder vectors, which stay. Without that library numpy decomposes
-    a copy, and its R is written there. Any failure is a NumericFailureError.
+    ``buf`` must be a matrix that ``_check_buffer`` accepts, checked once
+    here; the routine then gets its address and column spacing. LAPACK
+    ``dgeqrf`` of numpy's bundled OpenBLAS decomposes it where it lies, with
+    the workspace it asks for (see ``_lapack``), and leaves R in its top k
+    rows, above the Householder vectors, which stay. Without that library
+    numpy decomposes a copy, and its R is written there. Any failure is a
+    NumericFailureError.
     """
-    _check_buffer(buf, "QR buffer")
+    ld = _check_buffer(buf, "QR buffer")
     rows, cols = buf.shape
     k = min(rows, cols)
     geqrf = _dgeqrf()
@@ -167,7 +178,7 @@ def qr_triangle(buf: np.ndarray) -> np.ndarray:
         return buf[:k]
     tau = np.empty(k)
     # m, n, lda, lwork, info
-    ints = np.array([rows, cols, max(1, rows), 0, 0], dtype=np.int64)
+    ints = np.array([rows, cols, ld, 0, 0], dtype=np.int64)
     m, n, lda, lwork, info = _addresses(ints)
     buf_p, tau_p = buf.ctypes.data, tau.ctypes.data
     _lapack("QR factorization failed: dgeqrf", ints,
@@ -218,7 +229,37 @@ def _solve_svd(usv: tuple[np.ndarray, np.ndarray, np.ndarray], c: np.ndarray,
     return vt.T @ ((u.T @ c) * s_inv[:, None])
 
 
-_CUT_BYTES = 4 << 20  # see the one-block cut in solve_rows
+# glibc mallopt parameters, and the values pin_malloc_thresholds sets.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_BYTES, _MMAP_BYTES = 64 << 20, 4 << 20
+_mmap_pinned = False  # this process pinned its mmap threshold at _MMAP_BYTES
+
+
+def pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 64 MiB,
+    and record the first for ``solve_rows``' cut.
+
+    By default glibc raises both after the first large mmapped block is
+    freed (the mmap threshold up to 32 MiB, the trim threshold to twice it),
+    so the row blocks, triangles and SVD workspace of a tall fit then come
+    from heaps that keep their pages once freed. Pinned, every array of
+    4 MiB or more is unmapped when freed, and the heap keeps up to 64 MiB
+    rather than shrinking and faulting its pages back in on every small
+    fit. Forked helpers inherit the settings and the record, and no result
+    changes. Only the CLI calls this: it owns its process, while a program
+    that imports randnet keeps its allocator's defaults. Where the C library
+    has no ``mallopt`` this does nothing.
+    """
+    global _mmap_pinned
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no handle on the process
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+    _mmap_pinned = True
 
 
 def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
@@ -233,20 +274,22 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
 
     A matrix with more rows than columns is filled one of its ``row_blocks``
     at a time into the left of an F-ordered ``[a_b | t_b]`` buffer, which
-    ``qr_triangle`` reduces on ``map_blocks``. Where there are several,
-    block 0's triangle is copied into a zero-filled square, which pads a
-    trapezoid, and ``_fold`` folds each later block's top rows into it, in
-    block order. That gives ``[R | Q' t]`` of the thin QR ``a = Q R`` up to
-    the signs of rows, which leave the solution as it is. ``Q' t`` is
-    copied out, R packed to leading dimension ``cols`` in the square, or in
-    the block of a one-block fit, and ``_svd_in_place`` decomposes it there.
-    ``Q' t`` then goes back into that spent memory with the row stride it
-    has in the C-ordered ``[R | Q' t]`` that ``np.linalg.qr`` returns. Any
-    other matrix is filled into one F-ordered buffer, which
-    ``_svd_in_place`` overwrites, and solved with a C-ordered copy of ``t``.
-    The layout of the right-hand side picks the matrix-product kernel, and
-    with it the bits, so each branch puts it in one layout, and the caller's
-    layout of ``t`` never moves a bit.
+    ``qr_triangle`` reduces on ``map_blocks``. Block 0's triangle is copied
+    into a zero-filled square, which pads a trapezoid, and the block freed;
+    ``_fold`` folds each later block's top rows into the square, in block
+    order. That gives ``[R | Q' t]`` of the thin QR ``a = Q R`` up to the
+    signs of rows, which leave the solution as it is, and ``_svd_in_place``
+    decomposes R where it lies in the square. The one exception is the cut:
+    in a process that pinned its mmap threshold (``pin_malloc_thresholds``),
+    a lone block of that size or more keeps its triangle, R packed to
+    leading dimension ``cols``, and is cut down to it. ``Q' t`` then goes
+    into the buffer's first ``cols * width`` entries, which R's SVD no
+    longer needs, with the row stride it has in the C-ordered ``[R | Q' t]``
+    that ``np.linalg.qr`` returns. Any other matrix is filled into one
+    F-ordered buffer, which ``_svd_in_place`` overwrites, and solved with a
+    C-ordered copy of ``t``. The layout of the right-hand side picks the
+    matrix-product kernel, and with it the bits, so each branch puts it in
+    one layout, and the caller's layout of ``t`` never moves a bit.
     """
     rows, cols = shape
     t = np.asarray(t, dtype=float)
@@ -268,41 +311,31 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
 
         # no block outlives its fold: each goes from next() into _fold
         with closing(map_blocks(reduced, blocks)) as done:
-            if len(blocks) == 1:
-                r = next(done)
-            else:
-                r = np.zeros((width, width), order="F")
-                r[: min(blocks[0].stop, width)] = next(done)[:width]
+            r = next(done)
+            cut = len(blocks) == 1 and _mmap_pinned and r.nbytes >= _MMAP_BYTES
+            if not cut:
+                square = np.zeros((width, width), order="F")
+                square[: min(blocks[0].stop, width)] = r[:width]
+                r = square
                 for _ in blocks[1:]:
                     _fold(r, next(done)[:width])
-        c = r[:cols, cols:].copy()
-        _pack_rows(r[:, :cols], cols)
-        if len(blocks) == 1:
-            # A block of at least _CUT_BYTES is cut down to its first
-            # cols * width entries by numpy's realloc, so it is not held
-            # beside them through the SVD, unless something else refers to
-            # it, such as a debugger's copy of this frame's locals; any
-            # other has them copied out, and is freed whole. The bound is
-            # the CLI's pinned 4 MiB mmap threshold. Below it the block lies
-            # in the heap, where a cut hands no page back: one 5000x100
-            # readout solve under the CLI's settings peaked at 42.9 MB cut
-            # and 42.8 MB copied, where at 5000x800 the cut saved the copy,
-            # 70.4 MB against 75.2. Under glibc's default settings, which a
-            # program that imports the package keeps, a cut block leaves a
-            # chunk too small to raise glibc's moving mmap threshold when it
-            # is freed, so every later solve maps and faults its block
-            # afresh: 254, 178 and 987 minor faults per 5000x25, 900x100 and
-            # 5000x100 solve, where a copy took none (one BLAS thread, 2-core
-            # x86-64). The resize is made here, not in a helper, whose
-            # argument would be a second reference that numpy refuses.
-            if r.nbytes >= _CUT_BYTES:
-                with suppress(ValueError):
-                    r.resize(cols * width)
-            if r.size > cols * width:
-                r = r.reshape(-1, order="F")[: cols * width].copy()
-        flat = r.reshape(-1, order="F")
-        usv = _svd_in_place(_as_matrix(flat[: cols * cols].reshape((cols, cols), order="F")))
-        qt = flat[: cols * width].reshape((cols, width))[:, cols:]
+        if cut:
+            # Mapped on its own, the block is cut by numpy's realloc to its
+            # first cols * width entries, R packed and room for Q' t, so it
+            # is not held whole through the SVD; elsewhere a cut hands no
+            # page back, or makes every later solve map and fault its block
+            # afresh. The resize is refused where something else refers to
+            # the block, such as a debugger's copy of this frame's locals,
+            # and is made here, not in a helper, whose argument would be one.
+            c = r[:cols, cols:].copy()
+            _pack_rows(r[:, :cols], cols)
+            with suppress(ValueError):
+                r.resize(cols * width)
+            triangle = r.reshape(-1, order="F")[: cols * cols].reshape((cols, cols), order="F")
+        else:
+            c, triangle = r[:cols, cols:], r[:cols, :cols]
+        usv = _svd_in_place(_as_matrix(triangle))
+        qt = r.reshape(-1, order="F")[: cols * width].reshape((cols, width))[:, cols:]
         qt[...] = c
         x = _solve_svd(usv, qt, shape)
     else:

@@ -12,15 +12,11 @@ built where it lies. Every entry is computed by the same operations
 whatever the pieces, so H is bitwise the same. A tall fit (more rows than
 nodes) streams H into the blocked QR of ``linalg.solve_rows``: each row
 block of ``[H | t]``, one block included, is built into its own F-ordered
-buffer and reduced there. Where a fit has several blocks, each block's
-triangle is folded from where it lies, the block's top rows, into one
-running triangle, in block order, as it comes, and the block is freed
-whole. Only a one-block fit is cut down to its triangle, at 4 MiB or more,
-or has it copied out. So the fit never holds all of H, and holds each
-large block in flight once, never beside a copy of its triangle.
-``solve_readout`` is that fit for any target t, the readout's y or the
-autoencoder decoder's inputs X, and returns the solution alone.
-``predict`` likewise multiplies one tile at a time by the readout.
+buffer and reduced there, and ``solve_rows`` keeps only its triangle. So
+the fit never holds all of H. ``solve_readout`` is that fit for any target
+t, the readout's y or the autoencoder decoder's inputs X, and returns the
+solution alone. ``predict`` likewise multiplies one tile at a time by the
+readout.
 """
 
 from __future__ import annotations
@@ -261,10 +257,9 @@ def solve_readout(layer: HiddenLayer, x, t) -> np.ndarray:
 
     ``linalg.solve_rows`` has ``build_hidden`` write H's rows, panel by
     panel, into the F-ordered buffers it solves on: one per row block of a
-    tall fit (more rows than nodes), each QR-reduced in place and freed once
-    its triangle is taken, so the fit never holds H whole, and one for all
-    of H otherwise. Those buffers hold the values, in the layout, of the ones
-    ``lstsq`` fills, so the solution is the same.
+    tall fit (more rows than nodes), and one for all of H otherwise. Those
+    buffers hold the values, in the layout, of the ones ``lstsq`` fills, so
+    the solution is the same.
     """
     x = _inputs(layer, x)
     if not np.all(np.isfinite(x)):

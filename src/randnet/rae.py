@@ -3,14 +3,14 @@
 A random sigmoid encoder maps inputs to an m-dimensional code; the linear
 decoder V that reconstructs the inputs is fitted in one least-squares solve.
 The encoder is a ``HiddenLayer`` and V its readout with the inputs as
-targets, so ``model.solve_readout`` fits V as it fits the network's readout;
-a tall fit streams the row blocks of ``[G | X]``, one block included, and
-never holds the whole code matrix G. The decoder rows become the network's
-hidden weights (A = V'). The five variants differ in three choices, which
-each config class declares as class attributes, not fields: the encoder
-interval ``u_ae`` (1, or a field that variant 1 tunes to set the sigmoids'
-steepness) and the ``encoder_biases`` and ``network_biases`` rules,
-``"anchored"``, ``"uniform"`` on [-1, 1] or the weights' ``"mean"``.
+targets, so ``model.solve_readout`` fits V as it fits the network's readout,
+through ``linalg.solve_rows``, and never holds the whole code matrix G. The
+decoder rows become the network's hidden weights (A = V'). The five
+variants differ in three choices, which each config class declares as class
+attributes, not fields: the encoder interval ``u_ae`` (1, or a field that
+variant 1 tunes to set the sigmoids' steepness) and the ``encoder_biases``
+and ``network_biases`` rules, ``"anchored"``, ``"uniform"`` on [-1, 1] or
+the weights' ``"mean"``.
 """
 
 from __future__ import annotations

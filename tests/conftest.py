@@ -1,6 +1,11 @@
 """Shared fixtures. Sampled problems are session-scoped because building the
 full-size 1-D demo (5000 train + 5000 test points) is the slowest setup step.
 
+The autouse ``malloc_record`` fixture restores ``linalg``'s record of a
+pinned mmap threshold after each test: an in-process CLI run pins it, which
+would switch the one-block solves of later tests to the cut. A test that
+needs the cut sets the record itself.
+
 The ``row_blocking`` fixture pins the row-block threshold and the core count
 that worker maps and block budgets come from, so tests of the blocked readout
 and the worker maps run the same blocks, pools and processes on a 1-core
@@ -36,6 +41,12 @@ def demo_small():
 def demo_full():
     """1-D demo at the reference size (5000 train, 5000 test)."""
     return demo_problem_1d(7)
+
+
+@pytest.fixture(autouse=True)
+def malloc_record(monkeypatch):
+    """Restore ``linalg._mmap_pinned`` after the test."""
+    monkeypatch.setattr(linalg, "_mmap_pinned", linalg._mmap_pinned)
 
 
 @pytest.fixture

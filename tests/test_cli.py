@@ -533,14 +533,14 @@ class TestWorkerProcesses:
 _RSS_PROBE = """
 import sys
 import numpy as np
-from randnet.experiment import cli
+from randnet import linalg
 
 def rss_kib():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
 
 if sys.argv[1] == "pinned":
-    cli._pin_malloc_thresholds()
+    linalg.pin_malloc_thresholds()
 base = rss_kib()
 for mib in (2, 30, 30):
     a = np.ones(mib << 17)
@@ -589,6 +589,32 @@ class TestAllocatorPolicy:
         for name in names:
             assert (tmp_path / "pinned" / name).read_bytes() == \
                 (tmp_path / "default" / name).read_bytes(), name
+
+    def test_cut_and_square_start_give_the_same_bytes(self, tmp_path, monkeypatch):
+        # the one block of each solve, [G | X] and [H | y] of 5000x111
+        # doubles (4.44 MB), is cut where the CLI pinned malloc, and started
+        # from the square with no mallopt and the record reset, as in a
+        # program that imports randnet; every output file keeps its bytes
+        assert len(linalg.row_blocks(5000, 110)) == 1
+        assert 5000 * 111 * 8 >= linalg._MMAP_BYTES
+        argv = ["fit", "--tf", "TF1", "--n", "1", "--train-size", "5000", "--test-size", "500",
+                "--nodes", "110", "--method", "raem1", "--u-ae", "0.001", "--seed", "5"]
+        packed, pack = [], linalg._pack_rows
+        monkeypatch.setattr(linalg, "_pack_rows", lambda buf, k: packed.append(k) or pack(buf, k))
+        cut, square = tmp_path / "cut", tmp_path / "square"
+        assert run(*argv, "--out", cut, "--save-model", cut / "model.json") == 0
+        assert linalg._mmap_pinned and packed == [110, 110]
+        real_cdll = ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda name, *args, **kwargs: object()
+                            if name is None else real_cdll(name, *args, **kwargs))
+        monkeypatch.setattr(linalg, "_mmap_pinned", False)
+        packed.clear()
+        assert run(*argv, "--out", square, "--save-model", square / "model.json") == 0
+        assert not linalg._mmap_pinned and packed == []
+        names = sorted(p.name for p in cut.iterdir())
+        assert "model.json" in names and names == sorted(p.name for p in square.iterdir())
+        for name in names:
+            assert (cut / name).read_bytes() == (square / name).read_bytes(), name
 
 
 class TestEmitAndHistogram:

@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import randnet
 from randnet import linalg, model
-from randnet.experiment import cli
 from randnet.errors import InvalidInputError, NumericFailureError
 from randnet.linalg import lstsq, pseudoinverse, single_thread_blas
 from randnet.model import HiddenLayer, build_hidden, hidden_outputs, solve_readout
@@ -546,6 +545,60 @@ def test_pseudoinverse_is_numpys_svd_bit_for_bit(monkeypatch, rows, cols, scale,
     assert got.tobytes() == ((vt.T * s_inv) @ u.T).tobytes()
 
 
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.integers(1, 60),
+    cols=st.integers(1, 60),
+    spare_rows=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    fallback=st.booleans(),
+)
+@example(rows=60, cols=60, spare_rows=1, seed=0, fallback=False)
+@example(rows=1, cols=60, spare_rows=3, seed=1, fallback=False)
+@example(rows=60, cols=1, spare_rows=3, seed=2, fallback=False)
+@example(rows=1, cols=1, spare_rows=1, seed=3, fallback=True)
+def test_lapack_takes_a_view_where_it_lies(monkeypatch, rows, cols, spare_rows, seed,
+                                           fallback):
+    # the top rows of an F-ordered buffer, as R lies in the running square:
+    # the SVD and the QR of that view, its column spacing the leading
+    # dimension, give the bytes of the same call on a contiguous copy and
+    # leave the rows below it, NaN here, as they were. The last column
+    # repeats the first, so a shape of at least two columns is rank-deficient
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rows, cols))
+    a[:, -1] = a[:, 0]
+    with monkeypatch.context() as patch:
+        if fallback:
+            patch.setattr(linalg, "_dgesdd", lambda: None)
+            patch.setattr(linalg, "_dgeqrf", lambda: None)
+        for decompose in (linalg._svd_in_place, lambda m: (linalg.qr_triangle(m),)):
+            buf = np.full((rows + spare_rows, cols), np.nan, order="F")
+            view = buf[:rows]
+            view[...] = a
+            assert linalg._check_buffer(view, "view") == (rows + spare_rows if cols > 1 else rows)
+            got, want = decompose(view), decompose(np.array(a, order="F"))
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+            assert np.isnan(buf[rows:]).all()
+
+
+def test_check_buffer_takes_only_what_lapack_can_overwrite_where_it_lies():
+    # rows adjacent in memory and columns at least the row count apart; a
+    # single row or column has no spacing to check
+    a = np.arange(24.0).reshape(4, 6)
+    frozen = np.asfortranarray(a)
+    frozen.flags.writeable = False
+    squeezed = np.lib.stride_tricks.as_strided(np.asfortranarray(a), strides=(8, 16))
+    for bad in (a, a.T[::2], frozen, np.asfortranarray(a, dtype=np.float32), a[:, 0].copy(),
+                np.asfortranarray(a)[::2], np.asfortranarray(a)[:, ::-1], squeezed, [[1.0]]):
+        with pytest.raises(InvalidInputError):
+            linalg._check_buffer(bad, "buffer")
+    square = np.zeros((7, 7), order="F")
+    for good, ld in ((np.asfortranarray(a), 4), (a.T, 6), (square[:3, :3], 7), (a[:1], 1),
+                     (a[:, :1].copy(), 4), (square[:1, :1], 1), (square[2:5, 1:], 7)):
+        assert linalg._check_buffer(good, "buffer") == ld
+
+
 def test_pseudoinverse_holds_one_copy_u_vt_and_the_workspace():
     # at m=400, on the copying SVD path that pseudoinverse takes: the
     # F-ordered copy of R, U, Vt and dgesdd's 3m^2 + 7m workspace, about
@@ -589,10 +642,12 @@ def test_owned_svd_holds_u_vt_and_the_workspace_only():
     assert traced_peak(lambda: pseudoinverse(r)) > 6.0 * m * m * 8
 
 
-def test_one_block_readout_holds_its_block_and_no_triangle_beside_it():
+def test_one_block_readout_holds_its_block_and_no_triangle_beside_it(monkeypatch):
     # the 3000x402 [H | t] buffer and build_hidden's work panel of
     # 65536 // 3000 = 21 columns; the 400x402 triangle, 13% of the buffer,
-    # is left in the buffer's own memory and cut down to there
+    # is copied into the 402x402 square, as block 0 of a multi-block fit is,
+    # before the block is freed, or, in a process that pinned its mmap
+    # threshold, left in the buffer's own memory and cut down to there
     if not bundles_openblas():
         pytest.skip("numpy bundles no OpenBLAS")
     rows, nodes = 3000, 400
@@ -603,6 +658,10 @@ def test_one_block_readout_holds_its_block_and_no_triangle_beside_it():
     assert len(linalg.row_blocks(rows, nodes)) == 1
     block = rows * (nodes + 2) * 8
     panel = rows * max(1, model._TILE_ELEMS // rows) * 8
+    square = (nodes + 2) ** 2 * 8
+    assert not linalg._mmap_pinned
+    assert traced_peak(lambda: solve_readout(layer, x, t)) < 1.05 * (block + panel + square)
+    monkeypatch.setattr(linalg, "_mmap_pinned", True)
     assert traced_peak(lambda: solve_readout(layer, x, t)) < 1.05 * (block + panel)
 
 
@@ -665,17 +724,21 @@ def test_multi_block_readout_on_two_cores_holds_two_blocks_and_the_running_trian
     assert peak < 1.05 * (2 * (block + panel) + triangle)
 
 
-def test_solve_under_a_debugger_copies_what_it_cannot_cut(monkeypatch):
+def test_solve_under_a_debugger_keeps_whole_the_block_it_cannot_cut(monkeypatch):
     # a tracer that reads every frame's locals, as a debugger does, holds one
     # more reference to a one-block fit's buffer, so numpy's realloc refuses
-    # to cut it down; the solve then copies what it would have kept, with
-    # its bits. The buffer is below the cut threshold, which is lowered so
-    # that it is cut
-    monkeypatch.setattr(linalg, "_CUT_BYTES", 0)
+    # to cut it down; the solve then decomposes R where it was packed, in the
+    # whole block, with the bits of the cut and of the square start. The
+    # record of a pinned mmap threshold is set and the threshold lowered, so
+    # that this small block is cut
     rng = np.random.default_rng(34)
     a, t = rng.normal(size=(90, 4)), rng.normal(size=(90, 2))
     assert len(linalg.row_blocks(*a.shape)) == 1
+    square = lstsq(a, t)
+    monkeypatch.setattr(linalg, "_mmap_pinned", True)
+    monkeypatch.setattr(linalg, "_MMAP_BYTES", 0)
     want = lstsq(a, t)
+    assert want.tobytes() == square.tobytes()
 
     def tracer(frame, event, arg):
         frame.f_locals
@@ -843,19 +906,21 @@ def test_fold_reads_a_block_where_dgeqrf_leaves_it(cols, extra_rows, seed):
     (1280, 100, False),  # compare-cv-file, its largest CV fold
 ])
 def test_only_blocks_the_cli_maps_on_their_own_are_cut(rows, nodes, cut):
-    # only a one-block fit is cut; the CLI maps every array of 4 MiB or more
-    # on its own, and a cut hands pages back only there
-    assert linalg._CUT_BYTES == cli._MMAP_BYTES
-    assert (rows * (nodes + 1) * 8 >= linalg._CUT_BYTES) == cut
+    # only a one-block fit is cut, and only in a process that pinned its mmap
+    # threshold, as the CLI does: every array of that size or more is then
+    # mapped on its own, and a cut hands pages back only there
+    assert (rows * (nodes + 1) * 8 >= linalg._MMAP_BYTES) == cut
 
 
 def test_repeated_library_solves_take_no_page_faults():
     # a program that imports the package keeps glibc's default malloc
     # settings; there, once warm, a solve whose blocks are freed whole takes
-    # its pages from the heap, not from fresh mappings: a one-block fit whose
-    # triangle is copied out, and a fit of 4 blocks of 8 MB, each folded
-    # from where it lies. Cut down to their triangles, those blocks took
-    # 1720 to 2002 minor faults per solve, by what ran before
+    # its pages from the heap, not from fresh mappings: one-block fits of
+    # 0.2 to 32 MB, each started from the square, and a fit of 4 blocks of
+    # 8 MB, each folded from where it lies. Cut down to their triangles,
+    # the one blocks of 8 to 32 MB took 158 to 851 minor faults per solve,
+    # and the 4 blocks 1720 to 2002, by what ran before. Each shape is
+    # measured before any larger one has run
     if platform.system() != "Linux" or platform.libc_ver()[0] != "glibc":
         pytest.skip("glibc's malloc only")
     probe = """
@@ -866,7 +931,8 @@ from randnet.model import HiddenLayer, solve_readout
 
 rng = np.random.default_rng(36)
 with linalg.single_thread_blas():
-    for rows, nodes, solves in [(5000, 25, 50), (900, 100, 50), (20000, 200, 10)]:
+    for rows, nodes, solves in [(5000, 25, 50), (900, 100, 50), (5000, 200, 10),
+                                (5000, 400, 10), (5000, 800, 10), (20000, 200, 10)]:
         assert len(linalg.row_blocks(rows, nodes)) == (4 if rows == 20000 else 1)
         x = rng.uniform(size=(rows, 1))
         layer = HiddenLayer(rng.normal(scale=5.0, size=(1, nodes)), rng.normal(size=nodes))
@@ -886,7 +952,7 @@ with linalg.single_thread_blas():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     faults = [float(line) for line in done.stdout.split()]
-    assert len(faults) == 3 and max(faults) <= 10, faults
+    assert len(faults) == 6 and max(faults) <= 10, faults
 
 
 def bundles_openblas() -> bool:

@@ -124,12 +124,13 @@ def test_every_public_function_and_class_is_used_or_exported():
 
 
 def test_only_the_cli_tunes_malloc():
-    # the CLI owns its process and pins glibc's malloc thresholds there; a
-    # program that imports the package keeps its allocator's settings, so
-    # no other module names mallopt or malloc_trim, as a name, an attribute,
-    # an import or a looked-up string
+    # the CLI owns its process and pins glibc's malloc thresholds there,
+    # through linalg, which records the pin for its cut; a program that
+    # imports the package keeps its allocator's settings. So only linalg
+    # names mallopt or malloc_trim, as a name, an attribute, an import or a
+    # looked-up string, and only the CLI calls the pin
     tuning = {"mallopt", "malloc_trim"}
-    named = {}
+    named, pinning = {}, []
     for path, tree in source_trees().items():
         strings = {node.value for node in ast.walk(tree)
                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
@@ -138,4 +139,8 @@ def test_only_the_cli_tunes_malloc():
         found = (names | strings) & tuning
         if found:
             named[path.relative_to(SRC).as_posix()] = sorted(found)
-    assert named == {"experiment/cli.py": ["mallopt"]}
+        if any(isinstance(node, ast.Call) and "pin_malloc_thresholds" in referenced(node.func)
+               for node in ast.walk(tree)):
+            pinning.append(path.relative_to(SRC).as_posix())
+    assert named == {"linalg.py": ["mallopt"]}
+    assert pinning == ["experiment/cli.py"]
