@@ -18,7 +18,12 @@ order (sequential TSQR: Demmel et al., SIAM J. Sci. Comput. 2012), and the
 block is then freed whole; only the CLI's cut of a lone large block, in
 ``solve_rows``, keeps its triangle in the block. So no full-size copy of
 ``[a | rhs]`` is made, and a caller such as the network readout never holds
-``a`` whole.
+``a`` whole. A split matrix's blocks of ``[a | rhs]`` hold at most 16 MiB
+each, unless a block would then keep fewer than ``3 * (cols + 1)`` rows, so
+a split fit holds at most its block budget of such blocks in flight:
+20000x800 solves at a budget of 2 took 790 to 903 ms in 4 blocks of
+30.6 MiB, 812 to 897 ms in 8 of 15.3 MiB and 873 to 937 ms in 16, which
+sets that row floor.
 
 ``qr_triangle`` is LAPACK ``dgeqrf``, ``_fold`` is ``dtpqrt`` and the SVD is
 ``dgesdd``, all from the OpenBLAS bundled in the numpy wheel, bound through
@@ -496,8 +501,15 @@ def single_thread_blas():
 # _MIN_BLOCK_ROWS rows and _ROWS_PER_COL rows per column of [a | rhs]. Below
 # that, the folds cost more than the split saves: a 5000x26 QR took 1.08 ms
 # in one dgeqrf and 1.43 to 1.91 ms in 2 to 8 folded blocks, on one thread.
+# A split matrix is then halved further while its largest block of [a | rhs]
+# holds more than _BLOCK_BYTES, and each half keeps _CAPPED_ROWS_PER_COL rows
+# per column, which bounds the blocks in flight. That floor is where the
+# split starts to cost time: 20000x800 solves at a budget of 2 took 790 to
+# 903 ms in 4 blocks, 812 to 897 ms in 8 and 873 to 937 ms in 16.
 _MIN_BLOCK_ROWS = 4096
 _ROWS_PER_COL = 4
+_BLOCK_BYTES = 16 << 20
+_CAPPED_ROWS_PER_COL = 3
 _budget = threading.local()
 
 
@@ -514,11 +526,21 @@ def row_blocks(rows: int, cols: int) -> list[slice]:
 
     The split depends on the shape only, never on the cores, so blocked
     results are the same on every machine. A matrix with fewer than
-    ``max(8192, 8 * (cols + 1))`` rows is one block.
+    ``max(8192, 8 * (cols + 1))`` rows is one block. A split matrix is
+    halved while every block keeps ``max(4096, 4 * (cols + 1))`` rows, then
+    further while a block of ``[a | t]``, counted as ``cols + 1`` columns,
+    holds more than 16 MiB and each half keeps ``3 * (cols + 1)`` rows: a
+    20000x800 matrix is 8 blocks of 2500 rows, 15.3 MiB each, where the row
+    rule alone gives 4 of 30.6 MiB, and 16 would take more time (see the
+    timings above ``_MIN_BLOCK_ROWS``).
     """
-    floor = max(_ROWS_PER_COL * (cols + 1), _MIN_BLOCK_ROWS)
+    width = cols + 1
+    floor = max(_ROWS_PER_COL * width, _MIN_BLOCK_ROWS)
     count = 1
     while rows // (2 * count) >= floor:
+        count *= 2
+    while (count > 1 and -(-rows // count) * width * 8 > _BLOCK_BYTES
+           and rows // (2 * count) >= _CAPPED_ROWS_PER_COL * width):
         count *= 2
     bounds = [rows * i // count for i in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

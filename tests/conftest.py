@@ -6,10 +6,10 @@ pinned mmap threshold after each test: an in-process CLI run pins it, which
 would switch the one-block solves of later tests to the cut. A test that
 needs the cut sets the record itself.
 
-The ``row_blocking`` fixture pins the row-block threshold and the core count
-that worker maps and block budgets come from, so tests of the blocked readout
-and the worker maps run the same blocks, pools and processes on a 1-core
-machine as on a many-core one.
+The ``row_blocking`` fixture pins the row-block threshold, the block cap and
+the core count that worker maps and block budgets come from, so tests of the
+blocked readout and the worker maps run the same blocks, pools and processes
+on a 1-core machine as on a many-core one.
 
 Acceptance tests append one verdict line per criterion to ACCEPTANCE_LINES;
 the terminal-summary hook reprints them after the run so they stay visible
@@ -51,14 +51,20 @@ def malloc_record(monkeypatch):
 
 @pytest.fixture
 def row_blocking(monkeypatch):
-    """``row_blocking(min_rows=..., cores=...)`` sets the row-block threshold
-    ``linalg._MIN_BLOCK_ROWS``, so that small shapes split into several
-    blocks, and, when ``cores`` is given, the ``linalg.core_count`` that the
-    worker maps divide among their workers: each unit's block budget is
-    ``cores // workers``. Both are restored after the test."""
+    """``row_blocking(min_rows=..., block_bytes=..., cores=...)`` sets the
+    row-block threshold ``linalg._MIN_BLOCK_ROWS``, so that small shapes
+    split into several blocks; the block cap ``linalg._BLOCK_BYTES``, so
+    that small split shapes are halved by it; and the ``linalg.core_count``
+    that the worker maps divide among their workers: each unit's block
+    budget is ``cores // workers``. Each is set only when given, and all are
+    restored after the test."""
 
-    def configure(*, min_rows: int, cores: int | None = None) -> None:
-        monkeypatch.setattr(linalg, "_MIN_BLOCK_ROWS", min_rows)
+    def configure(*, min_rows: int | None = None, block_bytes: int | None = None,
+                  cores: int | None = None) -> None:
+        if min_rows is not None:
+            monkeypatch.setattr(linalg, "_MIN_BLOCK_ROWS", min_rows)
+        if block_bytes is not None:
+            monkeypatch.setattr(linalg, "_BLOCK_BYTES", block_bytes)
         if cores is not None:
             monkeypatch.setattr(linalg, "core_count", lambda: cores)
 

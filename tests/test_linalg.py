@@ -185,6 +185,8 @@ def test_lstsq_matches_pseudoinverse(rows, cols, seed, defect, rhs_cols):
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.integers(0, 2**20), cols=st.integers(1, 4000))
+@example(rows=20000, cols=800)  # halved by the cap to 8 blocks of 15.3 MiB
+@example(rows=50000, cols=800)  # 16 blocks of 19.1 MiB: a half would go below the floor
 def test_row_blocks_are_a_contiguous_split_fixed_by_the_shape(rows, cols):
     blocks = linalg.row_blocks(rows, cols)
     count = len(blocks)
@@ -192,16 +194,25 @@ def test_row_blocks_are_a_contiguous_split_fixed_by_the_shape(rows, cols):
     assert blocks[0].start == 0 and blocks[-1].stop == rows
     assert all(b.stop == c.start for b, c in zip(blocks, blocks[1:]))
     assert all(b.step is None for b in blocks)
-    floor = max(4 * (cols + 1), 4096)
+    width = cols + 1
+    assert (count == 1) == (rows < 2 * max(4096, 4 * width))
+    assert rows // (2 * count) < max(4096, 4 * width)  # the row rule is spent
     if count > 1:
-        assert min(b.stop - b.start for b in blocks) >= floor
-    assert rows // (2 * count) < floor  # one more doubling would go below it
+        assert min(b.stop - b.start for b in blocks) >= 3 * width
+        # the cap is spent: the blocks hold at most 16 MiB, or one more
+        # halving would leave a half below 3 * (cols + 1) rows
+        assert (-(-rows // count) * width * 8 <= 16 << 20
+                or rows // (2 * count) < 3 * width)
+        # and no halving was made past what the row rule and the cap ask
+        half = count // 2
+        assert (rows // count >= max(4096, 4 * width)
+                or -(-rows // half) * width * 8 > 16 << 20)
     with linalg.block_budget(4):
         assert linalg.row_blocks(rows, cols) == blocks
 
 
 @pytest.mark.parametrize("shape, count", [
-    ((20000, 800), 4),  # fit-n5-save: train and test H
+    ((20000, 800), 8),  # fit-n5-save: train and test H, 2500 rows of 15.3 MiB
     ((5000, 800), 1),   # tf1-m800 H, and the raem1 decoder solve
     ((5000, 25), 1),    # uae-sweep-m25
     ((1600, 100), 1),   # compare-cv-file, its largest H
@@ -679,20 +690,21 @@ def test_wide_solve_holds_its_matrix_once():
     assert traced_peak(lambda: solve_readout(layer, x, t)) <= 4.6 * h.nbytes
 
 
-def multi_block_readout_peak(budget: int) -> tuple[int, int, int, int]:
-    """The traced peak of an 8000x400 readout solve in 4 blocks of 2000x401,
-    each folded from where it lies and freed whole, at ``budget``, with the
-    sizes of one block, its build panel and one 401x401 triangle, in
-    bytes."""
-    rows, nodes = 8000, 400
+def blocked_readout_peak(rows: int, nodes: int, block_rows: int,
+                         budget: int) -> tuple[int, int, int, int]:
+    """The traced peak of a rows x nodes readout solve in blocks of
+    block_rows x (nodes + 1), each folded from where it lies and freed whole,
+    at ``budget``, with the sizes of one block, its build panel and the
+    running triangle, in bytes."""
     rng = np.random.default_rng(35)
     x = rng.uniform(size=(rows, 1))
     layer = HiddenLayer(rng.normal(scale=5.0, size=(1, nodes)), rng.normal(size=nodes))
     t = rng.normal(size=rows)
-    assert [b.stop - b.start for b in linalg.row_blocks(rows, nodes)] == [2000] * 4
+    assert [b.stop - b.start for b in linalg.row_blocks(rows, nodes)] \
+        == [block_rows] * (rows // block_rows)
     width = nodes + 1
-    block = 2000 * width * 8
-    panel = 2000 * (model._TILE_ELEMS // 2000) * 8
+    block = block_rows * width * 8
+    panel = block_rows * (model._TILE_ELEMS // block_rows) * 8
     with linalg.block_budget(budget):
         peak = traced_peak(lambda: solve_readout(layer, x, t))
     return peak, block, panel, width * width * 8
@@ -708,7 +720,7 @@ def test_multi_block_readout_on_one_core_holds_one_block_and_the_running_triangl
     if not bundles_openblas():
         pytest.skip("numpy bundles no OpenBLAS")
     row_blocking(min_rows=8)
-    peak, block, panel, triangle = multi_block_readout_peak(1)
+    peak, block, panel, triangle = blocked_readout_peak(8000, 400, 2000, 1)
     assert peak < 1.05 * (block + panel + triangle)
 
 
@@ -720,8 +732,22 @@ def test_multi_block_readout_on_two_cores_holds_two_blocks_and_the_running_trian
     if not bundles_openblas():
         pytest.skip("numpy bundles no OpenBLAS")
     row_blocking(min_rows=8)
-    peak, block, panel, triangle = multi_block_readout_peak(2)
+    peak, block, panel, triangle = blocked_readout_peak(8000, 400, 2000, 2)
     assert peak < 1.05 * (2 * (block + panel) + triangle)
+
+
+def test_capped_blocks_bound_what_a_split_readout_holds(row_blocking):
+    # the row rule splits 8192x200 into 2 blocks of 4096x201, 6.3 MiB each;
+    # a cap of 2 MiB halves them to 8 blocks of 1024x201, 1.6 MiB each, so
+    # at budgets 1 and 2 the solve holds that many capped blocks and their
+    # build panels beside the running triangle. Uncapped, the 2 blocks of
+    # 6.3 MiB go past the bound at either budget
+    if not bundles_openblas():
+        pytest.skip("numpy bundles no OpenBLAS")
+    row_blocking(block_bytes=2 << 20)
+    for budget in (1, 2):
+        peak, block, panel, triangle = blocked_readout_peak(8192, 200, 1024, budget)
+        assert peak < 1.05 * (budget * (block + panel) + triangle), (budget, peak)
 
 
 def test_solve_under_a_debugger_keeps_whole_the_block_it_cannot_cut(monkeypatch):
@@ -916,11 +942,12 @@ def test_repeated_library_solves_take_no_page_faults():
     # a program that imports the package keeps glibc's default malloc
     # settings; there, once warm, a solve whose blocks are freed whole takes
     # its pages from the heap, not from fresh mappings: one-block fits of
-    # 0.2 to 32 MB, each started from the square, and a fit of 4 blocks of
-    # 8 MB, each folded from where it lies. Cut down to their triangles,
-    # the one blocks of 8 to 32 MB took 158 to 851 minor faults per solve,
-    # and the 4 blocks 1720 to 2002, by what ran before. Each shape is
-    # measured before any larger one has run
+    # 0.2 to 32 MB, each started from the square, and fits of 4 blocks of
+    # 8 MB and of 4 blocks of 15.3 MiB, halved by the cap, each folded from
+    # where it lies. Cut down to their triangles, the one blocks of 8 to
+    # 32 MB took 158 to 851 minor faults per solve, and the 4 blocks of 8 MB
+    # 1720 to 2002, by what ran before. Each shape is measured before any
+    # larger one has run
     if platform.system() != "Linux" or platform.libc_ver()[0] != "glibc":
         pytest.skip("glibc's malloc only")
     probe = """
@@ -932,8 +959,9 @@ from randnet.model import HiddenLayer, solve_readout
 rng = np.random.default_rng(36)
 with linalg.single_thread_blas():
     for rows, nodes, solves in [(5000, 25, 50), (900, 100, 50), (5000, 200, 10),
-                                (5000, 400, 10), (5000, 800, 10), (20000, 200, 10)]:
-        assert len(linalg.row_blocks(rows, nodes)) == (4 if rows == 20000 else 1)
+                                (5000, 400, 10), (5000, 800, 10), (20000, 200, 10),
+                                (10000, 800, 10)]:
+        assert len(linalg.row_blocks(rows, nodes)) == (1 if rows <= 5000 else 4)
         x = rng.uniform(size=(rows, 1))
         layer = HiddenLayer(rng.normal(scale=5.0, size=(1, nodes)), rng.normal(size=nodes))
         t = rng.normal(size=rows)
@@ -952,7 +980,7 @@ with linalg.single_thread_blas():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     faults = [float(line) for line in done.stdout.split()]
-    assert len(faults) == 6 and max(faults) <= 10, faults
+    assert len(faults) == 7 and max(faults) <= 10, faults
 
 
 def bundles_openblas() -> bool:
