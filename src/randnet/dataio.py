@@ -178,44 +178,41 @@ def load_csv(
 ) -> Dataset:
     """Load a numeric CSV or KEEL ``.dat`` file into a Dataset.
 
-    The last column is the target unless ``target_column`` selects another
-    (by index, or by name when ``header`` is true). Lines starting with
-    ``@`` and blank lines are skipped. A delimiter that is not one
-    character is a ConfigError, raised before the file is read; a file that
-    is not UTF-8 text is a DataFormatError. A leading byte-order mark, as
-    spreadsheet exports write, is skipped.
+    Blank lines and ``@`` lines are skipped; every other line is one row, and
+    the first, the header when ``header`` is true, sets the width: a later
+    row of another width is a DataFormatError. The last column is the target
+    unless ``target_column`` selects another (by index, or by name when
+    ``header`` is true). A delimiter that is not one character is a
+    ConfigError, raised before the file is read; a file that is not UTF-8
+    text is a DataFormatError. A leading byte-order mark, as spreadsheet
+    exports write, is skipped.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
-    rows: list[list[str]] = []
-    line_numbers: list[int] = []
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("@"):
-                    continue
-                rows.append(next(csv.reader([stripped], delimiter=delimiter)))
-                line_numbers.append(lineno)
+            # blank and @ lines are read as empty records, so record i is line i
+            lines = ("" if line.startswith("@") else line for line in map(str.strip, fh))
+            reader = csv.reader(lines, delimiter=delimiter)
+            records = [(reader.line_num, cells) for cells in reader]
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not rows:
+    except csv.Error as exc:  # a cell longer than csv's field size limit
+        raise DataFormatError(f"{path}: {exc} at line {reader.line_num}") from None
+    for lineno, (last_line, _) in enumerate(records, start=1):
+        if last_line != lineno:  # a quoted cell ran on into the next line
+            raise DataFormatError(f"{path}: unterminated quote at line {lineno}")
+    rows = [record for record in records if record[1]]
+
+    if len(rows) <= header:
         raise DataFormatError(f"{path}: no data rows")
-
-    names: list[str] | None = None
-    if header:
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        line_numbers = line_numbers[1:]
-        if not rows:
-            raise DataFormatError(f"{path}: header but no data rows")
-
-    width = len(rows[0])
+    width = len(rows[0][1])
     if width < 2:
         raise DataFormatError(f"{path}: need at least one feature column plus a target")
+    names = [c.strip() for c in rows.pop(0)[1]] if header else None
 
     values = np.empty((len(rows), width))
-    for r, (cells, lineno) in enumerate(zip(rows, line_numbers)):
+    for r, (lineno, cells) in enumerate(rows):
         if len(cells) != width:
             raise DataFormatError(
                 f"{path}: ragged row at line {lineno}: expected {width} cells, got {len(cells)}"

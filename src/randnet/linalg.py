@@ -20,10 +20,8 @@ block is then freed whole; only the CLI's cut of a lone large block, in
 ``[a | rhs]`` is made, and a caller such as the network readout never holds
 ``a`` whole. A split matrix's blocks of ``[a | rhs]`` hold at most 16 MiB
 each, unless a block would then keep fewer than ``3 * (cols + 1)`` rows, so
-a split fit holds at most its block budget of such blocks in flight:
-20000x800 solves at a budget of 2 took 790 to 903 ms in 4 blocks of
-30.6 MiB, 812 to 897 ms in 8 of 15.3 MiB and 873 to 937 ms in 16, which
-sets that row floor.
+a split fit holds at most its block budget of such blocks in flight (the
+timings that set that row floor are above ``_MIN_BLOCK_ROWS``).
 
 ``qr_triangle`` is LAPACK ``dgeqrf``, ``_fold`` is ``dtpqrt`` and the SVD is
 ``dgesdd``, all from the OpenBLAS bundled in the numpy wheel, bound through
@@ -505,7 +503,8 @@ def single_thread_blas():
 # holds more than _BLOCK_BYTES, and each half keeps _CAPPED_ROWS_PER_COL rows
 # per column, which bounds the blocks in flight. That floor is where the
 # split starts to cost time: 20000x800 solves at a budget of 2 took 790 to
-# 903 ms in 4 blocks, 812 to 897 ms in 8 and 873 to 937 ms in 16.
+# 903 ms in 4 blocks of 30.6 MiB, 812 to 897 ms in 8 of 15.3 MiB and 873 to
+# 937 ms in 16.
 _MIN_BLOCK_ROWS = 4096
 _ROWS_PER_COL = 4
 _BLOCK_BYTES = 16 << 20

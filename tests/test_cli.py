@@ -875,6 +875,17 @@ class TestExitCodes:
         assert run("emit", "--data", data, "--out", tmp_path / "o") == 3
         assert capsys.readouterr().err.startswith(f"data error: {data}: not UTF-8 text")
 
+    @pytest.mark.parametrize("names, target", [
+        ("a", None), ("a,b,c,d", "d"), ("a,b", "b"), ("a,b", None), ("a,b,c,d", None),
+    ])
+    def test_header_of_another_width_is_a_data_error(self, tmp_path, capsys, names, target):
+        data = tmp_path / "d.csv"
+        data.write_text(f"{names}\n1,2,3\n4,5,6\n7,8,9\n10,11,13\n")
+        flags = ["--target-column", target] if target else []
+        assert run("emit", "--data", data, "--header", *flags, "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {data}: ") and "Traceback" not in err
+
     def test_non_utf8_config_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         config = tmp_path / "c.json"

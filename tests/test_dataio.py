@@ -1,7 +1,10 @@
 """CSV/KEEL ingestion, splitting, and min-max normalization."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from randnet.dataio import (
     Dataset,
@@ -96,6 +99,83 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("names, target", [
+        ("a,b,c", None),  # one name short
+        ("a,b", None),  # two short
+        ("a,b,c,d,e", None),  # one name too many
+        ("a,b,c,d,e", "e"),  # and the extra one named as the target
+    ])
+    def test_header_of_another_width_is_rejected_at_the_first_data_line(
+        self, tmp_path, names, target
+    ):
+        path = write(tmp_path, f"{names}\n1,2,3,4\n5,6,7,8\n")
+        with pytest.raises(DataFormatError, match="ragged row at line 2"):
+            load_csv(path, header=True, target_column=target)
+
+    def test_one_cell_header_leaves_no_feature_column(self, tmp_path):
+        with pytest.raises(DataFormatError, match="need at least one feature column"):
+            load_csv(write(tmp_path, "a\n1,2,3\n"), header=True)
+
+    @pytest.mark.parametrize("text", ["", "@data\n\n", "a,b\n\n@data\n"])
+    def test_no_data_rows(self, tmp_path, text):
+        with pytest.raises(DataFormatError, match="no data rows"):
+            load_csv(write(tmp_path, text), header=text.startswith("a"))
+
+    def test_quoted_cells_are_read_as_their_text(self, tmp_path):
+        ds = load_csv(write(tmp_path, '"a b","t"\n"1.5",2\n3,"4"\n'), header=True)
+        assert ds.feature_names == ("a b",)
+        assert ds.x.tolist() == [[1.5], [3.0]] and ds.y.tolist() == [2.0, 4.0]
+
+    def test_unterminated_quote_does_not_run_into_the_next_line(self, tmp_path):
+        # read as one record, "3 and 4,5 would give the row 34,5
+        with pytest.raises(DataFormatError, match="unterminated quote at line 2"):
+            load_csv(write(tmp_path, '1,2\n"3\n4,5\n6,7\n'))
+
+    def test_cell_past_the_field_size_limit_is_a_format_error(self, tmp_path):
+        path = write(tmp_path, "1,2\n3," + "4" * 200_000 + "\n")
+        with pytest.raises(DataFormatError, match="field larger than field limit .* at line 2"):
+            load_csv(path)
+
+
+names = st.text(string.ascii_letters + "_", min_size=1, max_size=6)
+filler = st.lists(st.sampled_from(["", "   ", "@data", "@attribute x real"]), max_size=2)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), cols=st.integers(2, 5), rows=st.integers(1, 6),
+       header=st.booleans(), delimiter=st.sampled_from([",", ";", "\t"]))
+def test_written_table_loads_back_exactly(tmp_path, data, cols, rows, header, delimiter):
+    table = np.array(data.draw(st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows)))
+    header_names = data.draw(st.lists(names, min_size=cols, max_size=cols, unique=True))
+    lines = [header_names] if header else []
+    lines += [[repr(v) for v in row] for row in table.tolist()]
+    text = "".join(
+        "".join(f"{f}\n" for f in data.draw(filler)) + delimiter.join(cells) + "\n"
+        for cells in lines
+    ) + "".join(f"{f}\n" for f in data.draw(filler))
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+
+    how = data.draw(st.sampled_from(["last", "index", "name"] if header else ["last", "index"]))
+    target = cols - 1 if how == "last" else data.draw(st.integers(0, cols - 1))
+    if how == "last":
+        target_column = None
+    elif how == "name":
+        target_column = header_names[target]
+    else:  # counted from the front or from the end
+        target_column = target - cols * data.draw(st.booleans())
+    ds = load_csv(path, delimiter=delimiter, header=header, target_column=target_column)
+
+    features = [j for j in range(cols) if j != target]
+    assert ds.y.tobytes() == np.ascontiguousarray(table[:, target]).tobytes()
+    assert ds.x.tobytes() == np.ascontiguousarray(table[:, features]).tobytes()
+    expected_names = tuple(header_names[j] for j in features) if header else None
+    assert ds.feature_names == expected_names
 
 
 class TestSplit:
