@@ -180,12 +180,12 @@ def load_csv(
 
     Blank lines and ``@`` lines are skipped; every other line is one row, and
     the first, the header when ``header`` is true, sets the width: a later
-    row of another width is a DataFormatError. The last column is the target
-    unless ``target_column`` selects another (by index, or by name when
-    ``header`` is true). A delimiter that is not one character is a
-    ConfigError, raised before the file is read; a file that is not UTF-8
-    text is a DataFormatError. A leading byte-order mark, as spreadsheet
-    exports write, is skipped.
+    row of another width, or a header that repeats a name, is a
+    DataFormatError. The last column is the target unless ``target_column``
+    selects another (by index, or by name when ``header`` is true). A
+    delimiter that is not one character is a ConfigError, raised before the
+    file is read; a file that is not UTF-8 text is a DataFormatError. A
+    leading byte-order mark, as spreadsheet exports write, is skipped.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
@@ -210,6 +210,9 @@ def load_csv(
     if width < 2:
         raise DataFormatError(f"{path}: need at least one feature column plus a target")
     names = [c.strip() for c in rows.pop(0)[1]] if header else None
+    for j, name in enumerate(names or ()):
+        if name in names[:j]:  # a named target or a written header would be ambiguous
+            raise DataFormatError(f"{path}: header repeats the column name {name!r}")
 
     values = np.empty((len(rows), width))
     for r, (lineno, cells) in enumerate(rows):

@@ -30,18 +30,16 @@ from .dataio import NormalizationSpec
 from .errors import InvalidInputError
 from .linalg import map_blocks, row_blocks, solve_rows
 
-# Open-interval bounds for sigmoid outputs: saturation may round to 0.0/1.0
-# in float64, which would put entries on the boundary of (0, 1).
-_SIG_LO = np.nextafter(0.0, 1.0)
+# Largest sigmoid output below 1: a saturated z >= 37 would round to 1.0.
 _SIG_HI = np.nextafter(1.0, 0.0)
 
-# Where z > _EXP_CAP the sigmoid takes exp(-_EXP_CAP) in place of exp(-z):
-# both are below 2**-53, so 1 + e rounds to 1 either way, and exp(-700) is
-# a normal number. numpy's SIMD exp leaves its fast path for arguments whose
-# result underflows or is subnormal: with numpy 2.4.6 on a 2-core x86-64
-# box, 64K entries took 32 us for arguments in [-700, 0], 0.67 ms when every
-# result underflowed to 0 and 4.7 ms when every result was subnormal.
-_EXP_CAP = 700.0
+# The sigmoid takes exp(-min(|z|, _EXP_FLOOR)). Its smallest output,
+# exp(-354) / (1 + exp(-354)) ~ 1.8e-154, squares to 3.3e-308, a normal
+# number, so no entry of H nor product of two is subnormal, on which numpy's
+# exp, dgeqrf and dgemv slow down (64K exps: 32 us in [-700, 0], 4.7 ms when
+# all subnormal; numpy 2.4.6, 2-core x86-64). exp(-354) is below 2**-53, so
+# for z >= 354 ``1 + e`` still rounds to 1, as it would with exp(-z).
+_EXP_FLOOR = 354.0
 
 # A tile holds about _TILE_ELEMS entries (512 KB) and a multiple of
 # _TILE_ALIGN rows. With OpenBLAS, a matrix-vector product taken over such
@@ -118,14 +116,14 @@ class TrainedNetwork:
 def sigmoid(z, *, out=None):
     """Logistic function, numerically stable and strictly inside (0, 1).
 
-    Computes ``n / (1 + e)`` with ``e = exp(-|min(z, 700)|)``, and
-    numerator ``n = e`` for z < 0 and 1 for z >= 0, so exp never overflows
-    and takes one argument per entry: ``z`` itself for z < 0, and ``-z``
-    clamped at -700 for z >= 0. That is bitwise ``1 / (1 + exp(-z))`` for
-    z >= 0 and ``exp(z) / (1 + exp(z))`` for z < 0. Outputs are clipped to
-    the open unit interval so saturated nodes never return exactly 0 or 1.
-    ``z`` is left alone unless it is passed as ``out``, a float array of its
-    shape that receives the result; ``out=z`` needs one temporary array only.
+    Computes ``n / (1 + e)`` with ``e = exp(-min(|z|, 354))`` and numerator
+    ``n = e`` for z < 0 and 1 for z >= 0, so exp never overflows and runs
+    once per entry. That is bitwise ``1 / (1 + exp(-z))`` for z >= 0 and
+    ``exp(z) / (1 + exp(z))`` for -354 <= z < 0; below -354 the output stays
+    at its value at -354, about 1.8e-154, so it is never subnormal or 0, and
+    it is capped below 1 so saturated nodes never return exactly 1. ``z`` is
+    left alone unless it is passed as ``out``, a float array of its shape
+    that receives the result; ``out=z`` needs one temporary array only.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim == 0:
@@ -140,9 +138,8 @@ def _sigmoid_tile(z, out, work) -> None:
     """``sigmoid(z, out=out)`` with ``work``, an array of z's shape that is
     neither z nor out, as its one temporary.
 
-    exp runs once per entry, and never on an argument below -700 for
-    z > 0, where a saturated node would otherwise take numpy's slow
-    underflow path (see ``_EXP_CAP``). The numerator
+    exp runs once per entry, on an argument never below -354, where a
+    saturated node would give a subnormal (see ``_EXP_FLOOR``). The numerator
     ``max(ceil(min(z, 1)), e)`` is ``e`` where z < 0, since there the
     ceiling is at most -0 and ``e >= 0``, and exactly 1 where z > 0, since
     there the ceiling is 1 and ``e <= 1``; at z = 0 and z = -0, ``e`` is 1.
@@ -152,8 +149,8 @@ def _sigmoid_tile(z, out, work) -> None:
     formula, and not with the sign bit ``e`` gets from the negation. z is
     last read by the ``min`` of the numerator, so ``out`` may be z.
     """
-    np.minimum(z, _EXP_CAP, out=work)
-    np.abs(work, out=work)
+    np.abs(z, out=work)
+    np.minimum(work, _EXP_FLOOR, out=work)
     np.negative(work, out=work)
     np.exp(work, out=work)
     np.minimum(z, 1.0, out=out)
@@ -161,7 +158,7 @@ def _sigmoid_tile(z, out, work) -> None:
     np.maximum(out, work, out=out)
     work += 1.0
     np.divide(out, work, out=out)
-    np.clip(out, _SIG_LO, _SIG_HI, out=out)
+    np.minimum(out, _SIG_HI, out=out)
 
 
 def _affine_tile(x, weights, biases, out, work) -> None:

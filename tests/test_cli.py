@@ -886,6 +886,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {data}: ") and "Traceback" not in err
 
+    def test_header_that_repeats_a_name_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x,x,y\n1,2,3\n4,5,6\n7,8,9\n10,11,13\n")
+        out = tmp_path / "o"
+        assert run("emit", "--data", data, "--header", "--target-column", "x", "--out", out) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {data}: header repeats the column name 'x'\n")
+        assert not (out / "train.csv").exists()
+
     def test_non_utf8_config_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         config = tmp_path / "c.json"

@@ -113,6 +113,17 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="ragged row at line 2"):
             load_csv(path, header=True, target_column=target)
 
+    @pytest.mark.parametrize("names, target, repeated", [
+        ("x,x,y", "x", "x"), ("x,x,y", None, "x"), ("a,y,b,y", 0, "y"), ("a, b,b ", None, "b"),
+    ])
+    def test_header_that_repeats_a_name_is_rejected(self, tmp_path, names, target, repeated):
+        # a named target would resolve to the first match, and the written
+        # split would name two columns alike
+        row = ",".join(["1"] * (names.count(",") + 1))
+        path = write(tmp_path, f"{names}\n{row}\n{row}\n")
+        with pytest.raises(DataFormatError, match=f"header repeats the column name '{repeated}'"):
+            load_csv(path, header=True, target_column=target)
+
     def test_one_cell_header_leaves_no_feature_column(self, tmp_path):
         with pytest.raises(DataFormatError, match="need at least one feature column"):
             load_csv(write(tmp_path, "a\n1,2,3\n"), header=True)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randnet.benchfn import SampledProblem
+from randnet.benchfn import SampledProblem, demo_problem_1d
 from randnet.dataio import Dataset, NormalizationSpec
 from randnet.errors import InvalidInputError
 from randnet import linalg, model
 from randnet.experiment.trials import run_trials
 from randnet.linalg import lstsq
+from randnet.methods import generate_hidden_layer
 from randnet.model import (
     HiddenLayer,
     ReadoutWeights,
@@ -29,6 +30,8 @@ from randnet.model import (
     train_readout,
 )
 from randnet.paramgen import RaMConfig
+from randnet.rae import Raem1Config
+from randnet.rng import as_stream
 
 
 def random_layer(rng, n, m, scale=3.0):
@@ -40,8 +43,8 @@ def random_layer(rng, n, m, scale=3.0):
 
 def two_branch_sigmoid(z):
     """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) otherwise,
-    clipped to the open unit interval."""
-    z = np.asarray(z, dtype=float)
+    evaluated at max(z, -354) and clipped to the open unit interval."""
+    z = np.maximum(np.asarray(z, dtype=float), -354.0)
     want = np.empty_like(z)
     pos = z >= 0
     with np.errstate(under="ignore"):
@@ -89,10 +92,11 @@ class TestSigmoid:
             rng.normal(scale=10.0, size=20000), rng.uniform(-800.0, 800.0, size=20000),
             [0.0, -0.0, 800.0, -800.0, 709.0, -745.0, 5e-324, -5e-324, np.inf, -np.inf],
         ])
+        floored = np.maximum(z, -354.0)
         want = np.empty_like(z)
-        pos = z >= 0
-        want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
+        pos = floored >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-floored[pos]))
+        ez = np.exp(floored[~pos])
         want[~pos] = ez / (1.0 + ez)
         np.clip(want, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=want)
         assert sigmoid(z).tobytes() == want.tobytes()
@@ -139,11 +143,37 @@ class TestSigmoid:
         assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
 
     def test_saturated_positive_and_moderate_negative_never_underflow(self):
-        # exp never sees an argument below -700 here; exp(-800) would underflow
+        # exp never sees an argument below -354; exp(-800) would underflow
         z = np.array([800.0, 1e300, np.inf, -700.0, -300.0, -1.0, 0.0])
         with np.errstate(under="raise"):
             out = sigmoid(z)
         assert out.tobytes() == two_branch_sigmoid(z).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_no_value_overflows_or_underflows(self, values):
+        z = np.array(values + [np.inf, -np.inf, -746.0])
+        with np.errstate(over="raise", under="raise"):
+            sigmoid(z)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=64))
+    def test_no_output_is_subnormal_nor_the_square_of_one(self, values):
+        # so no entry of H, nor a product of two in the QR or a matvec, is
+        # subnormal
+        out = sigmoid(np.array(values + [-np.inf]))
+        tiny = np.finfo(float).tiny
+        assert np.all(out >= tiny)
+        assert out.min() ** 2 >= tiny
+
+    def test_saturated_raem1_layer_has_no_subnormal_entry(self):
+        # the u_ae sweep's first point: TF1, n = 1, m = 25, u_ae = 1e-5,
+        # where 42% of the node arguments lie below -745
+        train = demo_problem_1d(21, train_size=5000, test_size=10).train
+        layer = generate_hidden_layer(Raem1Config(u_ae=1e-5), train.x, 25, as_stream(21))
+        h = np.empty((train.n_samples, 25))
+        build_hidden(train.x, layer.weights, layer.biases, h)
+        assert np.min(h) >= np.finfo(float).tiny
 
 
 class TestHiddenOutputs:
