@@ -12,7 +12,6 @@ targets to [-1, 1], with the scaling fitted on the training set only.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,13 +128,3 @@ def demo_problem_1d(seed, *, train_size: int = 5000, test_size: int = 5000) -> S
     return sample_problem(
         TargetFunction("TF1", 1), as_stream(seed), train_size=train_size, test_size=test_size
     )
-
-
-def write_dataset_csv(path, ds: Dataset) -> None:
-    """Write a dataset as CSV with an x1..xn,y header and full-precision floats."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        names = ds.feature_names or [f"x{j + 1}" for j in range(ds.n_features)]
-        writer.writerow(list(names) + ["y"])
-        for row, target in zip(ds.x, ds.y):
-            writer.writerow([f"{v:.17g}" for v in row] + [f"{target:.17g}"])

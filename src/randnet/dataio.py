@@ -20,11 +20,13 @@ from .rng import RngStream, as_stream
 
 @dataclass(frozen=True)
 class Dataset:
-    """Input matrix ``x`` (N x n), target vector ``y`` (N,) and optional names."""
+    """Input matrix ``x`` (N x n), target vector ``y`` (N,), optional feature
+    names and the target's name."""
 
     x: np.ndarray
     y: np.ndarray
     feature_names: tuple[str, ...] | None = None
+    target_name: str = "y"
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -53,7 +55,7 @@ class Dataset:
         return self.x.shape[1]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.x[indices], self.y[indices], self.feature_names)
+        return Dataset(self.x[indices], self.y[indices], self.feature_names, self.target_name)
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,8 @@ def normalize(
             f"normalization spec has {spec.n_features} columns, dataset has {ds.n_features}"
         )
     return (
-        Dataset(spec.apply_inputs(ds.x), spec.apply_output(ds.y), ds.feature_names),
+        Dataset(spec.apply_inputs(ds.x), spec.apply_output(ds.y), ds.feature_names,
+                ds.target_name),
         spec,
     )
 
@@ -182,7 +185,8 @@ def load_csv(
     the first, the header when ``header`` is true, sets the width: a later
     row of another width, or a header that repeats a name, is a
     DataFormatError. The last column is the target unless ``target_column``
-    selects another (by index, or by name when ``header`` is true). A
+    selects another (by index, or by name when ``header`` is true); the
+    header names the features and the target, which is otherwise ``y``. A
     delimiter that is not one character is a ConfigError, raised before the
     file is read; a file that is not UTF-8 text is a DataFormatError. A
     leading byte-order mark, as spreadsheet exports write, is skipped.
@@ -244,8 +248,22 @@ def load_csv(
         target %= width
 
     feature_idx = [j for j in range(width) if j != target]
-    feature_names = tuple(names[j] for j in feature_idx) if names else None
-    return Dataset(values[:, feature_idx], values[:, target], feature_names)
+    if names is None:
+        return Dataset(values[:, feature_idx], values[:, target])
+    return Dataset(values[:, feature_idx], values[:, target],
+                   tuple(names[j] for j in feature_idx), names[target])
+
+
+def write_dataset_csv(path, ds: Dataset) -> None:
+    """Write ``ds`` as CSV, the features then the target, with full-precision
+    floats under a header of the names it was read with: the feature names,
+    or ``x1..xn``, then the target's name."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        names = ds.feature_names or [f"x{j + 1}" for j in range(ds.n_features)]
+        writer.writerow([*names, ds.target_name])
+        for row, target in zip(ds.x, ds.y):
+            writer.writerow([f"{v:.17g}" for v in row] + [f"{target:.17g}"])
 
 
 def split_75_25(ds: Dataset, rng: int | RngStream) -> tuple[Dataset, Dataset]:

@@ -39,8 +39,8 @@ from typing import NamedTuple, Optional, get_args
 import numpy as np
 
 from .. import linalg
-from ..benchfn import SampledProblem, write_dataset_csv
-from ..dataio import dataset_summary
+from ..benchfn import SampledProblem
+from ..dataio import dataset_summary, write_dataset_csv
 from ..errors import (
     ConfigError,
     DataFormatError,

@@ -134,27 +134,6 @@ def _check_buffer(buf, what: str) -> int:
     return ld
 
 
-def _pack_rows(buf: np.ndarray, k: int) -> None:
-    """Move the top ``k`` rows of the F-contiguous ``buf`` into its first
-    ``k * cols`` entries, as an F-ordered ``k x cols`` matrix with leading
-    dimension k.
-
-    Column 0 already lies there. The rest move in column groups ``[j0, j1)``
-    with ``j1 <= rows * j0 // k``: a group's destination then ends at offset
-    ``j1 * k``, at or before offset ``j0 * rows``, where its first source
-    column begins, so numpy copies it with no temporary, and each group is
-    about ``rows / k`` times as wide as the last. Where that bound gives no
-    column, a single column moves, through a temporary of k entries.
-    """
-    rows, cols = buf.shape
-    packed = buf.reshape(-1, order="F")[: k * cols].reshape((k, cols), order="F")
-    j0 = 1
-    while k < rows and j0 < cols:
-        j1 = min(cols, max(j0 + 1, rows * j0 // k))
-        packed[:, j0:j1] = buf[:k, j0:j1]
-        j0 = j1
-
-
 def qr_triangle(buf: np.ndarray) -> np.ndarray:
     """The triangle R of the Householder QR of ``buf``, bitwise equal to
     ``np.linalg.qr(buf, mode="r")``, computed in ``buf``, which it
@@ -331,7 +310,13 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
             # the block, such as a debugger's copy of this frame's locals,
             # and is made here, not in a helper, whose argument would be one.
             c = r[:cols, cols:].copy()
-            _pack_rows(r[:, :cols], cols)
+            # R's columns move to the head one at a time: column j lands at or
+            # before where it lies, and numpy copies it through a temporary of
+            # one column where the two overlap
+            flat = r.reshape(-1, order="F")
+            for j in range(1, cols):
+                flat[j * cols:(j + 1) * cols] = r[:cols, j]
+            del flat  # numpy's realloc refuses a block that a view refers to
             with suppress(ValueError):
                 r.resize(cols * width)
             triangle = r.reshape(-1, order="F")[: cols * cols].reshape((cols, cols), order="F")

@@ -11,9 +11,8 @@ from randnet.benchfn import (
     demo_problem_1d,
     evaluate_tf,
     sample_problem,
-    write_dataset_csv,
 )
-from randnet.dataio import dataset_summary, load_csv
+from randnet.dataio import dataset_summary
 from randnet.errors import ConfigError, InvalidInputError
 from randnet.rng import RngStream
 
@@ -163,21 +162,3 @@ class TestSampling:
         with pytest.raises(ConfigError):
             sample_problem(TargetFunction("TF1", 1), RngStream(11), train_size=1)
 
-
-class TestCsvEmission:
-    def test_round_trip_is_exact(self, tmp_path, demo_small):
-        path = tmp_path / "train.csv"
-        write_dataset_csv(path, demo_small.train)
-        back = load_csv(path, header=True)
-        assert back.feature_names == ("x1",)
-        assert np.array_equal(back.x, demo_small.train.x)
-        assert np.array_equal(back.y, demo_small.train.y)
-
-    def test_header_names_follow_dimensions(self, tmp_path):
-        prob = sample_problem(
-            TargetFunction("TF2", 3), RngStream(12), train_size=20, test_size=5
-        )
-        path = tmp_path / "t.csv"
-        write_dataset_csv(path, prob.train)
-        first = path.read_text().splitlines()[0]
-        assert first == "x1,x2,x3,y"

@@ -594,23 +594,26 @@ class TestAllocatorPolicy:
         # the one block of each solve, [G | X] and [H | y] of 5000x111
         # doubles (4.44 MB), is cut where the CLI pinned malloc, and started
         # from the square with no mallopt and the record reset, as in a
-        # program that imports randnet; every output file keeps its bytes
+        # program that imports randnet; every output file keeps its bytes. The
+        # SVD gets R with leading dimension 110 from a cut block and 111 from
+        # the square of [R | Q' t]
         assert len(linalg.row_blocks(5000, 110)) == 1
         assert 5000 * 111 * 8 >= linalg._MMAP_BYTES
         argv = ["fit", "--tf", "TF1", "--n", "1", "--train-size", "5000", "--test-size", "500",
                 "--nodes", "110", "--method", "raem1", "--u-ae", "0.001", "--seed", "5"]
-        packed, pack = [], linalg._pack_rows
-        monkeypatch.setattr(linalg, "_pack_rows", lambda buf, k: packed.append(k) or pack(buf, k))
+        lds, svd = [], linalg._svd_in_place
+        monkeypatch.setattr(linalg, "_svd_in_place",
+                            lambda m: lds.append(m.strides[1] // 8) or svd(m))
         cut, square = tmp_path / "cut", tmp_path / "square"
         assert run(*argv, "--out", cut, "--save-model", cut / "model.json") == 0
-        assert linalg._mmap_pinned and packed == [110, 110]
+        assert linalg._mmap_pinned and lds == [110, 110]
         real_cdll = ctypes.CDLL
         monkeypatch.setattr(ctypes, "CDLL", lambda name, *args, **kwargs: object()
                             if name is None else real_cdll(name, *args, **kwargs))
         monkeypatch.setattr(linalg, "_mmap_pinned", False)
-        packed.clear()
+        lds.clear()
         assert run(*argv, "--out", square, "--save-model", square / "model.json") == 0
-        assert not linalg._mmap_pinned and packed == []
+        assert not linalg._mmap_pinned and lds == [111, 111]
         names = sorted(p.name for p in cut.iterdir())
         assert "model.json" in names and names == sorted(p.name for p in square.iterdir())
         for name in names:
@@ -630,6 +633,29 @@ class TestEmitAndHistogram:
         assert meta["config"]["problem"]["tf"] == "TF3"
         assert meta["problem"]["train"]["n_samples"] == 60
         assert "output_scale" in meta["normalization"]
+
+    def test_emitted_split_keeps_its_column_names(self, tmp_path, monkeypatch):
+        # the target keeps the name it was read under, so a split read back
+        # by that name has the bits emit wrote, not two columns named y
+        data = tmp_path / "d.csv"
+        data.write_text("a,y,b\n" + "".join(f"{i},{(i * 3) % 8},{(i * 5) % 8}\n"
+                                            for i in range(8)))
+        written, write = [], cli.write_dataset_csv
+        monkeypatch.setattr(cli, "write_dataset_csv",
+                            lambda path, ds: written.append(ds) or write(path, ds))
+        out = tmp_path / "em"
+        assert run("emit", "--data", data, "--header", "--target-column", "a", "--seed", "3",
+                   "--out", out) == 0
+        train_csv = out / "train.csv"
+        assert train_csv.read_text().splitlines()[0] == "y,b,a"
+        read = []
+        monkeypatch.setattr("randnet.experiment.config.load_csv", lambda *args, **kwargs:
+                            read.append(load_csv(*args, **kwargs)) or read[-1])
+        assert run("fit", "--data", train_csv, "--header", "--target-column", "a", "--method",
+                   "ram", "--u", "1", "--nodes", "3", "--seed", "1", "--out", tmp_path / "f") == 0
+        [back], train = read, written[0]
+        assert back.x.tobytes() == train.x.tobytes() and back.y.tobytes() == train.y.tobytes()
+        assert (back.feature_names, back.target_name) == (("y", "b"), "a")
 
     def test_histogram_subcommand(self, tmp_path):
         out = tmp_path / "h"

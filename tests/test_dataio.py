@@ -14,7 +14,9 @@ from randnet.dataio import (
     load_csv,
     normalize,
     split_75_25,
+    write_dataset_csv,
 )
+from randnet.benchfn import TargetFunction, sample_problem
 from randnet.errors import ConfigError, DataFormatError, InvalidInputError
 from randnet.rng import RngStream
 
@@ -187,6 +189,35 @@ def test_written_table_loads_back_exactly(tmp_path, data, cols, rows, header, de
     assert ds.x.tobytes() == np.ascontiguousarray(table[:, features]).tobytes()
     expected_names = tuple(header_names[j] for j in features) if header else None
     assert ds.feature_names == expected_names
+    assert ds.target_name == (header_names[target] if header else "y")
+
+    # written back, each column keeps its name, the target its own wherever
+    # it was read from, so the file names each column once
+    written = tmp_path / "written.csv"
+    write_dataset_csv(written, ds)
+    back = load_csv(written, header=True)
+    assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()
+    assert back.feature_names == (expected_names or tuple(f"x{j}" for j in range(1, cols)))
+    assert back.target_name == ds.target_name
+
+
+class TestCsvEmission:
+    def test_round_trip_is_exact(self, tmp_path, demo_small):
+        path = tmp_path / "train.csv"
+        write_dataset_csv(path, demo_small.train)
+        back = load_csv(path, header=True)
+        assert back.feature_names == ("x1",)
+        assert np.array_equal(back.x, demo_small.train.x)
+        assert np.array_equal(back.y, demo_small.train.y)
+
+    def test_header_names_follow_dimensions(self, tmp_path):
+        prob = sample_problem(
+            TargetFunction("TF2", 3), RngStream(12), train_size=20, test_size=5
+        )
+        path = tmp_path / "t.csv"
+        write_dataset_csv(path, prob.train)
+        first = path.read_text().splitlines()[0]
+        assert first == "x1,x2,x3,y"
 
 
 class TestSplit:

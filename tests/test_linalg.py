@@ -800,18 +800,23 @@ def folded_triangle(a: np.ndarray, blocks: list) -> np.ndarray:
     extra_rows=st.integers(-10, 200),
     rhs_cols=st.sampled_from([None, 1, 3]),
     blocked=st.booleans(),
+    cut=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(cols=30, extra_rows=1, rhs_cols=None, blocked=False, seed=0)  # [a | t] square
-@example(cols=12, extra_rows=1, rhs_cols=3, blocked=False, seed=1)  # [a | t] wide
-@example(cols=5, extra_rows=200, rhs_cols=3, blocked=True, seed=2)  # folded blocks
-@example(cols=20, extra_rows=0, rhs_cols=1, blocked=False, seed=3)  # a square
+@example(cols=30, extra_rows=1, rhs_cols=None, blocked=False, cut=False, seed=0)  # [a | t] square
+@example(cols=12, extra_rows=1, rhs_cols=3, blocked=False, cut=False, seed=1)  # [a | t] wide
+@example(cols=5, extra_rows=200, rhs_cols=3, blocked=True, cut=False, seed=2)  # folded blocks
+@example(cols=20, extra_rows=0, rhs_cols=1, blocked=False, cut=False, seed=3)  # a square
+@example(cols=40, extra_rows=1, rhs_cols=3, blocked=False, cut=True, seed=4)  # overlapping moves
+@example(cols=7, extra_rows=200, rhs_cols=None, blocked=False, cut=True, seed=5)  # disjoint moves
 def test_svd_is_handed_numpys_triangle_bit_for_bit(monkeypatch, row_blocking, cols, extra_rows,
-                                                   rhs_cols, blocked, seed):
+                                                   rhs_cols, blocked, cut, seed):
     # qr_triangle leaves R in the top rows of the buffer it factorized, and
     # solve_rows hands the SVD numpy's R of [a | t], one block or several
     # folded by numpy's QR, with Q' t beside it; a matrix with no more rows
-    # than columns goes to the SVD as it is
+    # than columns goes to the SVD as it is. With the record of a pinned mmap
+    # threshold set and the threshold lowered, every lone block is cut: its
+    # R's columns move to the block's head, onto or across their own rows
     rows = max(1, cols + extra_rows)
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(rows, cols))
@@ -826,6 +831,8 @@ def test_svd_is_handed_numpys_triangle_bit_for_bit(monkeypatch, row_blocking, co
 
     row_blocking(min_rows=8 if blocked else 10**9)
     monkeypatch.setattr(linalg, "_dtpqrt", lambda: None)
+    monkeypatch.setattr(linalg, "_mmap_pinned", cut)
+    monkeypatch.setattr(linalg, "_MMAP_BYTES", 0)
     seen = []
     svd, solve = linalg._svd_in_place, linalg._solve_svd
     monkeypatch.setattr(linalg, "_svd_in_place", lambda m: seen.append(m.copy()) or svd(m))

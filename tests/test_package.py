@@ -7,6 +7,7 @@ import io
 import json
 import math
 import pathlib
+import pkgutil
 import re
 import shlex
 
@@ -60,6 +61,30 @@ def test_readme_config_example_reads():
     for span in spans:
         anchor = json.loads(span if span.startswith("{") else "{" + span + "}")["anchor"]
         assert method_from_dict({"method": "ram", "u": 1.0, "anchor": anchor}).anchor == anchor
+
+
+def test_readme_cites_only_names_that_exist():
+    # a backticked module.name whose first part is a randnet module, such as
+    # linalg or experiment, resolves to an attribute of that module, so a
+    # name that a move or a deletion leaves behind fails here; file names
+    # such as trials.csv are not names
+    modules = {}
+    for path in SRC.rglob("*.py"):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        parts = parts[:-1] if parts[-1] == "__init__" else parts
+        modules[parts[-1]] = ".".join(parts)
+    spans = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README.read_text())
+    cited = [span for span in spans if span.split(".")[0] in modules
+             and span.rsplit(".", 1)[1] not in {"csv", "json", "md", "py", "dat"}]
+    assert cited
+    missing = []
+    for span in cited:
+        first, _, rest = span.partition(".")
+        try:  # imports the longest prefix that is a module, then reads the rest
+            pkgutil.resolve_name(f"{modules[first]}.{rest}")
+        except (AttributeError, ImportError):
+            missing.append(span)
+    assert missing == []
 
 
 def source_trees() -> dict:
