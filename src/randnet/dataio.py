@@ -21,7 +21,8 @@ from .rng import RngStream, as_stream
 @dataclass(frozen=True)
 class Dataset:
     """Input matrix ``x`` (N x n), target vector ``y`` (N,), optional feature
-    names and the target's name."""
+    names and the target's name; the column names, ``x1..xn`` for features
+    left unnamed, must differ, or the dataset is an InvalidInputError."""
 
     x: np.ndarray
     y: np.ndarray
@@ -34,15 +35,17 @@ class Dataset:
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise InvalidInputError(f"dataset inputs must be 2-D and nonempty, got {x.shape}")
         if y.shape != (x.shape[0],):
-            raise InvalidInputError(
-                f"target length {y.shape} does not match {x.shape[0]} rows"
-            )
+            raise InvalidInputError(f"target length {y.shape} does not match {x.shape[0]} rows")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise InvalidInputError("dataset contains non-finite values")
         if self.feature_names is not None and len(self.feature_names) != x.shape[1]:
             raise InvalidInputError("feature name count does not match column count")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        names = self.column_names
+        for j, name in enumerate(names):
+            if name in names[:j]:  # a written header would be ambiguous
+                raise InvalidInputError(f"dataset repeats the column name {name!r}")
         x.flags.writeable = False
         y.flags.writeable = False
 
@@ -53,6 +56,12 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.x.shape[1]
+
+    @property
+    def column_names(self) -> tuple[str, ...]:
+        """The feature names, or ``x1..xn``, then the target's name."""
+        features = self.feature_names or tuple(f"x{j + 1}" for j in range(self.n_features))
+        return (*features, self.target_name)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.x[indices], self.y[indices], self.feature_names, self.target_name)
@@ -183,13 +192,14 @@ def load_csv(
 
     Blank lines and ``@`` lines are skipped; every other line is one row, and
     the first, the header when ``header`` is true, sets the width: a later
-    row of another width, or a header that repeats a name, is a
-    DataFormatError. The last column is the target unless ``target_column``
-    selects another (by index, or by name when ``header`` is true); the
-    header names the features and the target, which is otherwise ``y``. A
-    delimiter that is not one character is a ConfigError, raised before the
-    file is read; a file that is not UTF-8 text is a DataFormatError. A
-    leading byte-order mark, as spreadsheet exports write, is skipped.
+    row of another width, a header that repeats a name, or a cell that is
+    not a finite number is a DataFormatError that says where it lies. The
+    last column is the target unless ``target_column`` selects another (by
+    index, or by name when ``header`` is true); the header names the
+    features and the target, which is otherwise ``y``. A delimiter that is
+    not one character is a ConfigError, raised before the file is read; a
+    file that is not UTF-8 text is a DataFormatError. A leading byte-order
+    mark, as spreadsheet exports write, is skipped.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
@@ -226,11 +236,15 @@ def load_csv(
             )
         for c, cell in enumerate(cells):
             try:
-                values[r, c] = float(cell)
+                value = float(cell)
             except ValueError:
+                value = None
+            if value is None or not math.isfinite(value):
+                kind = "non-numeric" if value is None else "non-finite"
                 raise DataFormatError(
-                    f"{path}: non-numeric value {cell.strip()!r} at line {lineno}, column {c + 1}"
-                ) from None
+                    f"{path}: {kind} value {cell.strip()!r} at line {lineno}, column {c + 1}"
+                )
+            values[r, c] = value
 
     if target_column is None:
         target = width - 1
@@ -256,12 +270,10 @@ def load_csv(
 
 def write_dataset_csv(path, ds: Dataset) -> None:
     """Write ``ds`` as CSV, the features then the target, with full-precision
-    floats under a header of the names it was read with: the feature names,
-    or ``x1..xn``, then the target's name."""
+    floats under a header of its ``column_names``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        names = ds.feature_names or [f"x{j + 1}" for j in range(ds.n_features)]
-        writer.writerow([*names, ds.target_name])
+        writer.writerow(ds.column_names)
         for row, target in zip(ds.x, ds.y):
             writer.writerow([f"{v:.17g}" for v in row] + [f"{target:.17g}"])
 
@@ -280,15 +292,10 @@ def split_75_25(ds: Dataset, rng: int | RngStream) -> tuple[Dataset, Dataset]:
 
 def dataset_summary(ds: Dataset, name: str | None = None) -> dict:
     """JSON-ready summary: name, sizes and per-column ranges."""
-    columns = []
-    for j in range(ds.n_features):
-        columns.append(
-            {
-                "name": ds.feature_names[j] if ds.feature_names else f"x{j + 1}",
-                "min": float(ds.x[:, j].min()),
-                "max": float(ds.x[:, j].max()),
-            }
-        )
+    columns = [
+        {"name": name, "min": float(ds.x[:, j].min()), "max": float(ds.x[:, j].max())}
+        for j, name in enumerate(ds.column_names[:-1])
+    ]
     return {
         "name": name,
         "n_samples": ds.n_samples,

@@ -92,14 +92,15 @@ def _fork_map(fit: Callable[[int], T], count: int) -> list[T]:
     A failed fit stops the share of its process. Once every helper has
     finished, the failure of the lowest fit index re-raises in the caller,
     as a serial run would raise it; a helper's failure carries the helper's
-    traceback as its cause. Anything else that stops the caller's own share,
-    such as an interrupt, kills and reaps every helper first; no helper
-    outlives the call.
+    traceback as its cause. A helper that did not exit 0 raises at once (see
+    ``_receive``). That, or anything else that stops the caller, such as an
+    interrupt, kills and reaps every other helper first; no helper outlives
+    the call.
     """
     cores = linalg.core_count()
     procs = max(1, min(count, cores)) if hasattr(os, "fork") else 1
     shares = []
-    helpers: dict[int, int] = {}  # pid -> read end of the helper's pipe
+    helpers: dict[int, int] = {}  # pid -> read end of the pipe of each unreaped helper
     with linalg.single_thread_blas(), linalg.block_budget(cores // procs):
         try:
             for p in range(1, procs):
@@ -116,8 +117,8 @@ def _fork_map(fit: Callable[[int], T], count: int) -> list[T]:
                 os.close(write)
                 helpers[pid] = read
             shares.append(_share(fit, range(0, count, procs)))
-            for pid, read in helpers.items():
-                shares.append(_receive(pid, read))
+            for pid in list(helpers):
+                shares.append(_receive(pid, helpers))
         except BaseException:
             for pid in helpers:
                 os.kill(pid, signal.SIGKILL)
@@ -168,15 +169,22 @@ def _helper(fit, indices: range, write: int) -> NoReturn:
         os._exit(code)
 
 
-def _receive(pid: int, read: int) -> tuple:
-    """The share a helper sent, read to the end of its pipe; a failure's
-    exception gets the helper's traceback as its cause."""
-    chunks = []
-    while chunk := os.read(read, 1 << 16):
-        chunks.append(chunk)
-    if not chunks:
-        raise RuntimeError(f"fit worker process {pid} ended without sending its results")
-    rows, failure = pickle.loads(b"".join(chunks))
+def _receive(pid: int, helpers: dict[int, int]) -> tuple:
+    """The share helper ``pid`` sent, read to the end of its pipe, after
+    which the helper is reaped and dropped from ``helpers``; a failure's
+    exception gets the helper's traceback as its cause. A helper that did
+    not exit 0 sent no share, or not all of it: SIGKILL, the signal of the
+    kernel's out-of-memory killer, raises a MemoryError, any other end a
+    RuntimeError."""
+    sent = b"".join(iter(lambda: os.read(helpers[pid], 1 << 16), b""))
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    os.close(helpers.pop(pid))
+    if code == -signal.SIGKILL:
+        raise MemoryError(f"fit worker process {pid} was killed by SIGKILL")
+    if code != 0:
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise RuntimeError(f"fit worker process {pid} ended by {how} without sending its results")
+    rows, failure = pickle.loads(sent)
     if failure is not None:
         failure[1].__cause__ = _RemoteTraceback(f'\n"""\n{failure[2]}"""')
     return rows, failure
@@ -205,13 +213,8 @@ def run_trials(
     train, test = problem.train, problem.test
 
     def one(t: int) -> TrialReport:
-        fit = fit_trial(method, train, test, m, stream.child(t))
-        return TrialReport(
-            trial=t,
-            rmse_train=rmse(predict(fit.network, train.x), train.y),
-            rmse_test=fit.rmse_test,
-            network=fit.network,
-        )
+        net, rmse_test = fit_trial(method, train, test, m, stream.child(t))
+        return TrialReport(t, rmse(predict(net, train.x), train.y), rmse_test, net)
 
     return _fork_map(one, trials)
 
@@ -257,24 +260,15 @@ def kfold_indices(n: int, folds: int, rng) -> list[tuple[np.ndarray, np.ndarray]
         raise InvalidInputError(f"need 2 <= folds <= {n}, got {folds}")
     perm = as_stream(rng).generator().permutation(n)
     blocks = np.array_split(perm, folds)
-    out = []
-    for f in range(folds):
-        val = np.sort(blocks[f])
-        train = np.sort(np.concatenate([blocks[g] for g in range(folds) if g != f]))
-        out.append((train, val))
-    return out
+    return [(np.sort(np.concatenate(blocks[:f] + blocks[f + 1:])), np.sort(blocks[f]))
+            for f in range(folds)]
 
 
 def select_best(table: Sequence[CvCell]) -> CvCell:
     """Cell with the lowest mean RMSE; ties go to smaller m, then smaller interval."""
     if len(table) == 0:
         raise ConfigError("empty cross-validation table")
-
-    def key(cell: CvCell):
-        interval = cell.interval if cell.interval is not None else 0.0
-        return (cell.mean_rmse, cell.m, interval)
-
-    return min(table, key=key)
+    return min(table, key=lambda cell: (cell.mean_rmse, cell.m, cell.interval or 0.0))
 
 
 def grid_methods(grid: GridSearchConfig, method: dict) -> list[tuple[Optional[float],
@@ -304,9 +298,7 @@ def cross_validate(grid: GridSearchConfig, method: dict, train: Dataset, seed) -
     """
     tried = grid_methods(grid, method)
     if train.n_samples < grid.folds:
-        raise InvalidInputError(
-            f"need at least folds={grid.folds} samples, got {train.n_samples}"
-        )
+        raise InvalidInputError(f"need at least folds={grid.folds} samples, got {train.n_samples}")
 
     stream = as_stream(seed)
     cells = [(m, iv, cfg) for m in grid.node_counts for iv, cfg in tried]

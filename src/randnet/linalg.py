@@ -260,12 +260,13 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
     into a zero-filled square, which pads a trapezoid, and the block freed;
     ``_fold`` folds each later block's top rows into the square, in block
     order. That gives ``[R | Q' t]`` of the thin QR ``a = Q R`` up to the
-    signs of rows, which leave the solution as it is, and ``_svd_in_place``
-    decomposes R where it lies in the square. The one exception is the cut:
-    in a process that pinned its mmap threshold (``pin_malloc_thresholds``),
-    a lone block of that size or more keeps its triangle, R packed to
-    leading dimension ``cols``, and is cut down to it. ``Q' t`` then goes
-    into the buffer's first ``cols * width`` entries, which R's SVD no
+    signs of rows, which leave the solution as it is. The one exception is
+    the cut: in a process that pinned its mmap threshold
+    (``pin_malloc_thresholds``), a lone block of that size or more keeps
+    its triangle, packs ``[R | Q' t]`` to leading dimension ``cols`` and is
+    cut down to it. Either start leaves ``[R | Q' t]`` column-major, and
+    one tail solves it: ``_svd_in_place`` decomposes R where it lies, and
+    ``Q' t`` goes into the first ``cols * width`` entries, which R's SVD no
     longer needs, with the row stride it has in the C-ordered ``[R | Q' t]``
     that ``np.linalg.qr`` returns. Any other matrix is filled into one
     F-ordered buffer, which ``_svd_in_place`` overwrites, and solved with a
@@ -303,28 +304,25 @@ def solve_rows(fill, shape: tuple[int, int], t) -> np.ndarray:
                     _fold(r, next(done)[:width])
         if cut:
             # Mapped on its own, the block is cut by numpy's realloc to its
-            # first cols * width entries, R packed and room for Q' t, so it
-            # is not held whole through the SVD; elsewhere a cut hands no
-            # page back, or makes every later solve map and fault its block
-            # afresh. The resize is refused where something else refers to
-            # the block, such as a debugger's copy of this frame's locals,
-            # and is made here, not in a helper, whose argument would be one.
-            c = r[:cols, cols:].copy()
-            # R's columns move to the head one at a time: column j lands at or
-            # before where it lies, and numpy copies it through a temporary of
-            # one column where the two overlap
+            # first cols * width entries, [R | Q' t] packed, so it is not held
+            # whole through the SVD; elsewhere a cut hands no page back, or
+            # makes every later solve map and fault its block afresh. The
+            # resize is refused where something else refers to the block,
+            # such as a debugger's copy of this frame's locals, and is made
+            # here, not in a helper, whose argument would be one. The columns
+            # move to the head one at a time: column j lands at or before
+            # where it lies, and numpy copies it through a temporary of one
+            # column where the two overlap
             flat = r.reshape(-1, order="F")
-            for j in range(1, cols):
+            for j in range(1, width):
                 flat[j * cols:(j + 1) * cols] = r[:cols, j]
             del flat  # numpy's realloc refuses a block that a view refers to
             with suppress(ValueError):
                 r.resize(cols * width)
-            triangle = r.reshape(-1, order="F")[: cols * cols].reshape((cols, cols), order="F")
-        else:
-            c, triangle = r[:cols, cols:], r[:cols, :cols]
-        usv = _svd_in_place(_as_matrix(triangle))
+            r = r.reshape(-1, order="F")[: cols * width].reshape((cols, width), order="F")
+        usv = _svd_in_place(_as_matrix(r[:cols, :cols]))
         qt = r.reshape(-1, order="F")[: cols * width].reshape((cols, width))[:, cols:]
-        qt[...] = c
+        qt[...] = r[:cols, cols:]  # through a temporary where the two overlap
         x = _solve_svd(usv, qt, shape)
     else:
         a = np.empty(shape, order="F")

@@ -5,6 +5,8 @@ import ctypes
 import json
 import os
 import platform
+import re
+import signal
 import subprocess
 import sys
 from dataclasses import fields
@@ -450,6 +452,24 @@ class TestWorkerProcesses:
         argv = fork_map_commands(tmp_path)[1]
         assert run(*argv) == 4
         assert "numeric failure: SVD did not converge in a helper" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_helper_killed_by_sigkill_exits_out_of_memory(self, tmp_path, monkeypatch, capsys):
+        # SIGKILL is what the kernel's out-of-memory killer sends; the helper
+        # sends nothing, and the command exits 5 on one line, not a traceback
+        monkeypatch.setattr(linalg, "core_count", lambda: 2)
+        caller, fit_trial = os.getpid(), trials.fit_trial
+
+        def killed_in_helpers(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fit_trial(*args)
+
+        monkeypatch.setattr(trials, "fit_trial", killed_in_helpers)
+        assert run(*fork_map_commands(tmp_path)[1]) == 5
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"out of memory: fit worker process \d+ was killed by SIGKILL\n", err)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -919,6 +939,15 @@ class TestExitCodes:
         assert run("emit", "--data", data, "--header", "--target-column", "x", "--out", out) == 3
         assert capsys.readouterr().err == (
             f"data error: {data}: header repeats the column name 'x'\n")
+        assert not (out / "train.csv").exists()
+
+    def test_non_finite_cell_is_a_data_error_that_names_it(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b,y\n1,2,3\n4,nan,6\n7,8,9\n10,11,13\n")
+        out = tmp_path / "o"
+        assert run("emit", "--data", data, "--header", "--out", out) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {data}: non-finite value 'nan' at line 3, column 2\n")
         assert not (out / "train.csv").exists()
 
     def test_non_utf8_config_is_a_config_error(self, tmp_path, monkeypatch, capsys):

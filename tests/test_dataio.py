@@ -72,6 +72,15 @@ class TestLoadCsv:
             load_csv(write(tmp_path, "1,2\n3,oops\n"))
         assert "line 2" in str(err.value) and "column 2" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", " inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_reports_location(self, tmp_path, cell):
+        path = write(tmp_path, f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path, header=True)
+        assert str(err.value) == (
+            f"{path}: non-finite value {cell.strip()!r} at line 3, column 2"
+        )
+
     def test_ragged_rows_rejected(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_csv(write(tmp_path, "1,2,3\n4,5\n"))
@@ -308,6 +317,21 @@ class TestDataset:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             Dataset(np.ones((3, 1)), np.ones(2))
+
+    @pytest.mark.parametrize("x, names, target, repeated", [
+        (np.ones((3, 1)), ("y",), "y", "y"),
+        (np.ones((3, 2)), None, "x2", "x2"),
+        (np.ones((3, 2)), ("a", "a"), "y", "a"),
+    ])
+    def test_repeated_column_names_rejected(self, x, names, target, repeated):
+        # the default names x1..xn count when no feature names are given; a
+        # repeated name would be written into a header that load_csv rejects
+        with pytest.raises(InvalidInputError, match=f"repeats the column name '{repeated}'"):
+            Dataset(x, np.arange(3.0), names, target)
+
+    def test_column_names_default_to_x1_to_xn(self):
+        assert Dataset(np.ones((3, 2)), np.arange(3.0)).column_names == ("x1", "x2", "y")
+        assert Dataset(np.ones((3, 1)), np.arange(3.0), ("a",), "t").column_names == ("a", "t")
 
     def test_subset(self):
         ds = Dataset(np.arange(8, dtype=float).reshape(4, 2), np.arange(4, dtype=float))

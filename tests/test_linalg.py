@@ -770,11 +770,12 @@ def test_solve_under_a_debugger_keeps_whole_the_block_it_cannot_cut(monkeypatch)
         frame.f_locals
         return tracer
 
+    outer = sys.gettrace()  # a coverage tool's or a debugger's, kept for the rest of the run
     sys.settrace(tracer)
     try:
         got = lstsq(a, t)
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     assert got.tobytes() == want.tobytes()
 
 
