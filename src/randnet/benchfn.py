@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset, NormalizationSpec, normalize
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, numpy_sized
 from .rng import RngStream, as_stream
 
 _DOMAINS = {
@@ -111,10 +111,8 @@ def sample_problem(
     lo, hi = tf.domain
 
     def draw(child: RngStream, count: int) -> Dataset:
-        try:
+        with numpy_sized(f"cannot draw {count} points with n={tf.n}"):
             pts = child.generator().uniform(lo, hi, size=(count, tf.n))
-        except ValueError as exc:  # a dimension past what numpy can index
-            raise ConfigError(f"cannot draw {count} points with n={tf.n}: {exc}") from exc
         return Dataset(x=pts, y=evaluate_tf(tf, pts))
 
     train, spec = normalize(draw(stream.child(0), train_size),

@@ -4,10 +4,12 @@
 reports a malformed value as a ConfigError.
 
 The CLI maps these onto exit codes: configuration problems exit 2, data
-problems exit 3, numeric failures exit 4.
+problems exit 3, numeric failures exit 4. ``numpy_sized`` and
+``check_distinct`` are the config checks that more than one module makes.
 """
 
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
@@ -30,6 +32,30 @@ class NumericFailureError(RuntimeError):
 
 class DegenerateNodeError(ValueError):
     """A hidden node has a zero weight vector and no inflection hyperplane."""
+
+
+@contextmanager
+def numpy_sized(failure: str):
+    """Run one numpy call whose array a config count sizes: the ValueError
+    numpy raises for a size it cannot index or address (2^63 or more
+    elements or bytes) becomes ConfigError ``"{failure}: {numpy's text}"``.
+    Only numpy's plain ValueError is caught, never one of the subclasses
+    above."""
+    try:
+        yield
+    except ValueError as exc:
+        if type(exc) is not ValueError:
+            raise
+        raise ConfigError(f"{failure}: {exc}") from exc
+
+
+def check_distinct(values, what: str) -> None:
+    """Raise ConfigError if ``values`` holds one value twice."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"{what} must not repeat a value, got {value!r} twice")
+        seen.add(value)
 
 
 def config_value(kind: type, value, what: str):

@@ -17,10 +17,8 @@ from .stats import (
 )
 from .trials import (
     CvCell,
-    CvResult,
     GridSearchConfig,
     SweepPoint,
-    TrialFit,
     TrialReport,
     cross_validate,
     fit_trial,
@@ -32,14 +30,12 @@ from .trials import (
 
 __all__ = [
     "CvCell",
-    "CvResult",
     "EXACT_MAX_N",
     "ExperimentConfig",
     "GridSearchConfig",
     "Histogram",
     "ProblemSpec",
     "SweepPoint",
-    "TrialFit",
     "TrialReport",
     "WilcoxonResult",
     "build_config",

@@ -52,10 +52,8 @@ from ..methods import (
     METHODS,
     check_method_dict,
     generate_hidden_layer,
-    method_name,
     method_spec,
     method_to_dict,
-    method_with_interval,
 )
 from ..model import save_network
 from ..paramgen import AnchorKind
@@ -79,11 +77,12 @@ from .outputs import (
 )
 from .stats import MIN_PAIRS, median, weight_histogram, wilcoxon_signed_rank
 from .trials import (
-    CvResult,
+    CvCell,
     GridSearchConfig,
     cross_validate,
     grid_methods,
     run_trials,
+    select_best,
     uae_sweep,
 )
 
@@ -231,7 +230,7 @@ def _grid(cfg: ExperimentConfig) -> GridSearchConfig:
     return cfg.grid
 
 
-def _cross_validate(run: Run, i: int) -> CvResult:
+def _cross_validate(run: Run, i: int) -> tuple[CvCell, ...]:
     """Grid search for method i."""
     cfg = run.cfg
     return cross_validate(_grid(cfg), cfg.methods[i], run.problem.train, cfg.cv_stream(i))
@@ -240,43 +239,37 @@ def _cross_validate(run: Run, i: int) -> CvResult:
 def _trial_methods(run: Run, tune: bool = False) -> tuple[list, list]:
     """Trials of every configured method, each tuned by grid search first
     when ``tune``. Adds one summary entry per method and returns
-    ``(tag, reports)`` per method plus the grid-search table rows. Every
-    method is read before the first fit, untuned as it is and tuned at
-    every interval of its grid, so one without its interval, or with a
-    grid interval it rejects, stops the command before any fit."""
+    ``(label, reports)`` per method plus the grid-search table rows. Every
+    method is read once, before the first fit: untuned as it is, or tuned
+    as its plan, the method at every interval of its grid, from which the
+    search's cell picks. So one without its interval, or with a grid
+    interval it rejects, stops the command before any fit."""
     cfg = run.cfg
-    if tune:
-        grid = _grid(cfg)
-        for method in cfg.methods:
-            grid_methods(grid, method)
-    generators = [] if tune else [cfg.generator(i) for i in range(cfg.method_count)]
+    plans = [dict(grid_methods(_grid(cfg), method)) if tune else cfg.generator(i)
+             for i, method in enumerate(cfg.methods)]
     run.summary["methods"] = []
     results: list = []
     cv_table: list = []
-    for i in range(cfg.method_count):
-        family, nodes, chosen = cfg.family(i), cfg.nodes, {}
+    for i, plan in enumerate(plans):
+        label, method, nodes, chosen = cfg.label(i), plan, cfg.nodes, {}
         if tune:
-            result = _cross_validate(run, i)
-            nodes = result.best_m
-            method = method_with_interval(cfg.methods[i], result.best_interval)
-            chosen = {"m": result.best_m, "interval": result.best_interval}
-            cv_table.extend(cv_rows(family, result.table))
-        else:
-            method = generators[i]
+            table = _cross_validate(run, i)
+            best = select_best(table)
+            method, nodes = plan[best.interval], best.m
+            chosen = {"chosen": {"m": best.m, "interval": best.interval}}
+            cv_table.extend(cv_rows(label, table))
         reports = run_trials(method, run.problem, nodes, cfg.trials, cfg.trial_stream(i))
-        entry = {"method": method_to_dict(method), "nodes": nodes, **method_summary(reports)}
-        if chosen:
-            entry["chosen"] = chosen
-        run.summary["methods"].append(entry)
-        results.append((family, reports))
+        run.summary["methods"].append({"method": method_to_dict(method), "nodes": nodes,
+                                       **method_summary(reports), **chosen})
+        results.append((label, reports))
     return results, cv_table
 
 
 def _write_results(run: Run, results: list) -> None:
     """Write the summary and the trials table of ``_trial_methods``' results."""
     run.write_summary()
-    run.write_table("trials", [row for family, reports in results
-                               for row in trial_rows(family, reports)])
+    run.write_table("trials", [row for label, reports in results
+                               for row in trial_rows(label, reports)])
 
 
 def cmd_fit(args) -> int:
@@ -294,27 +287,27 @@ def cmd_fit(args) -> int:
 
 def cmd_benchmark(args) -> int:
     run = _setup(args, 1)
-    _write_results(run, _trial_methods(run)[0])
-    for entry in run.summary["methods"]:
-        print(f"benchmark: {entry['method']['method']} mean test rmse "
-              f"{entry['rmse_test']['mean']:.6g}")
+    results, _ = _trial_methods(run)
+    _write_results(run, results)
+    for (label, _), entry in zip(results, run.summary["methods"]):
+        print(f"benchmark: {label} mean test rmse {entry['rmse_test']['mean']:.6g}")
     return 0
 
 
 def cmd_grid_search(args) -> int:
     run = _setup(args, 1, 1)
-    family = run.cfg.family(0)
-    result = _cross_validate(run, 0)
+    label = run.cfg.label(0)
+    table = _cross_validate(run, 0)
+    best = select_best(table)
     run.summary["grid_search"] = {
-        "method": family,
-        "best_m": result.best_m,
-        "best_interval": result.best_interval,
-        "cells": len(result.table),
+        "method": label,
+        "best_m": best.m,
+        "best_interval": best.interval,
+        "cells": len(table),
     }
     run.write_summary()
-    run.write_table("cv_table", cv_rows(family, result.table))
-    print(f"grid-search: {family} best m={result.best_m} "
-          f"interval={result.best_interval}")
+    run.write_table("cv_table", cv_rows(label, table))
+    print(f"grid-search: {label} best m={best.m} interval={best.interval}")
     return 0
 
 
@@ -358,15 +351,15 @@ def cmd_compare(args) -> int:
                 "p_value": res.p_value,
             })
     hist_table = []
-    for family, reports in results:
+    for label, reports in results:
         layers = [r.network.hidden for r in reports]
-        hist_table.extend(histogram_rows(family, weight_histogram(layers, cfg.histogram_bins)))
+        hist_table.extend(histogram_rows(label, weight_histogram(layers, cfg.histogram_bins)))
     _write_results(run, results)
     run.write_table("histogram", hist_table)
     if cv_table:
         run.write_table("cv_table", cv_table)
-    for entry in run.summary["methods"]:
-        print(f"compare: {entry['method']['method']} m={entry['nodes']} "
+    for (label, _), entry in zip(results, run.summary["methods"]):
+        print(f"compare: {label} m={entry['nodes']} "
               f"mean test rmse {entry['rmse_test']['mean']:.6g}")
     return 0
 
@@ -392,10 +385,10 @@ def cmd_histogram(args) -> int:
     layers = [generate_hidden_layer(method, x, cfg.nodes, stream.child(t))
               for t in range(cfg.trials)]
     hist = weight_histogram(layers, cfg.histogram_bins)
-    family = method_name(method)
+    label = cfg.label(0)
     pooled = np.concatenate([layer.weights.ravel() for layer in layers])
     run.summary["histogram"] = {
-        "method": family,
+        "method": label,
         "nodes": cfg.nodes,
         "trials": cfg.trials,
         "bins": cfg.histogram_bins,
@@ -403,8 +396,8 @@ def cmd_histogram(args) -> int:
         "median_abs_weight": median(np.abs(pooled)),
     }
     run.write_summary()
-    run.write_table("histogram", histogram_rows(family, hist))
-    print(f"histogram: {family} median |a| = "
+    run.write_table("histogram", histogram_rows(label, hist))
+    print(f"histogram: {label} median |a| = "
           f"{run.summary['histogram']['median_abs_weight']:.6g}")
     return 0
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from ..benchfn import SampledProblem, TargetFunction, sample_problem
 from ..dataio import load_csv, normalize, split_75_25
-from ..errors import ConfigError, config_from_dict
+from ..errors import ConfigError, check_distinct, config_from_dict, numpy_sized
 from ..methods import GeneratorConfig, check_method_dict, method_from_dict
 from ..rng import RngStream, as_stream
 from .trials import GridSearchConfig
@@ -116,11 +116,13 @@ class SweepSpec:
         if self.values is not None:
             vals = self.values
         elif 0 < self.lo < self.hi < math.inf and self.points >= 2:
-            vals = tuple(float(v) for v in np.geomspace(self.lo, self.hi, self.points))
+            with numpy_sized(f"cannot space sweep points={self.points} values"):
+                vals = tuple(float(v) for v in np.geomspace(self.lo, self.hi, self.points))
         else:
             raise ConfigError("sweep needs 0 < lo < hi, hi finite, and points >= 2")
         if any(v <= 0 for v in vals):
             raise ConfigError("sweep values must be positive")
+        check_distinct(vals, "sweep values")
         return vals
 
 
@@ -161,8 +163,12 @@ class ExperimentConfig:
     def method_count(self) -> int:
         return len(self.methods)
 
-    def family(self, i: int) -> str:
-        return self.methods[i]["method"]
+    def label(self, i: int) -> str:
+        """Method i's name in every table, summary entry and printed line:
+        its tag, or ``tag#k`` for the k-th of the methods that share it."""
+        tags = [spec["method"] for spec in self.methods]
+        tag = tags[i]
+        return tag if tags.count(tag) == 1 else f"{tag}#{tags[:i + 1].count(tag)}"
 
     def generator(self, i: int) -> GeneratorConfig:
         return method_from_dict(self.methods[i])
@@ -189,6 +195,8 @@ def load_config_file(path: str) -> dict:
             raw = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
     return raw

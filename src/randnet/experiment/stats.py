@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, numpy_sized
 
 # Largest sample size for which the exact null distribution is used; beyond
 # this the normal approximation with tie correction takes over.
@@ -164,5 +164,6 @@ def weight_histogram(layers, bins: int = 50) -> Histogram:
     if bins < 1:
         raise InvalidInputError(f"bins must be >= 1, got {bins}")
     pooled = np.concatenate([layer.weights.ravel() for layer in layers])
-    counts, edges = np.histogram(pooled, bins=bins)
+    with numpy_sized(f"cannot make histogram_bins={bins} bins"):
+        counts, edges = np.histogram(pooled, bins=bins)
     return Histogram(edges=edges, counts=counts)

@@ -19,13 +19,13 @@ import pickle
 import signal
 import traceback
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, NoReturn, Optional, Sequence, TypeVar
+from typing import Callable, NoReturn, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from ..benchfn import SampledProblem
 from ..dataio import Dataset
-from ..errors import ConfigError, InvalidInputError
+from ..errors import ConfigError, InvalidInputError, check_distinct
 from .. import linalg
 from ..methods import GeneratorConfig, generate_hidden_layer, method_spec, method_with_interval
 from ..model import TrainedNetwork, predict, rmse, train_readout
@@ -49,16 +49,11 @@ class TrialReport:
             raise InvalidInputError("rmse values must be nonnegative")
 
 
-class TrialFit(NamedTuple):
-    """Trained network of one trial and its test RMSE."""
-
-    network: TrainedNetwork
-    rmse_test: float
-
-
-def fit_trial(method: GeneratorConfig, train: Dataset, test: Dataset, m: int, stream) -> TrialFit:
+def fit_trial(method: GeneratorConfig, train: Dataset, test: Dataset, m: int,
+              stream) -> tuple[TrainedNetwork, float]:
     """One trial: generate a hidden layer from the train inputs, which also
-    bound its anchors, fit its readout, score it on the test rows.
+    bound its anchors, fit its readout, score it on the test rows; returns
+    the network and its test RMSE.
 
     The train hidden outputs exist only inside the readout fit, which
     streams them. The test hidden outputs are built and used one tile at a
@@ -68,7 +63,7 @@ def fit_trial(method: GeneratorConfig, train: Dataset, test: Dataset, m: int, st
     """
     layer = generate_hidden_layer(method, train.x, m, stream)
     net = TrainedNetwork(hidden=layer, readout=train_readout(layer, train.x, train.y))
-    return TrialFit(net, rmse(predict(net, test.x), test.y))
+    return net, rmse(predict(net, test.x), test.y)
 
 
 def _fork_map(fit: Callable[[int], T], count: int) -> list[T]:
@@ -234,6 +229,8 @@ class GridSearchConfig:
             raise ConfigError("node_counts must be nonempty")
         if any(m < 1 for m in self.node_counts):
             raise ConfigError("node counts must be >= 1")
+        check_distinct(self.node_counts, "node_counts")
+        check_distinct(self.interval_grid, "interval_grid")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if self.trials_per_cell < 1:
@@ -245,13 +242,6 @@ class CvCell:
     m: int
     interval: Optional[float]
     mean_rmse: float
-
-
-@dataclass(frozen=True)
-class CvResult:
-    best_m: int
-    best_interval: Optional[float]
-    table: tuple[CvCell, ...]
 
 
 def kfold_indices(n: int, folds: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -283,8 +273,10 @@ def grid_methods(grid: GridSearchConfig, method: dict) -> list[tuple[Optional[fl
     return [(iv, method_with_interval(method, iv)) for iv in intervals]
 
 
-def cross_validate(grid: GridSearchConfig, method: dict, train: Dataset, seed) -> CvResult:
-    """Mean validation RMSE for every grid cell; returns the argmin cell.
+def cross_validate(grid: GridSearchConfig, method: dict, train: Dataset,
+                   seed) -> tuple[CvCell, ...]:
+    """Mean validation RMSE of every grid cell, in grid order, as
+    ``uae_sweep`` returns its points; ``select_best`` picks the search's cell.
 
     ``method`` is a method dict, as in a config file. Tunable methods (ram,
     ralpham, raem1) cross the node grid with the interval grid, or with the
@@ -309,19 +301,15 @@ def cross_validate(grid: GridSearchConfig, method: dict, train: Dataset, seed) -
     def fit(i: int) -> float:
         ci, rest = divmod(i, per_cell)
         f, t = divmod(rest, grid.trials_per_cell)
-        fold_train, fold_val = splits[f]
         m, _, cfg = cells[ci]
-        trial = fit_trial(cfg, fold_train, fold_val, m, stream.child(1, ci, f, t))
-        return trial.rmse_test
+        return fit_trial(cfg, *splits[f], m, stream.child(1, ci, f, t))[1]
 
     errs = _fork_map(fit, len(cells) * per_cell)
-    table = tuple(
+    return tuple(
         CvCell(m=m, interval=interval,
                mean_rmse=float(np.mean(errs[ci * per_cell:(ci + 1) * per_cell])))
         for ci, (m, interval, _) in enumerate(cells)
     )
-    best = select_best(table)
-    return CvResult(best_m=best.m, best_interval=best.interval, table=table)
 
 
 @dataclass(frozen=True)
@@ -363,8 +351,8 @@ def uae_sweep(
 
     def fit(i: int) -> tuple[float, float]:
         k, t = divmod(i, trials)
-        trial = fit_trial(methods[k], train, test, m, stream.child(k, t))
-        return median(np.abs(trial.network.hidden.weights)), trial.rmse_test
+        net, rmse_test = fit_trial(methods[k], train, test, m, stream.child(k, t))
+        return median(np.abs(net.hidden.weights)), rmse_test
 
     rows = _fork_map(fit, len(uae_values) * trials)
     points = []

@@ -19,7 +19,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, numpy_sized
 from .model import HiddenLayer
 from .rng import RngStream
 
@@ -41,6 +41,12 @@ def training_inputs(x_train) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] < 1:
         raise InvalidInputError(f"need a nonempty 2-D training matrix, got shape {x.shape}")
     return x
+
+
+def weights_sized(x_train: np.ndarray, m: int):
+    """``numpy_sized`` for the draw of an n x m weight matrix, the first
+    array a generator sizes by its node count."""
+    return numpy_sized(f"cannot draw nodes={m} hidden weights for n={x_train.shape[1]}")
 
 
 def check_half_width(value: float, name: str) -> None:
@@ -150,8 +156,8 @@ def anchored_biases(weights: np.ndarray, anchors: np.ndarray) -> np.ndarray:
 def generate_ram(cfg: RaMConfig, x_train: np.ndarray, m: int, rng: RngStream) -> HiddenLayer:
     """Uniform weights on [-u, u]; weights use child stream 0, anchors child 1."""
     x_train = training_inputs(x_train)
-    gen = rng.child(0).generator()
-    weights = gen.uniform(-cfg.u, cfg.u, size=(x_train.shape[1], m))
+    with weights_sized(x_train, m):
+        weights = rng.child(0).generator().uniform(-cfg.u, cfg.u, size=(x_train.shape[1], m))
     anchors = anchor_points(cfg.anchor, x_train, m, rng.child(1))
     return HiddenLayer(weights=weights, biases=anchored_biases(weights, anchors))
 
@@ -168,7 +174,8 @@ def generate_ralpham(
     x_train = training_inputs(x_train)
     n = x_train.shape[1]
     gen = rng.child(0).generator()
-    abs_deg = gen.uniform(cfg.alpha_min_deg, cfg.alpha_max_deg, size=(n, m))
+    with weights_sized(x_train, m):
+        abs_deg = gen.uniform(cfg.alpha_min_deg, cfg.alpha_max_deg, size=(n, m))
     signs = gen.integers(0, 2, size=(n, m)) * 2 - 1
     magnitude = np.minimum(4.0 * np.tan(np.radians(abs_deg)), MAX_ABS_SLOPE_WEIGHT)
     weights = signs * magnitude

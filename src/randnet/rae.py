@@ -28,6 +28,7 @@ from .paramgen import (
     anchored_biases,
     check_half_width,
     training_inputs,
+    weights_sized,
 )
 from .rng import RngStream
 
@@ -97,7 +98,8 @@ def raem_hidden_layer(cfg: RaemConfig, x_train: np.ndarray, m: int, rng: RngStre
     fitted decoder.
     """
     x_train = training_inputs(x_train)
-    w = rng.child(0).generator().uniform(-cfg.u_ae, cfg.u_ae, size=(x_train.shape[1], m))
+    with weights_sized(x_train, m):
+        w = rng.child(0).generator().uniform(-cfg.u_ae, cfg.u_ae, size=(x_train.shape[1], m))
     c = _biases(cfg.encoder_biases, cfg, w, x_train, rng.child(1))
     weights = solve_readout(HiddenLayer(weights=w, biases=c), x_train, x_train).T
     biases = _biases(cfg.network_biases, cfg, weights, x_train, rng.child(2))

@@ -404,6 +404,31 @@ class TestCompare:
         assert chosen["method"]["alpha_min_deg"] == 30.0
         assert chosen["method"]["alpha_max_deg"] == chosen["chosen"]["interval"]
 
+    @pytest.mark.parametrize("command, flags", [
+        ("compare", []),
+        ("compare", ["--cv", "--grid-nodes", "4,8", "--grid-intervals", "1,10", "--folds", "3"]),
+        ("benchmark", []),
+    ], ids=["compare", "compare-cv", "benchmark"])
+    def test_methods_of_one_family_get_distinct_labels(self, tmp_path, capsys, command,
+                                                       flags):
+        # a tag that two methods share is numbered in every table, test pair
+        # and printed line; a tag of its own stays as it is
+        out = tmp_path / "o"
+        assert run(command, *tiny_tf_args(out, trials=6), "--method", '{"method":"ram","u":1}',
+                   "--method", "raem5", "--method", '{"method":"ram","u":10}', *flags) == 0
+        labels = ["ram#1", "raem5", "ram#2"]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in printed] == labels
+        tables = ["trials"] + (["histogram"] if command == "compare" else []) + (
+            ["cv_table"] if flags else [])
+        for table in tables:
+            with open(out / f"{table}.csv") as fh:
+                seen = [row["method"] for row in csv.DictReader(fh)]
+            assert list(dict.fromkeys(seen)) == labels, table
+        if command == "compare":
+            pairs = [(w["a"], w["b"]) for w in read_summary(out)["wilcoxon"]]
+            assert pairs == [("ram#1", "raem5"), ("ram#1", "ram#2"), ("raem5", "ram#2")]
+
 
 def fork_map_commands(out, trials=6):
     """A ``compare --cv``, a ``grid-search`` and a ``uae-sweep``, small
@@ -771,6 +796,38 @@ class TestExitCodes:
         assert f"n={10**20}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("flags, key", [
+        (["fit", "--method", "ram", "--u", "1", "--nodes", str(10**20)], "nodes"),
+        (["fit", "--method", "ralpham", "--alpha-max", "90", "--nodes", str(10**20)], "nodes"),
+        (["fit", "--method", "raem3", "--nodes", str(10**20)], "nodes"),
+        (["histogram", "--method", "ram", "--u", "1", "--nodes", str(10**20)], "nodes"),
+        (["histogram", "--method", "ram", "--u", "1", "--nodes", "3",
+          "--histogram-bins", str(10**20)], "histogram_bins"),
+        (["grid-search", "--method", "ram", "--grid-nodes", f"5,{10**20}"], "nodes"),
+        (["compare", "--method", "raem4", "--method", "raem5", "--nodes", "3", "--trials", "6",
+          "--histogram-bins", str(10**20)], "histogram_bins"),
+        (["uae-sweep", "--nodes", "3", "--trials", "1", "--sweep-points", str(10**20)],
+         "points"),
+        # 2^62 nodes of one input are 2^65 bytes of weights
+        (["fit", "--method", "raem1", "--u-ae", "1", "--nodes", str(2**62)], "nodes"),
+    ], ids=["fit-ram-nodes", "fit-ralpham-nodes", "fit-raem-nodes", "histogram-nodes",
+            "histogram-bins", "grid-search-nodes", "compare-histogram-bins",
+            "uae-sweep-points", "fit-raem1-nodes-bytes"])
+    def test_count_numpy_cannot_size_is_a_config_error(self, tmp_path, flags, key):
+        # each count asks numpy for 2^63 or more elements or bytes, which it
+        # refuses before it allocates; under the limit an allocation that a
+        # count reached would exit 5, not 2
+        src = os.path.dirname(os.path.dirname(randnet.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = [*flags, "--tf", "TF1", "--n", "1", "--train-size", "40", "--test-size", "10",
+                "--out", str(tmp_path / "o")]
+        proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert f"{key}=" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_data_file(self, tmp_path):
         assert run("benchmark", "--data", tmp_path / "nope.dat", "--method",
                    "ram", "--u", "1", "--nodes", "5", "--trials", "2",
@@ -888,10 +945,19 @@ class TestExitCodes:
         ("compare", ["--cv", "--method", "raem5", "--method", "ralpham", "--grid-nodes", "5",
                      "--grid-intervals", "45,100"]),
         ("compare", ["--cv", "--method", "raem5"]),
+        ("grid-search", ["--method", "ram", "--grid-nodes", "5,5", "--grid-intervals", "1,2"]),
+        ("grid-search", ["--method", "ram", "--grid-nodes", "5", "--grid-intervals", "1,1.0"]),
+        ("compare", ["--cv", "--method", "raem5", "--grid-nodes", "5,10,5"]),
+        ("uae-sweep", ["--sweep-values", "0.1,0.1"]),
+        # log-spacing five points over one ulp repeats 1.0
+        ("uae-sweep", ["--sweep-lo", "1", "--sweep-hi", "1.0000000000000002",
+                       "--sweep-points", "5"]),
     ], ids=["benchmark-interval-missing", "benchmark-out-of-range", "compare-interval-missing",
             "compare-out-of-range", "grid-search-replaced-interval",
             "uae-sweep-replaced-interval", "uae-sweep-default-method-flag",
-            "compare-cv-grid-interval-out-of-range", "compare-cv-no-grid"])
+            "compare-cv-grid-interval-out-of-range", "compare-cv-no-grid",
+            "grid-nodes-repeated", "grid-intervals-repeated", "compare-cv-grid-nodes-repeated",
+            "sweep-values-repeated", "sweep-points-repeat-a-value"])
     def test_config_errors_come_before_any_fit(self, tmp_path, monkeypatch, capsys, command,
                                                flags):
         # every method dict is read whole when the config is read, so a bad
@@ -956,6 +1022,13 @@ class TestExitCodes:
         config.write_bytes(b'{"seed": 1, "output_dir": "\xff"}')
         assert run("emit", "--config", config, "--tf", "TF1", "--n", "1") == 2
         assert capsys.readouterr().err.startswith(f"config error: config file {config}")
+
+    def test_config_file_that_cannot_be_opened_is_a_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run("fit", "--config", missing) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config file {missing}: "
+            f"[Errno 2] No such file or directory: '{missing}'\n")
 
     def test_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
         config = tmp_path / "c.json"

@@ -49,8 +49,8 @@ problems = st.one_of(
 
 grids = st.builds(
     GridSearchConfig,
-    node_counts=st.lists(sizes, min_size=1).map(tuple),
-    interval_grid=st.lists(finite).map(tuple),
+    node_counts=st.lists(sizes, min_size=1, unique=True).map(tuple),
+    interval_grid=st.lists(finite, unique=True).map(tuple),
     folds=st.integers(min_value=2, max_value=100),
     trials_per_cell=sizes,
 )

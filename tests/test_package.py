@@ -12,6 +12,7 @@ import re
 import shlex
 
 import randnet
+import randnet.experiment
 from randnet.experiment.cli import build_parser
 from randnet.experiment.config import build_config
 from randnet.methods import method_from_dict
@@ -21,9 +22,10 @@ SRC = pathlib.Path(randnet.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
-    missing = [name for name in randnet.__all__ if not hasattr(randnet, name)]
-    assert not missing
-    assert len(set(randnet.__all__)) == len(randnet.__all__)
+    for package in (randnet, randnet.experiment):
+        missing = [name for name in package.__all__ if not hasattr(package, name)]
+        assert not missing, package.__name__
+        assert len(set(package.__all__)) == len(package.__all__)
 
 
 def test_readme_library_example_prints_a_finite_rmse():

@@ -375,36 +375,36 @@ class TestCrossValidate:
 
     def test_single_cell_returned(self, demo_small):
         grid = GridSearchConfig(node_counts=[15], interval_grid=[2.0])
-        res = cross_validate(grid, {"method": "ram"}, demo_small.train, 1)
-        assert res.best_m == 15 and res.best_interval == 2.0
-        assert len(res.table) == 1
+        table = cross_validate(grid, {"method": "ram"}, demo_small.train, 1)
+        assert select_best(table).m == 15 and select_best(table).interval == 2.0
+        assert len(table) == 1
 
     def test_planted_interval_wins(self):
         # data generated by steepness-8 sigmoids: the matching grid cell
         # must beat both the flat and the near-step alternatives
         grid = GridSearchConfig(node_counts=[25], interval_grid=[0.08, 8.0, 800.0])
-        res = cross_validate(grid, {"method": "ram"}, self.planted_problem(), 60)
-        assert res.best_interval == 8.0
+        table = cross_validate(grid, {"method": "ram"}, self.planted_problem(), 60)
+        assert select_best(table).interval == 8.0
 
     def test_table_covers_grid(self, demo_small):
         grid = GridSearchConfig(node_counts=[5, 10], interval_grid=[30.0, 60.0])
-        res = cross_validate(grid, {"method": "ralpham"}, demo_small.train, 2)
-        assert {(c.m, c.interval) for c in res.table} == {
+        table = cross_validate(grid, {"method": "ralpham"}, demo_small.train, 2)
+        assert {(c.m, c.interval) for c in table} == {
             (5, 30.0), (5, 60.0), (10, 30.0), (10, 60.0)
         }
-        assert all(c.mean_rmse >= 0 for c in res.table)
+        assert all(c.mean_rmse >= 0 for c in table)
 
     def test_untuned_family_ignores_interval_grid(self, demo_small):
         grid = GridSearchConfig(node_counts=[5, 10])
-        res = cross_validate(grid, {"method": "raem5"}, demo_small.train, 3)
-        assert len(res.table) == 2
-        assert all(c.interval is None for c in res.table)
+        table = cross_validate(grid, {"method": "raem5"}, demo_small.train, 3)
+        assert len(table) == 2
+        assert all(c.interval is None for c in table)
 
     def test_deterministic(self, demo_small):
         grid = GridSearchConfig(node_counts=[8], interval_grid=[45.0])
         a = cross_validate(grid, {"method": "ralpham"}, demo_small.train, 4)
         b = cross_validate(grid, {"method": "ralpham"}, demo_small.train, 4)
-        assert a.table[0].mean_rmse == b.table[0].mean_rmse
+        assert a[0].mean_rmse == b[0].mean_rmse
 
     def test_parallel_matches_serial(self, demo_small, monkeypatch):
         grid = GridSearchConfig(node_counts=[5, 9], interval_grid=[1.0, 4.0])
@@ -412,8 +412,8 @@ class TestCrossValidate:
         a = cross_validate(grid, {"method": "ram"}, demo_small.train, 5)
         monkeypatch.setattr(linalg, "core_count", lambda: 4)
         b = cross_validate(grid, {"method": "ram"}, demo_small.train, 5)
-        assert [(c.m, c.interval, c.mean_rmse) for c in a.table] == [
-            (c.m, c.interval, c.mean_rmse) for c in b.table
+        assert [(c.m, c.interval, c.mean_rmse) for c in a] == [
+            (c.m, c.interval, c.mean_rmse) for c in b
         ]
 
     def test_grid_validation(self):
