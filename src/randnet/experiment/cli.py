@@ -12,7 +12,9 @@ Subcommands:
 
 Every command starts from ``_setup``, which resolves the config, checks its
 method count, builds the problem and starts the summary; the first write
-creates the output directory. Methods come from the registry in
+creates the output directory. A command's default method (the sweep's
+raem1) joins the config when no flag or file names one, and is amended,
+read and echoed as a configured method is. Methods come from the registry in
 ``randnet.methods``, where a method is declared by one entry.
 
 Each flag's argparse ``dest`` is the config key it sets, so the config
@@ -50,7 +52,6 @@ from ..errors import (
 )
 from ..methods import (
     METHODS,
-    check_method_dict,
     generate_hidden_layer,
     method_spec,
     method_to_dict,
@@ -197,12 +198,15 @@ class Run(NamedTuple):
 
 
 def _setup(args, least: int = 0, most: Optional[int] = None,
-           trials: Optional[int] = None) -> Run:
+           trials: Optional[int] = None, method: Optional[str] = None) -> Run:
     """Resolve the config, check it names between ``least`` and ``most``
     methods, build the problem and start the summary with the config echo
     and the dataset summaries. ``trials``, if given, is the trial count when
-    neither the flags nor the file set one."""
+    neither the flags nor the file set one, and ``method`` the method tag
+    when neither names a method."""
     raw = load_config_file(args.config) if args.config else {}
+    if method is not None and not args.methods and not method_list(raw):
+        raw = {**raw, "methods": [method]}
     overrides = _overrides(args, raw)
     if trials is not None and "trials" not in raw:
         overrides.setdefault("trials", trials)
@@ -312,12 +316,10 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_uae_sweep(args) -> int:
-    run = _setup(args, 0, 1)
+    run = _setup(args, 1, 1, method="raem1")
     cfg = run.cfg
-    method = cfg.methods[0] if cfg.method_count else _amend({"method": "raem1"}, args)
-    check_method_dict(method)  # the default raem1 too, with the method flags it took
     points = uae_sweep(run.problem, cfg.nodes, cfg.sweep.u_ae_values(), cfg.trials,
-                       cfg.sweep_stream(), method=method)
+                       cfg.sweep_stream(), method=cfg.methods[0])
     best = min(points, key=lambda p: (p.mean_rmse, p.u_ae))
     run.summary["sweep"] = {
         "nodes": cfg.nodes,

@@ -155,6 +155,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if min(self.nodes, self.trials, self.jobs, self.histogram_bins) < 1:
             raise ConfigError("nodes, trials, jobs and histogram_bins must all be >= 1")
+        with numpy_sized(f"cannot make histogram_bins={self.histogram_bins} bins"):
+            np.broadcast_to(0.0, self.histogram_bins + 1)  # sizes the edges, allocates nothing
         for spec in self.methods:
             check_method_dict(spec)
         self.sweep.u_ae_values()  # a bad sweep fails every command, not only uae-sweep

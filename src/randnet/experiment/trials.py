@@ -185,6 +185,14 @@ def _receive(pid: int, helpers: dict[int, int]) -> tuple:
     return rows, failure
 
 
+def _cell_means(fit: Callable[[int, int], tuple], cells: int, repeats: int) -> list[tuple]:
+    """Per cell, the mean over its repeats, in repeat order, of each value
+    ``fit(cell, repeat)`` returns; the fits run through ``_fork_map``."""
+    rows = _fork_map(lambda i: fit(*divmod(i, repeats)), cells * repeats)
+    return [tuple(float(np.mean(v)) for v in zip(*rows[c * repeats:(c + 1) * repeats]))
+            for c in range(cells)]
+
+
 def run_trials(
     method: GeneratorConfig,
     problem: SampledProblem,
@@ -296,20 +304,14 @@ def cross_validate(grid: GridSearchConfig, method: dict, train: Dataset,
     cells = [(m, iv, cfg) for m in grid.node_counts for iv, cfg in tried]
     folds = kfold_indices(train.n_samples, grid.folds, stream.child(0, 0))
     splits = [(train.subset(tr), train.subset(va)) for tr, va in folds]
-    per_cell = grid.folds * grid.trials_per_cell
 
-    def fit(i: int) -> float:
-        ci, rest = divmod(i, per_cell)
-        f, t = divmod(rest, grid.trials_per_cell)
+    def fit(ci: int, r: int) -> tuple[float]:
+        f, t = divmod(r, grid.trials_per_cell)
         m, _, cfg = cells[ci]
-        return fit_trial(cfg, *splits[f], m, stream.child(1, ci, f, t))[1]
+        return (fit_trial(cfg, *splits[f], m, stream.child(1, ci, f, t))[1],)
 
-    errs = _fork_map(fit, len(cells) * per_cell)
-    return tuple(
-        CvCell(m=m, interval=interval,
-               mean_rmse=float(np.mean(errs[ci * per_cell:(ci + 1) * per_cell])))
-        for ci, (m, interval, _) in enumerate(cells)
-    )
+    means = _cell_means(fit, len(cells), grid.folds * grid.trials_per_cell)
+    return tuple(CvCell(m, interval, *mean) for (m, interval, _), mean in zip(cells, means))
 
 
 @dataclass(frozen=True)
@@ -340,6 +342,7 @@ def uae_sweep(
     """
     if len(uae_values) == 0:
         raise ConfigError("uae_values must be nonempty")
+    check_distinct(uae_values, "u_ae values")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     method = {"method": "raem1"} if method is None else method
@@ -349,18 +352,9 @@ def uae_sweep(
     train, test = problem.train, problem.test
     methods = [method_with_interval(method, float(u)) for u in uae_values]
 
-    def fit(i: int) -> tuple[float, float]:
-        k, t = divmod(i, trials)
+    def fit(k: int, t: int) -> tuple[float, float]:
         net, rmse_test = fit_trial(methods[k], train, test, m, stream.child(k, t))
         return median(np.abs(net.hidden.weights)), rmse_test
 
-    rows = _fork_map(fit, len(uae_values) * trials)
-    points = []
-    for k, method in enumerate(methods):
-        medians, errs = zip(*rows[k * trials:(k + 1) * trials])
-        points.append(SweepPoint(
-            u_ae=method.u_ae,
-            median_abs_weight=float(np.mean(medians)),
-            mean_rmse=float(np.mean(errs)),
-        ))
-    return points
+    return [SweepPoint(method.u_ae, *means)
+            for method, means in zip(methods, _cell_means(fit, len(methods), trials))]

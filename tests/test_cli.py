@@ -353,6 +353,17 @@ class TestUaeSweep:
         assert uniform[0] == uniform[1] == uniform[2]
         assert uniform[0] != self.sweep(tmp_path / "default")
 
+    def test_summary_echoes_the_swept_method(self, tmp_path):
+        # the default raem1 is a configured method: the method flags amend
+        # it and the config echo names it, flags and all
+        for name, flags, want in [("default", [], {"method": "raem1"}),
+                                  ("cluster", ["--anchor", "cluster"],
+                                   {"anchor": "cluster", "method": "raem1"})]:
+            self.sweep(tmp_path / name, *flags)
+            summary = read_summary(tmp_path / name)
+            assert summary["config"]["methods"] == [want]
+            assert "methods" not in summary
+
     def test_every_method_key_reaches_every_point(self, tmp_path):
         tables = []
         for anchor in ("train-point", "cluster"):
@@ -952,27 +963,32 @@ class TestExitCodes:
         # log-spacing five points over one ulp repeats 1.0
         ("uae-sweep", ["--sweep-lo", "1", "--sweep-hi", "1.0000000000000002",
                        "--sweep-points", "5"]),
+        # numpy refuses 10^20 + 1 edges before it allocates them
+        ("compare", ["--method", "raem5", "--histogram-bins", str(10**20)]),
+        ("histogram", ["--histogram-bins", str(10**20)]),
     ], ids=["benchmark-interval-missing", "benchmark-out-of-range", "compare-interval-missing",
             "compare-out-of-range", "grid-search-replaced-interval",
             "uae-sweep-replaced-interval", "uae-sweep-default-method-flag",
             "compare-cv-grid-interval-out-of-range", "compare-cv-no-grid",
             "grid-nodes-repeated", "grid-intervals-repeated", "compare-cv-grid-nodes-repeated",
-            "sweep-values-repeated", "sweep-points-repeat-a-value"])
+            "sweep-values-repeated", "sweep-points-repeat-a-value",
+            "compare-histogram-bins-unsizable", "histogram-bins-unsizable"])
     def test_config_errors_come_before_any_fit(self, tmp_path, monkeypatch, capsys, command,
                                                flags):
         # every method dict is read whole when the config is read, so a bad
         # second method stops the run before the first one's trials, and an
         # interval that grid search or the sweep would replace is read too;
         # with --cv every method is read at every grid interval, and the
-        # grid is looked for, before the first method's grid search
+        # grid is looked for, before the first method's grid search; the
+        # histogram command draws its layers itself, through cli's import
         monkeypatch.setattr(linalg, "core_count", lambda: 1)  # every fit in this process
-        draws, draw = [], trials.generate_hidden_layer
+        draws = []
+        for module in (trials, cli):
+            def counting(*args, draw=module.generate_hidden_layer):
+                draws.append(args)
+                return draw(*args)
 
-        def counting(*args):
-            draws.append(args)
-            return draw(*args)
-
-        monkeypatch.setattr(trials, "generate_hidden_layer", counting)
+            monkeypatch.setattr(module, "generate_hidden_layer", counting)
         out = tmp_path / "o"
         first = [] if command in ("grid-search", "uae-sweep") else [
             "--method", '{"method": "ram", "u": 1}']

@@ -12,11 +12,12 @@ from randnet.dataio import Dataset
 from randnet.errors import ConfigError, InvalidInputError, NumericFailureError
 from randnet.benchfn import SampledProblem
 from randnet.experiment import trials
-from randnet.experiment.stats import wilcoxon_signed_rank
+from randnet.experiment.stats import median, wilcoxon_signed_rank
 from randnet.experiment.trials import (
     CvCell,
     GridSearchConfig,
     cross_validate,
+    fit_trial,
     kfold_indices,
     run_trials,
     select_best,
@@ -24,7 +25,7 @@ from randnet.experiment.trials import (
 )
 from randnet import linalg
 from randnet.linalg import lstsq
-from randnet.methods import generate_hidden_layer
+from randnet.methods import generate_hidden_layer, method_with_interval
 from randnet.model import hidden_outputs
 from randnet.paramgen import RaMConfig, RAlphaMConfig, generate_ram
 from randnet.rae import Raem1Config, Raem3Config, Raem5Config
@@ -468,7 +469,7 @@ class TestUaeSweep:
         with pytest.raises(ConfigError, match="raem1"):
             uae_sweep(demo_small, 10, [0.5], 3, 14, method=method)
 
-    @pytest.mark.parametrize("values", [[0.5, 0.0], [-1.0]])
+    @pytest.mark.parametrize("values", [[0.5, 0.0], [-1.0], [0.1, 0.1]])
     def test_nonpositive_value_rejected_before_any_fit(self, monkeypatch, demo_small, values):
         def no_fit(fit, count):
             raise AssertionError("a fit ran")
@@ -476,3 +477,32 @@ class TestUaeSweep:
         monkeypatch.setattr(trials, "_fork_map", no_fit)
         with pytest.raises(ConfigError, match="u_ae"):
             uae_sweep(demo_small, 10, values, 3, 14)
+
+
+def test_cell_means_are_the_means_of_direct_fits(demo_small):
+    # a grid cell's mean RMSE and a sweep point's two means are np.mean, in
+    # trial order, of fit_trial run directly on that cell's own streams:
+    # (1, ci, f, t) of the grid search's seed, (k, t) of the sweep's
+    stream = RngStream(31)
+    train = demo_small.train
+    grid = GridSearchConfig(node_counts=[5, 9], interval_grid=[1.0, 4.0], folds=2,
+                            trials_per_cell=2)
+    table = cross_validate(grid, {"method": "ram"}, train, stream)
+    splits = [(train.subset(tr), train.subset(va))
+              for tr, va in kfold_indices(train.n_samples, 2, stream.child(0, 0))]
+    cells = [(m, u) for m in (5, 9) for u in (1.0, 4.0)]
+    assert [(c.m, c.interval) for c in table] == cells
+    for ci, ((m, u), cell) in enumerate(zip(cells, table)):
+        method = method_with_interval({"method": "ram"}, u)
+        errs = [fit_trial(method, *splits[f], m, stream.child(1, ci, f, t))[1]
+                for f in range(2) for t in range(2)]
+        assert cell.mean_rmse == float(np.mean(errs))
+
+    points = uae_sweep(demo_small, 6, [0.05, 0.5], 2, stream)
+    assert [p.u_ae for p in points] == [0.05, 0.5]
+    for k, point in enumerate(points):
+        fits = [fit_trial(Raem1Config(u_ae=point.u_ae), train, demo_small.test, 6,
+                          stream.child(k, t)) for t in range(2)]
+        assert point.median_abs_weight == float(
+            np.mean([median(np.abs(net.hidden.weights)) for net, _ in fits]))
+        assert point.mean_rmse == float(np.mean([err for _, err in fits]))
