@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -158,12 +159,15 @@ class Histogram(NamedTuple):
 
 
 def weight_histogram(layers, bins: int = 50) -> Histogram:
-    """Pooled histogram of the weights of hidden layers."""
+    """Pooled histogram of the weights of hidden layers, in ``bins`` equal
+    bins; a count whose bins + 1 edges numpy cannot size is a ConfigError,
+    as in ``ExperimentConfig``."""
     if not layers:
         raise InvalidInputError("need at least one hidden layer")
-    if bins < 1:
-        raise InvalidInputError(f"bins must be >= 1, got {bins}")
+    if isinstance(bins, bool) or not isinstance(bins, numbers.Integral) or bins < 1:
+        raise InvalidInputError(f"bins must be an integer >= 1, got {bins!r}")
     pooled = np.concatenate([layer.weights.ravel() for layer in layers])
     with numpy_sized(f"cannot make histogram_bins={bins} bins"):
+        np.broadcast_to(0.0, int(bins) + 1)  # sizes the edges, allocates nothing
         counts, edges = np.histogram(pooled, bins=bins)
     return Histogram(edges=edges, counts=counts)

@@ -25,7 +25,7 @@ timings that set that row floor are above ``_MIN_BLOCK_ROWS``).
 
 ``qr_triangle`` is LAPACK ``dgeqrf``, ``_fold`` is ``dtpqrt`` and the SVD is
 ``dgesdd``, all from the OpenBLAS bundled in the numpy wheel, bound through
-ctypes by ``_symbol`` and called with the workspace LAPACK asks for on
+ctypes by ``_routine`` and called with the workspace LAPACK asks for on
 every call, as numpy calls them, so R, U, s and Vt are bitwise numpy's.
 Each overwrites the matrices it is handed. Where numpy bundles no OpenBLAS,
 numpy's QR and SVD are called instead.
@@ -78,7 +78,7 @@ def _svd_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     column-major U takes another BLAS kernel and moves bits. Without that
     library numpy decomposes ``a``. Any failure is a NumericFailureError.
     """
-    gesdd = _dgesdd()
+    gesdd = _routine("scipy_dgesdd_64_")
     if gesdd is None:
         try:
             return np.linalg.svd(a, full_matrices=False)
@@ -151,7 +151,7 @@ def qr_triangle(buf: np.ndarray) -> np.ndarray:
     ld = _check_buffer(buf, "QR buffer")
     rows, cols = buf.shape
     k = min(rows, cols)
-    geqrf = _dgeqrf()
+    geqrf = _routine("scipy_dgeqrf_64_")
     if geqrf is None:
         try:
             buf[:k] = np.linalg.qr(buf, mode="r")
@@ -183,7 +183,7 @@ def _fold(r: np.ndarray, lower: np.ndarray) -> None:
     ``lower`` below the diagonal. Without that library numpy decomposes the
     stacked pair. Any failure is a NumericFailureError.
     """
-    tpqrt = _dtpqrt()
+    tpqrt = _routine("scipy_dtpqrt_64_")
     if tpqrt is None:
         try:
             r[...] = np.linalg.qr(np.vstack([r, lower]), mode="r")
@@ -363,58 +363,36 @@ def _openblas():
     return None
 
 
-def _symbol(name: str, argtypes: list, restype=None):
-    """Function ``name`` of numpy's bundled OpenBLAS, taking ``argtypes`` and
-    returning ``restype``, or None where that library or the symbol is
-    missing."""
+# The routines bound from that library: each symbol's argtypes and restype,
+# with each LAPACK routine's arguments named above it. They are raw
+# pointers but for dgesdd's jobz, a one-letter bytes string, and the hidden
+# length of jobz that gfortran passes after info. blas_thread_shutdown_
+# joins the library's worker threads, which a later call that asks for more
+# than one thread starts again.
+_ROUTINES = {
+    # m, n, a, lda, tau, work, lwork, info
+    "scipy_dgeqrf_64_": ([ctypes.c_void_p] * 8, None),
+    # jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork, info
+    "scipy_dgesdd_64_": ([ctypes.c_char_p] + [ctypes.c_void_p] * 13 + [ctypes.c_size_t], None),
+    # m, n, l, nb, a, lda, b, ldb, t, ldt, work, info
+    "scipy_dtpqrt_64_": ([ctypes.c_void_p] * 12, None),
+    "scipy_openblas_get_num_threads64_": ([], ctypes.c_int),
+    "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
+    "blas_thread_shutdown_": ([], ctypes.c_int),
+}
+
+
+@functools.cache
+def _routine(name: str):
+    """Function ``name`` of numpy's bundled OpenBLAS, typed by its entry in
+    ``_ROUTINES``, or None where that library or the symbol is missing. A
+    name with no entry is a KeyError, with or without the library."""
+    argtypes, restype = _ROUTINES[name]
     lib = _openblas()
-    if lib is None:
-        return None
-    try:
-        fn = lib[name]
-    except AttributeError:
-        return None
-    fn.argtypes, fn.restype = argtypes, restype
+    fn = None if lib is None else getattr(lib, name, None)
+    if fn is not None:
+        fn.argtypes, fn.restype = argtypes, restype
     return fn
-
-
-@functools.cache
-def _dgeqrf():
-    """``dgeqrf(m, n, a, lda, tau, work, lwork, info)``, every argument a
-    raw pointer, or None."""
-    return _symbol("scipy_dgeqrf_64_", [ctypes.c_void_p] * 8)
-
-
-@functools.cache
-def _dgesdd():
-    """``dgesdd(jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork,
-    info)``, jobz a one-letter bytes string and the rest raw pointers, then
-    the hidden length of jobz that gfortran passes, or None."""
-    return _symbol("scipy_dgesdd_64_",
-                   [ctypes.c_char_p] + [ctypes.c_void_p] * 13 + [ctypes.c_size_t])
-
-
-@functools.cache
-def _dtpqrt():
-    """``dtpqrt(m, n, l, nb, a, lda, b, ldb, t, ldt, work, info)``, raw
-    pointers all, or None."""
-    return _symbol("scipy_dtpqrt_64_", [ctypes.c_void_p] * 12)
-
-
-@functools.cache
-def _blas_threads():
-    """``(get, set)``: the library's thread-count getter and setter, or None."""
-    get = _symbol("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
-    set_ = _symbol("scipy_openblas_set_num_threads64_", [ctypes.c_int])
-    return None if get is None or set_ is None else (get, set_)
-
-
-@functools.cache
-def _thread_shutdown():
-    """``blas_thread_shutdown_``, or None where the library does not export
-    it: it joins the library's worker threads, which a later call that asks
-    for more than one thread starts again."""
-    return _symbol("blas_thread_shutdown_", [], ctypes.c_int)
 
 
 def _addresses(ints: np.ndarray) -> list[int]:
@@ -459,13 +437,13 @@ def single_thread_blas():
     does nothing.
     """
     global _blas_users, _blas_saved
-    threads = _blas_threads()
+    get = _routine("scipy_openblas_get_num_threads64_")
+    set_ = _routine("scipy_openblas_set_num_threads64_")
     with _blas_lock:
-        if _blas_users == 0 and threads is not None:
-            get, set_ = threads
+        if _blas_users == 0 and get is not None:
             _blas_saved = get()
             set_(1)
-            shutdown = _thread_shutdown()
+            shutdown = _routine("blas_thread_shutdown_")
             if shutdown is not None:
                 shutdown()
         _blas_users += 1
@@ -474,8 +452,8 @@ def single_thread_blas():
     finally:
         with _blas_lock:
             _blas_users -= 1
-            if _blas_users == 0 and threads is not None:
-                threads[1](_blas_saved)
+            if _blas_users == 0 and get is not None:
+                set_(_blas_saved)
 
 
 # Row blocks: the block count doubles while every block keeps at least

@@ -122,11 +122,15 @@ def sigmoid(z, *, out=None):
     ``exp(z) / (1 + exp(z))`` for -354 <= z < 0; below -354 the output stays
     at its value at -354, about 1.8e-154, so it is never subnormal or 0, and
     it is capped below 1 so saturated nodes never return exactly 1. ``z`` is
-    left alone unless it is passed as ``out``, a float array of its shape
-    that receives the result; ``out=z`` needs one temporary array only.
+    left alone unless it is passed as ``out``, a float64 array of its shape
+    that receives the result; ``out=z`` needs one temporary array only. Any
+    other ``out`` is an InvalidInputError, raised before anything is written.
     """
     z = np.asarray(z, dtype=float)
-    if z.ndim == 0:
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == z.shape):
+        raise InvalidInputError(f"out must be a float64 array of shape {z.shape}")
+    if z.ndim == 0 and out is None:
         return float(sigmoid(z.reshape(1))[0])
     if out is None:
         out = np.empty_like(z)
@@ -307,10 +311,12 @@ def rmse(predicted, actual) -> float:
     """Root-mean-square error between two equal-length vectors."""
     p = np.asarray(predicted, dtype=float).ravel()
     a = np.asarray(actual, dtype=float).ravel()
-    if p.shape != a.shape or p.size < 1:
+    if p.shape != a.shape:
         raise InvalidInputError(
             f"prediction length {p.shape} does not match target length {a.shape}"
         )
+    if p.size < 1:
+        raise InvalidInputError("cannot take the RMSE of empty vectors")
     return float(np.sqrt(np.mean((p - a) ** 2)))
 
 

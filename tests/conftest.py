@@ -11,11 +11,19 @@ the core count that worker maps and block budgets come from, so tests of the
 blocked readout and the worker maps run the same blocks, pools and processes
 on a 1-core machine as on a many-core one.
 
+``stub_routines`` stands in for routines of numpy's bundled OpenBLAS, so a
+test can reach each numpy fallback or fake a routine's info, and
+``blas_threads`` hands a test that library's thread-count getter and setter.
+
 Acceptance tests append one verdict line per criterion to ACCEPTANCE_LINES;
 the terminal-summary hook reprints them after the run so they stay visible
 even though pytest captures stdout of passing tests.
 """
 
+import glob
+import os
+
+import numpy as np
 import pytest
 
 from randnet import linalg
@@ -69,3 +77,27 @@ def row_blocking(monkeypatch):
             monkeypatch.setattr(linalg, "core_count", lambda: cores)
 
     return configure
+
+
+def bundles_openblas() -> bool:
+    """Whether numpy bundles OpenBLAS, whose routines ``linalg`` binds."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    return bool(glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas64_*")))
+
+
+def stub_routines(monkeypatch, **stubs) -> None:
+    """Have ``linalg._routine`` return ``stubs[name]`` for each symbol name
+    given, None standing for one the library does not export, and what it
+    returned before for any other name, until ``monkeypatch`` is undone."""
+    lookup = linalg._routine
+    monkeypatch.setattr(linalg, "_routine",
+                        lambda name: stubs[name] if name in stubs else lookup(name))
+
+
+def blas_threads():
+    """``(get, set)``: the thread-count getter and setter of numpy's bundled
+    OpenBLAS. The test is skipped where numpy bundles none."""
+    if not bundles_openblas():
+        pytest.skip("numpy bundles no OpenBLAS")
+    return (linalg._routine("scipy_openblas_get_num_threads64_"),
+            linalg._routine("scipy_openblas_set_num_threads64_"))

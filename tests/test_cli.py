@@ -15,6 +15,8 @@ from typing import get_args
 import numpy as np
 import pytest
 
+from conftest import blas_threads
+
 import randnet
 from randnet import linalg
 from randnet.dataio import load_csv
@@ -550,9 +552,9 @@ class TestWorkerProcesses:
         # restoring the thread count as a map leaves starts the library's
         # worker threads again; the command pins one thread once, so every
         # map starts, and every helper forks, from a one-thread process
-        if not os.path.exists("/proc/self/status") or linalg._thread_shutdown() is None:
-            pytest.skip("no /proc, or no bundled OpenBLAS exports blas_thread_shutdown_")
-        get, set_ = linalg._blas_threads()
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("no /proc")
+        get, set_ = blas_threads()
 
         def threads():
             with open("/proc/self/status") as fh:
@@ -730,10 +732,7 @@ class TestEmitAndHistogram:
     def test_histogram_draws_on_one_blas_thread(self, tmp_path, monkeypatch):
         # a raem decoder solve's result depends on the BLAS thread count, so
         # the draw runs on one thread, as the fit maps do
-        threads = linalg._blas_threads()
-        if threads is None:
-            pytest.skip("no bundled OpenBLAS")
-        get, set_ = threads
+        get, set_ = blas_threads()
         seen, draw = [], cli.generate_hidden_layer
 
         def spy(*args):

@@ -7,7 +7,6 @@ pure-Python Gaussian elimination written here.
 
 import ctypes
 import functools
-import glob
 import os
 import platform
 import subprocess
@@ -18,6 +17,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from conftest import blas_threads, bundles_openblas, stub_routines
 
 import randnet
 from randnet import linalg, model
@@ -284,7 +285,7 @@ def test_solve_rows_keeps_the_bits_of_the_two_chains_it_replaced(
     # lstsq and solve_readout, on one block or several and on one thread or
     # two, against the chain both ran before, by their bytes; several blocks
     # are folded by numpy's QR, as the chain folds them
-    monkeypatch.setattr(linalg, "_dtpqrt", lambda: None)
+    stub_routines(monkeypatch, scipy_dtpqrt_64_=None)
     row_blocking(min_rows=8 if blocked else 10**9)
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(rows, inputs))
@@ -406,7 +407,7 @@ def test_lapack_failure_is_a_numeric_failure(monkeypatch, row_blocking, routine,
         ctypes.c_int64.from_address(args[-1]).value = -1  # info, passed by address
 
     if routine == "fold":
-        monkeypatch.setattr(linalg, "_dtpqrt", lambda: failing_fold)
+        stub_routines(monkeypatch, scipy_dtpqrt_64_=failing_fold)
     else:
         monkeypatch.setattr(linalg, attr, failing)
     with linalg.block_budget(2), pytest.raises(NumericFailureError):
@@ -420,7 +421,8 @@ def test_lapack_failure_is_a_numeric_failure(monkeypatch, row_blocking, routine,
     assert not [t for t in threading.enumerate() if t.name.startswith("randnet-block")]
 
 
-@pytest.mark.parametrize("missing", ["_dgeqrf", "_dtpqrt"])
+@pytest.mark.parametrize("missing", [pytest.param("scipy_dgeqrf_64_", id="dgeqrf"),
+                                     pytest.param("scipy_dtpqrt_64_", id="dtpqrt")])
 def test_numpy_qr_failure_is_a_numeric_failure(monkeypatch, row_blocking, missing):
     # without dgeqrf each block, and without dtpqrt each fold, is numpy's
     # QR, whose LinAlgError is a NumericFailureError; at min_rows 8 the
@@ -430,14 +432,14 @@ def test_numpy_qr_failure_is_a_numeric_failure(monkeypatch, row_blocking, missin
 
     row_blocking(min_rows=8)
     assert len(linalg.row_blocks(80, 3)) == 4
-    monkeypatch.setattr(linalg, missing, lambda: None)
+    stub_routines(monkeypatch, **{missing: None})
     monkeypatch.setattr(np.linalg, "qr", no_convergence)
     rng = np.random.default_rng(23)
     with linalg.block_budget(2), pytest.raises(NumericFailureError, match="simulated"):
         lstsq(rng.normal(size=(80, 3)), np.ones(80))
     assert not [t for t in threading.enumerate() if t.name.startswith("randnet-block")]
     with pytest.raises(NumericFailureError, match="simulated"):
-        if missing == "_dgeqrf":
+        if missing == "scipy_dgeqrf_64_":
             linalg.qr_triangle(np.ones((5, 2), order="F"))
         else:
             linalg._fold(np.eye(2, order="F"), np.eye(2, order="F"))
@@ -460,7 +462,7 @@ def test_qr_triangle_is_numpys_r_bit_for_bit(monkeypatch, cols, extra_rows, scal
     buf = np.asfortranarray(a.copy())
     with monkeypatch.context() as patch:
         if fallback:
-            patch.setattr(linalg, "_dgeqrf", lambda: None)
+            stub_routines(patch, scipy_dgeqrf_64_=None)
         r = linalg.qr_triangle(buf)
     assert r.tobytes() == np.linalg.qr(a, mode="r").tobytes()
     # R is buf[:k], the top rows of the buffer, where dgeqrf leaves it
@@ -518,7 +520,7 @@ def test_svd_is_numpys_bit_for_bit(monkeypatch, rows, cols, scale, duplicates, s
     before = a.copy()
     with monkeypatch.context() as patch:
         if fallback:
-            patch.setattr(linalg, "_dgesdd", lambda: None)
+            stub_routines(patch, scipy_dgesdd_64_=None)
         got = linalg._svd_in_place(np.array(a, order="F"))
         x = linalg._solve_svd(got, c, shape)
     assert a.tobytes() == before.tobytes()
@@ -551,7 +553,7 @@ def test_pseudoinverse_is_numpys_svd_bit_for_bit(monkeypatch, rows, cols, scale,
     np.divide(1.0, s, out=s_inv, where=s > max(a.shape) * float(s[0]) * np.finfo(float).eps)
     with monkeypatch.context() as patch:
         if fallback:
-            patch.setattr(linalg, "_dgesdd", lambda: None)
+            stub_routines(patch, scipy_dgesdd_64_=None)
         got = pseudoinverse(a)
     assert got.tobytes() == ((vt.T * s_inv) @ u.T).tobytes()
 
@@ -581,8 +583,7 @@ def test_lapack_takes_a_view_where_it_lies(monkeypatch, rows, cols, spare_rows, 
     a[:, -1] = a[:, 0]
     with monkeypatch.context() as patch:
         if fallback:
-            patch.setattr(linalg, "_dgesdd", lambda: None)
-            patch.setattr(linalg, "_dgeqrf", lambda: None)
+            stub_routines(patch, scipy_dgesdd_64_=None, scipy_dgeqrf_64_=None)
         for decompose in (linalg._svd_in_place, lambda m: (linalg.qr_triangle(m),)):
             buf = np.full((rows + spare_rows, cols), np.nan, order="F")
             view = buf[:rows]
@@ -831,7 +832,7 @@ def test_svd_is_handed_numpys_triangle_bit_for_bit(monkeypatch, row_blocking, co
     assert r.strides == buf.strides and r.ctypes.data == flat.ctypes.data
 
     row_blocking(min_rows=8 if blocked else 10**9)
-    monkeypatch.setattr(linalg, "_dtpqrt", lambda: None)
+    stub_routines(monkeypatch, scipy_dtpqrt_64_=None)
     monkeypatch.setattr(linalg, "_mmap_pinned", cut)
     monkeypatch.setattr(linalg, "_MMAP_BYTES", 0)
     seen = []
@@ -893,7 +894,7 @@ def test_block_triangles_fold_in_block_order(monkeypatch, row_blocking, cols, mi
     want = reference_svd_solve(r[:cols, :cols], r[:cols, cols:], a.shape)
     want = want[:, 0] if t.ndim == 1 else want
     with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_dtpqrt", lambda: None)
+        stub_routines(patch, scipy_dtpqrt_64_=None)
         for budget in (1, 2):
             with linalg.block_budget(budget):
                 assert lstsq(a, t).tobytes() == want.tobytes()
@@ -991,23 +992,37 @@ with linalg.single_thread_blas():
     assert len(faults) == 7 and max(faults) <= 10, faults
 
 
-def bundles_openblas() -> bool:
-    site = os.path.dirname(os.path.dirname(np.__file__))
-    return bool(glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas64_*")))
-
-
-def test_qr_triangle_binds_the_bundled_openblas():
-    # a silent fallback to np.linalg.qr would hide a lost in-place path
+def test_every_routine_resolves_in_the_bundled_openblas():
+    # a symbol that stops resolving, renamed in the library or misspelt in
+    # the table, would fall back to numpy or leave BLAS on its threads
     if not bundles_openblas():
         pytest.skip("numpy bundles no OpenBLAS")
-    assert linalg._dgeqrf() is not None
+    assert [name for name in linalg._ROUTINES if linalg._routine(name) is None] == []
+
+
+def test_qr_triangle_binds_the_bundled_openblas(monkeypatch, row_blocking):
+    # a silent fallback to np.linalg.qr would hide a lost in-place path: no
+    # block's QR and, at min_rows 8, none of the 80x3 solve's 3 folds is numpy's
+    if not bundles_openblas():
+        pytest.skip("numpy bundles no OpenBLAS")
+    assert linalg._routine("scipy_dgeqrf_64_") is not None
+
+    def no_numpy_qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", no_numpy_qr)
+    row_blocking(min_rows=8)
+    assert len(linalg.row_blocks(80, 3)) == 4
+    rng = np.random.default_rng(25)
+    linalg.qr_triangle(np.asfortranarray(rng.normal(size=(9, 3))))
+    lstsq(rng.normal(size=(80, 3)), rng.normal(size=80))
 
 
 def test_svd_binds_the_bundled_openblas(monkeypatch):
     # a silent fallback to np.linalg.svd would hide a lost in-place path
     if not bundles_openblas():
         pytest.skip("numpy bundles no OpenBLAS")
-    assert linalg._dgesdd() is not None
+    assert linalg._routine("scipy_dgesdd_64_") is not None
 
     def no_numpy_svd(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
@@ -1044,7 +1059,7 @@ def test_qr_triangle_info_is_a_numeric_failure(monkeypatch):
     def geqrf(*args):
         set_info(args[-1], -4)
 
-    monkeypatch.setattr(linalg, "_dgeqrf", lambda: geqrf)
+    stub_routines(monkeypatch, scipy_dgeqrf_64_=geqrf)
     with pytest.raises(NumericFailureError, match="info -4"):
         linalg.qr_triangle(np.ones((5, 2), order="F"))
 
@@ -1062,7 +1077,7 @@ def test_svd_info_is_a_numeric_failure(monkeypatch, info, on_call):
         else:
             ctypes.c_double.from_address(args[10]).value = 64.0
 
-    monkeypatch.setattr(linalg, "_dgesdd", lambda: gesdd)
+    stub_routines(monkeypatch, scipy_dgesdd_64_=gesdd)
     for solve in (lambda: lstsq(np.eye(4), np.ones((4, 1))),
                   lambda: pseudoinverse(np.eye(4))):
         calls.clear()
@@ -1076,20 +1091,19 @@ def test_workspace_query_is_made_on_every_call(monkeypatch):
     if not bundles_openblas():
         pytest.skip("numpy bundles no OpenBLAS")
     seen = []
-    for name in ("_dgeqrf", "_dgesdd"):
-        real = getattr(linalg, name)()
 
-        def recording(*args, real=real, name=name):
-            seen.append(name)
-            return real(*args)
+    def recording(name):
+        real = linalg._routine(name)
+        return lambda *args: seen.append(name) or real(*args)
 
-        monkeypatch.setattr(linalg, name, lambda recording=recording: recording)
+    qr, svd = "scipy_dgeqrf_64_", "scipy_dgesdd_64_"
+    stub_routines(monkeypatch, **{name: recording(name) for name in (qr, svd)})
     rng = np.random.default_rng(26)
     a = rng.normal(size=(30, 4))
     first = lstsq(a, np.ones(30))
-    assert seen == ["_dgeqrf"] * 2 + ["_dgesdd"] * 2
+    assert seen == [qr] * 2 + [svd] * 2
     assert lstsq(a, np.ones(30)).tobytes() == first.tobytes()
-    assert seen == (["_dgeqrf"] * 2 + ["_dgesdd"] * 2) * 2
+    assert seen == ([qr] * 2 + [svd] * 2) * 2
 
 
 def test_workspace_sizes_survive_concurrent_solves():
@@ -1122,31 +1136,40 @@ def test_workspace_sizes_survive_concurrent_solves():
 
 
 # The lookups of the bundled library that are made once per process.
-CACHED_LOOKUPS = ("_openblas", "_dgeqrf", "_dgesdd", "_blas_threads", "_thread_shutdown")
+CACHED_LOOKUPS = ("_openblas", "_routine")
 
 
-def test_no_rtld_noload_means_no_binding(monkeypatch):
+def test_no_rtld_noload_means_no_binding(monkeypatch, row_blocking):
     # where os has no RTLD_NOLOAD, as on Windows, the library cannot be
     # looked up without loading it: no binding, and numpy's qr and svd run,
-    # which give the bytes of the bound path
+    # which give the bytes of the bound dgeqrf and dgesdd. At min_rows 8 the
+    # 80x3 solve is 4 blocks, whose folds are numpy's QR there; the bound
+    # path folds them so too once dtpqrt is stubbed out, as dtpqrt's folds
+    # have other bits
     rng = np.random.default_rng(31)
     a, t = rng.normal(size=(40, 6)), rng.normal(size=40)
     x = rng.uniform(size=(50, 2))
     layer = HiddenLayer(rng.normal(scale=3.0, size=(2, 7)), rng.normal(size=7))
+    row_blocking(min_rows=8)
+    tall = rng.normal(size=(80, 3)), rng.normal(size=80)
+    assert [len(linalg.row_blocks(*shape)) for shape in ((40, 6), (50, 7), (80, 3))] == [1, 1, 4]
 
     def solves():
         return [lstsq(a, t).tobytes(), lstsq(a[:4], t[:4]).tobytes(),
-                solve_readout(layer, x, x[:, 0]).tobytes()]
+                solve_readout(layer, x, x[:, 0]).tobytes(), lstsq(*tall).tobytes()]
 
     def clear():
         for name in CACHED_LOOKUPS:
             getattr(linalg, name).cache_clear()
 
-    bound = solves()
+    with monkeypatch.context() as patch:
+        stub_routines(patch, scipy_dtpqrt_64_=None)
+        bound = solves()
     try:
         monkeypatch.delattr(os, "RTLD_NOLOAD", raising=False)
         clear()
-        assert linalg._openblas() is None and linalg._dgesdd() is None
+        assert linalg._openblas() is None
+        assert [linalg._routine(name) for name in linalg._ROUTINES] == [None] * 6
         assert solves() == bound
     finally:
         monkeypatch.undo()
@@ -1156,10 +1179,7 @@ def test_no_rtld_noload_means_no_binding(monkeypatch):
 def test_single_thread_blas_survives_concurrent_users():
     # more users than cores, switching threads often: a lost update of the
     # shared user count would leave BLAS pinned or unpin it inside a body
-    threads = linalg._blas_threads()
-    if threads is None:
-        pytest.skip("no bundled OpenBLAS")
-    get, set_ = threads
+    get, set_ = blas_threads()
     saved = get()
     interval = sys.getswitchinterval()
     seen: list = []
@@ -1213,9 +1233,9 @@ with linalg.single_thread_blas():
     pass
 bundled = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                                   "numpy.libs", "libscipy_openblas64_*"))
-resolved = [linalg._dgeqrf(), linalg._dgesdd(), linalg._blas_threads()]
-if bundled and None in resolved:
-    sys.exit(f"unresolved: {resolved}")
+unresolved = [name for name in linalg._ROUTINES if linalg._routine(name) is None]
+if bundled and unresolved:
+    sys.exit(f"unresolved: {unresolved}")
 linalg.qr_triangle(np.ones((3, 2), order="F"))
 linalg.pseudoinverse(np.ones((3, 2)))
 assert "scipy" not in sys.modules, "scipy was imported"

@@ -108,6 +108,9 @@ class TestSigmoid:
         assert np.array_equal(z, before)
         assert sigmoid(z, out=z) is z
         assert z.tobytes() == fresh.tobytes()
+        scalar = np.array(-3.0)
+        assert sigmoid(scalar, out=scalar) is scalar
+        assert scalar.tobytes() == np.float64(sigmoid(-3.0)).tobytes()
 
     @pytest.mark.parametrize("lo, hi", [(-745.14, -700.0), (700.0, 746.0), (-746.0, -700.0)])
     def test_saturated_bands_bitwise_equal_to_two_branch_formula(self, lo, hi):
@@ -135,6 +138,21 @@ class TestSigmoid:
         assert np.all(out[:, 1::2] == -1.0)
         sigmoid(z.T, out=big[::2, ::3].T)
         assert np.ascontiguousarray(big[::2, ::3]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("out", [
+        pytest.param(np.zeros((3, 4), dtype=np.int64), id="int64"),
+        pytest.param(np.zeros((3, 4), dtype=np.float32), id="float32"),
+        pytest.param(np.zeros((4, 3)), id="transposed-shape"),
+        pytest.param(np.zeros((2, 3, 4)), id="broadcast-shape"),
+        pytest.param(np.zeros(12), id="flat"),
+        pytest.param([[0.0] * 4] * 3, id="list"),
+    ])
+    def test_out_checked_before_it_is_written(self, out):
+        z = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+        before = np.array(out, copy=True)
+        with pytest.raises(InvalidInputError, match="out must be a float64 array"):
+            sigmoid(z, out=out)
+        assert np.array_equal(np.asarray(out), before)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=64))
@@ -549,6 +567,10 @@ class TestRmse:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             rmse([1.0, 2.0], [1.0])
+
+    def test_empty_vectors_named(self):
+        with pytest.raises(InvalidInputError, match="empty"):
+            rmse([], [])
 
 
 class TestValidation:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata, wilcoxon as scipy_wilcoxon
 
-from randnet.errors import InvalidInputError
+from randnet.errors import ConfigError, InvalidInputError
 from randnet.experiment.stats import (
     EXACT_MAX_N,
     Histogram,
@@ -231,5 +231,13 @@ class TestWeightHistogram:
             weight_histogram([], bins=10)
 
     def test_bin_count_validated(self):
-        with pytest.raises(InvalidInputError):
-            weight_histogram([layer_of(np.ones((1, 2)))], bins=0)
+        # a count must be an integer, not a bool; one whose bins + 1 edges
+        # numpy refuses to size, before it allocates, is a ConfigError
+        layers = [layer_of(np.ones((1, 2)))]
+        for bins in (0, True, False, 2.5, 3.0, "3", np.True_):
+            with pytest.raises(InvalidInputError, match="bins must be an integer"):
+                weight_histogram(layers, bins=bins)
+        for bins in (2**62, 2**63 - 1, np.int64(2**63 - 1)):
+            with pytest.raises(ConfigError, match="cannot make histogram_bins"):
+                weight_histogram(layers, bins=bins)
+        assert weight_histogram(layers, bins=np.int64(3)).counts.tolist() == [0, 2, 0]

@@ -8,6 +8,8 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from conftest import blas_threads, bundles_openblas
+
 from randnet.dataio import Dataset
 from randnet.errors import ConfigError, InvalidInputError, NumericFailureError
 from randnet.benchfn import SampledProblem
@@ -114,10 +116,7 @@ class TestWorkerPool:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_blas_on_one_thread_inside_and_restored_after(self, monkeypatch, cores):
-        threads = linalg._blas_threads()
-        if threads is None:
-            pytest.skip("no bundled OpenBLAS")
-        get, set_ = threads
+        get, set_ = blas_threads()
         monkeypatch.setattr(linalg, "core_count", lambda: cores)
         saved = get()
         try:
@@ -155,8 +154,8 @@ class TestForkMap:
         assert_no_child_left()
 
     def test_every_process_forks_and_fits_on_one_thread(self, monkeypatch):
-        if not os.path.exists("/proc/self/status") or linalg._thread_shutdown() is None:
-            pytest.skip("no /proc, or no bundled OpenBLAS exports blas_thread_shutdown_")
+        if not os.path.exists("/proc/self/status") or not bundles_openblas():
+            pytest.skip("no /proc, or numpy bundles no OpenBLAS")
 
         def threads():
             with open("/proc/self/status") as fh:
