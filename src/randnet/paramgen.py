@@ -148,9 +148,10 @@ def anchor_points(kind: AnchorKind, x_train: np.ndarray, m: int, rng: RngStream)
 
 def anchored_biases(weights: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Biases b_i = -a_i . x*_i, one dot product per node so that the same
-    product evaluated elsewhere cancels bitwise."""
-    m = weights.shape[1]
-    return np.array([-float(np.dot(weights[:, i], anchors[i])) for i in range(m)])
+    product evaluated elsewhere cancels bitwise: one stacked 1 x n by n x 1
+    matmul, whose products have the bits of ``np.dot(weights[:, i],
+    anchors[i])``."""
+    return -np.matmul(weights.T[:, None, :], anchors[:, :, None])[:, 0, 0]
 
 
 def generate_ram(cfg: RaMConfig, x_train: np.ndarray, m: int, rng: RngStream) -> HiddenLayer:

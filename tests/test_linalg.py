@@ -186,8 +186,8 @@ def test_lstsq_matches_pseudoinverse(rows, cols, seed, defect, rhs_cols):
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.integers(0, 2**20), cols=st.integers(1, 4000))
-@example(rows=20000, cols=800)  # halved by the cap to 8 blocks of 15.3 MiB
-@example(rows=50000, cols=800)  # 16 blocks of 19.1 MiB: a half would go below the floor
+@example(rows=20000, cols=800)  # halved by the cap to 16 blocks of 7.6 MiB
+@example(rows=50000, cols=800)  # 32 blocks of 9.6 MiB: a half would go below the floor
 def test_row_blocks_are_a_contiguous_split_fixed_by_the_shape(rows, cols):
     blocks = linalg.row_blocks(rows, cols)
     count = len(blocks)
@@ -199,21 +199,22 @@ def test_row_blocks_are_a_contiguous_split_fixed_by_the_shape(rows, cols):
     assert (count == 1) == (rows < 2 * max(4096, 4 * width))
     assert rows // (2 * count) < max(4096, 4 * width)  # the row rule is spent
     if count > 1:
-        assert min(b.stop - b.start for b in blocks) >= 3 * width
-        # the cap is spent: the blocks hold at most 16 MiB, or one more
-        # halving would leave a half below 3 * (cols + 1) rows
-        assert (-(-rows // count) * width * 8 <= 16 << 20
-                or rows // (2 * count) < 3 * width)
+        # so every block's triangle is a full square
+        assert min(b.stop - b.start for b in blocks) >= width
+        # the cap is spent: the blocks hold at most 8 MiB, or one more
+        # halving would leave a half below cols + 1 rows
+        assert (-(-rows // count) * width * 8 <= 8 << 20
+                or rows // (2 * count) < width)
         # and no halving was made past what the row rule and the cap ask
         half = count // 2
         assert (rows // count >= max(4096, 4 * width)
-                or -(-rows // half) * width * 8 > 16 << 20)
+                or -(-rows // half) * width * 8 > 8 << 20)
     with linalg.block_budget(4):
         assert linalg.row_blocks(rows, cols) == blocks
 
 
 @pytest.mark.parametrize("shape, count", [
-    ((20000, 800), 8),  # fit-n5-save: train and test H, 2500 rows of 15.3 MiB
+    ((20000, 800), 16),  # fit-n5-save: train and test H, 1250 rows of 7.6 MiB
     ((5000, 800), 1),   # tf1-m800 H, and the raem1 decoder solve
     ((5000, 25), 1),    # uae-sweep-m25
     ((1600, 100), 1),   # compare-cv-file, its largest H
@@ -751,6 +752,36 @@ def test_capped_blocks_bound_what_a_split_readout_holds(row_blocking):
         assert peak < 1.05 * (budget * (block + panel) + triangle), (budget, peak)
 
 
+def test_split_readout_peaks_in_its_svd_phase(monkeypatch):
+    # fit-n5-save's 20000x800 fit at budget 2: its 16 blocks of 1250x801,
+    # 7.6 MiB, two in flight with their build panels beside the 5.1 MB
+    # square, hold less than the SVD of R that follows, with U, Vt and the
+    # workspace beside the square, about 6 m^2 doubles. A 16 MiB cap, 8
+    # blocks of 15.3 MiB, holds about 38 MB, 1.2 times the SVD phase
+    if not bundles_openblas():
+        pytest.skip("numpy bundles no OpenBLAS")
+    rows, nodes = 20000, 800
+    assert len(linalg.row_blocks(rows, nodes)) == 16
+    rng = np.random.default_rng(37)
+    x = rng.uniform(size=(rows, 1))
+    layer = HiddenLayer(rng.normal(scale=5.0, size=(1, nodes)), rng.normal(size=nodes))
+    t = rng.normal(size=rows)
+    svd = linalg._svd_in_place
+    block_phase = []
+
+    def svd_phase_traced(a):
+        if tracemalloc.is_tracing():
+            block_phase.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+        return svd(a)
+
+    monkeypatch.setattr(linalg, "_svd_in_place", svd_phase_traced)
+    with linalg.block_budget(2):
+        svd_phase = traced_peak(lambda: solve_readout(layer, x, t))
+    assert len(block_phase) == 1
+    assert max(block_phase[0], svd_phase) <= 1.05 * svd_phase, (block_phase[0], svd_phase)
+
+
 def test_solve_under_a_debugger_keeps_whole_the_block_it_cannot_cut(monkeypatch):
     # a tracer that reads every frame's locals, as a debugger does, holds one
     # more reference to a one-block fit's buffer, so numpy's realloc refuses
@@ -952,11 +983,11 @@ def test_repeated_library_solves_take_no_page_faults():
     # settings; there, once warm, a solve whose blocks are freed whole takes
     # its pages from the heap, not from fresh mappings: one-block fits of
     # 0.2 to 32 MB, each started from the square, and fits of 4 blocks of
-    # 8 MB and of 4 blocks of 15.3 MiB, halved by the cap, each folded from
-    # where it lies. Cut down to their triangles, the one blocks of 8 to
-    # 32 MB took 158 to 851 minor faults per solve, and the 4 blocks of 8 MB
-    # 1720 to 2002, by what ran before. Each shape is measured before any
-    # larger one has run
+    # 8 MB and of 8 blocks of 1250 rows, 7.6 MiB, halved by the cap, each
+    # folded from where it lies. Cut down to their triangles, the one blocks
+    # of 8 to 32 MB took 158 to 851 minor faults per solve, and the 4 blocks
+    # of 8 MB 1720 to 2002, by what ran before. Each shape is measured before
+    # any larger one has run
     if platform.system() != "Linux" or platform.libc_ver()[0] != "glibc":
         pytest.skip("glibc's malloc only")
     probe = """
@@ -967,10 +998,11 @@ from randnet.model import HiddenLayer, solve_readout
 
 rng = np.random.default_rng(36)
 with linalg.single_thread_blas():
-    for rows, nodes, solves in [(5000, 25, 50), (900, 100, 50), (5000, 200, 10),
-                                (5000, 400, 10), (5000, 800, 10), (20000, 200, 10),
-                                (10000, 800, 10)]:
-        assert len(linalg.row_blocks(rows, nodes)) == (1 if rows <= 5000 else 4)
+    for rows, nodes, solves, blocks in [(5000, 25, 50, 1), (900, 100, 50, 1),
+                                        (5000, 200, 10, 1), (5000, 400, 10, 1),
+                                        (5000, 800, 10, 1), (20000, 200, 10, 4),
+                                        (10000, 800, 10, 8)]:
+        assert len(linalg.row_blocks(rows, nodes)) == blocks
         x = rng.uniform(size=(rows, 1))
         layer = HiddenLayer(rng.normal(scale=5.0, size=(1, nodes)), rng.normal(size=nodes))
         t = rng.normal(size=rows)

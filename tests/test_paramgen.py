@@ -114,6 +114,19 @@ class TestAnchoredBiases:
         for i in range(64):
             assert float(np.dot(w[:, i], anchors[i])) + b[i] == 0.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 64), m=st.integers(1, 800), order=st.sampled_from("CF"),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2, m=800, order="C", seed=0)  # tf1-m800
+    @example(n=5, m=800, order="F", seed=1)
+    def test_equals_one_dot_per_node_bit_for_bit(self, n, m, order, seed):
+        # one np.dot per node is the reference
+        rng = np.random.default_rng(seed)
+        w = np.asarray(rng.uniform(-80.0, 80.0, size=(n, m)), order=order)
+        anchors = rng.uniform(size=(m, n))
+        want = np.array([-float(np.dot(w[:, i], anchors[i])) for i in range(m)])
+        assert anchored_biases(w, anchors).tobytes() == want.tobytes()
+
 
 class TestGenerateRam:
     def test_weights_within_interval(self):
