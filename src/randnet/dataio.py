@@ -123,12 +123,16 @@ class NormalizationSpec:
         )
 
 
-def _affine_to_range(lo: float, hi: float, target: tuple[float, float]) -> tuple[float, float]:
+def _affine_to_range(lo, hi, target: tuple[float, float]):
+    """Scales and offsets of the affine maps that take each ``[lo, hi]``
+    onto ``target``; a constant entry (``hi == lo``) gets scale 0 and the
+    target's midpoint as its offset. A range too wide or too narrow for a
+    float gives inf or nan without a warning, as Python's floats do."""
     t_lo, t_hi = target
-    if hi > lo:
-        scale = (t_hi - t_lo) / (hi - lo)
-        return scale, t_lo - scale * lo
-    return 0.0, 0.5 * (t_lo + t_hi)
+    varies = hi > lo
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.divide(t_hi - t_lo, hi - lo, out=np.zeros(np.shape(lo)), where=varies)
+        return scale, np.where(varies, t_lo - scale * lo, 0.5 * (t_lo + t_hi))
 
 
 def fit_normalization(
@@ -137,20 +141,13 @@ def fit_normalization(
     output_range: tuple[float, float] = (0.0, 1.0),
 ) -> NormalizationSpec:
     """Fit per-column min-max maps on ``ds``."""
-    scales = np.empty(ds.n_features)
-    offsets = np.empty(ds.n_features)
-    for j in range(ds.n_features):
-        scales[j], offsets[j] = _affine_to_range(
-            float(ds.x[:, j].min()), float(ds.x[:, j].max()), input_range
-        )
-    out_scale, out_offset = _affine_to_range(
-        float(ds.y.min()), float(ds.y.max()), output_range
-    )
+    scales, offsets = _affine_to_range(ds.x.min(axis=0), ds.x.max(axis=0), input_range)
+    out_scale, out_offset = _affine_to_range(ds.y.min(), ds.y.max(), output_range)
     return NormalizationSpec(
         input_scale=scales,
         input_offset=offsets,
-        output_scale=out_scale,
-        output_offset=out_offset,
+        output_scale=float(out_scale),
+        output_offset=float(out_offset),
         input_range=input_range,
         output_range=output_range,
     )

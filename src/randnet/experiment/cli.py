@@ -197,13 +197,13 @@ class Run(NamedTuple):
         write_summary(self.path(name), self.summary)
 
 
-def _setup(args, least: int = 0, most: Optional[int] = None,
+def _setup(args, least: int = 0, exact: bool = False,
            trials: Optional[int] = None, method: Optional[str] = None) -> Run:
-    """Resolve the config, check it names between ``least`` and ``most``
-    methods, build the problem and start the summary with the config echo
-    and the dataset summaries. ``trials``, if given, is the trial count when
-    neither the flags nor the file set one, and ``method`` the method tag
-    when neither names a method."""
+    """Resolve the config, check it names at least ``least`` methods, or
+    exactly ``least`` if ``exact``, build the problem and start the summary
+    with the config echo and the dataset summaries. ``trials``, if given, is
+    the trial count when neither the flags nor the file set one, and
+    ``method`` the method tag when neither names a method."""
     raw = load_config_file(args.config) if args.config else {}
     if method is not None and not args.methods and not method_list(raw):
         raw = {**raw, "methods": [method]}
@@ -212,10 +212,9 @@ def _setup(args, least: int = 0, most: Optional[int] = None,
         overrides.setdefault("trials", trials)
     cfg = build_config(raw, overrides)
     count = cfg.method_count
-    if count < least or (most is not None and count > most):
-        want = (f"at least {least}" if most is None else
-                f"exactly {least}" if least == most else f"at most {most}")
-        raise ConfigError(f"{args.command} takes {want} method(s), got {count}")
+    if count < least or (exact and count > least):
+        want = "exactly" if exact else "at least"
+        raise ConfigError(f"{args.command} takes {want} {least} method(s), got {count}")
     problem = cfg.problem.realize(cfg.problem_stream())
     summary = {
         "config": describe_config(cfg),
@@ -277,7 +276,7 @@ def _write_results(run: Run, results: list) -> None:
 
 
 def cmd_fit(args) -> int:
-    run = _setup(args, 1, 1, trials=1)
+    run = _setup(args, 1, exact=True, trials=1)
     results, _ = _trial_methods(run)
     _write_results(run, results)
     if args.save_model:
@@ -299,7 +298,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
-    run = _setup(args, 1, 1)
+    run = _setup(args, 1, exact=True)
     label = run.cfg.label(0)
     table = _cross_validate(run, 0)
     best = select_best(table)
@@ -316,7 +315,7 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_uae_sweep(args) -> int:
-    run = _setup(args, 1, 1, method="raem1")
+    run = _setup(args, 1, exact=True, method="raem1")
     cfg = run.cfg
     points = uae_sweep(run.problem, cfg.nodes, cfg.sweep.u_ae_values(), cfg.trials,
                        cfg.sweep_stream(), method=cfg.methods[0])
@@ -379,7 +378,7 @@ def cmd_emit(args) -> int:
 
 
 def cmd_histogram(args) -> int:
-    run = _setup(args, 1, 1)
+    run = _setup(args, 1, exact=True)
     cfg = run.cfg
     method = cfg.generator(0)
     x = run.problem.train.x

@@ -76,6 +76,10 @@ class ProblemSpec:
             raise ConfigError("problem needs exactly one of 'tf' or 'data'")
         if self.tf is not None and self.n is None:
             raise ConfigError("a tf problem needs 'n'")
+        source, others = ("tf", DATA_KEYS) if self.tf is not None else ("data", TF_KEYS)
+        mixed = [key for key in others if getattr(self, key) != getattr(ProblemSpec, key)]
+        if mixed:
+            raise ConfigError(f"a {source} problem does not take {', '.join(map(repr, mixed))}")
 
     def realize(self, rng: RngStream) -> SampledProblem:
         """Sample the TF or load+normalize+split the file, deterministically."""

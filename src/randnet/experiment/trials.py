@@ -44,10 +44,6 @@ class TrialReport:
     rmse_test: float
     network: TrainedNetwork
 
-    def __post_init__(self):
-        if self.rmse_train < 0 or self.rmse_test < 0:
-            raise InvalidInputError("rmse values must be nonnegative")
-
 
 def fit_trial(method: GeneratorConfig, train: Dataset, test: Dataset, m: int,
               stream) -> tuple[TrainedNetwork, float]:

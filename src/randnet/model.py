@@ -4,19 +4,20 @@ The hidden layer is frozen after generation; training only fits the output
 weights, by a minimum-norm least-squares solve on the hidden output matrix H.
 There are no direct input-output links and no output bias.
 
-H is built by ``build_hidden`` in pieces of about 64K entries, so every
-elementwise pass over a piece stays in cache, and each piece's temporaries
-live in one work array reused for all of them: tiles of ``tile_rows`` rows
-for a row-major target, column panels for a column-major one, which is
-built where it lies. Every entry is computed by the same operations
-whatever the pieces, so H is bitwise the same. A tall fit (more rows than
+H is built in pieces of about 64K entries, so every elementwise pass over
+a piece stays in cache, and each piece's temporaries live in one work array
+reused for all of them. It is built in two ways, each by one routine, and
+every entry gets the same operations either way, so H is bitwise the same.
+``build_hidden`` writes column panels into a target where it lies, such as
+the H columns of an F-ordered solve buffer. A tall fit (more rows than
 nodes) streams H into the blocked QR of ``linalg.solve_rows``: each row
 block of ``[H | t]``, one block included, is built into its own F-ordered
 buffer and reduced there, and ``solve_rows`` keeps only its triangle. So
 the fit never holds all of H. ``solve_readout`` is that fit for any target
 t, the readout's y or the autoencoder decoder's inputs X, and returns the
-solution alone. ``predict`` likewise multiplies one tile at a time by the
-readout.
+solution alone. ``_row_tiles`` builds row tiles into one reused tile:
+``predict`` multiplies each by the readout, and ``hidden_outputs`` copies
+each into the H it returns.
 """
 
 from __future__ import annotations
@@ -200,36 +201,49 @@ def tile_rows(nodes: int) -> int:
     return max(_TILE_ALIGN, _TILE_ELEMS // nodes // _TILE_ALIGN * _TILE_ALIGN)
 
 
-def _tiles(rows: int, nodes: int) -> list[slice]:
-    step = tile_rows(nodes)
-    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-
-
 def build_hidden(x, weights, biases, out) -> None:
-    """Write ``sigmoid(x @ weights + biases)`` into ``out``, in pieces of
-    about ``_TILE_ELEMS`` entries.
+    """Write ``sigmoid(x @ weights + biases)`` into ``out`` where it lies,
+    one column panel at a time.
 
-    A column-major target, such as the H columns of an F-ordered ``[H | y]``
-    buffer, is built where it lies one column panel at a time, about
-    ``_TILE_ELEMS // rows`` columns wide, with one F-ordered work panel and
-    x's columns made contiguous once, so every pass runs down contiguous
-    columns. Any other target is built in tiles of ``tile_rows`` rows, with
-    one work tile reused for every tile. Either way one work array holds the
-    temporaries of both steps, and every entry gets the same operations.
+    A panel is about ``_TILE_ELEMS // rows`` columns wide and is built with
+    one F-ordered work panel, reused for every panel, and x's columns made
+    contiguous once, so every pass over an F-ordered target runs down
+    contiguous columns. Any target is right; a C-ordered one is only slower.
     """
     rows, nodes = x.shape[0], weights.shape[1]
-    if out.flags.f_contiguous and not out.flags.c_contiguous:
-        width = max(1, _TILE_ELEMS // max(1, rows))
-        columns = np.asfortranarray(x)
-        work = np.empty((rows, min(width, nodes)), order="F")
-        for lo in range(0, nodes, width):
-            cols = slice(lo, min(lo + width, nodes))
-            _hidden_tile(columns, weights[:, cols], biases[cols], out[:, cols],
-                         work[:, :cols.stop - lo])
-        return
-    work = np.empty((min(tile_rows(nodes), rows), nodes))
-    for tile in _tiles(rows, nodes):
-        _hidden_tile(x[tile], weights, biases, out[tile], work[:tile.stop - tile.start])
+    width = max(1, _TILE_ELEMS // max(1, rows))
+    columns = np.asfortranarray(x)
+    work = np.empty((rows, min(width, nodes)), order="F")
+    for lo in range(0, nodes, width):
+        cols = slice(lo, min(lo + width, nodes))
+        _hidden_tile(columns, weights[:, cols], biases[cols], out[:, cols],
+                     work[:, :cols.stop - lo])
+
+
+def _row_tiles(layer: HiddenLayer, x, each) -> None:
+    """Build the hidden outputs of ``x`` one tile of ``tile_rows`` rows at a
+    time into one reused buffer and call ``each(rows, tile)`` on each.
+
+    The tiles are split into as many groups of whole tiles as ``row_blocks``
+    gives, run on ``map_blocks``, each with its own tile and work tile. Every
+    tile starts at a multiple of its height, so a matrix-vector product taken
+    tile by tile is bitwise one over all rows.
+    """
+    rows, m = x.shape[0], layer.node_count
+    step = tile_rows(m)
+    starts = range(0, rows, step)
+    count = len(row_blocks(rows, m))
+
+    def group(i: int) -> None:
+        height = min(step, rows)
+        h, work = np.empty((height, m)), np.empty((height, m))
+        for lo in starts[len(starts) * i // count: len(starts) * (i + 1) // count]:
+            k = min(step, rows - lo)
+            _hidden_tile(x[lo:lo + k], layer.weights, layer.biases, h[:k], work[:k])
+            each(slice(lo, lo + k), h[:k])
+
+    for _ in map_blocks(group, list(range(count))):
+        pass
 
 
 def _inputs(layer: HiddenLayer, x) -> np.ndarray:
@@ -246,8 +260,8 @@ def _inputs(layer: HiddenLayer, x) -> np.ndarray:
 def hidden_outputs(layer: HiddenLayer, x) -> np.ndarray:
     """Hidden output matrix: entry (l, i) is sigmoid(a_i . x_l + b_i)."""
     x = _inputs(layer, x)
-    h = np.empty((x.shape[0], layer.node_count), dtype=float)
-    build_hidden(x, layer.weights, layer.biases, h)
+    h = np.empty((x.shape[0], layer.node_count))
+    _row_tiles(layer, x, lambda rows, tile: np.copyto(h[rows], tile))
     return h
 
 
@@ -278,32 +292,12 @@ def train_readout(layer: HiddenLayer, x, y) -> ReadoutWeights:
 
 
 def predict(net: TrainedNetwork, x) -> np.ndarray:
-    """Network outputs for each row of ``x``.
-
-    The hidden outputs are built one tile at a time into one reused buffer
-    per block, with one reused work tile, and each tile is multiplied by the
-    readout, so the hidden output matrix of ``x`` is never held. The blocks
-    are as many as ``row_blocks`` gives, but made of whole tiles, so every
-    tile starts at a multiple of its height and the result is bitwise
-    ``H @ beta``.
-    """
+    """Network outputs for each row of ``x``, bitwise ``H @ beta``, taken
+    one row tile of H at a time, so the H of ``x`` is never held."""
     layer, beta = net.hidden, net.readout.beta
     x = _inputs(layer, x)
     out = np.empty(x.shape[0])
-    m = layer.node_count
-    tiles = _tiles(x.shape[0], m)
-    count = len(row_blocks(x.shape[0], m))
-
-    def block(i: int) -> None:
-        height = min(tile_rows(m), x.shape[0])
-        h, work = np.empty((height, m)), np.empty((height, m))
-        for rows in tiles[len(tiles) * i // count: len(tiles) * (i + 1) // count]:
-            k = rows.stop - rows.start
-            _hidden_tile(x[rows], layer.weights, layer.biases, h[:k], work[:k])
-            np.matmul(h[:k], beta, out=out[rows])
-
-    for _ in map_blocks(block, list(range(count))):
-        pass
+    _row_tiles(layer, x, lambda rows, tile: np.matmul(tile, beta, out=out[rows]))
     return out
 
 

@@ -857,6 +857,24 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert run("benchmark", "--config", bad) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--tf", "TF1", "--n", "1", "--target-column", "7", "--delimiter", ";", "--header"],
+         "a tf problem does not take 'target_column', 'header', 'delimiter'"),
+        (["--data", "DATA", "--header", "--n", "3", "--train-size", "9"],
+         "a data problem does not take 'n', 'train_size'"),
+    ], ids=["tf-with-data-keys", "data-with-tf-keys"])
+    def test_problem_that_mixes_the_two_sources_is_a_config_error(self, tmp_path, capsys,
+                                                                   flags, message):
+        # each key of the other source that is set is named, before any fit
+        data = tmp_path / "d.csv"
+        data.write_text("a,b,y\n" + "1,2,3\n4,5,7\n" * 4)
+        out = tmp_path / "o"
+        flags = [data if flag == "DATA" else flag for flag in flags]
+        assert run("fit", *flags, "--method", "ram", "--u", "1", "--nodes", "3",
+                   "--out", out) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_non_numeric_data_is_a_data_error(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("1,2\n3,x\n" * 8)

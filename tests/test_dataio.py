@@ -302,6 +302,41 @@ class TestNormalize:
             out.x, ds.x * spec.input_scale + spec.input_offset, atol=1e-12
         )
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 4),
+        output_range=st.sampled_from([(0.0, 1.0), (-1.0, 1.0)]),
+    )
+    def test_fit_equals_the_per_column_scalar_formula_bit_for_bit(self, data, rows, cols,
+                                                                   output_range):
+        # few distinct cells make constant columns and targets common, and
+        # columns whose minimum is -0.0 or 0.0; any finite float reaches
+        # ranges that overflow
+        cell = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+        x = np.array(data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                                        min_size=rows, max_size=rows)))
+        y = np.array(data.draw(st.lists(cell, min_size=rows, max_size=rows)))
+
+        def scalar(lo: float, hi: float, target) -> tuple[float, float]:
+            t_lo, t_hi = target
+            if hi > lo:
+                scale = (t_hi - t_lo) / (hi - lo)
+                return scale, t_lo - scale * lo
+            return 0.0, 0.5 * (t_lo + t_hi)
+
+        spec = fit_normalization(Dataset(x, y), output_range=output_range)
+        columns = [scalar(float(x[:, j].min()), float(x[:, j].max()), (0.0, 1.0))
+                   for j in range(cols)]
+        assert spec.input_scale.tobytes() == np.array([c[0] for c in columns]).tobytes()
+        assert spec.input_offset.tobytes() == np.array([c[1] for c in columns]).tobytes()
+        got = np.array([spec.output_scale, spec.output_offset])
+        assert got.tobytes() == np.array(scalar(float(y.min()), float(y.max()),
+                                                output_range)).tobytes()
+        assert type(spec.output_scale) is float and type(spec.output_offset) is float
+
     def test_spec_round_trips_through_dict(self):
         ds = Dataset(np.array([[1.0, -3.0], [2.0, 5.0]]), np.array([0.0, 10.0]))
         spec = fit_normalization(ds, output_range=(-1.0, 1.0))

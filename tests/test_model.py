@@ -246,9 +246,9 @@ class TestHiddenOutputs:
 
     @pytest.mark.parametrize("budget", [1, 2])
     def test_blocked_build_equals_one_block_build(self, monkeypatch, row_blocking, budget):
-        # predict builds H in row tiles, here of 64 rows, and splits them
-        # into row blocks: 1001 rows at min_rows 64 give 8 blocks of 2
-        # tiles, the last tile ragged at 41 rows. The steep layer saturates
+        # predict and hidden_outputs build H in row tiles, here of 64 rows,
+        # and split them into row blocks: 1001 rows at min_rows 64 give 8
+        # blocks of 2 tiles, the last tile ragged at 41 rows. The steep layer saturates
         # some entries, so the clip is covered too
         monkeypatch.setattr(model, "_TILE_ELEMS", 64 * 11)
         rng = np.random.default_rng(3)
@@ -256,13 +256,14 @@ class TestHiddenOutputs:
         x = rng.normal(size=(1001, 5))
         net = TrainedNetwork(hidden=layer, readout=ReadoutWeights(rng.normal(size=11)))
         assert tile_rows(11) == 64
-        one_block = predict(net, x)
+        one_block, one_h = predict(net, x), hidden_outputs(layer, x)
         row_blocking(min_rows=64)
         assert len(linalg.row_blocks(1001, 11)) == 8
         with linalg.block_budget(budget):
-            blocked = predict(net, x)
+            blocked, blocked_h = predict(net, x), hidden_outputs(layer, x)
         assert blocked.tobytes() == one_block.tobytes()
-        assert np.any(hidden_outputs(layer, x) == np.nextafter(1.0, 0.0))
+        assert blocked_h.tobytes() == one_h.tobytes()
+        assert np.any(one_h == np.nextafter(1.0, 0.0))
 
     def test_node_permutation_permutes_columns_exactly(self):
         rng = np.random.default_rng(3)
@@ -278,7 +279,8 @@ class TestHiddenOutputs:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_build_into_c_and_f_targets_equals_one_shot_build(self, n):
-        # 1000x120 builds in tiles of 512 and 488 rows; the arguments are
+        # 1000x120 builds in column panels of 65 and 55 columns, into a
+        # C-ordered target as into an F-ordered one; the arguments are
         # the bias-first, left-to-right sum, and a work tile shared by
         # mistake between the products and the sigmoid would move bits
         rng = np.random.default_rng(20 + n)
@@ -308,10 +310,10 @@ class TestHiddenOutputs:
         order=st.sampled_from("CF"),
     )
     def test_tiled_build_equals_one_shot_build(self, rows, n, nodes, extra, seed, order):
-        # ragged last tiles, one-row inputs, tiles from 64 rows (nodes above
-        # 64K / 64) up to one tile for all rows, and the H columns of a
-        # wider buffer, whose other columns stay untouched: strided rows in
-        # a C-ordered one, column panels, ragged too, in an F-ordered one
+        # column panels, the last one ragged, into the H columns of a wider
+        # buffer, C- or F-ordered, whose other columns stay untouched; and
+        # hidden_outputs' row tiles from 64 rows (nodes above 64K / 64) up
+        # to one tile for all rows, the last one ragged, and one-row inputs
         step = tile_rows(nodes)
         assert step % 64 == 0 and step >= 64
         assert step == 64 or step * nodes <= 1 << 16
@@ -325,6 +327,7 @@ class TestHiddenOutputs:
         build_hidden(x, w, b, buf[:, :nodes])
         assert buf[:, :nodes].tobytes() == want.tobytes()
         assert np.isnan(buf[:, nodes:]).all()
+        assert hidden_outputs(HiddenLayer(weights=w, biases=b), x).tobytes() == want.tobytes()
 
 
     @pytest.mark.parametrize("n", [1, 2, 5])
